@@ -154,7 +154,7 @@ def _read_config_file(path: str) -> dict[str, str]:
     if not p.is_file():
         raise FileNotFoundError(f"config file not found: {p}")
     values: dict[str, str] = {}
-    for line_no, line in enumerate(p.read_text(encoding="utf-8").splitlines(), 1):
+    for line_no, line in enumerate(p.read_text(encoding="utf-8-sig").splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

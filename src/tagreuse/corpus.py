@@ -220,9 +220,9 @@ def _parse_assignments_tsv(path: Path, on_malformed: str) -> tuple[list[TweetRec
     records: list[TweetRecord] = []
     tweet_meta: dict[str, tuple[str, int]] = {}
     n_bad = 0
-    with path.open("r", encoding="utf-8", newline="") as fh:
+    with path.open("r", encoding="utf-8-sig", newline="") as fh:
         for line_no, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
+            line = line.rstrip("\r\n")
             if not line:
                 continue
             try:
@@ -255,7 +255,7 @@ def _parse_assignments_jsonl(path: Path, on_malformed: str) -> tuple[list[TweetR
     records: list[TweetRecord] = []
     tweet_meta: dict[str, tuple[str, int]] = {}
     n_bad = 0
-    with path.open("r", encoding="utf-8") as fh:
+    with path.open("r", encoding="utf-8-sig") as fh:
         for line_no, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
@@ -296,9 +296,9 @@ def _load_network(path: Path) -> dict[str, set[str]]:
     """Network TSV: `seed \t followee` per edge; a single-column row declares a
     seed with no followees. Seeds are exactly the column-1 ids."""
     edges: dict[str, set[str]] = {}
-    with path.open("r", encoding="utf-8", newline="") as fh:
+    with path.open("r", encoding="utf-8-sig", newline="") as fh:
         for line_no, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
+            line = line.rstrip("\r\n")
             if not line:
                 continue
             parts = line.split("\t")
@@ -326,9 +326,10 @@ def load_corpus(
 ) -> Corpus:
     """Parse, normalize, validate and index a dataset.
 
-    `on_malformed` is "raise" (default: first bad line raises ParseError)
-    or "count" (bad lines are logged, counted on the returned corpus, and
-    skipped; never silently dropped).
+    Lines may end in LF or CRLF, and a leading UTF-8 byte-order mark is
+    skipped. `on_malformed` is "raise" (default: first bad line raises
+    ParseError) or "count" (bad lines are logged, counted on the returned
+    corpus, and skipped; never silently dropped).
     """
     if on_malformed not in ("raise", "count"):
         raise ValueError(f"on_malformed must be 'raise' or 'count', got {on_malformed!r}")

@@ -6,6 +6,11 @@ timestamp is the reference time, so each recommender sees exactly the
 events strictly before that user's query. Precision/recall are macro
 averaged over users at every k up to k_max, optionally after hybrid
 re-ranking and with diversity/serendipity columns.
+
+`evaluate` answers all queries in one chronological pass: users are
+visited in ascending reference time, so the shared CorpusIndex cursor
+advances once over the corpus, and every algorithm scores a user before
+the cursor moves on.
 """
 
 from __future__ import annotations
@@ -152,9 +157,11 @@ def evaluate(
 ) -> EvalReport:
     """Run every algorithm over the split and macro-average the metrics.
 
-    Users whose recommendation list is empty contribute zeros. Iteration
-    and summation follow sorted user ids, so results are reproducible to
-    the bit.
+    Users whose recommendation list is empty contribute zeros. Queries run
+    in ascending (ref_time, user_id) order, so the index's time cursor
+    only moves forward; each user's per-k contributions are kept and then
+    summed in sorted user-id order, so results are reproducible to the
+    bit.
     """
     split = make_split(corpus)
     if not split.users:
@@ -168,6 +175,36 @@ def evaluate(
         hybrid = HybridParams(lambda_param=config.rerank_lambda)
 
     k_max = config.k_max
+    ks = range(1, k_max + 1)
+    # algo -> user -> (hits at each k, ild at each k, serendipity at each k)
+    rows: dict[str, dict[str, tuple[list[int], list[float], list[float]]]] = {
+        algo: {} for algo in algorithms
+    }
+    for us in sorted(split.users, key=lambda u: (u.ref_time, u.user_id)):
+        if with_beyond:
+            own = index.own_tags_before(us.user_id, us.ref_time)
+            social = index.followee_tags_before(us.user_id, us.ref_time)
+        for algo in algorithms:
+            rec = recommend(
+                algo, index, us.user_id, us.ref_time, k_max,
+                bll=config.bll, mix=config.mix, cf=config.cf,
+            )
+            if with_beyond:
+                rec = rerank_hybrid(normalize_scores(rec), hybrid, sim_index)
+            hits_at_k = []
+            hits = 0
+            for k in ks:
+                if k <= len(rec) and rec[k - 1][0] in us.test_hashtags:
+                    hits += 1
+                hits_at_k.append(hits)
+            ild, ser = [], []
+            if with_beyond:
+                for k in ks:
+                    top = rec[:k]
+                    ild.append(intra_list_diversity(top, sim_index))
+                    ser.append(serendipity(top, own, social))
+            rows[algo][us.user_id] = (hits_at_k, ild, ser)
+
     n_users = len(split.users)
     algo_points: dict[str, tuple[KPoint, ...]] = {}
     per_user: dict[str, dict[str, PerUserResult]] = {}
@@ -178,28 +215,17 @@ def evaluate(
         sum_ser = [0.0] * k_max
         details: dict[str, PerUserResult] = {}
         for us in split.users:
-            rec = recommend(
-                algo, index, us.user_id, us.ref_time, k_max,
-                bll=config.bll, mix=config.mix, cf=config.cf,
-            )
-            if with_beyond:
-                rec = rerank_hybrid(normalize_scores(rec), hybrid, sim_index)
-            hits_at_k = []
-            hits = 0
-            for k in range(1, k_max + 1):
-                if k <= len(rec) and rec[k - 1][0] in us.test_hashtags:
-                    hits += 1
-                hits_at_k.append(hits)
+            hits_at_k, ild, ser = rows[algo][us.user_id]
+            n_test = len(us.test_hashtags)
+            for k in ks:
+                hits = hits_at_k[k - 1]
                 sum_p[k - 1] += hits / k
-                sum_r[k - 1] += hits / len(us.test_hashtags)
+                sum_r[k - 1] += hits / n_test
             if with_beyond:
-                own = index.own_tags_before(us.user_id, us.ref_time)
-                social = index.followee_tags_before(us.user_id, us.ref_time)
-                for k in range(1, k_max + 1):
-                    top = rec[:k]
-                    sum_ild[k - 1] += intra_list_diversity(top, sim_index)
-                    sum_ser[k - 1] += serendipity(top, own, social)
-            details[us.user_id] = PerUserResult(tuple(hits_at_k), len(us.test_hashtags))
+                for k in ks:
+                    sum_ild[k - 1] += ild[k - 1]
+                    sum_ser[k - 1] += ser[k - 1]
+            details[us.user_id] = PerUserResult(tuple(hits_at_k), n_test)
         points = tuple(
             KPoint(
                 k=k,
@@ -208,7 +234,7 @@ def evaluate(
                 ild=(sum_ild[k - 1] / n_users) if with_beyond else None,
                 serendipity=(sum_ser[k - 1] / n_users) if with_beyond else None,
             )
-            for k in range(1, k_max + 1)
+            for k in ks
         )
         algo_points[algo] = points
         per_user[algo] = details

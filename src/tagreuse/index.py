@@ -1,10 +1,15 @@
-"""Read-only time-sliced lookups over a corpus.
+"""Time-sliced lookups over a corpus.
 
-The index precomputes, once, the sorted usage timestamps of every
-(user, hashtag) pair and of every hashtag globally. All queries take a
-reference time and answer about usage *strictly before* it, so the same
-index serves any number of point-in-time questions without leaking
-later events into earlier answers.
+All queries take a reference time and answer about usage *strictly
+before* it, so no answer leaks later events.
+
+Point lookups (one user's or one hashtag's usage) bisect the sorted usage
+timestamps of every (user, hashtag) pair and of every hashtag, which are
+built once. Population-wide reads (profiles, global counts, own and
+followee tag sets) come from one time cursor: running counts over the
+time-sorted assignments, advanced forward to each query's reference time.
+Queries in ascending time order therefore cost one pass over the corpus in
+total; a query earlier than the cursor restarts it from the first event.
 """
 
 from __future__ import annotations
@@ -14,8 +19,35 @@ from bisect import bisect_left
 from .corpus import Corpus, FollowNetwork
 
 
+class RunningCounts:
+    """Usage counts over all assignments strictly before `time`.
+
+    profiles   user -> {hashtag: count}, hashtags in first-use order
+    norm2      user -> sum of squared profile counts (exact int)
+    postings   hashtag -> {user: count}
+    global_counts  hashtag -> count
+    """
+
+    __slots__ = ("time", "pos", "profiles", "norm2", "postings", "global_counts")
+
+    def __init__(self) -> None:
+        self.time: int | None = None
+        self.pos = 0  # index of the first assignment not yet counted
+        self.profiles: dict[str, dict[str, int]] = {}
+        self.norm2: dict[str, int] = {}
+        self.postings: dict[str, dict[str, int]] = {}
+        self.global_counts: dict[str, int] = {}
+
+
 class CorpusIndex:
-    """Immutable query structure; safe to share across parallel readers."""
+    """Query structure over one corpus, with one internal time cursor.
+
+    Every answer depends only on (arguments, corpus), whatever the order
+    of the queries. Population-wide reads are cheapest in ascending
+    reference time; a read at an earlier time than the previous one
+    rewinds the cursor, which recounts from the first event. The cursor
+    is mutable state, so one index must not be shared across threads.
+    """
 
     def __init__(self, corpus: Corpus):
         self.corpus = corpus
@@ -30,7 +62,44 @@ class CorpusIndex:
             tag_times.setdefault(a.hashtag, []).append(a.timestamp)
         self._user_tag_times = user_tag_times
         self._tag_times = tag_times
-        self.users: tuple[str, ...] = tuple(sorted(user_tag_times))
+        self._cursor = RunningCounts()
+
+    def counts_before(self, ref_time: int) -> RunningCounts:
+        """The cursor, advanced to ref_time.
+
+        The returned counts are live: they hold for ref_time only until
+        the index is next read at another time. Callers must not mutate
+        them.
+        """
+        cur = self._cursor
+        if cur.time is not None and ref_time < cur.time:
+            cur = self._cursor = RunningCounts()
+        assignments = self.corpus.assignments
+        n = len(assignments)
+        pos = cur.pos
+        profiles, norm2 = cur.profiles, cur.norm2
+        postings, global_counts = cur.postings, cur.global_counts
+        while pos < n:
+            a = assignments[pos]
+            if a.timestamp >= ref_time:
+                break
+            user, ht = a.user_id, a.hashtag
+            profile = profiles.get(user)
+            if profile is None:
+                profile = profiles[user] = {}
+                norm2[user] = 0
+            c = profile.get(ht, 0)
+            profile[ht] = c + 1
+            norm2[user] += 2 * c + 1  # (c + 1)^2 - c^2
+            users = postings.get(ht)
+            if users is None:
+                users = postings[ht] = {}
+            users[user] = c + 1
+            global_counts[ht] = global_counts.get(ht, 0) + 1
+            pos += 1
+        cur.pos = pos
+        cur.time = ref_time
+        return cur
 
     def user_count_before(self, user_id: str, hashtag: str, ref_time: int) -> int:
         """Number of times user_id used hashtag strictly before ref_time."""
@@ -43,12 +112,7 @@ class CorpusIndex:
 
     def global_counts_before(self, ref_time: int) -> dict[str, int]:
         """Usage count per hashtag strictly before ref_time (zeros omitted)."""
-        out: dict[str, int] = {}
-        for ht, times in self._tag_times.items():
-            n = bisect_left(times, ref_time)
-            if n:
-                out[ht] = n
-        return out
+        return dict(self.counts_before(ref_time).global_counts)
 
     def user_tag_times_before(self, user_id: str, ref_time: int) -> dict[str, list[int]]:
         """Per-hashtag usage timestamps of one user strictly before ref_time."""
@@ -71,19 +135,16 @@ class CorpusIndex:
         return pooled
 
     def profile_before(self, user_id: str, ref_time: int) -> dict[str, int]:
-        """Hashtag -> own usage count vector of one user strictly before ref_time."""
-        out: dict[str, int] = {}
-        for ht, times in self._user_tag_times.get(user_id, {}).items():
-            n = bisect_left(times, ref_time)
-            if n:
-                out[ht] = n
-        return out
+        """Hashtag -> own usage count vector of one user strictly before
+        ref_time, hashtags in first-use order."""
+        return dict(self.counts_before(ref_time).profiles.get(user_id, {}))
 
     def own_tags_before(self, user_id: str, ref_time: int) -> set[str]:
-        return set(self.profile_before(user_id, ref_time))
+        return set(self.counts_before(ref_time).profiles.get(user_id, ()))
 
     def followee_tags_before(self, user_id: str, ref_time: int) -> set[str]:
+        profiles = self.counts_before(ref_time).profiles
         tags: set[str] = set()
         for f in self.network.followees(user_id):
-            tags |= self.own_tags_before(f, ref_time)
+            tags.update(profiles.get(f, ()))
         return tags

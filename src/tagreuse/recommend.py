@@ -3,7 +3,10 @@
 All recommenders are pure functions of (index, user, ref_time, k): they
 look only at usage strictly before ref_time and produce a deterministic
 ranked list of at most k (hashtag, score) pairs, ordered by score, then
-global usage frequency before ref_time, then the hashtag string.
+global usage frequency before ref_time, then the hashtag string. The
+answer does not depend on query order, but cf, mp and the frequency
+tie-break read the index's time cursor, so a run of queries is cheapest
+in ascending ref_time.
 
 Scoring models:
 
@@ -21,6 +24,7 @@ Scoring models:
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -78,7 +82,9 @@ def bll_activation(
     """ln(sum over prior usages of max(ref_time - t, min_delta)^-d).
 
     Usages at or after ref_time are ignored; raises NoPriorUsage if none
-    remain.
+    remain. When every term underflows (large d and old usages), the sum
+    is taken in log space instead: with x_j = -d ln dt_j and m = max x_j,
+    ln sum_j exp(x_j) = m + ln sum_j exp(x_j - m).
     """
     d, min_delta = params.d, params.min_delta_seconds
     total = 0.0
@@ -89,17 +95,22 @@ def bll_activation(
             n += 1
     if n == 0:
         raise NoPriorUsage(f"no usage strictly before ref_time={ref_time}")
+    if total == 0.0:
+        logs = [
+            -d * math.log(max(ref_time - t, min_delta)) for t in usage_timestamps if t < ref_time
+        ]
+        m = max(logs)
+        return m + math.log(sum(math.exp(x - m) for x in logs))
     return math.log(total)
 
 
 def _rank(scores: dict[str, float], k: int, index: CorpusIndex, ref_time: int) -> Ranked:
     """Deterministic top-k: score desc, global pre-ref frequency desc,
     hashtag asc."""
-    order = sorted(
-        scores.items(),
-        key=lambda item: (-item[1], -index.global_count_before(item[0], ref_time), item[0]),
+    freq = index.counts_before(ref_time).global_counts.get
+    return heapq.nsmallest(
+        k, scores.items(), key=lambda item: (-item[1], -freq(item[0], 0), item[0])
     )
-    return order[: max(k, 0)]
 
 
 def minmax_normalize(scores: dict[str, float]) -> dict[str, float]:
@@ -183,21 +194,6 @@ def recommend_bll_is(
     return _rank(combined, k, index, ref_time)
 
 
-def _cosine(p: dict[str, int], q: dict[str, int]) -> float:
-    if len(p) > len(q):
-        p, q = q, p
-    dot = 0
-    for ht, c in p.items():
-        cq = q.get(ht)
-        if cq:
-            dot += c * cq
-    if dot == 0:
-        return 0.0
-    norm_p = math.sqrt(sum(c * c for c in p.values()))
-    norm_q = math.sqrt(sum(c * c for c in q.values()))
-    return dot / (norm_p * norm_q)
-
-
 def recommend_cf(
     index: CorpusIndex,
     user_id: str,
@@ -211,31 +207,37 @@ def recommend_cf(
     the query user) by cosine similarity at ref_time; a candidate's score
     is the similarity-weighted sum of neighbor usage counts. An empty
     query profile is a cold start and yields an empty list.
+
+    Only users sharing a hashtag with the query user have a nonzero
+    similarity, so the dot products come from the postings of the query's
+    hashtags, as exact ints like the squared norms.
     """
     _require_seed(index, user_id)
     profile = index.profile_before(user_id, ref_time)
     if not profile:
         return []
-    sims: list[tuple[float, str]] = []
-    for v in index.users:
-        if v == user_id:
-            continue
-        sim = _cosine(profile, index.profile_before(v, ref_time))
-        if sim > 0.0:
-            sims.append((sim, v))
-    sims.sort(key=lambda sv: (-sv[0], sv[1]))
+    counts = index.counts_before(ref_time)
+    dots: dict[str, int] = {}
+    for ht, c in profile.items():
+        for v, cv in counts.postings[ht].items():
+            dots[v] = dots.get(v, 0) + c * cv
+    del dots[user_id]
+    norm2 = counts.norm2
+    norm_u = math.sqrt(norm2[user_id])
+    sims = [(dot / (norm_u * math.sqrt(norm2[v])), v) for v, dot in dots.items()]
     scores: dict[str, float] = {}
-    for sim, v in sims[: params.n_neighbors]:
-        for ht, count in index.profile_before(v, ref_time).items():
+    for sim, v in heapq.nsmallest(params.n_neighbors, sims, key=lambda sv: (-sv[0], sv[1])):
+        for ht, count in counts.profiles[v].items():
             scores[ht] = scores.get(ht, 0.0) + sim * count
     return _rank(scores, k, index, ref_time)
 
 
 def recommend_most_popular(index: CorpusIndex, ref_time: int, k: int) -> Ranked:
     """Global usage counts strictly before ref_time."""
-    counts = index.global_counts_before(ref_time)
-    scores = {ht: float(c) for ht, c in counts.items()}
-    return _rank(scores, k, index, ref_time)
+    counts = index.counts_before(ref_time).global_counts
+    # the score is the frequency, so _rank's key reduces to (-count, hashtag)
+    top = heapq.nsmallest(k, counts.items(), key=lambda item: (-item[1], item[0]))
+    return [(ht, float(c)) for ht, c in top]
 
 
 def recommend(

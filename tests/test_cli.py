@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -112,6 +113,25 @@ def test_inputs_are_not_mutated(capsys, tmp_path):
     assert before == after
 
 
+def test_crlf_and_bom_inputs_classify_like_lf(capsys, tmp_path, monkeypatch):
+    outputs = []
+    for name, prefix, newline in (("lf", b"", b"\n"), ("crlf", b"\xef\xbb\xbf", b"\r\n")):
+        rundir = tmp_path / name
+        rundir.mkdir()
+        for fname in ("assignments.tsv", "network.tsv"):
+            text = (DATA / fname).read_bytes()
+            (rundir / fname).write_bytes(prefix + text.replace(b"\n", newline))
+        # same relative paths, so the echoed config is identical too
+        monkeypatch.chdir(rundir)
+        code, out, _ = run_cli(
+            capsys, "classify", "--assignments", "assignments.tsv",
+            "--network", "network.tsv", "--per-assignment", "labels.tsv",
+        )
+        assert code == 0
+        outputs.append((out, (rundir / "labels.tsv").read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
 def test_no_temp_files_left_behind(capsys, tmp_path):
     argv_template, _ = GOLDEN_CASES["recency"]
     run_cli(capsys, *[a.replace("{tmp}", str(tmp_path)) for a in argv_template])
@@ -182,6 +202,17 @@ class TestExitCodes:
         )
         assert code == 1
 
+    def test_large_decay_exponent_gives_finite_scores(self, capsys):
+        # every dt^-d term underflows at d = 60 with deltas near 10^6 s
+        code, out, _ = run_cli(
+            capsys, "recommend", "--assignments", "tests/data/assignments.tsv",
+            "--network", "tests/data/network.tsv", "--algo", "bll_i",
+            "--user", "u1", "--at", "1000000", "--d", "60",
+        )
+        assert code == 0
+        scores = [item["score"] for item in json.loads(out)["items"]]
+        assert scores and all(math.isfinite(s) for s in scores)
+
     def test_bad_workers_value(self, capsys):
         code, _, _ = run_cli(
             capsys, "stats", "--assignments", "tests/data/assignments.tsv",
@@ -224,9 +255,10 @@ class TestConfigFile:
 
     def test_config_can_supply_required_options(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(
-            "assignments=tests/data/assignments.tsv\nnetwork=tests/data/network.tsv\n",
-            encoding="utf-8",
+        # with a byte-order mark and CRLF endings, as some editors save it
+        cfg.write_bytes(
+            b"\xef\xbb\xbfassignments=tests/data/assignments.tsv\r\n"
+            b"network=tests/data/network.tsv\r\n"
         )
         code, out, _ = run_cli(capsys, "stats", "--config", str(cfg))
         assert code == 0

@@ -6,6 +6,15 @@ import random
 
 import pytest
 
+from tagreuse.corpus import Corpus
+from tagreuse.diversity import (
+    HybridParams,
+    SimilarityIndex,
+    intra_list_diversity,
+    normalize_scores,
+    rerank_hybrid,
+    serendipity,
+)
 from tagreuse.evaluation import (
     EmptyTestSet,
     EvalConfig,
@@ -14,6 +23,9 @@ from tagreuse.evaluation import (
     make_split,
     precision_recall_at_k,
 )
+from tagreuse.index import CorpusIndex
+from tagreuse.recommend import ALGORITHM_NAMES, recommend
+from tagreuse.synth import GenParams, generate
 
 from conftest import corpus_from_tweets, random_corpus
 
@@ -218,3 +230,66 @@ class TestEvaluate:
         report = evaluate(corpus, ["bll_i", "bll_s", "bll_is", "cf", "mp"], EvalConfig(k_max=5))
         for pts in report.algorithms.values():
             assert all(p.recall == 0.0 for p in pts)
+
+
+def _paired_synth_corpus() -> Corpus:
+    """A seeded synth corpus with each user's tweets merged in pairs, so
+    tweets carry two hashtags and the re-ranker sees co-occurrence."""
+    corpus, _ = generate(GenParams(
+        n_seed_users=8, n_followees_per_seed=3, n_background_users=6,
+        vocab_size=40, n_tweets_per_user=24, rng_seed=2024,
+    ))
+    by_user: dict[str, list] = {}
+    for a in corpus.assignments:
+        by_user.setdefault(a.user_id, []).append(a)
+    tweets = []
+    for user, events in by_user.items():
+        for i in range(0, len(events), 2):
+            pair = events[i:i + 2]
+            tweets.append((user, pair[-1].tweet_id, pair[-1].timestamp,
+                           tuple(a.hashtag for a in pair)))
+    return Corpus.from_tweets(tweets, corpus.network.edges)
+
+
+def _per_user_report(corpus, algorithms, config) -> dict:
+    """The report's JSON dict from one recommend call per (algorithm, user),
+    each on a fresh CorpusIndex, summed in sorted user-id order."""
+    split = make_split(corpus)
+    n, k_max = len(split.users), config.k_max
+    beyond = config.rerank_lambda is not None
+    sims = SimilarityIndex.from_corpus(corpus, exclude_tweets=split.test_tweet_ids)
+    columns = ("precision", "recall", "ild", "serendipity") if beyond else ("precision", "recall")
+    out = {}
+    for algo in algorithms:
+        sums = {c: [0.0] * k_max for c in columns}
+        for us in split.users:
+            index = CorpusIndex(corpus)
+            rec = recommend(algo, index, us.user_id, us.ref_time, k_max,
+                            bll=config.bll, mix=config.mix, cf=config.cf)
+            if beyond:
+                rec = rerank_hybrid(normalize_scores(rec), HybridParams(config.rerank_lambda), sims)
+                own = index.own_tags_before(us.user_id, us.ref_time)
+                social = index.followee_tags_before(us.user_id, us.ref_time)
+            hits = 0
+            for k in range(1, k_max + 1):
+                hits += k <= len(rec) and rec[k - 1][0] in us.test_hashtags
+                sums["precision"][k - 1] += hits / k
+                sums["recall"][k - 1] += hits / len(us.test_hashtags)
+                if beyond:
+                    sums["ild"][k - 1] += intra_list_diversity(rec[:k], sims)
+                    sums["serendipity"][k - 1] += serendipity(rec[:k], own, social)
+        out[algo] = [
+            {"k": k, **{c: sums[c][k - 1] / n for c in columns}} for k in range(1, k_max + 1)
+        ]
+    return {"n_users_evaluated": n, "k_max": k_max, "algorithms": out}
+
+
+class TestPassOrder:
+    @pytest.mark.parametrize("rerank_lambda", [None, 0.5])
+    def test_one_pass_equals_fresh_index_per_query(self, rerank_lambda):
+        corpus = _paired_synth_corpus()
+        config = EvalConfig(k_max=6, rerank_lambda=rerank_lambda)
+        algorithms = list(ALGORITHM_NAMES)
+        report = evaluate(corpus, algorithms, config).to_json_dict()
+        assert report["n_users_evaluated"] == 8
+        assert report == _per_user_report(corpus, algorithms, config)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -48,6 +49,17 @@ def _oracle_order(corpus, scores, ref, k):
         key=lambda item: (-item[1], -_oracle_freq(corpus, item[0], ref), item[0]),
     )
     return ranked[:k]
+
+
+def _rewinding_refs(rng, corpus):
+    """Reference times for one shared index: past the last event first, then
+    up to three timestamps that several assignments share (ties at the
+    reference time) in random order, so the index's cursor must rewind."""
+    per_ts = Counter(a.timestamp for a in corpus.assignments)
+    tied = sorted(ts for ts, n in per_ts.items() if n > 1)
+    earlier = rng.sample(tied, min(3, len(tied)))
+    rng.shuffle(earlier)
+    return [corpus.assignments[-1].timestamp + 1, *earlier]
 
 
 def _oracle_bll_i_scores(corpus, user, ref, d=D):
@@ -149,6 +161,13 @@ class TestBllActivation:
             times = [rng.randint(1, ref - 1) for _ in range(rng.randint(1, 10))]
             more = times + [rng.randint(1, ref - 1)]
             assert bll_activation(more, ref) > bll_activation(times, ref)
+
+    def test_underflowing_terms_summed_in_log_space(self):
+        # (10^7)^-60 underflows to 0.0; the activation stays finite and exact
+        ref = 10**7 + 20
+        got = bll_activation([10, 20], ref, BLLParams(d=60))
+        expected = -60 * math.log(10**7) + math.log(1 + (10**7 / (10**7 + 10)) ** 60)
+        assert got == pytest.approx(expected, abs=1e-9)
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):
@@ -335,16 +354,18 @@ class TestCF:
             if not corpus.seed_users or not corpus.assignments:
                 continue
             index = CorpusIndex(corpus)
-            ref = corpus.assignments[-1].timestamp + 1
-            for user in sorted(corpus.seed_users)[:3]:
-                got = recommend_cf(index, user, ref, 10, CFParams(n_neighbors=4))
-                scores = _oracle_cf_scores(corpus, user, ref, 4)
-                if scores is None:
-                    assert got == []
-                    continue
-                expected = _oracle_order(corpus, scores, ref, 10)
-                assert [ht for ht, _ in got] == [ht for ht, _ in expected]
-                checked += 1
+            for ref in _rewinding_refs(rng, corpus):
+                for user in sorted(corpus.seed_users)[:3]:
+                    got = recommend_cf(index, user, ref, 10, CFParams(n_neighbors=4))
+                    scores = _oracle_cf_scores(corpus, user, ref, 4)
+                    if scores is None:
+                        assert got == []
+                        continue
+                    expected = _oracle_order(corpus, scores, ref, 10)
+                    assert [ht for ht, _ in got] == [ht for ht, _ in expected]
+                    for (_, s_got), (_, s_exp) in zip(got, expected):
+                        assert s_got == pytest.approx(s_exp, abs=1e-12)
+                    checked += 1
         assert checked > 0
 
 
@@ -420,32 +441,32 @@ class TestAllRecommendersAgainstOracles:
             if not corpus.seed_users or not corpus.assignments:
                 continue
             index = CorpusIndex(corpus)
-            ref = corpus.assignments[-1].timestamp + 1
             beta = 0.5
-            for user in sorted(corpus.seed_users)[:3]:
-                si = _oracle_bll_i_scores(corpus, user, ref)
-                ss = _oracle_bll_s_scores(corpus, user, ref)
-                ni, ns = _oracle_minmax(si), _oracle_minmax(ss)
-                mixed = {
-                    ht: beta * ni.get(ht, 0.0) + (1 - beta) * ns.get(ht, 0.0)
-                    for ht in set(ni) | set(ns)
-                }
-                cf_scores = _oracle_cf_scores(corpus, user, ref, 20) or {}
-                mp_scores = {}
-                for a in corpus.assignments:
-                    if a.timestamp < ref:
-                        mp_scores[a.hashtag] = mp_scores.get(a.hashtag, 0.0) + 1.0
-                expectations = {
-                    "bll_i": si, "bll_s": ss, "bll_is": mixed,
-                    "cf": cf_scores, "mp": mp_scores,
-                }
-                for algo, scores in expectations.items():
-                    got = recommend(algo, index, user, ref, 10)
-                    expected = _oracle_order(corpus, scores, ref, 10)
-                    assert [ht for ht, _ in got] == [ht for ht, _ in expected], (algo, user)
-                    for (_, s_got), (_, s_exp) in zip(got, expected):
-                        assert s_got == pytest.approx(s_exp, abs=1e-9)
-                    checked += 1
+            for ref in _rewinding_refs(rng, corpus):
+                for user in sorted(corpus.seed_users)[:3]:
+                    si = _oracle_bll_i_scores(corpus, user, ref)
+                    ss = _oracle_bll_s_scores(corpus, user, ref)
+                    ni, ns = _oracle_minmax(si), _oracle_minmax(ss)
+                    mixed = {
+                        ht: beta * ni.get(ht, 0.0) + (1 - beta) * ns.get(ht, 0.0)
+                        for ht in set(ni) | set(ns)
+                    }
+                    cf_scores = _oracle_cf_scores(corpus, user, ref, 20) or {}
+                    mp_scores = {}
+                    for a in corpus.assignments:
+                        if a.timestamp < ref:
+                            mp_scores[a.hashtag] = mp_scores.get(a.hashtag, 0.0) + 1.0
+                    expectations = {
+                        "bll_i": si, "bll_s": ss, "bll_is": mixed,
+                        "cf": cf_scores, "mp": mp_scores,
+                    }
+                    for algo, scores in expectations.items():
+                        got = recommend(algo, index, user, ref, 10)
+                        expected = _oracle_order(corpus, scores, ref, 10)
+                        assert [ht for ht, _ in got] == [ht for ht, _ in expected], (algo, user)
+                        for (_, s_got), (_, s_exp) in zip(got, expected):
+                            assert s_got == pytest.approx(s_exp, abs=1e-9)
+                        checked += 1
         assert checked >= 50
 
 
