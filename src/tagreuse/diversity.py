@@ -3,7 +3,11 @@
 Hashtag similarity is grounded in tweet-level co-occurrence: two hashtags
 are similar when they tend to appear in the same tweets. On top of that:
 
-  intra_list_diversity  1 - mean pairwise similarity of a ranked list
+  intra_list_diversity_at_k
+                        1 - mean pairwise similarity of every prefix of a
+                        ranked list, from one table of its pair
+                        similarities (each pair computed once)
+  intra_list_diversity  the same for the whole list only
   serendipity           fraction of recommendations outside the user's
                         own + followee history (their reuse bubble)
   rerank_hybrid         marginal-relevance greedy reorder trading
@@ -94,27 +98,38 @@ class SimilarityIndex:
         return dot / (self._norms[ht_a] * self._norms[ht_b])
 
 
-def pairwise_similarity(index: SimilarityIndex, ht_a: str, ht_b: str) -> float:
-    return index.similarity(ht_a, ht_b)
-
-
 def _hashtags(items: Ranked | list[str]) -> list[str]:
     return [it[0] if isinstance(it, tuple) else it for it in items]
 
 
-def intra_list_diversity(items: Ranked | list[str], index: SimilarityIndex) -> float:
-    """1 - mean pairwise similarity over all unordered pairs; 0 for lists
-    with fewer than two items."""
+def intra_list_diversity_at_k(items: Ranked | list[str], index: SimilarityIndex) -> list[float]:
+    """Element k-1 is the intra-list diversity of items[:k], for every k.
+
+    Each unordered pair's similarity is computed once into a per-list
+    table. Every prefix then adds up its own pairs from the table in
+    row-major order (i ascending, then j > i ascending), with a plain
+    loop, so each value is bit-identical to scoring that prefix alone.
+    """
     tags = _hashtags(items)
     n = len(tags)
-    if n < 2:
-        return 0.0
-    total = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            total += index.similarity(tags[i], tags[j])
-    n_pairs = n * (n - 1) / 2
-    return 1.0 - total / n_pairs
+    # rows[i][j - i - 1] = similarity of tags[i] and tags[j], for j > i
+    rows = [[index.similarity(tags[i], tags[j]) for j in range(i + 1, n)] for i in range(n)]
+    out = [0.0] if n else []  # one item has no pairs
+    for k in range(2, n + 1):
+        total = 0.0
+        for i in range(k - 1):
+            for sim in rows[i][: k - 1 - i]:
+                total += sim
+        out.append(1.0 - total / (k * (k - 1) / 2))
+    return out
+
+
+def intra_list_diversity(items: Ranked | list[str], index: SimilarityIndex) -> float:
+    """1 - mean pairwise similarity over all unordered pairs; 0 for lists
+    with fewer than two items. The last value of the per-prefix table
+    (see intra_list_diversity_at_k)."""
+    at_k = intra_list_diversity_at_k(items, index)
+    return at_k[-1] if at_k else 0.0
 
 
 def serendipity(

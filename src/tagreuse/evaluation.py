@@ -18,10 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .corpus import Corpus
+# All stay bound, intra_list_diversity too: bench/tracing.py wraps them by name here.
 from .diversity import (
     HybridParams,
     SimilarityIndex,
     intra_list_diversity,
+    intra_list_diversity_at_k,
     normalize_scores,
     rerank_hybrid,
     serendipity,
@@ -161,7 +163,9 @@ def evaluate(
     in ascending (ref_time, user_id) order, so the index's time cursor
     only moves forward; each user's per-k contributions are kept and then
     summed in sorted user-id order, so results are reproducible to the
-    bit.
+    bit. With re-ranking, the ILD at every k comes from one table of each
+    list's pair similarities (intra_list_diversity_at_k); for k past the
+    end of a short list it is the whole list's value.
     """
     split = make_split(corpus)
     if not split.users:
@@ -199,10 +203,10 @@ def evaluate(
                 hits_at_k.append(hits)
             ild, ser = [], []
             if with_beyond:
-                for k in ks:
-                    top = rec[:k]
-                    ild.append(intra_list_diversity(top, sim_index))
-                    ser.append(serendipity(top, own, social))
+                ild = intra_list_diversity_at_k(rec, sim_index)
+                # past the end of a short list, rec[:k] is the whole list
+                ild += [ild[-1] if ild else 0.0] * (k_max - len(ild))
+                ser = [serendipity(rec[:k], own, social) for k in ks]
             rows[algo][us.user_id] = (hits_at_k, ild, ser)
 
     n_users = len(split.users)

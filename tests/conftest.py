@@ -14,11 +14,29 @@ import pytest
 
 from tagreuse.classify import ReuseLabel
 from tagreuse.corpus import Corpus
+from tagreuse.synth import GenParams, generate
 
 
 def corpus_from_tweets(tweets, edges) -> Corpus:
     """Thin wrapper so tests read naturally."""
     return Corpus.from_tweets(tweets, edges)
+
+
+def merged_synth_corpus(params: GenParams, run: int) -> Corpus:
+    """A synth corpus with each run of `run` consecutive tweets of a user
+    merged into one tweet, so tweets carry several hashtags and the
+    similarity index sees co-occurrence."""
+    corpus, _ = generate(params)
+    by_user: dict[str, list] = {}
+    for a in corpus.assignments:
+        by_user.setdefault(a.user_id, []).append(a)
+    tweets = []
+    for user, events in by_user.items():
+        for i in range(0, len(events), run):
+            merged = events[i:i + run]
+            tweets.append((user, merged[-1].tweet_id, merged[-1].timestamp,
+                           tuple(a.hashtag for a in merged)))
+    return Corpus.from_tweets(tweets, corpus.network.edges)
 
 
 @pytest.fixture

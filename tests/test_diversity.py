@@ -12,13 +12,14 @@ from tagreuse.diversity import (
     HybridParams,
     SimilarityIndex,
     intra_list_diversity,
+    intra_list_diversity_at_k,
     normalize_scores,
-    pairwise_similarity,
     rerank_hybrid,
     serendipity,
 )
+from tagreuse.synth import GenParams
 
-from conftest import bubble_fixture, corpus_from_tweets
+from conftest import bubble_fixture, corpus_from_tweets, merged_synth_corpus
 
 
 @pytest.fixture
@@ -34,6 +35,18 @@ def cooc_corpus():
     return corpus_from_tweets(tweets, {})
 
 
+def _direct_ild(tags, index):
+    """ILD of one list, every pair's similarity summed row-major."""
+    n = len(tags)
+    if n < 2:
+        return 0.0
+    total = 0.0
+    for i in range(n):
+        for j in range(i + 1, n):
+            total += index.similarity(tags[i], tags[j])
+    return 1.0 - total / (n * (n - 1) / 2)
+
+
 class TestPairwiseSimilarity:
     def test_identical_vectors(self):
         # a and b always co-occur with exactly c: identical context vectors
@@ -41,26 +54,26 @@ class TestPairwiseSimilarity:
             [("u", "t1", 10, ("a", "c")), ("u", "t2", 20, ("b", "c"))], {}
         )
         index = SimilarityIndex.from_corpus(corpus)
-        assert pairwise_similarity(index, "a", "b") == pytest.approx(1.0)
+        assert index.similarity("a", "b") == pytest.approx(1.0)
 
     def test_disjoint_vectors(self, cooc_corpus):
         index = SimilarityIndex.from_corpus(cooc_corpus)
-        assert pairwise_similarity(index, "p", "r") == 0.0
+        assert index.similarity("p", "r") == 0.0
 
     def test_empty_vector_gives_zero(self, cooc_corpus):
         index = SimilarityIndex.from_corpus(cooc_corpus)
-        assert pairwise_similarity(index, "p", "neverseen") == 0.0
+        assert index.similarity("p", "neverseen") == 0.0
 
     def test_four_tweet_fixture_matches_hand_cosine(self, cooc_corpus):
         index = SimilarityIndex.from_corpus(cooc_corpus)
         # p: {c:1, c2:1}; q: {c:1, c2:1, c3:1}; dot = 2, norms sqrt2 * sqrt3
-        assert pairwise_similarity(index, "p", "q") == pytest.approx(2 / math.sqrt(6))
+        assert index.similarity("p", "q") == pytest.approx(2 / math.sqrt(6))
 
     def test_symmetry(self, cooc_corpus):
         index = SimilarityIndex.from_corpus(cooc_corpus)
         for a in ("p", "q", "r", "c"):
             for b in ("p", "q", "r", "c"):
-                assert index.similarity(a, b) == pytest.approx(index.similarity(b, a))
+                assert index.similarity(a, b) == index.similarity(b, a)
 
     def test_self_cooccurrence_excluded(self, cooc_corpus):
         index = SimilarityIndex.from_corpus(cooc_corpus)
@@ -105,6 +118,38 @@ class TestIntraListDiversity:
             shuffled = items[:]
             rng.shuffle(shuffled)
             assert intra_list_diversity(shuffled, index) == pytest.approx(base)
+
+    def test_prefix_table_is_bit_identical_to_each_prefix(self):
+        # random lists from a synth corpus whose tweets carry three tags,
+        # drawn with replacement (tags repeat) and mixed with tags that
+        # have no vector; lengths 0, 1 and 2 are always included
+        params = GenParams(
+            n_seed_users=6, n_followees_per_seed=2, n_background_users=4,
+            vocab_size=30, n_tweets_per_user=21, rng_seed=77,
+        )
+        corpus = merged_synth_corpus(params, 3)
+        index = SimilarityIndex.from_corpus(corpus)
+        pool = sorted({a.hashtag for a in corpus.assignments}) + ["novec1", "novec2"]
+        rng = random.Random(12)
+        seen = set()
+        for n in [0, 1, 2] + [rng.randrange(3, 25) for _ in range(40)]:
+            items = [rng.choice(pool) for _ in range(n)]
+            at_k = intra_list_diversity_at_k(items, index)
+            assert len(at_k) == n
+            for k in range(1, n + 1):
+                assert at_k[k - 1] == intra_list_diversity(items[:k], index)
+                assert at_k[k - 1] == _direct_ild(items[:k], index)
+            seen.update(at_k)
+        assert any(0.0 < v < 1.0 for v in seen)
+
+    def test_prefix_table_computes_each_pair_once(self, cooc_corpus):
+        index = SimilarityIndex.from_corpus(cooc_corpus)
+        pairs = []
+        sim = index.similarity
+        index.similarity = lambda a, b: pairs.append((a, b)) or sim(a, b)
+        items = ["p", "q", "r", "c", "p", "neverseen"]
+        intra_list_diversity_at_k(items, index)
+        assert pairs == [(items[i], items[j]) for i in range(6) for j in range(i + 1, 6)]
 
     def test_accepts_scored_items(self, cooc_corpus):
         index = SimilarityIndex.from_corpus(cooc_corpus)

@@ -25,9 +25,9 @@ from tagreuse.evaluation import (
 )
 from tagreuse.index import CorpusIndex
 from tagreuse.recommend import ALGORITHM_NAMES, recommend
-from tagreuse.synth import GenParams, generate
+from tagreuse.synth import GenParams
 
-from conftest import corpus_from_tweets, random_corpus
+from conftest import corpus_from_tweets, merged_synth_corpus, random_corpus
 
 
 class TestMakeSplit:
@@ -235,20 +235,10 @@ class TestEvaluate:
 def _paired_synth_corpus() -> Corpus:
     """A seeded synth corpus with each user's tweets merged in pairs, so
     tweets carry two hashtags and the re-ranker sees co-occurrence."""
-    corpus, _ = generate(GenParams(
+    return merged_synth_corpus(GenParams(
         n_seed_users=8, n_followees_per_seed=3, n_background_users=6,
         vocab_size=40, n_tweets_per_user=24, rng_seed=2024,
-    ))
-    by_user: dict[str, list] = {}
-    for a in corpus.assignments:
-        by_user.setdefault(a.user_id, []).append(a)
-    tweets = []
-    for user, events in by_user.items():
-        for i in range(0, len(events), 2):
-            pair = events[i:i + 2]
-            tweets.append((user, pair[-1].tweet_id, pair[-1].timestamp,
-                           tuple(a.hashtag for a in pair)))
-    return Corpus.from_tweets(tweets, corpus.network.edges)
+    ), 2)
 
 
 def _per_user_report(corpus, algorithms, config) -> dict:
@@ -293,3 +283,23 @@ class TestPassOrder:
         report = evaluate(corpus, algorithms, config).to_json_dict()
         assert report["n_users_evaluated"] == 8
         assert report == _per_user_report(corpus, algorithms, config)
+
+    def test_rerank_with_lists_shorter_than_k_max(self):
+        # bll_i lists hold 15 to 19 tags on this corpus, so k = 16..18 run
+        # past the end of some lists and must read the whole list's ILD
+        corpus = _paired_synth_corpus()
+        config = EvalConfig(k_max=18, rerank_lambda=0.5)
+        algorithms = list(ALGORITHM_NAMES)
+        lengths = [len(recommend("bll_i", CorpusIndex(corpus), us.user_id, us.ref_time, 18))
+                   for us in make_split(corpus).users]
+        assert min(lengths) < 18
+        report = evaluate(corpus, algorithms, config).to_json_dict()
+        assert report == _per_user_report(corpus, algorithms, config)
+
+    def test_rerank_with_empty_list(self):
+        # bll_s has no followees to draw from: ILD is 0.0 at every k
+        corpus = _single_user_corpus()
+        config = EvalConfig(k_max=4, rerank_lambda=0.5)
+        report = evaluate(corpus, ["bll_s", "mp"], config).to_json_dict()
+        assert [row["ild"] for row in report["algorithms"]["bll_s"]] == [0.0] * 4
+        assert report == _per_user_report(corpus, ["bll_s", "mp"], config)
