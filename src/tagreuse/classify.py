@@ -21,12 +21,11 @@ random-access equivalent backed by a prebuilt CorpusIndex.
 
 from __future__ import annotations
 
-import gc
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
 
-from .corpus import Corpus, HashtagAssignment, NotSeedUser
+from .corpus import Corpus, HashtagAssignment, NotSeedUser, _gc_paused
 from .index import CorpusIndex
 
 
@@ -210,11 +209,6 @@ def classify_all(corpus: Corpus) -> tuple[list[LabeledAssignment], ReuseBreakdow
     per seed assignment and no cycles, while full collections over a
     multimillion-object corpus would otherwise dominate large runs.
     """
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with _gc_paused():
         labeled = list(sweep(corpus))
-    finally:
-        if was_enabled:
-            gc.enable()
     return labeled, ReuseBreakdown.from_labels(la.label for la in labeled)

@@ -284,18 +284,14 @@ def _cmd_recency(cfg: dict[str, Any]) -> int:
     meta = _meta("recency", cfg)
     outdir = Path(cfg["outdir"])
     summary: dict[str, Any] = {"meta": meta}
-    samples_by_kind = {
-        "individual": temporal.individual_recency_samples(corpus),
-        "social": temporal.social_recency_samples(corpus),
-    }
-    for kind, samples in samples_by_kind.items():
+    individual, social = temporal.recency_samples(corpus)
+    for kind, samples in (("individual", individual), ("social", social)):
         try:
             hist = temporal.build_histogram(
                 samples, cfg["bins"], cfg["min_hours"], cfg["max_hours"]
             )
         except temporal.InvalidRange as exc:
             raise UsageError(str(exc)) from exc
-        hist = temporal.RecencyHistogram(kind, hist.bin_edges_hours, hist.counts)
         lines = _header_lines(meta, "bin_center_hours\tcount")
         for center, count in zip(hist.bin_centers_hours, hist.counts):
             lines.append(f"{center!r}\t{count}")

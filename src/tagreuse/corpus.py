@@ -5,21 +5,42 @@ A corpus is an immutable, time-sorted list of hashtag assignments (one
 network mapping each seed user to the set of accounts they follow.
 Everything downstream (reuse classification, recency analysis,
 recommenders) reads this structure and never mutates it.
+
+`load_corpus` reads a file in one pass: the TSV and JSONL readers split
+lines into fields and share one validation step, and the assembly into a
+`Corpus` is shared with `Corpus.from_tweets`, so both give the same corpus.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import logging
 import unicodedata
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 log = logging.getLogger(__name__)
 
 # One parsed tweet: (user_id, tweet_id, timestamp, hashtags).
 TweetRecord = tuple[str, str, int, tuple[str, ...]]
+# One assignment before assembly: (timestamp, tweet_id, hashtag, user_id).
+_Row = tuple[int, str, str, str]
+
+
+@contextmanager
+def _gc_paused() -> Iterator[None]:
+    """Pause cyclic gc for a bulk pass that makes many objects and no
+    cycles; restores the caller's setting, off if it was off."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 class CorpusError(Exception):
@@ -60,7 +81,7 @@ def normalize_hashtag(raw: str) -> str:
     s = unicodedata.normalize("NFC", s).casefold()
     if not s:
         raise EmptyAfterNormalization(f"hashtag empty after normalization: {raw!r}")
-    if any(c.isspace() for c in s):
+    if s.split() != [s]:  # same whitespace test as str.isspace, done in C
         raise ValueError(f"hashtag contains whitespace: {raw!r}")
     return s
 
@@ -130,32 +151,18 @@ class Corpus:
             if seed in fset:
                 raise InconsistentNetwork(f"seed user {seed!r} follows itself")
             net[seed] = fset
-
-        tweet_index: dict[str, tuple[str, int]] = {}
-        seen: set[tuple[str, str]] = set()
-        assignments: list[HashtagAssignment] = []
-        for user_id, tweet_id, ts, hashtags in tweets:
-            meta = (user_id, ts)
-            prev = tweet_index.get(tweet_id)
-            if prev is not None and prev != meta:
-                raise CorpusError(
-                    f"tweet {tweet_id!r} appears with conflicting metadata"
-                )
-            tweet_index[tweet_id] = meta
-            for ht in hashtags:
-                key = (tweet_id, ht)
-                if key in seen:
-                    continue
-                seen.add(key)
-                assignments.append(HashtagAssignment(user_id, tweet_id, ht, ts))
-        assignments.sort(key=lambda a: a.sort_key)
-        return cls(
-            assignments=assignments,
-            network=FollowNetwork(net),
-            seed_users=frozenset(net),
-            tweet_index=tweet_index,
-            n_malformed_lines=n_malformed_lines,
-        )
+        with _gc_paused():
+            tweet_index: dict[str, tuple[str, int]] = {}
+            rows: dict[_Row, None] = {}
+            for user_id, tweet_id, ts, hashtags in tweets:
+                meta = (user_id, ts)
+                if tweet_index.setdefault(tweet_id, meta) != meta:
+                    raise CorpusError(
+                        f"tweet {tweet_id!r} appears with conflicting metadata"
+                    )
+                for ht in hashtags:
+                    rows[ts, tweet_id, ht, user_id] = None
+            return _assemble(FollowNetwork(net), tweet_index, rows, n_malformed_lines)
 
     def all_users(self) -> frozenset[str]:
         """Every distinct user id in the assignments or the network."""
@@ -183,6 +190,24 @@ class Corpus:
             if prev_key is not None and key <= prev_key:
                 raise CorpusError(f"assignments not in strict sort order at {a}")
             prev_key = key
+
+
+def _assemble(
+    network: FollowNetwork,
+    tweet_index: dict[str, tuple[str, int]],
+    rows: dict[_Row, None],
+    n_malformed_lines: int,
+) -> Corpus:
+    """The corpus of validated rows. A dict collapses duplicates and keeps
+    input order, so the sort is linear on a sorted file; a tweet has one
+    (user, timestamp), so rows sort like `HashtagAssignment.sort_key`."""
+    return Corpus(
+        assignments=[HashtagAssignment(u, tw, ht, ts) for ts, tw, ht, u in sorted(rows)],
+        network=network,
+        seed_users=frozenset(network.edges),
+        tweet_index=tweet_index,
+        n_malformed_lines=n_malformed_lines,
+    )
 
 
 @dataclass(frozen=True)
@@ -216,83 +241,95 @@ def compute_stats(corpus: Corpus) -> CorpusStats:
     )
 
 
-def _parse_assignments_tsv(path: Path, on_malformed: str) -> tuple[list[TweetRecord], int]:
-    records: list[TweetRecord] = []
-    tweet_meta: dict[str, tuple[str, int]] = {}
-    n_bad = 0
-    with path.open("r", encoding="utf-8-sig", newline="") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.rstrip("\r\n")
-            if not line:
-                continue
-            try:
-                parts = line.split("\t")
-                if len(parts) != 4:
-                    raise ValueError(f"expected 4 tab-separated fields, got {len(parts)}")
-                user_id, tweet_id, ts_raw, ht_raw = parts
-                if not user_id or not tweet_id:
-                    raise ValueError("empty user or tweet id")
-                ts = int(ts_raw)
-                if ts <= 0:
-                    raise ValueError(f"non-positive timestamp {ts}")
-                ht = normalize_hashtag(ht_raw)
-                prev = tweet_meta.setdefault(tweet_id, (user_id, ts))
-                if prev != (user_id, ts):
-                    raise ValueError(f"tweet {tweet_id!r} already seen with different user/timestamp")
-            except (ValueError, EmptyAfterNormalization) as exc:
-                n_bad += 1
-                if on_malformed == "raise":
-                    raise ParseError(line_no, str(exc), str(path)) from exc
-                log.warning("%s:%d: skipping malformed line: %s", path, line_no, exc)
-                continue
-            records.append((user_id, tweet_id, ts, (ht,)))
-    if n_bad:
-        log.warning("%s: %d malformed line(s) skipped", path, n_bad)
-    return records, n_bad
+def _tsv_fields(line: str) -> tuple | None:
+    """`user \t tweet \t ts \t hashtag`: one assignment per line."""
+    line = line.rstrip("\r\n")
+    if not line:
+        return None
+    parts = line.split("\t")
+    if len(parts) != 4:
+        raise ValueError(f"expected 4 tab-separated fields, got {len(parts)}")
+    user_id, tweet_id, ts_raw, ht_raw = parts
+    if not user_id or not tweet_id:
+        raise ValueError("empty user or tweet id")
+    ts = int(ts_raw)
+    if ts <= 0:
+        raise ValueError(f"non-positive timestamp {ts}")
+    return user_id, tweet_id, ts, (ht_raw,)
 
 
-def _parse_assignments_jsonl(path: Path, on_malformed: str) -> tuple[list[TweetRecord], int]:
-    records: list[TweetRecord] = []
-    tweet_meta: dict[str, tuple[str, int]] = {}
+def _jsonl_fields(line: str) -> tuple | None:
+    """`{"user": ..., "tweet": ..., "ts": ..., "hashtags": [...]}`: one tweet
+    per line, possibly with no hashtags."""
+    line = line.strip()
+    if not line:
+        return None
+    obj = json.loads(line)
+    if not isinstance(obj, dict):
+        raise ValueError("expected a JSON object per line")
+    user_id = obj["user"]
+    tweet_id = obj["tweet"]
+    ts = obj["ts"]
+    raw_tags = obj["hashtags"]
+    if not isinstance(user_id, str) or not user_id:
+        raise ValueError("bad 'user' field")
+    if not isinstance(tweet_id, str) or not tweet_id:
+        raise ValueError("bad 'tweet' field")
+    if not isinstance(ts, int) or isinstance(ts, bool) or ts <= 0:
+        raise ValueError(f"bad 'ts' field: {ts!r}")
+    if not isinstance(raw_tags, list):
+        raise ValueError("'hashtags' must be a list")
+    if not all(isinstance(t, str) for t in raw_tags):
+        raise ValueError("'hashtags' must hold strings")
+    return user_id, tweet_id, ts, raw_tags
+
+
+def _read_assignments(
+    path: Path, fmt: str, on_malformed: str
+) -> tuple[dict[str, tuple[str, int]], dict[_Row, None], int]:
+    """(tweet_index, rows, malformed line count) of an assignments file. A
+    line is kept whole or not at all. Only successful normalizations are
+    cached, so a bad raw tag fails on every line that carries it."""
+    fields_of = _tsv_fields if fmt == "tsv" else _jsonl_fields
+    tweet_index: dict[str, tuple[str, int]] = {}
+    rows: dict[_Row, None] = {}
+    users: dict[str, str] = {}  # interned user ids
+    normalized: dict[str, str] = {}  # raw hashtag -> normalize_hashtag(raw)
     n_bad = 0
-    with path.open("r", encoding="utf-8-sig") as fh:
+    # JSONL reads with universal newlines; TSV keeps a lone '\r' in a line
+    with path.open("r", encoding="utf-8-sig", newline="" if fmt == "tsv" else None) as fh:
         for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
             try:
-                obj = json.loads(line)
-                if not isinstance(obj, dict):
-                    raise ValueError("expected a JSON object per line")
-                user_id = obj["user"]
-                tweet_id = obj["tweet"]
-                ts = obj["ts"]
-                raw_tags = obj["hashtags"]
-                if not isinstance(user_id, str) or not user_id:
-                    raise ValueError("bad 'user' field")
-                if not isinstance(tweet_id, str) or not tweet_id:
-                    raise ValueError("bad 'tweet' field")
-                if not isinstance(ts, int) or isinstance(ts, bool) or ts <= 0:
-                    raise ValueError(f"bad 'ts' field: {ts!r}")
-                if not isinstance(raw_tags, list):
-                    raise ValueError("'hashtags' must be a list")
-                tags = tuple(normalize_hashtag(t) for t in raw_tags)
-                prev = tweet_meta.setdefault(tweet_id, (user_id, ts))
-                if prev != (user_id, ts):
-                    raise ValueError(f"tweet {tweet_id!r} already seen with different user/timestamp")
+                fields = fields_of(line)
+                if fields is None:
+                    continue
+                user_id, tweet_id, ts, raw_tags = fields
+                tags = []
+                for raw in raw_tags:
+                    ht = normalized.get(raw)
+                    if ht is None:
+                        ht = normalized[raw] = normalize_hashtag(raw)
+                    tags.append(ht)
+                user_id = users.setdefault(user_id, user_id)
+                meta = (user_id, ts)
+                if tweet_index.setdefault(tweet_id, meta) != meta:
+                    raise ValueError(
+                        f"tweet {tweet_id!r} already seen with different user/timestamp"
+                    )
             except (ValueError, KeyError, EmptyAfterNormalization) as exc:
                 n_bad += 1
                 if on_malformed == "raise":
                     raise ParseError(line_no, str(exc), str(path)) from exc
                 log.warning("%s:%d: skipping malformed line: %s", path, line_no, exc)
                 continue
-            records.append((user_id, tweet_id, ts, tags))
+            for ht in tags:
+                rows[ts, tweet_id, ht, user_id] = None
     if n_bad:
         log.warning("%s: %d malformed line(s) skipped", path, n_bad)
-    return records, n_bad
+    return tweet_index, rows, n_bad
 
 
-def _load_network(path: Path) -> dict[str, set[str]]:
+def _load_network(path: Path) -> FollowNetwork:
     """Network TSV: `seed \t followee` per edge; a single-column row declares a
     seed with no followees. Seeds are exactly the column-1 ids."""
     edges: dict[str, set[str]] = {}
@@ -315,7 +352,7 @@ def _load_network(path: Path) -> dict[str, set[str]]:
                         f"{path}:{line_no}: seed user {seed!r} follows itself"
                     )
                 edges[seed].add(followee)
-    return edges
+    return FollowNetwork({seed: frozenset(f) for seed, f in edges.items()})
 
 
 def load_corpus(
@@ -325,6 +362,10 @@ def load_corpus(
     on_malformed: str = "raise",
 ) -> Corpus:
     """Parse, normalize, validate and index a dataset.
+
+    One pass with cyclic gc paused: each line is validated once, each
+    distinct raw hashtag normalized once and user ids interned. The result
+    equals `Corpus.from_tweets` over the file's valid tweet records.
 
     Lines may end in LF or CRLF, and a leading UTF-8 byte-order mark is
     skipped. `on_malformed` is "raise" (default: first bad line raises
@@ -337,16 +378,13 @@ def load_corpus(
     for p in (apath, npath):
         if not p.is_file():
             raise FileNotFoundError(f"input file not found: {p}")
-    if fmt == "tsv":
-        parser = _parse_assignments_tsv
-    elif fmt == "jsonl":
-        parser = _parse_assignments_jsonl
-    else:
+    if fmt not in ("tsv", "jsonl"):
         raise ValueError(f"unknown format {fmt!r} (expected 'tsv' or 'jsonl')")
 
-    edges = _load_network(npath)
-    tweets, n_bad = parser(apath, on_malformed)
-    corpus = Corpus.from_tweets(tweets, edges, n_malformed_lines=n_bad)
+    network = _load_network(npath)
+    with _gc_paused():
+        tweet_index, rows, n_bad = _read_assignments(apath, fmt, on_malformed)
+        corpus = _assemble(network, tweet_index, rows, n_bad)
     log.info(
         "loaded %d assignments, %d tweets, %d seed users from %s",
         len(corpus.assignments), len(corpus.tweet_index), len(corpus.seed_users), apath,

@@ -3,7 +3,8 @@
 For every seed-user assignment whose label carries the individual bit we
 record the time since the user's own most recent prior usage of that
 hashtag; for the social bit, the time since the most recent prior usage
-by any followee. The samples are binned into log-spaced histograms
+by any followee. `recency_samples` takes both kinds from one
+classification sweep. The samples are binned into log-spaced histograms
 (meant for log-log plotting) and checked for a daily-periodicity peak:
 a strict local maximum at the bin containing 24 hours.
 """
@@ -16,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import classify
-from .corpus import Corpus
+from .corpus import Corpus, _gc_paused
 
 SECONDS_PER_HOUR = 3600.0
 
@@ -58,24 +59,28 @@ class PeakCheck:
     bin_index: int
 
 
+def recency_samples(corpus: Corpus) -> tuple[list[RecencySample], list[RecencySample]]:
+    """(individual, social) samples, one per seed-user assignment with that
+    label bit, from one classification sweep with cyclic gc paused."""
+    individual: list[RecencySample] = []
+    social: list[RecencySample] = []
+    with _gc_paused():
+        for la in classify.sweep(corpus):
+            if la.individual_delta is not None:
+                individual.append(RecencySample("individual", la.individual_delta))
+            if la.social_delta is not None:
+                social.append(RecencySample("social", la.social_delta))
+    return individual, social
+
+
 def individual_recency_samples(corpus: Corpus) -> list[RecencySample]:
-    """One sample per seed-user assignment with the individual bit: seconds
-    since the user's own most recent prior usage of the hashtag."""
-    return [
-        RecencySample("individual", la.individual_delta)
-        for la in classify.sweep(corpus)
-        if la.individual_delta is not None
-    ]
+    """The individual samples of `recency_samples`."""
+    return recency_samples(corpus)[0]
 
 
 def social_recency_samples(corpus: Corpus) -> list[RecencySample]:
-    """One sample per seed-user assignment with the social bit: seconds since
-    the most recent prior usage of the hashtag by any followee."""
-    return [
-        RecencySample("social", la.social_delta)
-        for la in classify.sweep(corpus)
-        if la.social_delta is not None
-    ]
+    """The social samples of `recency_samples`."""
+    return recency_samples(corpus)[1]
 
 
 def build_histogram(

@@ -8,12 +8,15 @@ classifier or the recommenders.
 
 from __future__ import annotations
 
+import json
 import random
+import unicodedata
+from pathlib import Path
 
 import pytest
 
 from tagreuse.classify import ReuseLabel
-from tagreuse.corpus import Corpus
+from tagreuse.corpus import Corpus, EmptyAfterNormalization
 from tagreuse.synth import GenParams, generate
 
 
@@ -174,3 +177,63 @@ def brute_force_deltas(corpus: Corpus, a) -> tuple[int | None, int | None]:
     ind = max(a.timestamp - last_own, 1) if last_own is not None else None
     soc = max(a.timestamp - last_social, 1) if last_social is not None else None
     return ind, soc
+
+
+def reference_normalize_hashtag(raw: str) -> str:
+    """normalize_hashtag with the whitespace test spelled out per character."""
+    s = unicodedata.normalize("NFC", raw.strip().lstrip("#")).casefold()
+    if not s:
+        raise EmptyAfterNormalization(raw)
+    if any(c.isspace() for c in s):
+        raise ValueError(raw)
+    return s
+
+
+def reference_parse_assignments(path: Path, fmt: str) -> tuple[list, list[int]]:
+    """Line-by-line reference parser for the loader: every line is checked
+    and its hashtags normalized on their own, with no caches. Returns the
+    accepted tweet records, for Corpus.from_tweets, and the numbers of the
+    malformed lines, in file order."""
+    records = []
+    bad: list[int] = []
+    tweet_meta: dict[str, tuple[str, int]] = {}
+    newline = "" if fmt == "tsv" else None
+    with path.open("r", encoding="utf-8-sig", newline=newline) as fh:
+        for line_no, line in enumerate(fh, 1):
+            line = line.rstrip("\r\n") if fmt == "tsv" else line.strip()
+            if not line:
+                continue
+            try:
+                if fmt == "tsv":
+                    parts = line.split("\t")
+                    if len(parts) != 4:
+                        raise ValueError("field count")
+                    user_id, tweet_id, ts_raw, ht_raw = parts
+                    if not user_id or not tweet_id:
+                        raise ValueError("empty id")
+                    ts = int(ts_raw)
+                    if ts <= 0:
+                        raise ValueError("timestamp")
+                    tags = (reference_normalize_hashtag(ht_raw),)
+                else:
+                    obj = json.loads(line)
+                    if not isinstance(obj, dict):
+                        raise ValueError("not an object")
+                    user_id, tweet_id, ts = obj["user"], obj["tweet"], obj["ts"]
+                    raw_tags = obj["hashtags"]
+                    if not isinstance(user_id, str) or not user_id:
+                        raise ValueError("user")
+                    if not isinstance(tweet_id, str) or not tweet_id:
+                        raise ValueError("tweet")
+                    if not isinstance(ts, int) or isinstance(ts, bool) or ts <= 0:
+                        raise ValueError("ts")
+                    if not isinstance(raw_tags, list):
+                        raise ValueError("hashtags")
+                    tags = tuple(reference_normalize_hashtag(t) for t in raw_tags)
+                if tweet_meta.setdefault(tweet_id, (user_id, ts)) != (user_id, ts):
+                    raise ValueError("conflicting tweet metadata")
+            except (ValueError, KeyError, EmptyAfterNormalization):
+                bad.append(line_no)
+                continue
+            records.append((user_id, tweet_id, ts, tags))
+    return records, bad

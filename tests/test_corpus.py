@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import gc
+import json
 import random
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tagreuse.corpus import (
@@ -13,13 +18,14 @@ from tagreuse.corpus import (
     EmptyAfterNormalization,
     InconsistentNetwork,
     ParseError,
+    _gc_paused,
     compute_stats,
     load_corpus,
     normalize_hashtag,
     write_corpus,
 )
 
-from conftest import corpus_from_tweets, random_corpus
+from conftest import corpus_from_tweets, random_corpus, reference_parse_assignments
 
 
 class TestNormalizeHashtag:
@@ -45,6 +51,22 @@ class TestNormalizeHashtag:
     def test_interior_whitespace_rejected(self):
         with pytest.raises(ValueError):
             normalize_hashtag("#two words")
+
+    def test_whitespace_rule_matches_isspace_on_every_code_point(self):
+        for cp in range(sys.maxunicode + 1):
+            c = chr(cp)
+            for s in ("a" + c + "b", c):
+                assert (s.split() != [s]) == any(ch.isspace() for ch in s), hex(cp)
+            if c.isspace():
+                with pytest.raises(ValueError):
+                    normalize_hashtag("a" + c + "b")
+            else:
+                normalize_hashtag("a" + c + "b")
+
+    def test_whitespace_after_hash_rejected(self):
+        # "# a".split() has one element; the tag still holds whitespace
+        with pytest.raises(ValueError):
+            normalize_hashtag("# a")
 
     @given(st.text(min_size=1, max_size=30))
     def test_idempotent_and_invariant_shaped(self, raw):
@@ -141,6 +163,118 @@ class TestLoadCorpus:
         npath.write_text("u1\tu2\n", encoding="utf-8")
         with pytest.raises(ParseError):
             load_corpus(apath, npath, fmt="jsonl")
+
+
+NETWORK = "u1\tu2\nu3\n"
+EDGES = {"u1": {"u2"}, "u3": set()}
+
+# Small pools, so rows repeat and tweets recur with conflicting metadata.
+_USERS = ["u1", "u2", "u3", ""]
+_TWEETS = ["t1", "t2", "t3", "t4", ""]
+_TAGS = ["a", "A", "#a", "##A", "b", "#B", "Café", "Cafe\u0301", "STRASSE", "straße",
+         "", "#", "  ", "a b", "# a", "#x\u3000y", " c ", "a\x85b"]
+_tsv_line = st.one_of(
+    st.tuples(
+        st.sampled_from(_USERS),
+        st.sampled_from(_TWEETS),
+        st.sampled_from(["5", "7", "9", "0", "-3", "abc", "+9", ""]),
+        st.sampled_from(_TAGS),
+    ).map("\t".join),
+    st.sampled_from(["", "broken line", "u1\tt1\t5", "u1\tt1\t5\ta\tb"]),
+)
+_jsonl_line = st.one_of(
+    st.fixed_dictionaries({
+        "user": st.sampled_from(_USERS + [7]),
+        "tweet": st.sampled_from(_TWEETS),
+        "ts": st.sampled_from([5, 7, 9, 0, -3, True, "5", 5.0]),
+        "hashtags": st.lists(st.sampled_from(_TAGS), max_size=4) | st.just("a"),
+    }).map(json.dumps),
+    st.sampled_from(["", "{", "[1, 2]", '{"user": "u1"}', "null"]),
+)
+
+
+def _assignment_file(lines: list[str], ending: str, bom: bool) -> bytes:
+    text = "".join(line + ending for line in lines)
+    return (("\ufeff" if bom else "") + text).encode("utf-8")
+
+
+class TestLoaderEquivalence:
+    """load_corpus against Corpus.from_tweets over the line-by-line
+    reference parser in conftest, on files full of malformed lines."""
+
+    def _check(self, fmt: str, data: bytes) -> None:
+        with tempfile.TemporaryDirectory() as tmp:
+            apath, npath = Path(tmp) / f"a.{fmt}", Path(tmp) / "n.tsv"
+            apath.write_bytes(data)
+            npath.write_text(NETWORK, encoding="utf-8")
+            records, bad = reference_parse_assignments(apath, fmt)
+            expected = Corpus.from_tweets(records, EDGES)
+
+            counted = load_corpus(apath, npath, fmt, on_malformed="count")
+            assert counted == expected
+            assert list(counted.tweet_index) == list(expected.tweet_index)
+            assert counted.n_malformed_lines == len(bad)
+
+            if bad:
+                with pytest.raises(ParseError) as err:
+                    load_corpus(apath, npath, fmt)
+                assert err.value.line_no == bad[0]
+            else:
+                assert load_corpus(apath, npath, fmt) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_tsv_line, max_size=25), st.sampled_from(["\n", "\r\n"]), st.booleans())
+    def test_tsv_matches_reference_parser(self, lines, ending, bom):
+        self._check("tsv", _assignment_file(lines, ending, bom))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_jsonl_line, max_size=25), st.sampled_from(["\n", "\r\n"]), st.booleans())
+    def test_jsonl_matches_reference_parser(self, lines, ending, bom):
+        self._check("jsonl", _assignment_file(lines, ending, bom))
+
+    def test_bad_tag_is_rejected_on_every_line(self, tmp_path):
+        apath, npath = tmp_path / "a.tsv", tmp_path / "n.tsv"
+        apath.write_text("u1\tt1\t5\ta b\nu1\tt2\t6\ta\nu1\tt3\t7\ta b\n", encoding="utf-8")
+        npath.write_text(NETWORK, encoding="utf-8")
+        corpus = load_corpus(apath, npath, on_malformed="count")
+        assert corpus.n_malformed_lines == 2
+        assert [a.tweet_id for a in corpus.assignments] == ["t2"]
+
+    def test_non_string_jsonl_hashtag_is_a_parse_error(self, tmp_path):
+        apath, npath = tmp_path / "a.jsonl", tmp_path / "n.tsv"
+        apath.write_text(
+            '{"user": "u1", "tweet": "t1", "ts": 5, "hashtags": ["a"]}\n'
+            '{"user": "u1", "tweet": "t2", "ts": 6, "hashtags": [["a"], 1]}\n',
+            encoding="utf-8",
+        )
+        npath.write_text(NETWORK, encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            load_corpus(apath, npath, fmt="jsonl")
+        assert err.value.line_no == 2
+        assert load_corpus(apath, npath, fmt="jsonl", on_malformed="count").n_malformed_lines == 1
+
+
+class TestGcPaused:
+    def test_restores_enabled_gc(self):
+        assert gc.isenabled()
+        with _gc_paused():
+            assert not gc.isenabled()
+        assert gc.isenabled()
+
+    def test_leaves_disabled_gc_disabled(self):
+        gc.disable()
+        try:
+            with _gc_paused():
+                assert not gc.isenabled()
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_restores_on_exception(self):
+        with pytest.raises(ParseError):
+            with _gc_paused():
+                raise ParseError(1, "boom")
+        assert gc.isenabled()
 
 
 class TestComputeStats:

@@ -16,10 +16,12 @@ from tagreuse.temporal import (
     build_histogram,
     detect_daily_peak,
     individual_recency_samples,
+    recency_samples,
     social_recency_samples,
 )
 
 from conftest import brute_force_deltas, corpus_from_tweets, random_corpus
+from tagreuse import classify
 from tagreuse.classify import classify_all
 
 
@@ -77,6 +79,24 @@ class TestSampleExtraction:
                 ind, soc = brute_force_deltas(corpus, la.assignment)
                 assert la.individual_delta == ind
                 assert la.social_delta == soc
+
+
+    def test_one_sweep_gives_both_kinds(self, monkeypatch):
+        sweeps = []
+        sweep = classify.sweep
+        monkeypatch.setattr(classify, "sweep", lambda c: sweeps.append(1) or sweep(c))
+        rng = random.Random(5)
+        for _ in range(15):
+            corpus = random_corpus(rng, max_users=15, max_assignments=150, max_timestamp=200)
+            deltas = [
+                brute_force_deltas(corpus, a)
+                for a in corpus.assignments if a.user_id in corpus.seed_users
+            ]
+            sweeps.clear()
+            individual, social = recency_samples(corpus)
+            assert len(sweeps) == 1
+            assert individual == [RecencySample("individual", d) for d, _ in deltas if d]
+            assert social == [RecencySample("social", d) for _, d in deltas if d]
 
 
 class TestBuildHistogram:
