@@ -142,8 +142,9 @@ def serendipity(
     tags = _hashtags(items)
     if not tags:
         return 0.0
-    bubble = individual_history | social_history
-    outside = sum(1 for ht in tags if ht not in bubble)
+    outside = sum(
+        1 for ht in tags if ht not in individual_history and ht not in social_history
+    )
     return outside / len(tags)
 
 

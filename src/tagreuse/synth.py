@@ -19,6 +19,16 @@ a base vocabulary of `vocab_size` tags ("v00001", ...), while external
 draws mint fresh tags from a separate namespace ("x0000001", ...), so
 the two can never collide.
 
+The pool checks ask whether any followee of a seed user has used a tag
+so far. Each seed user keeps the set of its followees' tags for that:
+every background tweet adds its tag to the sets of that user's
+followers. The set is exact because followees are always background
+users and a user's tags are never removed, only added.
+
+Draw weights are delta^-recency_exponent. When every weight of a pool
+underflows to 0.0 (a very large exponent), the pool is weighted relative
+to its smallest delta instead, in log space, so the draw still works.
+
 Tweet times come from a Poisson process in which each event is snapped
 into a fixed two-hour daily activity window with probability
 daily_amplitude. At amplitude 0 activity is uniform around the clock; at
@@ -33,12 +43,13 @@ and seed reproduce the corpus byte for byte.
 
 from __future__ import annotations
 
+import math
 import random
-from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from itertools import filterfalse, islice
 from pathlib import Path
 
-from .corpus import Corpus, FollowNetwork, HashtagAssignment
+from .corpus import Corpus, FollowNetwork, HashtagAssignment, _gc_paused
 
 SECONDS_PER_DAY = 86_400
 EPOCH = 1_500_000_000
@@ -75,6 +86,11 @@ class GenParams:
     rng_seed: int = 0
 
     def validate(self) -> None:
+        # NaN fails every comparison, so the range checks below would let it through.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise InvalidParams(f"{f.name} must be a finite number, got {value}")
         counts = {
             "n_seed_users": self.n_seed_users,
             "n_followees_per_seed": self.n_followees_per_seed,
@@ -146,6 +162,19 @@ def _simulate_times(
     return out
 
 
+def _recency_weights(gaps: list[int], alpha: float) -> list[float]:
+    """Sampling weights gap^-alpha. Only when every one underflows to 0.0
+    are they taken relative to the smallest gap instead,
+    exp(-alpha (ln gap - ln gap_min)), which keeps their proportions."""
+    neg_alpha = -alpha
+    weights = [dt ** neg_alpha for dt in gaps]
+    if any(weights):
+        return weights
+    log_min = math.log(min(gaps))
+    return [math.exp(-alpha * (math.log(dt) - log_min)) for dt in gaps]
+
+
+@_gc_paused()  # one object per assignment and no reference cycles
 def generate(params: GenParams) -> tuple[Corpus, GroundTruth]:
     """Generate a corpus plus the per-assignment source ground truth."""
     params.validate()
@@ -158,6 +187,12 @@ def generate(params: GenParams) -> tuple[Corpus, GroundTruth]:
         s: tuple(sorted(rng.sample(background, params.n_followees_per_seed)))
         for s in seeds
     }
+    # followee_tags[s]: every tag some followee of s has used so far.
+    followee_tags: dict[str, set[str]] = {s: set() for s in seeds}
+    followers: dict[str, list[set[str]]] = {b: [] for b in background}
+    for s, flw in followees.items():
+        for f in flw:
+            followers[f].append(followee_tags[s])
 
     events: list[tuple[float, str]] = []
     for user in seeds + background:
@@ -171,7 +206,8 @@ def generate(params: GenParams) -> tuple[Corpus, GroundTruth]:
     c_ind = params.p_individual
     c_soc = c_ind + params.p_social
     c_net = c_soc + params.p_network
-    own: dict[str, OrderedDict[str, int]] = {u: OrderedDict() for u in seeds + background}
+    # Each user's tags -> time of last use, least recently used first.
+    own: dict[str, dict[str, int]] = {u: {} for u in seeds + background}
     global_tags: list[str] = []
     global_seen: set[str] = set()
     ext_counter = 0
@@ -182,52 +218,44 @@ def generate(params: GenParams) -> tuple[Corpus, GroundTruth]:
     gt_records: list[GroundTruthRecord] = []
 
     def draw_individual(user: str, ts: int) -> str | None:
-        flw = followees[user]
-        pool: list[str] = []
-        weights: list[float] = []
-        scanned = 0
-        for ht in reversed(own[user]):
-            scanned += 1
-            if scanned > INDIVIDUAL_SCAN_CAP:
-                break
-            if any(ht in own[f] for f in flw):
-                continue
-            pool.append(ht)
-            weights.append((ts - own[user][ht]) ** -alpha)
-            if len(pool) >= INDIVIDUAL_POOL_CAP:
-                break
+        mine = own[user]
+        # The most recent of the user's tags that no followee has used:
+        # up to INDIVIDUAL_POOL_CAP of them among the last INDIVIDUAL_SCAN_CAP.
+        pool = list(islice(
+            filterfalse(followee_tags[user].__contains__,
+                        islice(reversed(mine), INDIVIDUAL_SCAN_CAP)),
+            INDIVIDUAL_POOL_CAP,
+        ))
         if not pool:
             return None
+        weights = _recency_weights([ts - mine[ht] for ht in pool], alpha)
         return rng.choices(pool, weights=weights, k=1)[0]
 
     def draw_social(user: str, ts: int) -> str | None:
+        mine = own[user]
         last: dict[str, int] = {}
         for f in followees[user]:
-            scanned = 0
-            for ht in reversed(own[f]):
-                scanned += 1
-                if scanned > SOCIAL_SCAN_CAP:
-                    break
-                if ht in own[user]:
+            theirs = own[f]
+            for ht in islice(reversed(theirs), SOCIAL_SCAN_CAP):
+                if ht in mine:
                     continue
-                t_f = own[f][ht]
+                t_f = theirs[ht]
                 if ht not in last or t_f > last[ht]:
                     last[ht] = t_f
         if not last:
             return None
         pool = list(last)
-        weights = [(ts - last[ht]) ** -alpha for ht in pool]
+        weights = _recency_weights([ts - last[ht] for ht in pool], alpha)
         return rng.choices(pool, weights=weights, k=1)[0]
 
     def draw_network(user: str) -> str | None:
         if not global_tags:
             return None
-        flw = followees[user]
+        mine = own[user]
+        social = followee_tags[user]
         for _ in range(NETWORK_TRIES):
             ht = global_tags[rng.randrange(len(global_tags))]
-            if ht in own[user]:
-                continue
-            if any(ht in own[f] for f in flw):
+            if ht in mine or ht in social:
                 continue
             return ht
         return None
@@ -259,11 +287,13 @@ def generate(params: GenParams) -> tuple[Corpus, GroundTruth]:
             gt_records.append(GroundTruthRecord(tweet_id, ht, want))
         else:
             ht = vocab[rng.randrange(len(vocab))]
+            for tags in followers[user]:
+                tags.add(ht)
         assignments.append(HashtagAssignment(user, tweet_id, ht, ts))
         tweet_index[tweet_id] = (user, ts)
-        od = own[user]
-        od[ht] = ts
-        od.move_to_end(ht)
+        mine = own[user]
+        mine.pop(ht, None)
+        mine[ht] = ts
         if ht not in global_seen:
             global_seen.add(ht)
             global_tags.append(ht)

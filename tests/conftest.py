@@ -11,13 +11,24 @@ from __future__ import annotations
 import json
 import random
 import unicodedata
+from collections import OrderedDict
 from pathlib import Path
 
 import pytest
 
 from tagreuse.classify import ReuseLabel
-from tagreuse.corpus import Corpus, EmptyAfterNormalization
-from tagreuse.synth import GenParams, generate
+from tagreuse.corpus import Corpus, EmptyAfterNormalization, FollowNetwork, HashtagAssignment
+from tagreuse.synth import (
+    INDIVIDUAL_POOL_CAP,
+    INDIVIDUAL_SCAN_CAP,
+    NETWORK_TRIES,
+    SOCIAL_SCAN_CAP,
+    GenParams,
+    GroundTruth,
+    GroundTruthRecord,
+    _simulate_times,
+    generate,
+)
 
 
 def corpus_from_tweets(tweets, edges) -> Corpus:
@@ -237,3 +248,138 @@ def reference_parse_assignments(path: Path, fmt: str) -> tuple[list, list[int]]:
                 continue
             records.append((user_id, tweet_id, ts, tags))
     return records, bad
+
+
+def reference_generate(params: GenParams) -> tuple[Corpus, GroundTruth]:
+    """Reference for synth.generate without its per-seed followee-tag sets:
+    every pool check scans the followees' tag dicts and the bounded scans
+    count by hand. It makes the same RNG calls with the same weights, so
+    it must give the same corpus and ground truth."""
+    params.validate()
+    rng = random.Random(params.rng_seed)
+
+    seeds = [f"s{i:04d}" for i in range(params.n_seed_users)]
+    background = [f"b{i:04d}" for i in range(params.n_background_users)]
+    vocab = [f"v{i:05d}" for i in range(params.vocab_size)]
+    followees: dict[str, tuple[str, ...]] = {
+        s: tuple(sorted(rng.sample(background, params.n_followees_per_seed)))
+        for s in seeds
+    }
+
+    events: list[tuple[float, str]] = []
+    for user in seeds + background:
+        events.extend(
+            (t, user)
+            for t in _simulate_times(rng, params.n_tweets_per_user, params.daily_amplitude)
+        )
+    events.sort()
+
+    alpha = params.recency_exponent
+    c_ind = params.p_individual
+    c_soc = c_ind + params.p_social
+    c_net = c_soc + params.p_network
+    own: dict[str, OrderedDict[str, int]] = {u: OrderedDict() for u in seeds + background}
+    global_tags: list[str] = []
+    global_seen: set[str] = set()
+    ext_counter = 0
+    seed_set = set(seeds)
+
+    assignments: list[HashtagAssignment] = []
+    tweet_index: dict[str, tuple[str, int]] = {}
+    gt_records: list[GroundTruthRecord] = []
+
+    def draw_individual(user: str, ts: int) -> str | None:
+        flw = followees[user]
+        pool: list[str] = []
+        weights: list[float] = []
+        scanned = 0
+        for ht in reversed(own[user]):
+            scanned += 1
+            if scanned > INDIVIDUAL_SCAN_CAP:
+                break
+            if any(ht in own[f] for f in flw):
+                continue
+            pool.append(ht)
+            weights.append((ts - own[user][ht]) ** -alpha)
+            if len(pool) >= INDIVIDUAL_POOL_CAP:
+                break
+        if not pool:
+            return None
+        return rng.choices(pool, weights=weights, k=1)[0]
+
+    def draw_social(user: str, ts: int) -> str | None:
+        last: dict[str, int] = {}
+        for f in followees[user]:
+            scanned = 0
+            for ht in reversed(own[f]):
+                scanned += 1
+                if scanned > SOCIAL_SCAN_CAP:
+                    break
+                if ht in own[user]:
+                    continue
+                t_f = own[f][ht]
+                if ht not in last or t_f > last[ht]:
+                    last[ht] = t_f
+        if not last:
+            return None
+        pool = list(last)
+        weights = [(ts - last[ht]) ** -alpha for ht in pool]
+        return rng.choices(pool, weights=weights, k=1)[0]
+
+    def draw_network(user: str) -> str | None:
+        if not global_tags:
+            return None
+        flw = followees[user]
+        for _ in range(NETWORK_TRIES):
+            ht = global_tags[rng.randrange(len(global_tags))]
+            if ht in own[user]:
+                continue
+            if any(ht in own[f] for f in flw):
+                continue
+            return ht
+        return None
+
+    prev_ts = 0
+    for seq, (t_float, user) in enumerate(events):
+        ts = max(int(t_float), prev_ts + 1)
+        prev_ts = ts
+        tweet_id = f"t{seq:08d}"
+        if user in seed_set:
+            r = rng.random()
+            ht: str | None
+            if r < c_ind:
+                want = "individual"
+                ht = draw_individual(user, ts)
+            elif r < c_soc:
+                want = "social"
+                ht = draw_social(user, ts)
+            elif r < c_net:
+                want = "network"
+                ht = draw_network(user)
+            else:
+                want = "external"
+                ht = None
+            if ht is None:
+                want = "external"
+                ht = f"x{ext_counter:07d}"
+                ext_counter += 1
+            gt_records.append(GroundTruthRecord(tweet_id, ht, want))
+        else:
+            ht = vocab[rng.randrange(len(vocab))]
+        assignments.append(HashtagAssignment(user, tweet_id, ht, ts))
+        tweet_index[tweet_id] = (user, ts)
+        od = own[user]
+        od[ht] = ts
+        od.move_to_end(ht)
+        if ht not in global_seen:
+            global_seen.add(ht)
+            global_tags.append(ht)
+
+    corpus = Corpus(
+        assignments=assignments,
+        network=FollowNetwork({s: frozenset(f) for s, f in followees.items()}),
+        seed_users=frozenset(seeds),
+        tweet_index=tweet_index,
+    )
+    return corpus, GroundTruth(records=tuple(gt_records))
+

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from tagreuse import cli
+from tagreuse.corpus import load_corpus
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data"
@@ -201,6 +202,34 @@ class TestExitCodes:
             "--p-network", "0.0", "--p-external", "0.0", "--outdir", str(tmp_path),
         )
         assert code == 1
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_generator_param_exit_1(self, capsys, tmp_path, value):
+        outdir = tmp_path / "out"
+        code, out, err = run_cli(
+            capsys, "generate", f"--p-individual={value}", "--outdir", str(outdir),
+        )
+        assert code == 1
+        assert out == ""
+        assert "usage error: p_individual must be a finite number" in err
+        assert not outdir.exists()
+
+    def test_large_recency_exponent_generates(self, capsys, tmp_path):
+        # every delta^-800 draw weight underflows to 0.0
+        code, out, _ = run_cli(
+            capsys, "generate", "--p-individual", "1", "--p-social", "0",
+            "--p-network", "0", "--p-external", "0", "--recency-exponent", "800",
+            "--outdir", str(tmp_path),
+        )
+        assert code == 0
+        assert json.loads(out)["stats"]["hashtag_assignments"] == 50 * 50
+        corpus = load_corpus(tmp_path / "assignments.tsv", tmp_path / "network.tsv")
+        corpus.validate()
+        rows = (tmp_path / "ground_truth.tsv").read_text(encoding="utf-8").splitlines()
+        sources = [row.split("\t")[2] for row in rows]
+        assert len(sources) == 20 * 50
+        assert set(sources) == {"individual", "external"}
+        assert sources.count("individual") > len(sources) // 2
 
     def test_large_decay_exponent_gives_finite_scores(self, capsys):
         # every dt^-d term underflows at d = 60 with deltas near 10^6 s

@@ -173,6 +173,10 @@ class TestSerendipity:
     def test_empty_list(self):
         assert serendipity([], {"a"}, set()) == 0.0
 
+    def test_overlapping_histories_scored_items(self):
+        items = [("a", 0.9), ("b", 0.5), ("n", 0.1), ("c", 0.0)]
+        assert serendipity(items, {"a", "b"}, {"b", "c"}) == 0.25
+
 
 class TestNormalizeScores:
     def test_preserves_order_and_rescales(self):

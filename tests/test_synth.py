@@ -2,13 +2,27 @@
 
 from __future__ import annotations
 
-import pytest
+import gc
+import math
+from dataclasses import replace
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from tagreuse import synth
 from tagreuse.classify import ReuseLabel, classify_all
 from tagreuse.corpus import write_corpus
-from tagreuse.synth import GenParams, InvalidParams, generate
+from tagreuse.synth import GenParams, InvalidParams, _recency_weights, generate
 
-from conftest import brute_force_label
+from conftest import brute_force_label, reference_generate
+
+FLOAT_FIELDS = (
+    "p_individual", "p_social", "p_network", "p_external",
+    "recency_exponent", "daily_amplitude",
+)
+PURE_MIXTURES = ((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0),
+                 (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0))
 
 BASE = GenParams(
     n_seed_users=6,
@@ -48,6 +62,12 @@ class TestParams:
     def test_generate_rejects_invalid(self):
         with pytest.raises(InvalidParams):
             generate(GenParams(n_seed_users=0))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", FLOAT_FIELDS)
+    def test_non_finite_float_rejected(self, name, value):
+        with pytest.raises(InvalidParams, match=f"{name} must be a finite number"):
+            replace(GenParams(), **{name: value}).validate()
 
 
 class TestStructure:
@@ -153,3 +173,122 @@ class TestGroundTruthCompatibility:
         _, gt = generate(BASE)
         fractions = gt.fractions()
         assert sum(fractions.values()) == pytest.approx(1.0)
+
+
+def _with_mixture(params: GenParams, mixture) -> GenParams:
+    p_ind, p_soc, p_net, p_ext = mixture
+    return replace(params, p_individual=p_ind, p_social=p_soc,
+                   p_network=p_net, p_external=p_ext)
+
+
+@st.composite
+def gen_params(draw) -> GenParams:
+    n_background = draw(st.integers(1, 8))
+    weights = st.tuples(*[st.integers(0, 4)] * 4).filter(any)
+    mixture = draw(st.sampled_from(PURE_MIXTURES)
+                   | weights.map(lambda w: tuple(x / sum(w) for x in w)))
+    return _with_mixture(GenParams(
+        n_seed_users=draw(st.integers(1, 6)),
+        n_followees_per_seed=draw(st.integers(1, n_background)),
+        n_background_users=n_background,
+        vocab_size=draw(st.integers(1, 40)),
+        n_tweets_per_user=draw(st.integers(1, 60)),
+        recency_exponent=draw(st.floats(0.1, 8.0)),
+        daily_amplitude=draw(st.sampled_from((0.0, 0.5, 1.0)) | st.floats(0.0, 1.0)),
+        rng_seed=draw(st.integers(0, 2**32)),
+    ), mixture)
+
+
+# Seeds that follow every background user, a one-tag vocabulary, each
+# pure mixture, each amplitude, and a long run that fills the caps.
+_EDGE_EXAMPLES = [
+    _with_mixture(GenParams(n_seed_users=3, n_followees_per_seed=4, n_background_users=4,
+                            vocab_size=vocab, n_tweets_per_user=40,
+                            daily_amplitude=amplitude, rng_seed=7), mixture)
+    for mixture in PURE_MIXTURES
+    for vocab, amplitude in ((1, 0.0), (3, 0.5), (40, 1.0))
+] + [
+    # changing any one of the three caps by one changes this corpus
+    GenParams(n_seed_users=2, n_followees_per_seed=1, n_background_users=2,
+              vocab_size=5000, n_tweets_per_user=600, p_individual=0.2, p_social=0.6,
+              p_network=0.1, p_external=0.1, rng_seed=0),
+]
+
+
+class TestReferenceEquivalence:
+    """generate == the followee-scanning reference in conftest: same
+    corpus (with tweet_index order) and same ground truth."""
+
+    @staticmethod
+    def _check(params: GenParams) -> None:
+        corpus, gt = generate(params)
+        ref_corpus, ref_gt = reference_generate(params)
+        assert corpus == ref_corpus
+        assert list(corpus.tweet_index.items()) == list(ref_corpus.tweet_index.items())
+        assert gt == ref_gt
+
+    @pytest.mark.parametrize("params", _EDGE_EXAMPLES)
+    def test_edge_cases(self, params):
+        self._check(params)
+
+    @settings(max_examples=150, deadline=None)
+    @given(gen_params())
+    @example(replace(BASE, n_followees_per_seed=BASE.n_background_users))
+    def test_random_params(self, params):
+        self._check(params)
+
+
+class TestGcState:
+    def test_gc_paused_during_generate_and_restored(self, monkeypatch):
+        states = []
+        simulate = synth._simulate_times
+
+        def spy(*args):
+            states.append(gc.isenabled())
+            return simulate(*args)
+
+        monkeypatch.setattr(synth, "_simulate_times", spy)
+        assert gc.isenabled()
+        generate(BASE)
+        assert states and not any(states)
+        assert gc.isenabled()
+
+    def test_disabled_gc_stays_disabled(self):
+        gc.disable()
+        try:
+            generate(BASE)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_restored_when_params_are_invalid(self):
+        with pytest.raises(InvalidParams):
+            generate(GenParams(n_seed_users=0))
+        assert gc.isenabled()
+
+
+class TestLargeRecencyExponent:
+    def test_direct_weights_kept_when_any_is_nonzero(self):
+        gaps = [3, 1, 10**6, 7]
+        assert _recency_weights(gaps, 1.5) == [dt ** -1.5 for dt in gaps]
+        # 10**6 underflows at 60 but the pool still has nonzero weights
+        assert _recency_weights(gaps, 60.0) == [dt ** -60.0 for dt in gaps]
+
+    def test_underflowing_weights_taken_relative_to_smallest_gap(self):
+        gaps = [10**6, 2 * 10**5, 10**7]
+        assert all(dt ** -800.0 == 0.0 for dt in gaps)
+        weights = _recency_weights(gaps, 800.0)
+        assert weights[1] == 1.0
+        assert weights == [math.exp(-800.0 * (math.log(dt) - math.log(2 * 10**5)))
+                           for dt in gaps]
+
+    @pytest.mark.parametrize("mixture", PURE_MIXTURES[:2])
+    def test_pure_reuse_mixture_generates(self, mixture):
+        params = _with_mixture(replace(BASE, recency_exponent=800.0), mixture)
+        corpus, gt = generate(params)
+        labeled, _ = classify_all(corpus)
+        by_tweet = {la.assignment.tweet_id: la.label for la in labeled}
+        expected = TestGroundTruthCompatibility.EXPECTED
+        assert all(by_tweet[r.tweet_id] is expected[r.source] for r in gt.records)
+        want = "individual" if mixture[0] else "social"
+        assert sum(r.source == want for r in gt.records) > len(gt.records) // 2
