@@ -15,8 +15,7 @@ first three) is the headline reuse statistic.
 
 `classify_all` is a single chronological sweep over the corpus with an
 incremental per-hashtag last-use index; it also extracts the recency
-deltas that the temporal module bins. `classify_assignment` is the
-random-access equivalent backed by a prebuilt CorpusIndex.
+deltas that the temporal module bins.
 """
 
 from __future__ import annotations
@@ -25,8 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
 
-from .corpus import Corpus, HashtagAssignment, NotSeedUser, _gc_paused
-from .index import CorpusIndex
+from .corpus import Corpus, HashtagAssignment, _gc_paused
 
 
 class ReuseLabel(Enum):
@@ -110,18 +108,6 @@ class ReuseBreakdown:
             "fractions": {label.value: f for label, f in self.fractions.items()},
             "explained_fraction": self.explained_fraction,
         }
-
-
-def classify_assignment(index: CorpusIndex, a: HashtagAssignment) -> ReuseLabel:
-    """Label one assignment against all strictly earlier corpus events."""
-    if not index.network.is_seed(a.user_id):
-        raise NotSeedUser(f"user {a.user_id!r} has no followee entry")
-    followees = index.network.followees(a.user_id)
-    ts = a.timestamp
-    own = index.user_count_before(a.user_id, a.hashtag, ts)
-    social = sum(index.user_count_before(f, a.hashtag, ts) for f in followees)
-    total = index.global_count_before(a.hashtag, ts)
-    return _label_from_bits(own > 0, social > 0, total - own - social > 0)
 
 
 def sweep(corpus: Corpus) -> Iterator[LabeledAssignment]:

@@ -414,7 +414,7 @@ _HANDLERS = {
 
 _DATA_ERRORS = (
     CorpusError,
-    FileNotFoundError,
+    OSError,  # a missing input, or an output path that cannot be written
     NoEvaluableUsers,
     NoPriorUsage,
     temporal.InvalidRange,

@@ -4,9 +4,11 @@ All recommenders are pure functions of (index, user, ref_time, k): they
 look only at usage strictly before ref_time and produce a deterministic
 ranked list of at most k (hashtag, score) pairs, ordered by score, then
 global usage frequency before ref_time, then the hashtag string. The
-answer does not depend on query order, but cf, mp and the frequency
-tie-break read the index's time cursor, so a run of queries is cheapest
-in ascending ref_time.
+answer does not depend on query order, but every recommender and the
+frequency tie-break read the index's time cursor, so a run of queries is
+cheapest in ascending ref_time. The bll_i and bll_s score dicts are
+memoized on the cursor, so bll_is at the same (user, ref_time, params)
+reuses them.
 
 Scoring models:
 
@@ -104,13 +106,22 @@ def bll_activation(
     return math.log(total)
 
 
+def _top(scores: dict, k: int, key) -> list:
+    """heapq.nsmallest(k, scores.items(), key) for a key that leads with
+    -score: only items at or above the k-th largest score can be in the
+    top k, so the Python-keyed heap sees just those (ties included)."""
+    items = scores.items()
+    if 0 < k < len(scores):
+        kth = heapq.nlargest(k, scores.values())[-1]
+        items = [(x, v) for x, v in items if v >= kth]
+    return heapq.nsmallest(k, items, key=key)
+
+
 def _rank(scores: dict[str, float], k: int, index: CorpusIndex, ref_time: int) -> Ranked:
     """Deterministic top-k: score desc, global pre-ref frequency desc,
     hashtag asc."""
     freq = index.counts_before(ref_time).global_counts.get
-    return heapq.nsmallest(
-        k, scores.items(), key=lambda item: (-item[1], -freq(item[0], 0), item[0])
-    )
+    return _top(scores, k, lambda item: (-item[1], -freq(item[0], 0), item[0]))
 
 
 def minmax_normalize(scores: dict[str, float]) -> dict[str, float]:
@@ -130,18 +141,34 @@ def _require_seed(index: CorpusIndex, user_id: str) -> None:
         raise NotSeedUser(f"user {user_id!r} has no followee entry")
 
 
-def _bll_i_scores(
-    index: CorpusIndex, user_id: str, ref_time: int, params: BLLParams
+def _bll_scores(
+    index: CorpusIndex, kind: str, user_id: str, ref_time: int, params: BLLParams
 ) -> dict[str, float]:
-    history = index.user_tag_times_before(user_id, ref_time)
-    return {ht: bll_activation(times, ref_time, params) for ht, times in history.items()}
-
-
-def _bll_s_scores(
-    index: CorpusIndex, user_id: str, ref_time: int, params: BLLParams
-) -> dict[str, float]:
-    pooled = index.followee_tag_times_before(user_id, ref_time)
-    return {ht: bll_activation(times, ref_time, params) for ht, times in pooled.items()}
+    """Activation per hashtag over the user's own traces (kind "i") or over
+    the followees' traces pooled per hashtag (kind "s"), memoized on the
+    cursor. A pooled tag with one followee reads that live trace; a shared
+    tag gets a new sorted list, so the cursor's traces are never mutated."""
+    counts = index.counts_before(ref_time)
+    key = (kind, user_id, params)
+    scores = counts.memo.get(key)
+    if scores is not None:
+        return scores
+    if kind == "i":
+        traces = counts.times.get(user_id, {})
+    else:
+        traces = {}
+        for f in index.network.followees(user_id):
+            for ht, times in counts.times.get(f, {}).items():
+                pooled = traces.get(ht)
+                if pooled is None:
+                    traces[ht] = times
+                else:
+                    traces[ht] = pooled = pooled + times
+                    pooled.sort()
+    scores = counts.memo[key] = {
+        ht: bll_activation(times, ref_time, params) for ht, times in traces.items()
+    }
+    return scores
 
 
 def recommend_bll_i(
@@ -153,7 +180,7 @@ def recommend_bll_i(
 ) -> Ranked:
     """Rank the user's own previously used hashtags by activation."""
     _require_seed(index, user_id)
-    return _rank(_bll_i_scores(index, user_id, ref_time, params), k, index, ref_time)
+    return _rank(_bll_scores(index, "i", user_id, ref_time, params), k, index, ref_time)
 
 
 def recommend_bll_s(
@@ -166,7 +193,7 @@ def recommend_bll_s(
     """Rank hashtags previously used by the user's followees, activation
     computed over the union of all followees' usage times."""
     _require_seed(index, user_id)
-    return _rank(_bll_s_scores(index, user_id, ref_time, params), k, index, ref_time)
+    return _rank(_bll_scores(index, "s", user_id, ref_time, params), k, index, ref_time)
 
 
 def recommend_bll_is(
@@ -184,8 +211,8 @@ def recommend_bll_is(
     combined as beta * individual + (1 - beta) * social.
     """
     _require_seed(index, user_id)
-    norm_i = minmax_normalize(_bll_i_scores(index, user_id, ref_time, params))
-    norm_s = minmax_normalize(_bll_s_scores(index, user_id, ref_time, params))
+    norm_i = minmax_normalize(_bll_scores(index, "i", user_id, ref_time, params))
+    norm_s = minmax_normalize(_bll_scores(index, "s", user_id, ref_time, params))
     beta = mix.beta
     combined = {
         ht: beta * norm_i.get(ht, 0.0) + (1.0 - beta) * norm_s.get(ht, 0.0)
@@ -236,7 +263,7 @@ def recommend_most_popular(index: CorpusIndex, ref_time: int, k: int) -> Ranked:
     """Global usage counts strictly before ref_time."""
     counts = index.counts_before(ref_time).global_counts
     # the score is the frequency, so _rank's key reduces to (-count, hashtag)
-    top = heapq.nsmallest(k, counts.items(), key=lambda item: (-item[1], item[0]))
+    top = _top(counts, k, lambda item: (-item[1], item[0]))
     return [(ht, float(c)) for ht, c in top]
 
 

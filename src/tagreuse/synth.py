@@ -99,6 +99,8 @@ class GenParams:
             "n_tweets_per_user": self.n_tweets_per_user,
         }
         for name, value in counts.items():
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise InvalidParams(f"{name} must be an int, got {value!r}")
             if value < 1:
                 raise InvalidParams(f"{name} must be >= 1, got {value}")
         probs = (self.p_individual, self.p_social, self.p_network, self.p_external)

@@ -6,14 +6,7 @@ import random
 
 import pytest
 
-from tagreuse.classify import (
-    ReuseBreakdown,
-    ReuseLabel,
-    classify_all,
-    classify_assignment,
-)
-from tagreuse.corpus import NotSeedUser
-from tagreuse.index import CorpusIndex
+from tagreuse.classify import ReuseBreakdown, ReuseLabel, classify_all
 
 from conftest import brute_force_label, corpus_from_tweets, random_corpus
 
@@ -77,20 +70,6 @@ class TestFixtureLabels:
         assert {la.assignment.user_id for la in labeled} == {"A"}
 
 
-class TestClassifyAssignment:
-    def test_matches_sweep_on_fixture(self, primed_reuse_corpus):
-        index = CorpusIndex(primed_reuse_corpus)
-        labeled, _ = classify_all(primed_reuse_corpus)
-        for la in labeled:
-            assert classify_assignment(index, la.assignment) is la.label
-
-    def test_not_seed_user_raises(self, primed_reuse_corpus):
-        index = CorpusIndex(primed_reuse_corpus)
-        b_event = next(a for a in primed_reuse_corpus.assignments if a.user_id == "B")
-        with pytest.raises(NotSeedUser):
-            classify_assignment(index, b_event)
-
-
 class TestStrictPast:
     def test_equal_timestamps_are_not_prior(self):
         # B's usage shares A's timestamp: no exposure, hence external.
@@ -120,13 +99,18 @@ class TestOracleEquivalence:
             for la in labeled:
                 assert la.label is brute_force_label(corpus, la.assignment), la
 
-    def test_index_route_matches_sweep_on_random_corpora(self):
+    def test_fixture_matches_brute_force(self, primed_reuse_corpus):
+        labeled, _ = classify_all(primed_reuse_corpus)
+        assert labeled
+        for la in labeled:
+            assert la.label is brute_force_label(primed_reuse_corpus, la.assignment), la
+
+    def test_small_random_corpora_match_brute_force(self):
         rng = random.Random(99)
         for _ in range(10):
             corpus = random_corpus(rng, max_users=15, max_assignments=150)
-            index = CorpusIndex(corpus)
             for la in classify_all(corpus)[0]:
-                assert classify_assignment(index, la.assignment) is la.label
+                assert la.label is brute_force_label(corpus, la.assignment), la
 
 
 class TestProperties:

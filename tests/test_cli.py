@@ -214,6 +214,31 @@ class TestExitCodes:
         assert "usage error: p_individual must be a finite number" in err
         assert not outdir.exists()
 
+    def test_out_naming_a_directory_exits_2(self, capsys, tmp_path):
+        target = tmp_path / "taken"
+        target.mkdir()
+        code, out, err = run_cli(
+            capsys, "stats", "--assignments", "tests/data/assignments.tsv",
+            "--network", "tests/data/network.tsv", "--out", str(target),
+        )
+        assert code == 2
+        assert out == ""
+        assert "data error" in err and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["taken"]
+
+    def test_outdir_below_a_file_exits_2(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "generate", "--outdir", "/dev/null/x")
+        assert code == 2
+        assert out == ""
+        assert "data error" in err and "Traceback" not in err
+        # the same below a regular file of our own
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        code, out, err = run_cli(capsys, "generate", "--outdir", str(blocker / "x"))
+        assert code == 2
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["file"]
+
     def test_large_recency_exponent_generates(self, capsys, tmp_path):
         # every delta^-800 draw weight underflows to 0.0
         code, out, _ = run_cli(

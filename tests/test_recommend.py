@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from collections import Counter
@@ -24,6 +25,7 @@ from tagreuse.recommend import (
     recommend_bll_s,
     recommend_cf,
     recommend_most_popular,
+    _rank,
 )
 
 from conftest import corpus_from_tweets, random_corpus
@@ -468,6 +470,123 @@ class TestAllRecommendersAgainstOracles:
                             assert s_got == pytest.approx(s_exp, abs=1e-9)
                         checked += 1
         assert checked >= 50
+
+
+class TestCursorReads:
+    """bll_i, bll_s and bll_is read the cursor's traces and its score memo."""
+
+    def test_bll_is_after_its_components_equals_fresh_index(self, history_corpus):
+        ref = 3600
+        index = CorpusIndex(history_corpus)
+        results = {}
+        for d in (D, 2.0):
+            params = BLLParams(d=d)
+            recommend_bll_i(index, "A", ref, 10, params)
+            recommend_bll_s(index, "A", ref, 10, params)
+            results[d] = recommend_bll_is(index, "A", ref, 10, params)
+            fresh = recommend_bll_is(CorpusIndex(history_corpus), "A", ref, 10, params)
+            assert results[d] == fresh
+        # the two decays rank differently, so a memo keyed without them shows
+        assert results[D] != results[2.0]
+        # reads at one time keep the memo: one entry per (kind, user, params)
+        memo = index.counts_before(ref).memo
+        assert set(memo) == {(kind, "A", BLLParams(d=d)) for kind in "is" for d in (D, 2.0)}
+
+    def test_bll_is_after_components_on_random_corpora(self):
+        rng = random.Random(8080)
+        checked = 0
+        for _ in range(6):
+            corpus = random_corpus(rng, max_users=20, max_assignments=200, max_timestamp=300)
+            if not corpus.seed_users or not corpus.assignments:
+                continue
+            index = CorpusIndex(corpus)
+            ref = corpus.assignments[-1].timestamp + 1
+            for user in sorted(corpus.seed_users)[:3]:
+                for params in (BLLParams(d=D), BLLParams(d=1.7)):
+                    recommend_bll_i(index, user, ref, 10, params)
+                    recommend_bll_s(index, user, ref, 10, params)
+                    got = recommend_bll_is(index, user, ref, 10, params)
+                    assert got == recommend_bll_is(CorpusIndex(corpus), user, ref, 10, params)
+                    checked += 1
+        assert checked > 0
+
+    def test_move_and_rewind_do_not_go_stale(self, history_corpus):
+        # 3600 -> 3700 crosses no event: the traces stay, the memo must not
+        index = CorpusIndex(history_corpus)
+        for ref in (2000, 3600, 3700, 2000, 3600):
+            for algo in ("bll_i", "bll_s", "bll_is"):
+                fresh = recommend(algo, CorpusIndex(history_corpus), "A", ref, 10)
+                assert recommend(algo, index, "A", ref, 10) == fresh, (algo, ref)
+            expected = CorpusIndex(history_corpus).counts_before(ref).times
+            assert index.counts_before(ref).times == expected
+
+    def test_traces_are_ascending_per_user_and_tag(self, history_corpus):
+        times = CorpusIndex(history_corpus).counts_before(2600).times
+        assert times["A"] == {"a": [1000], "b": [1500, 2500]}
+        assert times["B1"] == {"x": [1200], "b": [1200]}
+        assert times["B2"] == {"x": [2200]}
+        assert times["C"] == {"a": [900], "x": [900], "z": [900]}
+
+    def test_shared_followee_tags_leave_traces_unchanged(self):
+        ref = 1000
+        tweets = [
+            ("B1", "t1", 100, ("x", "y")),
+            ("B3", "t2", 150, ("x", "y")),
+            ("B2", "t3", 200, ("x",)),
+            ("B1", "t4", 300, ("x",)),
+            ("B2", "t5", 300, ("w",)),
+        ]
+        corpus = corpus_from_tweets(tweets, {"A": {"B1", "B2", "B3"}})
+        index = CorpusIndex(corpus)
+        traces = index.counts_before(ref).times
+        before = {
+            f: {ht: (trace, list(trace)) for ht, trace in traces[f].items()}
+            for f in ("B1", "B2", "B3")
+        }
+        got = dict(recommend_bll_s(index, "A", ref, 10))
+        assert got["x"] == bll_activation([100, 150, 200, 300], ref)
+        assert got["y"] == bll_activation([100, 150], ref)
+        assert got["w"] == bll_activation([300], ref)
+        after = index.counts_before(ref).times
+        for f, per_tag in before.items():
+            assert after[f].keys() == per_tag.keys()
+            for ht, (trace, copy) in per_tag.items():
+                assert after[f][ht] is trace
+                assert trace == copy, (f, ht)
+
+    @pytest.fixture
+    def tied_corpus(self):
+        """Tags t00..t23 used 1-3 times each, so ranking ties on score fall
+        through to frequency and then to the tag string."""
+        tweets = [
+            ("u", f"e{i:02d}-{j}", 10 * i + j, (f"t{i:02d}",))
+            for i in range(24)
+            for j in range(1 + i % 3)
+        ]
+        return corpus_from_tweets(tweets, {"u": set()})
+
+    def test_prefiltered_rank_equals_unfiltered(self, tied_corpus):
+        ref = 10_000
+        index = CorpusIndex(tied_corpus)
+        freq = index.counts_before(ref).global_counts.get
+        # two leaders, a block of 12 tied at 3.0, and a tail tied at 1.0
+        scores = {f"t{i:02d}": 5.0 if i < 2 else 3.0 if i < 14 else 1.0 for i in range(24)}
+        n = len(scores)
+        for k in (0, 1, 2, 3, 7, 14, 15, n, n + 1):
+            expected = heapq.nsmallest(
+                k, scores.items(), key=lambda item: (-item[1], -freq(item[0], 0), item[0])
+            )
+            assert _rank(scores, k, index, ref) == expected, k
+
+    def test_prefiltered_most_popular_equals_unfiltered(self, tied_corpus):
+        ref = 10_000
+        index = CorpusIndex(tied_corpus)
+        counts = index.counts_before(ref).global_counts
+        n = len(counts)
+        for k in (0, 1, 5, 8, 9, n, n + 1):
+            expected = heapq.nsmallest(k, counts.items(), key=lambda item: (-item[1], item[0]))
+            got = recommend_most_popular(index, ref, k)
+            assert got == [(ht, float(c)) for ht, c in expected], k
 
 
 class TestNormalization:

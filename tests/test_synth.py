@@ -21,6 +21,10 @@ FLOAT_FIELDS = (
     "p_individual", "p_social", "p_network", "p_external",
     "recency_exponent", "daily_amplitude",
 )
+COUNT_FIELDS = (
+    "n_seed_users", "n_followees_per_seed", "n_background_users",
+    "vocab_size", "n_tweets_per_user",
+)
 PURE_MIXTURES = ((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0),
                  (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0))
 
@@ -68,6 +72,16 @@ class TestParams:
     def test_non_finite_float_rejected(self, name, value):
         with pytest.raises(InvalidParams, match=f"{name} must be a finite number"):
             replace(GenParams(), **{name: value}).validate()
+
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, False, "3", None])
+    @pytest.mark.parametrize("name", COUNT_FIELDS)
+    def test_count_must_be_a_real_int(self, name, value):
+        with pytest.raises(InvalidParams, match=f"{name} must be an int"):
+            replace(GenParams(), **{name: value}).validate()
+
+    def test_generate_rejects_float_count(self):
+        with pytest.raises(InvalidParams, match="n_tweets_per_user must be an int"):
+            generate(GenParams(n_tweets_per_user=2.5))
 
 
 class TestStructure:
