@@ -17,15 +17,13 @@ import argparse
 import hashlib
 import json
 import logging
-import os
 import sys
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
 from . import __version__, classify, temporal
-from .corpus import Corpus, CorpusError, compute_stats, load_corpus, write_corpus
+from .corpus import Corpus, CorpusError, atomic_open, compute_stats, load_corpus, write_corpus
 from .diversity import HybridParams, SimilarityIndex, normalize_scores, rerank_hybrid
 from .evaluation import EvalConfig, NoEvaluableUsers, evaluate
 from .index import CorpusIndex
@@ -192,7 +190,10 @@ def _effective_config(subcommand: str, args: argparse.Namespace) -> dict[str, An
         effective[opt.name] = value
     workers = getattr(args, "workers", None)
     if workers is None and "workers" in file_values:
-        workers = int(file_values["workers"])
+        try:
+            workers = int(file_values["workers"])
+        except ValueError as exc:
+            raise UsageError(f"config key workers: {exc}") from exc
     if workers is not None:
         if workers < 1:
             raise UsageError(f"--workers must be >= 1, got {workers}")
@@ -220,15 +221,8 @@ def _json_text(obj: Any) -> str:
 
 def _write_atomic(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with atomic_open(path) as fh:
+        fh.write(text)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -301,25 +295,30 @@ def _cmd_recency(cfg: dict[str, Any]) -> int:
     return EXIT_OK
 
 
-def _recommender_params(cfg: dict[str, Any]) -> tuple[BLLParams, MixParams, CFParams]:
+def _recommender_params(
+    cfg: dict[str, Any],
+) -> tuple[BLLParams, MixParams, CFParams, HybridParams | None]:
+    """Validated recommender parameters; the hybrid ones only with
+    --rerank hybrid. Called before the corpus is loaded."""
     try:
         return (
             BLLParams(d=cfg["d"]),
             MixParams(beta=cfg["beta"]),
             CFParams(n_neighbors=cfg["neighbors"]),
+            HybridParams(cfg["lambda_param"]) if cfg["rerank"] == "hybrid" else None,
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
 
 def _cmd_recommend(cfg: dict[str, Any]) -> int:
+    bll, mix, cf, hybrid = _recommender_params(cfg)
     corpus = _load(cfg)
-    bll, mix, cf = _recommender_params(cfg)
     index = CorpusIndex(corpus)
     items = recommend(cfg["algo"], index, cfg["user"], cfg["at"], cfg["k"], bll=bll, mix=mix, cf=cf)
-    if cfg["rerank"] == "hybrid":
+    if hybrid is not None:
         sim_index = SimilarityIndex.from_corpus(corpus, before=cfg["at"])
-        items = rerank_hybrid(normalize_scores(items), HybridParams(cfg["lambda_param"]), sim_index)
+        items = rerank_hybrid(normalize_scores(items), hybrid, sim_index)
     obj = {
         "meta": _meta("recommend", cfg),
         "items": [{"hashtag": ht, "score": score} for ht, score in items],
@@ -329,8 +328,7 @@ def _cmd_recommend(cfg: dict[str, Any]) -> int:
 
 
 def _cmd_evaluate(cfg: dict[str, Any]) -> int:
-    corpus = _load(cfg)
-    bll, mix, cf = _recommender_params(cfg)
+    bll, mix, cf, hybrid = _recommender_params(cfg)
     algos = [a.strip() for a in cfg["algos"].split(",") if a.strip()]
     for a in algos:
         if a not in ALGORITHM_NAMES:
@@ -340,14 +338,14 @@ def _cmd_evaluate(cfg: dict[str, Any]) -> int:
     try:
         config = EvalConfig(
             k_max=cfg["kmax"], bll=bll, mix=mix, cf=cf,
-            rerank_lambda=cfg["lambda_param"] if cfg["rerank"] == "hybrid" else None,
+            rerank_lambda=hybrid.lambda_param if hybrid is not None else None,
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    report = evaluate(corpus, algos, config)
+    report = evaluate(_load(cfg), algos, config)
     meta = _meta("evaluate", cfg)
     outdir = Path(cfg["outdir"])
-    with_beyond = cfg["rerank"] == "hybrid"
+    with_beyond = hybrid is not None
     columns = "k\tprecision\trecall" + ("\tild\tserendipity" if with_beyond else "")
     for algo, points in report.algorithms.items():
         lines = _header_lines(meta, columns)
@@ -386,13 +384,8 @@ def _cmd_generate(cfg: dict[str, Any]) -> int:
     apath, npath, gpath = (
         outdir / "assignments.tsv", outdir / "network.tsv", outdir / "ground_truth.tsv"
     )
-    tmp_a, tmp_n = apath.with_suffix(".tsv.tmp"), npath.with_suffix(".tsv.tmp")
-    write_corpus(corpus, tmp_a, tmp_n, fmt="tsv")
-    os.replace(tmp_a, apath)
-    os.replace(tmp_n, npath)
-    tmp_g = gpath.with_suffix(".tsv.tmp")
-    write_ground_truth(ground_truth, tmp_g)
-    os.replace(tmp_g, gpath)
+    write_corpus(corpus, apath, npath, fmt="tsv")
+    write_ground_truth(ground_truth, gpath)
     stats = compute_stats(corpus)
     obj = {
         "meta": _meta("generate", cfg),

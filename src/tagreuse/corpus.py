@@ -16,11 +16,13 @@ from __future__ import annotations
 import gc
 import json
 import logging
+import os
 import unicodedata
+import uuid
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, TextIO
 
 log = logging.getLogger(__name__)
 
@@ -41,6 +43,26 @@ def _gc_paused() -> Iterator[None]:
     finally:
         if was_enabled:
             gc.enable()
+
+
+@contextmanager
+def atomic_open(path: str | Path) -> Iterator[TextIO]:
+    """Open a UTF-8 text file that replaces `path` only once fully written.
+
+    The text goes to a new temp file in `path`'s directory, renamed over
+    `path` when the block ends without an error. On any error the temp
+    file is removed and `path` keeps its previous bytes (or stays absent).
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    fh = open(tmp, "x", encoding="utf-8", newline="")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 class CorpusError(Exception):
@@ -401,14 +423,16 @@ def write_corpus(
     """Serialize a corpus back to its file formats, canonically ordered.
 
     TSV cannot represent tweets without hashtags; use jsonl to round-trip
-    corpora that contain them.
+    corpora that contain them. Each file is written atomically (see
+    atomic_open): a failed write leaves the previous file in place.
     """
-    apath, npath = Path(assignments_path), Path(network_path)
-    with apath.open("w", encoding="utf-8", newline="") as fh:
+    if fmt not in ("tsv", "jsonl"):
+        raise ValueError(f"unknown format {fmt!r} (expected 'tsv' or 'jsonl')")
+    with atomic_open(assignments_path) as fh:
         if fmt == "tsv":
             for a in corpus.assignments:
                 fh.write(f"{a.user_id}\t{a.tweet_id}\t{a.timestamp}\t{a.hashtag}\n")
-        elif fmt == "jsonl":
+        else:
             tags_by_tweet: dict[str, list[str]] = {t: [] for t in corpus.tweet_index}
             for a in corpus.assignments:
                 tags_by_tweet[a.tweet_id].append(a.hashtag)
@@ -423,9 +447,7 @@ def write_corpus(
                     "hashtags": sorted(tags_by_tweet[tweet_id]),
                 }
                 fh.write(json.dumps(obj, sort_keys=True) + "\n")
-        else:
-            raise ValueError(f"unknown format {fmt!r} (expected 'tsv' or 'jsonl')")
-    with npath.open("w", encoding="utf-8", newline="") as fh:
+    with atomic_open(network_path) as fh:
         for seed in sorted(corpus.network.edges):
             followees = sorted(corpus.network.edges[seed])
             if not followees:

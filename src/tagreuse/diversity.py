@@ -1,12 +1,14 @@
 """Beyond-accuracy metrics and a greedy accuracy/diversity re-ranker.
 
 Hashtag similarity is grounded in tweet-level co-occurrence: two hashtags
-are similar when they tend to appear in the same tweets. On top of that:
+are similar when they tend to appear in the same tweets. Every cosine
+comes from SimilarityIndex.pair_table, which scores all pairs of one list
+with a single float64 matrix product; the counts keep that product exact
+(see SimilarityIndex). On top of that:
 
   intra_list_diversity_at_k
                         1 - mean pairwise similarity of every prefix of a
-                        ranked list, from one table of its pair
-                        similarities (each pair computed once)
+                        ranked list, from the list's pair table
   intra_list_diversity  the same for the whole list only
   serendipity           fraction of recommendations outside the user's
                         own + followee history (their reuse bubble)
@@ -19,6 +21,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .corpus import Corpus
 from .recommend import Ranked
@@ -42,14 +46,25 @@ class SimilarityIndex:
     vector(a)[b] = number of tweets containing both a and b (a != b).
     Symmetric by construction; built from assignments strictly before
     `before` when given (the training portion).
+
+    Cosines are read from pair tables (see pair_table), built by a float64
+    matrix product of the counts. Every partial sum of a dot product there
+    is an integer no larger than the larger squared norm, so the product
+    is exact in any summation order as long as every squared norm is below
+    2**53; the constructor rejects vectors that break that bound.
     """
 
     def __init__(self, vectors: dict[str, dict[str, int]]):
         self._vectors = vectors
-        self._norms = {
-            ht: math.sqrt(sum(c * c for c in vec.values()))
-            for ht, vec in vectors.items()
-        }
+        self._norms: dict[str, float] = {}
+        for ht, vec in vectors.items():
+            squared = sum(c * c for c in vec.values())
+            if squared >= 2**53:
+                raise ValueError(
+                    f"co-occurrence vector of {ht!r} has squared norm {squared} >= 2**53;"
+                    " its cosines would not be exact"
+                )
+            self._norms[ht] = math.sqrt(squared)
 
     @classmethod
     def from_corpus(
@@ -81,21 +96,26 @@ class SimilarityIndex:
     def vector(self, hashtag: str) -> dict[str, int]:
         return self._vectors.get(hashtag, {})
 
+    def pair_table(self, tags: list[str]) -> list[list[float]]:
+        """table[i][j] is the cosine of the co-occurrence vectors of tags[i]
+        and tags[j]; 0 where their dot product is 0, which covers tags with
+        no vector. The counts matrix has one column per distinct neighbour
+        of the listed tags, and lives only for this call."""
+        columns: dict[str, int] = {}
+        counts = [self.vector(ht) for ht in tags]
+        cells = [[columns.setdefault(nb, len(columns)) for nb in vec] for vec in counts]
+        m = np.zeros((len(tags), len(columns)))
+        for i, (vec, cols) in enumerate(zip(counts, cells)):
+            m[i, cols] = list(vec.values())
+        dot = m @ m.T  # exact: see the class docstring
+        nrm = np.array([self._norms.get(ht, 0.0) for ht in tags])
+        table = np.zeros_like(dot)
+        np.divide(dot, nrm[:, None] * nrm[None, :], out=table, where=dot != 0.0)
+        return table.tolist()
+
     def similarity(self, ht_a: str, ht_b: str) -> float:
         """Cosine of the two co-occurrence vectors; 0 if either is empty."""
-        va, vb = self.vector(ht_a), self.vector(ht_b)
-        if not va or not vb:
-            return 0.0
-        if len(va) > len(vb):
-            va, vb = vb, va
-        dot = 0
-        for ht, c in va.items():
-            cb = vb.get(ht)
-            if cb:
-                dot += c * cb
-        if dot == 0:
-            return 0.0
-        return dot / (self._norms[ht_a] * self._norms[ht_b])
+        return self.pair_table([ht_a, ht_b])[0][1]
 
 
 def _hashtags(items: Ranked | list[str]) -> list[str]:
@@ -105,20 +125,19 @@ def _hashtags(items: Ranked | list[str]) -> list[str]:
 def intra_list_diversity_at_k(items: Ranked | list[str], index: SimilarityIndex) -> list[float]:
     """Element k-1 is the intra-list diversity of items[:k], for every k.
 
-    Each unordered pair's similarity is computed once into a per-list
-    table. Every prefix then adds up its own pairs from the table in
-    row-major order (i ascending, then j > i ascending), with a plain
-    loop, so each value is bit-identical to scoring that prefix alone.
+    The list's pair table is built once. Every prefix then adds up its own
+    pairs from the table in row-major order (i ascending, then j > i
+    ascending), with a plain loop, so each value is bit-identical to
+    scoring that prefix alone.
     """
     tags = _hashtags(items)
     n = len(tags)
-    # rows[i][j - i - 1] = similarity of tags[i] and tags[j], for j > i
-    rows = [[index.similarity(tags[i], tags[j]) for j in range(i + 1, n)] for i in range(n)]
+    table = index.pair_table(tags)
     out = [0.0] if n else []  # one item has no pairs
     for k in range(2, n + 1):
         total = 0.0
         for i in range(k - 1):
-            for sim in rows[i][: k - 1 - i]:
+            for sim in table[i][i + 1 : k]:
                 total += sim
         out.append(1.0 - total / (k * (k - 1) / 2))
     return out
@@ -174,8 +193,10 @@ def rerank_hybrid(
     pick is the accuracy argmax. Candidate scores must already be
     normalized to [0, 1] (see normalize_scores). Ties resolve to the
     earlier input position, so lambda = 1 reproduces the input order.
+    Every similarity is read from the candidates' one pair table.
     """
     lam = params.lambda_param
+    table = index.pair_table([ht for ht, _ in candidates])
     remaining = list(range(len(candidates)))
     selected: list[int] = []
     max_sim_to_selected = [0.0] * len(candidates)
@@ -189,9 +210,9 @@ def rerank_hybrid(
                 best_pos = pos
         remaining.remove(best_pos)
         selected.append(best_pos)
-        chosen_ht = candidates[best_pos][0]
+        sims = table[best_pos]
         for pos in remaining:
-            sim = index.similarity(candidates[pos][0], chosen_ht)
+            sim = sims[pos]
             if sim > max_sim_to_selected[pos]:
                 max_sim_to_selected[pos] = sim
     return [candidates[pos] for pos in selected]

@@ -49,7 +49,7 @@ from dataclasses import dataclass, fields
 from itertools import filterfalse, islice
 from pathlib import Path
 
-from .corpus import Corpus, FollowNetwork, HashtagAssignment, _gc_paused
+from .corpus import Corpus, FollowNetwork, HashtagAssignment, _gc_paused, atomic_open
 
 SECONDS_PER_DAY = 86_400
 EPOCH = 1_500_000_000
@@ -310,7 +310,8 @@ def generate(params: GenParams) -> tuple[Corpus, GroundTruth]:
 
 
 def write_ground_truth(gt: GroundTruth, path: str | Path) -> None:
-    """TSV: `tweet_id \\t hashtag \\t source`, one row per seed assignment."""
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+    """TSV: `tweet_id \\t hashtag \\t source`, one row per seed assignment,
+    written atomically (see corpus.atomic_open)."""
+    with atomic_open(path) as fh:
         for r in gt.records:
             fh.write(f"{r.tweet_id}\t{r.hashtag}\t{r.source}\n")

@@ -9,6 +9,7 @@ classifier or the recommenders.
 from __future__ import annotations
 
 import json
+import math
 import random
 import unicodedata
 from collections import OrderedDict
@@ -188,6 +189,38 @@ def brute_force_deltas(corpus: Corpus, a) -> tuple[int | None, int | None]:
     ind = max(a.timestamp - last_own, 1) if last_own is not None else None
     soc = max(a.timestamp - last_social, 1) if last_social is not None else None
     return ind, soc
+
+
+def brute_force_cosine(index, ht_a: str, ht_b: str) -> float:
+    """Cosine of two co-occurrence vectors by a per-pair dict loop: exact
+    int dot product and squared norms, 0 when the dot product is 0."""
+    va, vb = index.vector(ht_a), index.vector(ht_b)
+    dot = sum(c * vb.get(ht, 0) for ht, c in va.items())
+    if dot == 0:
+        return 0.0
+    norm_a = math.sqrt(sum(c * c for c in va.values()))
+    norm_b = math.sqrt(sum(c * c for c in vb.values()))
+    return dot / (norm_a * norm_b)
+
+
+def reference_rerank_hybrid(candidates, lam: float, index):
+    """The greedy marginal-relevance reorder with brute_force_cosine for
+    every (remaining, chosen) pair; ties go to the earlier position."""
+    remaining = list(range(len(candidates)))
+    selected = []
+    max_sim = [0.0] * len(candidates)
+    while remaining:
+        best_pos, best_score = None, -math.inf
+        for pos in remaining:
+            score = lam * candidates[pos][1] + (1.0 - lam) * (1.0 - max_sim[pos])
+            if score > best_score:
+                best_pos, best_score = pos, score
+        remaining.remove(best_pos)
+        selected.append(best_pos)
+        for pos in remaining:
+            sim = brute_force_cosine(index, candidates[pos][0], candidates[best_pos][0])
+            max_sim[pos] = max(max_sim[pos], sim)
+    return [candidates[pos] for pos in selected]
 
 
 def reference_normalize_hashtag(raw: str) -> str:

@@ -274,6 +274,35 @@ class TestExitCodes:
         )
         assert code == 1
 
+    def test_non_integer_workers_in_config_is_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("workers=abc\n", encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, "stats", "--assignments", "tests/data/assignments.tsv",
+            "--network", "tests/data/network.tsv", "--config", str(cfg),
+        )
+        assert code == 1
+        assert out == ""
+        assert "workers" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["-0.1", "1.5", "nan"])
+    @pytest.mark.parametrize("subcommand", ["recommend", "evaluate"])
+    def test_hybrid_lambda_out_of_range_exit_1(self, capsys, tmp_path, subcommand, value):
+        # the input file does not exist: the value is rejected before any load
+        extra = {
+            "recommend": ["--algo", "bll_i", "--user", "u1", "--at", "600"],
+            "evaluate": ["--outdir", str(tmp_path / "out")],
+        }[subcommand]
+        code, out, err = run_cli(
+            capsys, subcommand, "--assignments", "no/such/file.tsv",
+            "--network", "tests/data/network.tsv", *extra,
+            "--rerank", "hybrid", f"--lambda={value}",
+        )
+        assert code == 1
+        assert out == ""
+        assert "lambda" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestConfigFile:
     def test_flags_override_config(self, capsys, tmp_path):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import json
+import os
 import random
 import sys
 import tempfile
@@ -358,6 +359,22 @@ class TestRoundTrip:
             a, n = tmp_path / f"a{i}.tsv", tmp_path / f"n{i}.tsv"
             write_corpus(corpus, a, n)
             assert load_corpus(a, n) == corpus
+
+    def test_failed_replace_keeps_previous_files(self, tmp_path, monkeypatch,
+                                                  stats_fixture_corpus):
+        a, n = tmp_path / "a.tsv", tmp_path / "n.tsv"
+        write_corpus(stats_fixture_corpus, a, n)
+        before = {p.name: p.read_bytes() for p in (a, n)}
+        other = corpus_from_tweets([("x", "t9", 5, ("zz",))], {"x": set()})
+
+        def failing_replace(src, dst):
+            raise OSError("replace failed")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        for fmt in ("tsv", "jsonl"):
+            with pytest.raises(OSError, match="replace failed"):
+                write_corpus(other, a, n, fmt=fmt)
+            assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 class TestInvariants:

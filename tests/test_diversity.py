@@ -19,7 +19,13 @@ from tagreuse.diversity import (
 )
 from tagreuse.synth import GenParams
 
-from conftest import bubble_fixture, corpus_from_tweets, merged_synth_corpus
+from conftest import (
+    brute_force_cosine,
+    bubble_fixture,
+    corpus_from_tweets,
+    merged_synth_corpus,
+    reference_rerank_hybrid,
+)
 
 
 @pytest.fixture
@@ -36,15 +42,74 @@ def cooc_corpus():
 
 
 def _direct_ild(tags, index):
-    """ILD of one list, every pair's similarity summed row-major."""
+    """ILD of one list, every pair's brute-force cosine summed row-major."""
     n = len(tags)
     if n < 2:
         return 0.0
     total = 0.0
     for i in range(n):
         for j in range(i + 1, n):
-            total += index.similarity(tags[i], tags[j])
+            total += brute_force_cosine(index, tags[i], tags[j])
     return 1.0 - total / (n * (n - 1) / 2)
+
+
+@pytest.fixture(scope="module")
+def synth_lists():
+    """A co-occurrence index over a synth corpus whose tweets carry three
+    tags, and random lists drawn from its tags with replacement (tags
+    repeat) mixed with tags that have no vector: lengths 0, 1 and 2, then
+    random lengths up to 30."""
+    params = GenParams(
+        n_seed_users=6, n_followees_per_seed=2, n_background_users=4,
+        vocab_size=30, n_tweets_per_user=21, rng_seed=77,
+    )
+    corpus = merged_synth_corpus(params, 3)
+    index = SimilarityIndex.from_corpus(corpus)
+    pool = sorted({a.hashtag for a in corpus.assignments}) + ["novec1", "novec2"]
+    rng = random.Random(12)
+    lengths = [0, 1, 2] + [rng.randrange(3, 31) for _ in range(40)] + [30]
+    return index, [[rng.choice(pool) for _ in range(n)] for n in lengths]
+
+
+class TestPairTable:
+    def test_matches_brute_force_bit_for_bit(self, synth_lists):
+        index, lists = synth_lists
+        seen = set()
+        for tags in lists:
+            table = index.pair_table(tags)
+            assert len(table) == len(tags)
+            for i, a in enumerate(tags):
+                assert table[i] == [brute_force_cosine(index, a, b) for b in tags]
+                seen.update(table[i])
+        assert any(0.0 < v < 1.0 for v in seen)
+
+    def test_similarity_reads_the_pair_table(self, synth_lists):
+        index, lists = synth_lists
+        tags = lists[-1]
+        for a in tags[:5]:
+            for b in tags:
+                assert index.similarity(a, b) == brute_force_cosine(index, a, b)
+
+    def test_large_counts_are_exact(self):
+        # dot products near 2**50: exact in float64, not in float32
+        index = SimilarityIndex({
+            "a": {"x": 2**25 + 1, "y": 3},
+            "b": {"x": 2**25 - 1, "y": 5, "z": 2**20 + 7},
+            "c": {"y": 11, "z": 1},
+        })
+        tags = ["a", "b", "c", "b"]
+        table = index.pair_table(tags)
+        for i, a in enumerate(tags):
+            assert table[i] == [brute_force_cosine(index, a, b) for b in tags]
+
+    def test_squared_norm_bound(self):
+        # 2 * (2**26)**2 == 2**53: the first squared norm a float64 product
+        # of counts could no longer hold exactly
+        SimilarityIndex({"a": {"b": 2**26}, "b": {"a": 2**26}})
+        with pytest.raises(ValueError, match="2\\*\\*53"):
+            SimilarityIndex({"a": {"b": 2**26, "c": 2**26}})
+        with pytest.raises(ValueError):
+            SimilarityIndex({"a": {"b": 2**40}})
 
 
 class TestPairwiseSimilarity:
@@ -119,21 +184,11 @@ class TestIntraListDiversity:
             rng.shuffle(shuffled)
             assert intra_list_diversity(shuffled, index) == pytest.approx(base)
 
-    def test_prefix_table_is_bit_identical_to_each_prefix(self):
-        # random lists from a synth corpus whose tweets carry three tags,
-        # drawn with replacement (tags repeat) and mixed with tags that
-        # have no vector; lengths 0, 1 and 2 are always included
-        params = GenParams(
-            n_seed_users=6, n_followees_per_seed=2, n_background_users=4,
-            vocab_size=30, n_tweets_per_user=21, rng_seed=77,
-        )
-        corpus = merged_synth_corpus(params, 3)
-        index = SimilarityIndex.from_corpus(corpus)
-        pool = sorted({a.hashtag for a in corpus.assignments}) + ["novec1", "novec2"]
-        rng = random.Random(12)
+    def test_prefix_table_is_bit_identical_to_each_prefix(self, synth_lists):
+        index, lists = synth_lists
         seen = set()
-        for n in [0, 1, 2] + [rng.randrange(3, 25) for _ in range(40)]:
-            items = [rng.choice(pool) for _ in range(n)]
+        for items in lists:
+            n = len(items)
             at_k = intra_list_diversity_at_k(items, index)
             assert len(at_k) == n
             for k in range(1, n + 1):
@@ -142,14 +197,19 @@ class TestIntraListDiversity:
             seen.update(at_k)
         assert any(0.0 < v < 1.0 for v in seen)
 
-    def test_prefix_table_computes_each_pair_once(self, cooc_corpus):
+    def test_one_pair_table_per_call(self, cooc_corpus):
         index = SimilarityIndex.from_corpus(cooc_corpus)
-        pairs = []
-        sim = index.similarity
-        index.similarity = lambda a, b: pairs.append((a, b)) or sim(a, b)
+        tables, pairs = [], []
+        build = index.pair_table
+        index.pair_table = lambda tags: tables.append(list(tags)) or build(tags)
+        index.similarity = lambda a, b: pairs.append((a, b))
         items = ["p", "q", "r", "c", "p", "neverseen"]
         intra_list_diversity_at_k(items, index)
-        assert pairs == [(items[i], items[j]) for i in range(6) for j in range(i + 1, 6)]
+        assert tables == [items]
+        candidates = [(ht, 1.0 - i / 10) for i, ht in enumerate(items)]
+        rerank_hybrid(candidates, HybridParams(0.5), index)
+        assert tables == [items, items]
+        assert pairs == []
 
     def test_accepts_scored_items(self, cooc_corpus):
         index = SimilarityIndex.from_corpus(cooc_corpus)
@@ -245,6 +305,16 @@ class TestRerankHybrid:
         relaxed = rerank_hybrid(candidates, HybridParams(0.3), index)
         strict = rerank_hybrid(candidates, HybridParams(1.0), index)
         assert serendipity(relaxed[:5], own, social) > serendipity(strict[:5], own, social)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.3, 0.5, 1.0])
+    def test_matches_reference_bit_for_bit(self, synth_lists, lam):
+        index, lists = synth_lists
+        rng = random.Random(31)
+        for tags in lists:
+            # coarse scores, so accuracy ties occur
+            candidates = normalize_scores([(ht, float(rng.randrange(5))) for ht in tags])
+            out = rerank_hybrid(candidates, HybridParams(lam), index)
+            assert out == reference_rerank_hybrid(candidates, lam, index)
 
     def test_invalid_lambda(self):
         with pytest.raises(ValueError):
