@@ -1,10 +1,14 @@
 """Beyond-accuracy metrics and a greedy accuracy/diversity re-ranker.
 
 Hashtag similarity is grounded in tweet-level co-occurrence: two hashtags
-are similar when they tend to appear in the same tweets. Every cosine
-comes from SimilarityIndex.pair_table, which scores all pairs of one list
-with a single float64 matrix product; the counts keep that product exact
-(see SimilarityIndex). On top of that:
+are similar when they tend to appear in the same tweets. SimilarityIndex
+keeps the counts in CSR form over interned tag ids. Every cosine comes
+from SimilarityIndex.pair_table, which gathers the listed tags' rows by
+array indexing and scores all pairs of one list with a single float64
+matrix product; the counts keep that product exact (see SimilarityIndex).
+A caller that scores one list several times builds its table once and
+passes it on: `evaluate` hands the candidates' table to the re-ranker and,
+permuted to the re-ranked order, to the ILD. On top of that:
 
   intra_list_diversity_at_k
                         1 - mean pairwise similarity of every prefix of a
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -41,11 +46,20 @@ class HybridParams:
 
 
 class SimilarityIndex:
-    """Sparse tweet co-occurrence vectors per hashtag.
+    """Sparse tweet co-occurrence vectors per hashtag, on interned tag ids.
 
     vector(a)[b] = number of tweets containing both a and b (a != b).
     Symmetric by construction; built from assignments strictly before
     `before` when given (the training portion).
+
+    The constructor interns every tag to an int id: first each tag with a
+    vector, in the order given, then each neighbour not seen yet. The
+    counts are kept in CSR form: row r holds the neighbour ids
+    `_indices[_indptr[r]:_indptr[r + 1]]` and their counts, as float64, in
+    the same slice of `_data`. Row r is the tag `_tags[r]`. A tag that is
+    only a neighbour has an empty row, and one more empty row, id
+    `len(_tags)`, stands for every unknown tag. `_norms` holds each row's
+    norm, 0.0 for an empty row. The dict of vectors is not kept.
 
     Cosines are read from pair tables (see pair_table), built by a float64
     matrix product of the counts. Every partial sum of a dot product there
@@ -55,8 +69,7 @@ class SimilarityIndex:
     """
 
     def __init__(self, vectors: dict[str, dict[str, int]]):
-        self._vectors = vectors
-        self._norms: dict[str, float] = {}
+        norms = []
         for ht, vec in vectors.items():
             squared = sum(c * c for c in vec.values())
             if squared >= 2**53:
@@ -64,7 +77,23 @@ class SimilarityIndex:
                     f"co-occurrence vector of {ht!r} has squared norm {squared} >= 2**53;"
                     " its cosines would not be exact"
                 )
-            self._norms[ht] = math.sqrt(squared)
+            norms.append(math.sqrt(squared))
+        self._tags = list(dict.fromkeys(chain(vectors, chain.from_iterable(vectors.values()))))
+        ids = {ht: i for i, ht in enumerate(self._tags)}
+        # the rows after the vectors' own (neighbour-only tags, then unknown) are empty
+        lengths = np.zeros(len(ids) + 2, dtype=np.intp)
+        lengths[1 : len(vectors) + 1] = list(map(len, vectors.values()))
+        self._indptr = np.cumsum(lengths)
+        nnz = int(self._indptr[-1])
+        self._indices = np.fromiter(
+            map(ids.__getitem__, chain.from_iterable(vectors.values())), np.intp, nnz
+        )
+        self._data = np.fromiter(
+            chain.from_iterable(map(dict.values, vectors.values())), np.float64, nnz
+        )
+        self._norms = np.zeros(len(ids) + 1)
+        self._norms[: len(norms)] = norms
+        self._ids = ids
 
     @classmethod
     def from_corpus(
@@ -93,22 +122,36 @@ class SimilarityIndex:
                     vb[a] = vb.get(a, 0) + 1
         return cls(vectors)
 
+    def _rows(self, tags: list[str]) -> np.ndarray:
+        get, unknown = self._ids.get, len(self._tags)
+        return np.fromiter((get(ht, unknown) for ht in tags), np.intp, len(tags))
+
     def vector(self, hashtag: str) -> dict[str, int]:
-        return self._vectors.get(hashtag, {})
+        """The counts of one tag, rebuilt from its CSR row ({} if none)."""
+        row = self._rows([hashtag])[0]
+        lo, hi = self._indptr[row], self._indptr[row + 1]
+        return {
+            self._tags[nb]: int(c)
+            for nb, c in zip(self._indices[lo:hi].tolist(), self._data[lo:hi].tolist())
+        }
 
     def pair_table(self, tags: list[str]) -> list[list[float]]:
         """table[i][j] is the cosine of the co-occurrence vectors of tags[i]
         and tags[j]; 0 where their dot product is 0, which covers tags with
-        no vector. The counts matrix has one column per distinct neighbour
-        of the listed tags, and lives only for this call."""
-        columns: dict[str, int] = {}
-        counts = [self.vector(ht) for ht in tags]
-        cells = [[columns.setdefault(nb, len(columns)) for nb in vec] for vec in counts]
-        m = np.zeros((len(tags), len(columns)))
-        for i, (vec, cols) in enumerate(zip(counts, cells)):
-            m[i, cols] = list(vec.values())
+        no vector. The rows' CSR slices are gathered into an n x U counts
+        matrix with one column per distinct neighbour id of the listed
+        tags; it lives only for this call."""
+        rows = self._rows(tags)
+        starts = self._indptr[rows]
+        lengths = self._indptr[rows + 1] - starts
+        ends = np.cumsum(lengths)
+        # entry t of the gather lies in row i with ends[i] - lengths[i] <= t < ends[i]
+        pos = np.arange(ends[-1] if len(tags) else 0) + np.repeat(starts - ends + lengths, lengths)
+        cols, inverse = np.unique(self._indices[pos], return_inverse=True)
+        m = np.zeros((len(tags), len(cols)))
+        m[np.repeat(np.arange(len(tags)), lengths), inverse] = self._data[pos]
         dot = m @ m.T  # exact: see the class docstring
-        nrm = np.array([self._norms.get(ht, 0.0) for ht in tags])
+        nrm = self._norms[rows]
         table = np.zeros_like(dot)
         np.divide(dot, nrm[:, None] * nrm[None, :], out=table, where=dot != 0.0)
         return table.tolist()
@@ -122,17 +165,20 @@ def _hashtags(items: Ranked | list[str]) -> list[str]:
     return [it[0] if isinstance(it, tuple) else it for it in items]
 
 
-def intra_list_diversity_at_k(items: Ranked | list[str], index: SimilarityIndex) -> list[float]:
+def intra_list_diversity_at_k(
+    items: Ranked | list[str], index: SimilarityIndex, *, table: list[list[float]] | None = None
+) -> list[float]:
     """Element k-1 is the intra-list diversity of items[:k], for every k.
 
-    The list's pair table is built once. Every prefix then adds up its own
-    pairs from the table in row-major order (i ascending, then j > i
-    ascending), with a plain loop, so each value is bit-identical to
-    scoring that prefix alone.
+    The list's pair table is built once, unless the caller passes it as
+    `table`. Every prefix then adds up its own pairs from the table in
+    row-major order (i ascending, then j > i ascending), with a plain
+    loop, so each value is bit-identical to scoring that prefix alone.
     """
     tags = _hashtags(items)
     n = len(tags)
-    table = index.pair_table(tags)
+    if table is None:
+        table = index.pair_table(tags)
     out = [0.0] if n else []  # one item has no pairs
     for k in range(2, n + 1):
         total = 0.0
@@ -184,6 +230,8 @@ def rerank_hybrid(
     candidates: Ranked,
     params: HybridParams,
     index: SimilarityIndex,
+    *,
+    table: list[list[float]] | None = None,
 ) -> Ranked:
     """Greedy marginal-relevance reorder of the candidate list.
 
@@ -193,10 +241,12 @@ def rerank_hybrid(
     pick is the accuracy argmax. Candidate scores must already be
     normalized to [0, 1] (see normalize_scores). Ties resolve to the
     earlier input position, so lambda = 1 reproduces the input order.
-    Every similarity is read from the candidates' one pair table.
+    Every similarity is read from the candidates' one pair table, built
+    here unless the caller passes it as `table`.
     """
     lam = params.lambda_param
-    table = index.pair_table([ht for ht, _ in candidates])
+    if table is None:
+        table = index.pair_table([ht for ht, _ in candidates])
     remaining = list(range(len(candidates)))
     selected: list[int] = []
     max_sim_to_selected = [0.0] * len(candidates)

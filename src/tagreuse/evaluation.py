@@ -163,9 +163,11 @@ def evaluate(
     in ascending (ref_time, user_id) order, so the index's time cursor
     only moves forward; each user's per-k contributions are kept and then
     summed in sorted user-id order, so results are reproducible to the
-    bit. With re-ranking, the ILD at every k comes from one table of each
-    list's pair similarities (intra_list_diversity_at_k); for k past the
-    end of a short list it is the whole list's value.
+    bit. With re-ranking, each list's pair similarities are built once,
+    as the candidates' pair table: the re-ranker reads it, and the ILD at
+    every k (intra_list_diversity_at_k) reads it permuted to the re-ranked
+    order; for k past the end of a short list the ILD is the whole list's
+    value.
     """
     split = make_split(corpus)
     if not split.users:
@@ -194,7 +196,9 @@ def evaluate(
                 bll=config.bll, mix=config.mix, cf=config.cf,
             )
             if with_beyond:
-                rec = rerank_hybrid(normalize_scores(rec), hybrid, sim_index)
+                candidates = normalize_scores(rec)
+                table = sim_index.pair_table([ht for ht, _ in candidates])
+                rec = rerank_hybrid(candidates, hybrid, sim_index, table=table)
             hits_at_k = []
             hits = 0
             for k in ks:
@@ -203,7 +207,13 @@ def evaluate(
                 hits_at_k.append(hits)
             ild, ser = [], []
             if with_beyond:
-                ild = intra_list_diversity_at_k(rec, sim_index)
+                # the candidates' table in re-ranked order: an entry depends
+                # only on its two tags, so this equals a fresh table of rec
+                at = {ht: pos for pos, (ht, _) in enumerate(candidates)}
+                order = [at[ht] for ht, _ in rec]
+                ild = intra_list_diversity_at_k(
+                    rec, sim_index, table=[[table[i][j] for j in order] for i in order]
+                )
                 # past the end of a short list, rec[:k] is the whole list
                 ild += [ild[-1] if ild else 0.0] * (k_max - len(ild))
                 ser = [serendipity(rec[:k], own, social) for k in ks]

@@ -49,8 +49,8 @@ class BLLParams:
     min_delta_seconds: int = 1
 
     def __post_init__(self):
-        if not self.d > 0:
-            raise ValueError(f"decay exponent d must be > 0, got {self.d}")
+        if not (math.isfinite(self.d) and self.d > 0):
+            raise ValueError(f"decay exponent d must be a finite number > 0, got {self.d}")
         if self.min_delta_seconds < 1:
             raise ValueError(f"min_delta_seconds must be >= 1, got {self.min_delta_seconds}")
 

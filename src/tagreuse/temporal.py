@@ -94,8 +94,10 @@ def build_histogram(
     last bin, so counts always sum to len(samples)."""
     if n_bins < 2:
         raise InvalidRange(f"need at least 2 bins, got {n_bins}")
-    if not (0 < min_hours < max_hours):
-        raise InvalidRange(f"need 0 < min_hours < max_hours, got [{min_hours}, {max_hours}]")
+    if not (0 < min_hours < max_hours < float("inf")):
+        raise InvalidRange(
+            f"need finite 0 < min_hours < max_hours, got [{min_hours}, {max_hours}]"
+        )
     kinds = {s.kind for s in samples}
     if len(kinds) > 1:
         raise ValueError(f"mixed sample kinds: {sorted(kinds)}")

@@ -191,6 +191,27 @@ def brute_force_deltas(corpus: Corpus, a) -> tuple[int | None, int | None]:
     return ind, soc
 
 
+def reference_cooccurrence_vectors(corpus: Corpus, before=None, exclude_tweets=None):
+    """Co-occurrence counts by a dict-of-dicts loop: a tweet's distinct
+    tags, from assignments strictly before `before` and outside
+    `exclude_tweets`, each count every other tag of that tweet once."""
+    by_tweet: dict[str, set[str]] = {}
+    for a in corpus.assignments:
+        if before is not None and a.timestamp >= before:
+            continue
+        if exclude_tweets is not None and a.tweet_id in exclude_tweets:
+            continue
+        by_tweet.setdefault(a.tweet_id, set()).add(a.hashtag)
+    vectors: dict[str, dict[str, int]] = {}
+    for tags in by_tweet.values():
+        for a in tags:
+            for b in tags:
+                if a != b:
+                    va = vectors.setdefault(a, {})
+                    va[b] = va.get(b, 0) + 1
+    return vectors
+
+
 def brute_force_cosine(index, ht_a: str, ht_b: str) -> float:
     """Cosine of two co-occurrence vectors by a per-pair dict loop: exact
     int dot product and squared norms, 0 when the dot product is 0."""

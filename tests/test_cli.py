@@ -303,6 +303,35 @@ class TestExitCodes:
         assert "lambda" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("subcommand", ["recommend", "evaluate"])
+    def test_non_finite_decay_exponent_exit_1(self, capsys, tmp_path, subcommand, value):
+        extra = {
+            "recommend": ["--algo", "bll_i", "--user", "u1", "--at", "600"],
+            "evaluate": ["--outdir", str(tmp_path / "out")],
+        }[subcommand]
+        code, out, err = run_cli(
+            capsys, subcommand, "--assignments", "tests/data/assignments.tsv",
+            "--network", "tests/data/network.tsv", *extra, f"--d={value}",
+        )
+        assert code == 1
+        assert out == ""
+        assert "decay exponent" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("option", ["--max-hours", "--min-hours"])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_recency_bounds_exit_1(self, capsys, tmp_path, option, value):
+        code, out, err = run_cli(
+            capsys, "recency", "--assignments", "tests/data/assignments.tsv",
+            "--network", "tests/data/network.tsv", option, value,
+            "--outdir", str(tmp_path / "out"),
+        )
+        assert code == 1
+        assert out == ""
+        assert "finite" in err and "Traceback" not in err
+        assert not list(tmp_path.glob("out/*"))
+
 
 class TestConfigFile:
     def test_flags_override_config(self, capsys, tmp_path):

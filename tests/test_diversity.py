@@ -24,6 +24,8 @@ from conftest import (
     bubble_fixture,
     corpus_from_tweets,
     merged_synth_corpus,
+    random_corpus,
+    reference_cooccurrence_vectors,
     reference_rerank_hybrid,
 )
 
@@ -69,6 +71,84 @@ def synth_lists():
     rng = random.Random(12)
     lengths = [0, 1, 2] + [rng.randrange(3, 31) for _ in range(40)] + [30]
     return index, [[rng.choice(pool) for _ in range(n)] for n in lengths]
+
+
+def _random_vectors(rng, n_tags, symmetric):
+    """Random co-occurrence counts over n_tags tags; some tags have no
+    vector, and unless `symmetric` a count need not have its mirror."""
+    tags = [f"t{i}" for i in range(n_tags)]
+    vectors: dict[str, dict[str, int]] = {}
+    for a in rng.sample(tags, rng.randint(0, n_tags)):
+        vec = vectors.setdefault(a, {})
+        for b in rng.sample(tags, rng.randint(0, n_tags - 1)):
+            if b != a and b not in vec:
+                vec[b] = rng.choice([1, 2, 3, rng.randint(1, 2**20)])
+                if symmetric:
+                    vectors.setdefault(b, {})[a] = vec[b]
+    return vectors
+
+
+class TestIndexLayout:
+    def test_vector_round_trips(self):
+        rng = random.Random(5)
+        for trial in range(60):
+            vectors = _random_vectors(rng, rng.randint(1, 15), symmetric=trial % 2 == 0)
+            index = SimilarityIndex(vectors)
+            for ht, vec in vectors.items():
+                assert index.vector(ht) == vec
+                assert all(type(c) is int for c in index.vector(ht).values())
+            neighbours = {nb for vec in vectors.values() for nb in vec}
+            for ht in neighbours - vectors.keys():
+                assert index.vector(ht) == {}
+            assert index.vector("unknown") == {}
+
+    def test_no_vectors_kept(self):
+        vectors = {"a": {"b": 2, "c": 1}, "b": {"a": 2}, "c": {"a": 1}}
+        index = SimilarityIndex(vectors)
+        for value in vars(index).values():
+            if isinstance(value, dict):
+                assert not any(isinstance(v, dict) for v in value.values())
+        vectors["a"]["b"] = 7
+        vectors["d"] = {"a": 1}
+        assert index.vector("a") == {"b": 2, "c": 1}
+        assert index.vector("d") == {}
+
+    def test_rows_in_id_order(self):
+        # own tags first in the order given, then neighbour-only tags
+        index = SimilarityIndex({"b": {"x": 1, "a": 2}, "a": {"b": 2, "y": 3}})
+        assert index._tags == ["b", "a", "x", "y"]
+        assert index._indptr.tolist() == [0, 2, 4, 4, 4, 4]
+        assert index._norms.tolist() == [math.sqrt(5), math.sqrt(13), 0.0, 0.0, 0.0]
+
+    def test_asymmetric_pair_table_matches_brute_force(self):
+        rng = random.Random(6)
+        for trial in range(40):
+            vectors = _random_vectors(rng, rng.randint(1, 12), symmetric=trial % 2 == 0)
+            index = SimilarityIndex(vectors)
+            pool = [f"t{i}" for i in range(12)] + ["unknown"]
+            tags = [rng.choice(pool) for _ in range(rng.randint(0, 14))]
+            table = index.pair_table(tags)
+            for i, a in enumerate(tags):
+                assert table[i] == [brute_force_cosine(index, a, b) for b in tags]
+
+    @pytest.mark.parametrize("cut", [None, "before", "exclude", "both"])
+    def test_from_corpus_matches_reference_counts(self, cut):
+        rng = random.Random(8)
+        n_counts = 0
+        for _ in range(25):
+            corpus = random_corpus(rng, max_assignments=300, tag_pool_size=rng.randint(2, 15))
+            tweet_ids = sorted({a.tweet_id for a in corpus.assignments})
+            before = rng.randint(1, 500) if cut in ("before", "both") else None
+            exclude = (
+                frozenset(rng.sample(tweet_ids, len(tweet_ids) // 3))
+                if cut in ("exclude", "both") else None
+            )
+            expected = reference_cooccurrence_vectors(corpus, before, exclude)
+            index = SimilarityIndex.from_corpus(corpus, before=before, exclude_tweets=exclude)
+            for ht in {a.hashtag for a in corpus.assignments} | {"unknown"}:
+                assert index.vector(ht) == expected.get(ht, {})
+            n_counts += sum(map(len, expected.values()))
+        assert n_counts > 100
 
 
 class TestPairTable:

@@ -303,3 +303,24 @@ class TestPassOrder:
         report = evaluate(corpus, ["bll_s", "mp"], config).to_json_dict()
         assert [row["ild"] for row in report["algorithms"]["bll_s"]] == [0.0] * 4
         assert report == _per_user_report(corpus, ["bll_s", "mp"], config)
+
+    @pytest.mark.parametrize("corpus_of, algorithms", [
+        (_paired_synth_corpus, list(ALGORITHM_NAMES)),
+        (lambda: _single_user_corpus(), ["bll_s", "mp"]),  # bll_s gives an empty list
+    ])
+    def test_one_pair_table_per_list(self, monkeypatch, corpus_of, algorithms):
+        corpus = corpus_of()
+        config = EvalConfig(k_max=6, rerank_lambda=0.5)
+        tables = []
+        build = SimilarityIndex.pair_table
+        monkeypatch.setattr(SimilarityIndex, "pair_table",
+                            lambda self, tags: tables.append(list(tags)) or build(self, tags))
+        monkeypatch.setattr(SimilarityIndex, "similarity",
+                            lambda *_: pytest.fail("similarity called"))
+        evaluate(corpus, algorithms, config)
+        expected = []
+        for us in sorted(make_split(corpus).users, key=lambda u: (u.ref_time, u.user_id)):
+            for algo in algorithms:
+                rec = recommend(algo, CorpusIndex(corpus), us.user_id, us.ref_time, 6)
+                expected.append([ht for ht, _ in rec])
+        assert tables == expected

@@ -177,6 +177,12 @@ class TestBllActivation:
         with pytest.raises(ValueError):
             BLLParams(min_delta_seconds=0)
 
+    @pytest.mark.parametrize("d", [math.inf, -math.inf, math.nan])
+    def test_non_finite_decay_exponent_rejected(self, d):
+        # d = inf would make every activation nan, and nan scores get ranked
+        with pytest.raises(ValueError, match="finite"):
+            BLLParams(d=d)
+
 
 @pytest.fixture
 def history_corpus():

@@ -139,6 +139,14 @@ class TestBuildHistogram:
         with pytest.raises(InvalidRange):
             build_histogram([], n_bins=3, min_hours=0.0, max_hours=1.0)
 
+    @pytest.mark.parametrize("bounds", [(1.0, math.inf), (math.inf, math.inf),
+                                        (math.nan, 10.0), (1.0, math.nan)])
+    def test_non_finite_bounds_rejected(self, bounds):
+        min_hours, max_hours = bounds
+        with pytest.raises(InvalidRange, match="finite"):
+            build_histogram([RecencySample("social", 3600)], n_bins=3,
+                            min_hours=min_hours, max_hours=max_hours)
+
     def test_permutation_invariance(self):
         rng = random.Random(3)
         samples = [
