@@ -13,9 +13,9 @@ non-prior):
 The fraction explained by individual or social reuse (the sum of the
 first three) is the headline reuse statistic.
 
-`classify_all` is a single chronological sweep over the corpus with an
-incremental per-hashtag last-use index; it also extracts the recency
-deltas that the temporal module bins.
+`classify_all` is a single chronological sweep over the corpus columns
+with an incremental per-hashtag last-use index; it also extracts the
+recency deltas that the temporal module bins.
 """
 
 from __future__ import annotations
@@ -110,79 +110,86 @@ class ReuseBreakdown:
         }
 
 
-def sweep(corpus: Corpus) -> Iterator[LabeledAssignment]:
-    """Chronological single-pass classification of all seed-user assignments.
+# One classified seed-user assignment: (user_id, tweet_id, hashtag,
+# timestamp, label, individual_delta, social_delta), the first four in
+# HashtagAssignment's field order and the rest as in LabeledAssignment.
+SweptAssignment = tuple[str, str, str, int, ReuseLabel, int | None, int | None]
 
-    Maintains one dict per hashtag mapping user -> last usage timestamp.
-    Events sharing a timestamp are labeled before any of them enters the
-    index, so ties are never counted as prior. Per-assignment cost is
-    O(min(followees, users of the hashtag)).
+
+def sweep(corpus: Corpus) -> Iterator[SweptAssignment]:
+    """Chronological single-pass classification of all seed-user
+    assignments, yielded in corpus order.
+
+    Reads the corpus columns as Python ints (users and hashtags by id)
+    and keeps one dict per hashtag mapping user -> last usage
+    timestamp. Events sharing a timestamp are labeled before any of them
+    enters the index, so ties are never counted as prior. Per-assignment
+    cost is O(min(followees, users of the hashtag)).
     """
-    seeds = corpus.seed_users
-    followee_lists: dict[str, tuple[str, ...]] = {
-        u: tuple(corpus.network.edges[u]) for u in seeds
+    users, tags, tweets = corpus.users, corpus.tags, corpus.tweets
+    user_id = dict(zip(users, range(len(users))))
+    is_seed = [u in corpus.seed_users for u in users]
+    # Followees that never tweet a hashtag cannot be in any last-use dict.
+    followee_lists: dict[int, tuple[int, ...]] = {
+        user_id[u]: tuple(user_id[f] for f in corpus.network.edges[u] if f in user_id)
+        for u in corpus.seed_users if u in user_id
     }
-    last_use: dict[str, dict[str, int]] = {}
+    last_use: list[dict[int, int]] = [{} for _ in tags]
+    # Memoryviews index as Python ints (never numpy scalars) without a copy.
+    ts_col, user_col, tag_col = map(memoryview, (corpus.ts, corpus.user, corpus.tag))
 
-    def label_one(a: HashtagAssignment, users: dict[str, int]) -> LabeledAssignment:
-        ts = a.timestamp
-        if not users:
-            return LabeledAssignment(a, ReuseLabel.EXTERNAL, None, None)
-        own_ts = users.get(a.user_id)
-        followees = followee_lists[a.user_id]
+    def label_one(i: int, users_of: dict[int, int]) -> SweptAssignment:
+        ts, u = ts_col[i], user_col[i]
+        if not users_of:
+            return users[u], tweets[i], tags[tag_col[i]], ts, ReuseLabel.EXTERNAL, None, None
+        own_ts = users_of.get(u)
+        followees = followee_lists[u]
         social_ts: int | None = None
         n_social_users = 0
-        if len(followees) <= len(users):
+        if len(followees) <= len(users_of):
             for f in followees:
-                ts_f = users.get(f)
+                ts_f = users_of.get(f)
                 if ts_f is not None:
                     n_social_users += 1
                     if social_ts is None or ts_f > social_ts:
                         social_ts = ts_f
         else:
             fset = set(followees)
-            for v, ts_v in users.items():
+            for v, ts_v in users_of.items():
                 if v in fset:
                     n_social_users += 1
                     if social_ts is None or ts_v > social_ts:
                         social_ts = ts_v
-        n_other = len(users) - n_social_users - (1 if own_ts is not None else 0)
+        n_other = len(users_of) - n_social_users - (1 if own_ts is not None else 0)
         label = _label_from_bits(own_ts is not None, social_ts is not None, n_other > 0)
-        return LabeledAssignment(
-            a,
+        return (
+            users[u], tweets[i], tags[tag_col[i]], ts,
             label,
             max(ts - own_ts, 1) if own_ts is not None else None,
             max(ts - social_ts, 1) if social_ts is not None else None,
         )
 
-    assignments = corpus.assignments
-    n = len(assignments)
-    get_users = last_use.get
+    n = len(ts_col)
     i = 0
     while i < n:
-        a = assignments[i]
-        ts = a.timestamp
-        if i + 1 == n or assignments[i + 1].timestamp != ts:
+        ts = ts_col[i]
+        if i + 1 == n or ts_col[i + 1] != ts:
             # unique timestamp: label and update in one touch
-            users = get_users(a.hashtag)
-            if a.user_id in seeds:
-                yield label_one(a, users if users is not None else {})
-            if users is None:
-                last_use[a.hashtag] = {a.user_id: ts}
-            else:
-                users[a.user_id] = ts
+            u = user_col[i]
+            users_of = last_use[tag_col[i]]
+            if is_seed[u]:
+                yield label_one(i, users_of)
+            users_of[u] = ts
             i += 1
             continue
         j = i + 1
-        while j < n and assignments[j].timestamp == ts:
+        while j < n and ts_col[j] == ts:
             j += 1
         for idx in range(i, j):
-            a = assignments[idx]
-            if a.user_id in seeds:
-                yield label_one(a, get_users(a.hashtag) or {})
+            if is_seed[user_col[idx]]:
+                yield label_one(idx, last_use[tag_col[idx]])
         for idx in range(i, j):
-            a = assignments[idx]
-            last_use.setdefault(a.hashtag, {})[a.user_id] = ts
+            last_use[tag_col[idx]][user_col[idx]] = ts
         i = j
 
 
@@ -191,10 +198,13 @@ def classify_all(corpus: Corpus) -> tuple[list[LabeledAssignment], ReuseBreakdow
     plus the aggregate breakdown.
 
     Bulk path: cyclic garbage collection is paused for the duration of the
-    sweep (and restored afterwards). The sweep allocates one flat record
+    sweep (and restored afterwards). The sweep allocates a few flat records
     per seed assignment and no cycles, while full collections over a
     multimillion-object corpus would otherwise dominate large runs.
     """
     with _gc_paused():
-        labeled = list(sweep(corpus))
+        labeled = [
+            LabeledAssignment(HashtagAssignment(u, tw, ht, ts), label, d_ind, d_soc)
+            for u, tw, ht, ts, label, d_ind, d_soc in sweep(corpus)
+        ]
     return labeled, ReuseBreakdown.from_labels(la.label for la in labeled)

@@ -4,9 +4,9 @@ Subcommands: stats, classify, recency, recommend, evaluate, generate.
 Every option can also come from a key=value config file (--config);
 explicit flags win. Each output embeds the tool version, the effective
 configuration and its hash, so results are self-describing; output
-locations and the worker count are deliberately not part of that echo,
-keeping output bytes independent of where they are written and of any
-internal parallelism. Files are written atomically (temp file + rename).
+locations are deliberately not part of that echo, keeping output bytes
+independent of where they are written. Files are written atomically
+(temp file + rename).
 
 Exit codes: 0 success, 1 usage error, 2 data error.
 """
@@ -30,15 +30,13 @@ from .index import CorpusIndex
 from .recommend import ALGORITHM_NAMES, BLLParams, CFParams, MixParams, NoPriorUsage, recommend
 from .synth import GenParams, InvalidParams, generate, write_ground_truth
 
-log = logging.getLogger("tagreuse")
-
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 
-# Option values that name output destinations or execution details; they do
+# Option values that name output destinations or the config file; they do
 # not affect result bytes and are excluded from the echoed config.
-NON_RESULT_KEYS = frozenset({"out", "outdir", "per_assignment", "config", "workers"})
+NON_RESULT_KEYS = frozenset({"out", "outdir", "per_assignment", "config"})
 
 
 class UsageError(Exception):
@@ -134,8 +132,6 @@ def _build_parser() -> _Parser:
         sp = sub.add_parser(name)
         sp.add_argument("--config", dest="config", default=None,
                         help="key=value config file; flags override it")
-        sp.add_argument("--workers", dest="workers", type=int, default=None,
-                        help="worker count hint; never changes output bytes")
         for opt in opts:
             flag = "--lambda" if opt.name == "lambda_param" else "--" + opt.name.replace("_", "-")
             kwargs: dict[str, Any] = {"dest": opt.name, "default": None, "help": opt.help}
@@ -169,7 +165,7 @@ def _effective_config(subcommand: str, args: argparse.Namespace) -> dict[str, An
     file_values: dict[str, str] = {}
     if args.config:
         file_values = _read_config_file(args.config)
-        unknown = set(file_values) - set(by_name) - {"workers"}
+        unknown = set(file_values) - set(by_name)
         if unknown:
             raise UsageError(f"unknown config key(s) for {subcommand}: {sorted(unknown)}")
     effective: dict[str, Any] = {}
@@ -188,16 +184,6 @@ def _effective_config(subcommand: str, args: argparse.Namespace) -> dict[str, An
         if value is None and opt.required:
             raise UsageError(f"missing required option --{opt.name.replace('_', '-')}")
         effective[opt.name] = value
-    workers = getattr(args, "workers", None)
-    if workers is None and "workers" in file_values:
-        try:
-            workers = int(file_values["workers"])
-        except ValueError as exc:
-            raise UsageError(f"config key workers: {exc}") from exc
-    if workers is not None:
-        if workers < 1:
-            raise UsageError(f"--workers must be >= 1, got {workers}")
-        log.info("workers=%d requested; execution is sequential and output-identical", workers)
     return effective
 
 

@@ -1,14 +1,25 @@
 """Dataset model: hashtag assignments, the follow network, and corpus statistics.
 
-A corpus is an immutable, time-sorted list of hashtag assignments (one
-(user, tweet, hashtag, timestamp) event per row) plus a static follow
-network mapping each seed user to the set of accounts they follow.
-Everything downstream (reuse classification, recency analysis,
-recommenders) reads this structure and never mutates it.
+A corpus holds its hashtag assignments (one (user, tweet, hashtag,
+timestamp) event each) as four parallel columns in strict
+(timestamp, tweet, hashtag) order: `ts` (int64 Unix seconds), `user` and
+`tag` (int32 ids into the `users` and `tags` tables) and `tweets` (tweet
+id strings). The tables list each distinct user id and hashtag in order
+of first appearance in the columns, so corpora with the same rows have
+the same tables. `tweet_index` maps every tweet, including tweets without
+hashtags, to its (user, timestamp), and a static follow network maps each
+seed user to the set of accounts they follow. `Corpus.assignments` is a
+list of `HashtagAssignment` objects over the same rows, built on first
+read and cached. Everything downstream reads this structure and never
+mutates it.
 
-`load_corpus` reads a file in one pass: the TSV and JSONL readers split
-lines into fields and share one validation step, and the assembly into a
-`Corpus` is shared with `Corpus.from_tweets`, so both give the same corpus.
+`load_corpus` reads a TSV file in chunks and checks each chunk with bulk
+string and list operations. A file that fails any check (a malformed,
+duplicate or out-of-order line) is read again by the line reader, which
+raises, counts and sorts exactly as a line-at-a-time parser does; JSONL
+files always take the line reader. Its rows and those of
+`Corpus.from_tweets` go through one assembly step into columns, so every
+route gives the same corpus.
 """
 
 from __future__ import annotations
@@ -16,13 +27,17 @@ from __future__ import annotations
 import gc
 import json
 import logging
+import operator
 import os
 import unicodedata
 import uuid
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import islice, repeat
 from pathlib import Path
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
+
+import numpy as np
 
 log = logging.getLogger(__name__)
 
@@ -30,6 +45,12 @@ log = logging.getLogger(__name__)
 TweetRecord = tuple[str, str, int, tuple[str, ...]]
 # One assignment before assembly: (timestamp, tweet_id, hashtag, user_id).
 _Row = tuple[int, str, str, str]
+
+MAX_TIMESTAMP = 2**63 - 1  # largest value of the int64 `ts` column
+# Characters per `readlines` call of the bulk TSV reader: enough lines to
+# amortize the per-chunk work, few enough that the chunk's split fields
+# stay small next to the corpus itself.
+_CHUNK_CHARS = 1 << 18
 
 
 @contextmanager
@@ -144,15 +165,110 @@ class FollowNetwork:
         return frozenset(out)
 
 
-@dataclass(frozen=True)
-class Corpus:
-    """Immutable, validated dataset. Safe for shared read-only access."""
+def _intern(values: Sequence[str]) -> tuple[list[str], np.ndarray]:
+    """(table, ids): the distinct values in order of first appearance, and
+    each value's int32 index into that table."""
+    table = list(dict.fromkeys(values))
+    id_of = dict(zip(table, range(len(table))))
+    return table, np.fromiter(map(id_of.__getitem__, values), np.int32, len(values))
 
-    assignments: list[HashtagAssignment]
-    network: FollowNetwork
-    seed_users: frozenset[str]
-    tweet_index: dict[str, tuple[str, int]]  # tweet_id -> (user_id, timestamp)
-    n_malformed_lines: int = field(default=0, compare=False)
+
+class Corpus:
+    """Immutable, validated dataset. Safe for shared read-only access.
+
+    The assignments are the parallel columns `ts`, `user`, `tag` and
+    `tweets` (see the module docstring); `users[user[i]]` and
+    `tags[tag[i]]` are the user id and hashtag of row i. Two corpora are
+    equal when their rows, network, seed users and tweet index are.
+    """
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(
+        self,
+        assignments: Iterable[HashtagAssignment],
+        network: FollowNetwork,
+        seed_users: frozenset[str],
+        tweet_index: dict[str, tuple[str, int]],  # tweet_id -> (user_id, timestamp)
+        n_malformed_lines: int = 0,
+    ):
+        """The corpus of `assignments` in the given order, which `validate`
+        checks."""
+        assignments = list(assignments)
+        self._set(
+            [a.timestamp for a in assignments], [a.tweet_id for a in assignments],
+            [a.user_id for a in assignments], [a.hashtag for a in assignments],
+            network, seed_users, tweet_index, n_malformed_lines,
+        )
+        self._assignments = assignments
+
+    @classmethod
+    def from_columns(
+        cls,
+        ts: Sequence[int],
+        tweets: Sequence[str],
+        users: Sequence[str],
+        tags: Sequence[str],
+        network: FollowNetwork,
+        tweet_index: dict[str, tuple[str, int]],
+        n_malformed_lines: int = 0,
+    ) -> "Corpus":
+        """The corpus of parallel, time-sorted columns of timestamps, tweet
+        ids, user ids and normalized hashtags; the seed users are the
+        network's."""
+        corpus = cls.__new__(cls)
+        corpus._set(ts, tweets, users, tags, network, frozenset(network.edges), tweet_index,
+                    n_malformed_lines)
+        return corpus
+
+    def _set(self, ts, tweets, users, tags, network, seed_users, tweet_index,
+             n_malformed_lines) -> None:
+        if not len(ts) == len(tweets) == len(users) == len(tags):
+            raise ValueError("corpus columns differ in length")
+        self.ts = np.array(ts, dtype=np.int64)
+        self.users, self.user = _intern(users)
+        self.tags, self.tag = _intern(tags)
+        self.tweets = list(tweets)
+        self.network = network
+        self.seed_users = seed_users
+        self.tweet_index = tweet_index
+        self.n_malformed_lines = n_malformed_lines
+        self._assignments: list[HashtagAssignment] | None = None
+
+    @property
+    def assignments(self) -> list[HashtagAssignment]:
+        """The rows as objects, in column order; built on first read."""
+        if self._assignments is None:
+            # A row's timestamp is its tweet's (see validate): reading it from
+            # the tweet index shares that int object instead of making a new one.
+            self._assignments = list(map(
+                HashtagAssignment,
+                map(self.users.__getitem__, memoryview(self.user)),
+                self.tweets,
+                map(self.tags.__getitem__, memoryview(self.tag)),
+                map(operator.itemgetter(1), map(self.tweet_index.__getitem__, self.tweets)),
+            ))
+        return self._assignments
+
+    def __eq__(self, other: object) -> bool:
+        # The tables follow first appearance, so equal rows mean equal ids.
+        if not isinstance(other, Corpus):
+            return NotImplemented
+        return (
+            self.tweets == other.tweets
+            and self.users == other.users
+            and self.tags == other.tags
+            and np.array_equal(self.ts, other.ts)
+            and np.array_equal(self.user, other.user)
+            and np.array_equal(self.tag, other.tag)
+            and self.network == other.network
+            and self.seed_users == other.seed_users
+            and self.tweet_index == other.tweet_index
+        )
+
+    def __repr__(self) -> str:
+        return (f"Corpus({len(self.tweets)} assignments, {len(self.tweet_index)} tweets, "
+                f"{len(self.seed_users)} seed users)")
 
     @classmethod
     def from_tweets(
@@ -194,12 +310,16 @@ class Corpus:
         return frozenset(users)
 
     def validate(self) -> None:
-        """Check corpus invariants; raises CorpusError on violation."""
+        """Check corpus invariants on the columns; raises CorpusError on
+        violation."""
         for seed in self.seed_users:
             if seed not in self.network.edges:
                 raise InconsistentNetwork(f"seed {seed!r} missing from network")
         prev_key: tuple[int, str, str] | None = None
-        for a in self.assignments:
+        users, tags = self.users, self.tags
+        for u, tweet_id, t, ts in zip(memoryview(self.user), self.tweets, memoryview(self.tag),
+                                      memoryview(self.ts)):
+            a = HashtagAssignment(users[u], tweet_id, tags[t], ts)
             if a.timestamp <= 0:
                 raise CorpusError(f"non-positive timestamp on {a}")
             if normalize_hashtag(a.hashtag) != a.hashtag:
@@ -223,13 +343,8 @@ def _assemble(
     """The corpus of validated rows. A dict collapses duplicates and keeps
     input order, so the sort is linear on a sorted file; a tweet has one
     (user, timestamp), so rows sort like `HashtagAssignment.sort_key`."""
-    return Corpus(
-        assignments=[HashtagAssignment(u, tw, ht, ts) for ts, tw, ht, u in sorted(rows)],
-        network=network,
-        seed_users=frozenset(network.edges),
-        tweet_index=tweet_index,
-        n_malformed_lines=n_malformed_lines,
-    )
+    ts, tweets, tags, users = zip(*sorted(rows)) if rows else ((),) * 4
+    return Corpus.from_columns(ts, tweets, users, tags, network, tweet_index, n_malformed_lines)
 
 
 @dataclass(frozen=True)
@@ -258,8 +373,8 @@ def compute_stats(corpus: Corpus) -> CorpusStats:
         n_seed_users=len(corpus.seed_users),
         n_users=len(corpus.all_users()),
         n_tweets=len(corpus.tweet_index),
-        n_distinct_hashtags=len({a.hashtag for a in corpus.assignments}),
-        n_assignments=len(corpus.assignments),
+        n_distinct_hashtags=len(corpus.tags),
+        n_assignments=len(corpus.tweets),
     )
 
 
@@ -277,6 +392,8 @@ def _tsv_fields(line: str) -> tuple | None:
     ts = int(ts_raw)
     if ts <= 0:
         raise ValueError(f"non-positive timestamp {ts}")
+    if ts > MAX_TIMESTAMP:
+        raise ValueError(f"timestamp {ts} exceeds {MAX_TIMESTAMP}")
     return user_id, tweet_id, ts, (ht_raw,)
 
 
@@ -297,13 +414,80 @@ def _jsonl_fields(line: str) -> tuple | None:
         raise ValueError("bad 'user' field")
     if not isinstance(tweet_id, str) or not tweet_id:
         raise ValueError("bad 'tweet' field")
-    if not isinstance(ts, int) or isinstance(ts, bool) or ts <= 0:
+    if not isinstance(ts, int) or isinstance(ts, bool) or not 0 < ts <= MAX_TIMESTAMP:
         raise ValueError(f"bad 'ts' field: {ts!r}")
     if not isinstance(raw_tags, list):
         raise ValueError("'hashtags' must be a list")
     if not all(isinstance(t, str) for t in raw_tags):
         raise ValueError("'hashtags' must hold strings")
     return user_id, tweet_id, ts, raw_tags
+
+
+def _read_tsv_columns(
+    path: Path,
+) -> tuple[dict[str, tuple[str, int]], list[int], list[str], list[str], list[str]] | None:
+    """(tweet_index, ts, tweets, users, tags) of a TSV file, or None if any
+    line is malformed, repeats a row, contradicts an earlier line of its
+    tweet or is out of (timestamp, tweet, hashtag) order; such a file is
+    left to the line reader. Reads chunks of lines and checks each with
+    bulk string and list operations; each distinct raw hashtag is
+    normalized once and user ids are interned."""
+    tweet_index: dict[str, tuple[str, int]] = {}
+    ts_col: list[int] = []
+    tweet_col: list[str] = []
+    user_col: list[str] = []
+    tag_col: list[str] = []
+    interned: dict[str, str] = {}  # user id -> its first string object
+    normalized: dict[str, str] = {}  # raw hashtag -> normalize_hashtag(raw)
+    last_key: tuple = ()
+    with path.open("r", encoding="utf-8-sig", newline="") as fh:
+        while chunk := fh.readlines(_CHUNK_CHARS):
+            lines = list(filter(None, map(str.rstrip, chunk, repeat("\r\n"))))
+            if not lines:
+                continue
+            if set(map(str.count, lines, repeat("\t"))) != {3}:
+                return None
+            fields = "\t".join(lines).split("\t")
+            users, tweets, raw_tags = fields[0::4], fields[1::4], fields[3::4]
+            if "" in users or "" in tweets:
+                return None
+            try:
+                ts = list(map(int, fields[2::4]))
+                for raw in dict.fromkeys(raw_tags).keys() - normalized.keys():
+                    normalized[raw] = normalize_hashtag(raw)
+            except (ValueError, EmptyAfterNormalization):
+                return None
+            if min(ts) <= 0 or max(ts) > MAX_TIMESTAMP:
+                return None
+            tags = list(map(normalized.__getitem__, raw_tags))
+            if not last_key < (ts[0], tweets[0], tags[0]):
+                return None
+            if not all(map(operator.lt, ts, islice(ts, 1, None))):  # ties: whole keys
+                keys = list(zip(ts, tweets, tags))
+                if not all(map(operator.lt, keys, islice(keys, 1, None))):
+                    return None
+            last_key = (ts[-1], tweets[-1], tags[-1])
+            users = list(map(interned.setdefault, users, users))
+            metas = list(zip(users, ts))
+            n_new = len(tweet_index)
+            carried = tweet_index.get(tweets[0])
+            tweet_index.update(zip(tweets, metas))
+            n_new = len(tweet_index) - n_new
+            # One new tweet per line needs no further check. Otherwise, as
+            # strict order keeps a tweet's lines together, only the chunk's
+            # first tweet may be indexed already (by the chunk before), and
+            # every line must agree with its tweet's entry.
+            if n_new != len(tweets) and (
+                n_new != len(dict.fromkeys(tweets)) - (carried is not None)
+                or carried not in (None, metas[0])
+                or not all(map(operator.eq, map(tweet_index.__getitem__, tweets), metas))
+            ):
+                return None
+            ts_col += ts
+            tweet_col += tweets
+            user_col += users
+            tag_col += tags
+    return tweet_index, ts_col, tweet_col, user_col, tag_col
 
 
 def _read_assignments(
@@ -318,7 +502,8 @@ def _read_assignments(
     users: dict[str, str] = {}  # interned user ids
     normalized: dict[str, str] = {}  # raw hashtag -> normalize_hashtag(raw)
     n_bad = 0
-    # JSONL reads with universal newlines; TSV keeps a lone '\r' in a line
+    # Both formats end a line at '\n', '\r\n' or a lone '\r'; TSV reads
+    # with newline="" so the ending stays on the line for rstrip to remove.
     with path.open("r", encoding="utf-8-sig", newline="" if fmt == "tsv" else None) as fh:
         for line_no, line in enumerate(fh, 1):
             try:
@@ -385,12 +570,14 @@ def load_corpus(
 ) -> Corpus:
     """Parse, normalize, validate and index a dataset.
 
-    One pass with cyclic gc paused: each line is validated once, each
-    distinct raw hashtag normalized once and user ids interned. The result
-    equals `Corpus.from_tweets` over the file's valid tweet records.
+    Cyclic gc is paused throughout. A TSV file is read in chunks with bulk
+    checks; one that fails a check, and any JSONL file, is read again line
+    by line. Either way each line is validated once, each distinct raw
+    hashtag normalized once and user ids interned, and the result equals
+    `Corpus.from_tweets` over the file's valid tweet records.
 
-    Lines may end in LF or CRLF, and a leading UTF-8 byte-order mark is
-    skipped. `on_malformed` is "raise" (default: first bad line raises
+    Lines may end in LF, CRLF or a lone CR, and a leading UTF-8 byte-order
+    mark is skipped. `on_malformed` is "raise" (default: first bad line raises
     ParseError) or "count" (bad lines are logged, counted on the returned
     corpus, and skipped; never silently dropped).
     """
@@ -405,11 +592,15 @@ def load_corpus(
 
     network = _load_network(npath)
     with _gc_paused():
-        tweet_index, rows, n_bad = _read_assignments(apath, fmt, on_malformed)
-        corpus = _assemble(network, tweet_index, rows, n_bad)
+        columns = _read_tsv_columns(apath) if fmt == "tsv" else None
+        if columns is None:
+            corpus = _assemble(network, *_read_assignments(apath, fmt, on_malformed))
+        else:
+            tweet_index, ts, tweets, users, tags = columns
+            corpus = Corpus.from_columns(ts, tweets, users, tags, network, tweet_index)
     log.info(
         "loaded %d assignments, %d tweets, %d seed users from %s",
-        len(corpus.assignments), len(corpus.tweet_index), len(corpus.seed_users), apath,
+        len(corpus.tweets), len(corpus.tweet_index), len(corpus.seed_users), apath,
     )
     return corpus
 
@@ -428,14 +619,17 @@ def write_corpus(
     """
     if fmt not in ("tsv", "jsonl"):
         raise ValueError(f"unknown format {fmt!r} (expected 'tsv' or 'jsonl')")
+    tags = list(map(corpus.tags.__getitem__, memoryview(corpus.tag)))
     with atomic_open(assignments_path) as fh:
         if fmt == "tsv":
-            for a in corpus.assignments:
-                fh.write(f"{a.user_id}\t{a.tweet_id}\t{a.timestamp}\t{a.hashtag}\n")
+            rows = zip(map(corpus.users.__getitem__, memoryview(corpus.user)), corpus.tweets,
+                       memoryview(corpus.ts), tags)
+            for user_id, tweet_id, ts, ht in rows:
+                fh.write(f"{user_id}\t{tweet_id}\t{ts}\t{ht}\n")
         else:
             tags_by_tweet: dict[str, list[str]] = {t: [] for t in corpus.tweet_index}
-            for a in corpus.assignments:
-                tags_by_tweet[a.tweet_id].append(a.hashtag)
+            for tweet_id, ht in zip(corpus.tweets, tags):
+                tags_by_tweet[tweet_id].append(ht)
             for tweet_id in sorted(
                 corpus.tweet_index, key=lambda t: (corpus.tweet_index[t][1], t)
             ):

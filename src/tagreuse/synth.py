@@ -49,7 +49,7 @@ from dataclasses import dataclass, fields
 from itertools import filterfalse, islice
 from pathlib import Path
 
-from .corpus import Corpus, FollowNetwork, HashtagAssignment, _gc_paused, atomic_open
+from .corpus import Corpus, FollowNetwork, _gc_paused, atomic_open
 
 SECONDS_PER_DAY = 86_400
 EPOCH = 1_500_000_000
@@ -176,7 +176,7 @@ def _recency_weights(gaps: list[int], alpha: float) -> list[float]:
     return [math.exp(-alpha * (math.log(dt) - log_min)) for dt in gaps]
 
 
-@_gc_paused()  # one object per assignment and no reference cycles
+@_gc_paused()  # many small objects and no reference cycles
 def generate(params: GenParams) -> tuple[Corpus, GroundTruth]:
     """Generate a corpus plus the per-assignment source ground truth."""
     params.validate()
@@ -215,7 +215,11 @@ def generate(params: GenParams) -> tuple[Corpus, GroundTruth]:
     ext_counter = 0
     seed_set = set(seeds)
 
-    assignments: list[HashtagAssignment] = []
+    # The corpus columns, appended to in time order.
+    ts_col: list[int] = []
+    tweet_col: list[str] = []
+    user_col: list[str] = []
+    tag_col: list[str] = []
     tweet_index: dict[str, tuple[str, int]] = {}
     gt_records: list[GroundTruthRecord] = []
 
@@ -291,7 +295,10 @@ def generate(params: GenParams) -> tuple[Corpus, GroundTruth]:
             ht = vocab[rng.randrange(len(vocab))]
             for tags in followers[user]:
                 tags.add(ht)
-        assignments.append(HashtagAssignment(user, tweet_id, ht, ts))
+        ts_col.append(ts)
+        tweet_col.append(tweet_id)
+        user_col.append(user)
+        tag_col.append(ht)
         tweet_index[tweet_id] = (user, ts)
         mine = own[user]
         mine.pop(ht, None)
@@ -300,11 +307,9 @@ def generate(params: GenParams) -> tuple[Corpus, GroundTruth]:
             global_seen.add(ht)
             global_tags.append(ht)
 
-    corpus = Corpus(
-        assignments=assignments,
-        network=FollowNetwork({s: frozenset(f) for s, f in followees.items()}),
-        seed_users=frozenset(seeds),
-        tweet_index=tweet_index,
+    corpus = Corpus.from_columns(
+        ts_col, tweet_col, user_col, tag_col,
+        FollowNetwork({s: frozenset(f) for s, f in followees.items()}), tweet_index,
     )
     return corpus, GroundTruth(records=tuple(gt_records))
 

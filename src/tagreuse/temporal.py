@@ -65,11 +65,11 @@ def recency_samples(corpus: Corpus) -> tuple[list[RecencySample], list[RecencySa
     individual: list[RecencySample] = []
     social: list[RecencySample] = []
     with _gc_paused():
-        for la in classify.sweep(corpus):
-            if la.individual_delta is not None:
-                individual.append(RecencySample("individual", la.individual_delta))
-            if la.social_delta is not None:
-                social.append(RecencySample("social", la.social_delta))
+        for _, _, _, _, _, individual_delta, social_delta in classify.sweep(corpus):
+            if individual_delta is not None:
+                individual.append(RecencySample("individual", individual_delta))
+            if social_delta is not None:
+                social.append(RecencySample("social", social_delta))
     return individual, social
 
 

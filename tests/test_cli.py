@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from tagreuse import cli
-from tagreuse.corpus import load_corpus
+from tagreuse.corpus import Corpus, load_corpus
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data"
@@ -81,19 +81,35 @@ def test_golden_outputs(name, capsys, tmp_path):
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
 def test_determinism_across_runs_and_worker_counts(name, capsys, tmp_path):
+    """Two runs give the same bytes. (There is no worker count any more;
+    `--workers` is a usage error, see test_bad_workers_value.)"""
     argv_template, files = GOLDEN_CASES[name]
     outputs = []
-    for run, workers in ((1, "1"), (2, "4")):
+    for run in (1, 2):
         rundir = tmp_path / f"run{run}"
         rundir.mkdir()
         argv = [a.replace("{tmp}", str(rundir)) for a in argv_template]
-        code, out, _ = run_cli(capsys, *argv, "--workers", workers)
+        code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         blobs = {"stdout": out.encode()}
         for fname in files:
             blobs[fname] = (rundir / fname).read_bytes()
         outputs.append(blobs)
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("name", ["stats", "classify", "recency", "generate"])
+def test_analysis_reads_columns_without_the_assignments_view(name, capsys, tmp_path,
+                                                             monkeypatch):
+    def no_view(self):
+        raise AssertionError("Corpus.assignments was built")
+
+    monkeypatch.setattr(Corpus, "assignments", property(no_view))
+    argv_template, files = GOLDEN_CASES[name]
+    code, _, err = run_cli(capsys, *(a.replace("{tmp}", str(tmp_path)) for a in argv_template))
+    assert code == 0, err
+    for fname in files:
+        assert (tmp_path / fname).read_bytes() == (GOLDEN / f"{name}.{fname}").read_bytes()
 
 
 def test_inputs_are_not_mutated(capsys, tmp_path):
@@ -268,22 +284,14 @@ class TestExitCodes:
         assert scores and all(math.isfinite(s) for s in scores)
 
     def test_bad_workers_value(self, capsys):
-        code, _, _ = run_cli(
-            capsys, "stats", "--assignments", "tests/data/assignments.tsv",
-            "--network", "tests/data/network.tsv", "--workers", "0",
-        )
-        assert code == 1
-
-    def test_non_integer_workers_in_config_is_usage_error(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("workers=abc\n", encoding="utf-8")
+        # the flag is gone: any worker count is an unrecognized argument
         code, out, err = run_cli(
             capsys, "stats", "--assignments", "tests/data/assignments.tsv",
-            "--network", "tests/data/network.tsv", "--config", str(cfg),
+            "--network", "tests/data/network.tsv", "--workers", "2",
         )
         assert code == 1
         assert out == ""
-        assert "workers" in err and "Traceback" not in err
+        assert "unrecognized arguments: --workers" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("value", ["-0.1", "1.5", "nan"])
     @pytest.mark.parametrize("subcommand", ["recommend", "evaluate"])

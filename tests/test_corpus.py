@@ -9,22 +9,30 @@ import random
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tagreuse import corpus as corpus_module
 from tagreuse.corpus import (
+    MAX_TIMESTAMP,
     Corpus,
+    CorpusError,
     EmptyAfterNormalization,
     InconsistentNetwork,
     ParseError,
     _gc_paused,
+    _read_assignments,
+    _read_tsv_columns,
     compute_stats,
     load_corpus,
     normalize_hashtag,
     write_corpus,
 )
+from tagreuse.synth import GenParams, generate
 
 from conftest import corpus_from_tweets, random_corpus, reference_parse_assignments
 
@@ -113,6 +121,43 @@ class TestLoadCorpus:
         apath, npath = self._write(tmp_path, "u1\tt1\t0\ta\n")
         with pytest.raises(ParseError):
             load_corpus(apath, npath)
+
+    def test_lone_cr_ends_a_line(self, tmp_path):
+        # newline="" keeps universal line boundaries: the '\r' splits the
+        # first line, so "b" is a one-field line 2, in both readers
+        apath, npath = self._write(tmp_path, "")
+        apath.write_bytes(b"u1\tt1\t5\ta\rb\n")
+        assert _read_tsv_columns(apath) is None
+        with pytest.raises(ParseError) as err:
+            _read_assignments(apath, "tsv", "raise")
+        assert err.value.line_no == 2
+        with pytest.raises(ParseError) as err:
+            load_corpus(apath, npath)
+        assert err.value.line_no == 2
+        assert err.value.reason == "expected 4 tab-separated fields, got 1"
+        # as a plain line ending, a lone '\r' is accepted by the bulk reader
+        apath.write_bytes(b"u1\tt1\t5\ta\ru2\tt2\t6\tb\r")
+        assert _read_tsv_columns(apath) is not None
+        assert [a.tweet_id for a in load_corpus(apath, npath).assignments] == ["t1", "t2"]
+
+    @pytest.mark.parametrize("fmt", ["tsv", "jsonl"])
+    def test_timestamp_beyond_int64_is_malformed(self, tmp_path, fmt):
+        npath = tmp_path / "n.tsv"
+        npath.write_text("u1\tu2\n", encoding="utf-8")
+        apath = tmp_path / f"a.{fmt}"
+        lines = [(MAX_TIMESTAMP, "ok"), (MAX_TIMESTAMP + 1, "big")]
+        if fmt == "tsv":
+            text = "".join(f"u1\tt{ht}\t{ts}\t{ht}\n" for ts, ht in lines)
+        else:
+            text = "".join(json.dumps({"user": "u1", "tweet": f"t{ht}", "ts": ts,
+                                       "hashtags": [ht]}) + "\n" for ts, ht in lines)
+        apath.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            load_corpus(apath, npath, fmt)
+        assert err.value.line_no == 2
+        corpus = load_corpus(apath, npath, fmt, on_malformed="count")
+        assert corpus.n_malformed_lines == 1
+        assert corpus.ts.tolist() == [MAX_TIMESTAMP]
 
     def test_tweet_metadata_conflict_rejected(self, tmp_path):
         apath, npath = self._write(tmp_path, "u1\tt1\t100\ta\nu2\tt1\t100\tb\n")
@@ -233,6 +278,39 @@ class TestLoaderEquivalence:
     def test_jsonl_matches_reference_parser(self, lines, ending, bom):
         self._check("jsonl", _assignment_file(lines, ending, bom))
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, 5), st.sampled_from(["a", "b", "#A", "c"])),
+                 max_size=30),
+        st.booleans(),
+        st.lists(st.integers(0, 29), max_size=2),
+        st.sampled_from([1, 40, 1 << 18]),
+    )
+    def test_tsv_in_chunks_matches_reference_parser(self, rows, ordered, flips, chunk):
+        """Tweet i is by u1, u2 or u3 at 1 + i // 2, so two tweets share each
+        timestamp. Ordered files without repeated keys or flipped users take
+        the bulk reader, in chunks down to one line each."""
+        def key(row):
+            i, raw = row
+            return 1 + i // 2, f"t{i}", normalize_hashtag(raw)
+
+        if ordered:
+            rows = sorted(rows, key=key)
+        lines = [
+            f"{'u9' if n in flips else f'u{i % 3 + 1}'}\tt{i}\t{1 + i // 2}\t{raw}"
+            for n, (i, raw) in enumerate(rows)
+        ]
+        data = _assignment_file(lines, "\n", False)
+        with mock.patch.object(corpus_module, "_CHUNK_CHARS", chunk):
+            self._check("tsv", data)
+            if ordered and not set(flips) & set(range(len(rows))):
+                keys = [key(row) for row in rows]
+                with tempfile.TemporaryDirectory() as tmp:
+                    apath = Path(tmp) / "a.tsv"
+                    apath.write_bytes(data)
+                    bulk = _read_tsv_columns(apath)
+                assert (bulk is not None) == (len(set(keys)) == len(keys))
+
     def test_bad_tag_is_rejected_on_every_line(self, tmp_path):
         apath, npath = tmp_path / "a.tsv", tmp_path / "n.tsv"
         apath.write_text("u1\tt1\t5\ta b\nu1\tt2\t6\ta\nu1\tt3\t7\ta b\n", encoding="utf-8")
@@ -253,6 +331,125 @@ class TestLoaderEquivalence:
             load_corpus(apath, npath, fmt="jsonl")
         assert err.value.line_no == 2
         assert load_corpus(apath, npath, fmt="jsonl", on_malformed="count").n_malformed_lines == 1
+
+
+def _ordered_tsv_lines(n_tweets: int) -> list[str]:
+    """Valid lines in strict (timestamp, tweet, hashtag) order: tweet i by
+    u1, u2 or u3 at 100 + 10 i; every third tweet has a second hashtag."""
+    lines = []
+    for i in range(n_tweets):
+        tags = ["a", f"h{i % 7}"] if i % 3 == 0 else [f"h{i % 7}"]
+        lines += [f"u{i % 3 + 1}\tt{i:04d}\t{100 + 10 * i}\t{ht}" for ht in tags]
+    return lines
+
+
+def _field(line: str, k: int) -> str:
+    return line.split("\t")[k]
+
+
+def _late_line(lines: list[str], continues_tweet: bool) -> int:
+    """Index of the first line at or after 40 that continues (or starts) a
+    tweet."""
+    return next(k for k in range(40, len(lines))
+                if (_field(lines[k], 1) == _field(lines[k - 1], 1)) == continues_tweet)
+
+
+# Each edit returns the edited lines and the index of the flawed line.
+def _with_malformed_line(lines):
+    k = _late_line(lines, False)
+    return lines[:k] + ["broken line"] + lines[k:], k
+
+
+def _with_conflicting_tweet(lines):
+    # tweet t0001 of the first chunk again, by another user, in time order
+    k = _late_line(lines, False)
+    ts = int(_field(lines[k - 1], 2)) + 1
+    return lines[:k] + [f"u9\tt0001\t{ts}\tz"] + lines[k:], k
+
+
+def _with_conflicting_line(lines):
+    # the second line of a tweet by another user than its first
+    k = _late_line(lines, True)
+    return lines[:k] + ["u9\t" + lines[k].split("\t", 1)[1]] + lines[k + 1:], k
+
+
+def _with_out_of_order_rows(lines):
+    k = _late_line(lines, False)
+    return lines[:k - 1] + [lines[k], lines[k - 1]] + lines[k + 1:], k
+
+
+def _with_duplicate_row(lines):
+    k = _late_line(lines, False)
+    return lines[:k] + [lines[3]] + lines[k:], k
+
+
+def _with_repeated_line(lines):
+    k = _late_line(lines, False)
+    return lines[:k] + [lines[k]] + lines[k:], k
+
+
+# flaw -> (edit, ParseError reason, with {tweet} the flawed line's tweet,
+# or None when the file is valid)
+_CONFLICT = "tweet '{tweet}' already seen with different user/timestamp"
+_LATE_FLAWS = {
+    "malformed": (_with_malformed_line, "expected 4 tab-separated fields, got 1"),
+    "conflicting_tweet": (_with_conflicting_tweet, _CONFLICT),
+    "conflicting_line": (_with_conflicting_line, _CONFLICT),
+    "out_of_order": (_with_out_of_order_rows, None),
+    "duplicate_row": (_with_duplicate_row, None),
+    "repeated_line": (_with_repeated_line, None),
+}
+_SMALL_CHUNK = 200  # characters; about a dozen lines
+
+
+class TestChunkedReader:
+    """The bulk TSV reader in chunks of a few lines: a flaw past the first
+    chunks sends the whole file to the line reader, which gives the same
+    errors, line numbers, counts and corpus as the reference parser."""
+
+    def _paths(self, tmp_path, lines):
+        apath, npath = tmp_path / "a.tsv", tmp_path / "n.tsv"
+        apath.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        npath.write_text(NETWORK, encoding="utf-8")
+        return apath, npath
+
+    def test_clean_file_takes_the_bulk_reader(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(corpus_module, "_CHUNK_CHARS", _SMALL_CHUNK)
+        lines = _ordered_tsv_lines(40)
+        assert sum(len(line) + 1 for line in lines) > 4 * _SMALL_CHUNK
+        apath, npath = self._paths(tmp_path, lines)
+        records, bad = reference_parse_assignments(apath, "tsv")
+        assert not bad
+        assert _read_tsv_columns(apath) is not None
+        assert load_corpus(apath, npath) == Corpus.from_tweets(records, EDGES)
+
+    @pytest.mark.parametrize("chunk", [1, _SMALL_CHUNK])
+    @pytest.mark.parametrize("flaw", sorted(_LATE_FLAWS))
+    def test_flaw_in_a_later_chunk(self, tmp_path, monkeypatch, flaw, chunk):
+        monkeypatch.setattr(corpus_module, "_CHUNK_CHARS", chunk)
+        edit, reason = _LATE_FLAWS[flaw]
+        lines, k = edit(_ordered_tsv_lines(40))
+        assert sum(len(line) + 1 for line in lines[:k - 1]) > 2 * _SMALL_CHUNK
+        apath, npath = self._paths(tmp_path, lines)
+        records, bad = reference_parse_assignments(apath, "tsv")
+        expected = Corpus.from_tweets(records, EDGES)
+
+        assert _read_tsv_columns(apath) is None
+        counted = load_corpus(apath, npath, on_malformed="count")
+        assert counted == expected
+        assert list(counted.tweet_index) == list(expected.tweet_index)
+        assert counted.n_malformed_lines == len(bad)
+        if reason is None:
+            assert not bad
+            assert load_corpus(apath, npath) == expected
+        else:
+            if "{tweet}" in reason:
+                reason = reason.format(tweet=_field(lines[k], 1))
+            assert bad == [k + 1]
+            with pytest.raises(ParseError) as err:
+                load_corpus(apath, npath)
+            assert (err.value.line_no, err.value.reason) == (k + 1, reason)
+            assert str(err.value) == f"{apath}:{k + 1}: {reason}"
 
 
 class TestGcPaused:
@@ -375,6 +572,137 @@ class TestRoundTrip:
             with pytest.raises(OSError, match="replace failed"):
                 write_corpus(other, a, n, fmt=fmt)
             assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def _normalized_or_none(raw: str) -> str | None:
+    try:
+        return normalize_hashtag(raw)
+    except (EmptyAfterNormalization, ValueError):
+        return None
+
+
+_ROUNDTRIP_TAGS = st.one_of(
+    st.sampled_from(["a", "b", "café", "strasse", "日本"]),
+    st.text(min_size=1, max_size=6).map(_normalized_or_none).filter(bool),
+)
+
+
+@st.composite
+def _roundtrip_corpora(draw, tagless: bool) -> Corpus:
+    """Corpora of up to 12 tweets over four users (one non-ASCII) and four
+    timestamps, so ties are common, with Unicode hashtags."""
+    n = draw(st.integers(0, 12))
+    tweets = [
+        (
+            draw(st.sampled_from(["u1", "u2", "u3", "ü4"])),
+            f"t{i}",
+            draw(st.integers(1, 4)),
+            tuple(draw(st.lists(_ROUNDTRIP_TAGS, min_size=0 if tagless else 1, max_size=3))),
+        )
+        for i in range(n)
+    ]
+    return Corpus.from_tweets(tweets, {"u1": {"u2", "ü4"}, "u3": set()})
+
+
+def _reencode(path: Path, crlf: bool, bom: bool) -> None:
+    data = path.read_bytes()
+    if crlf:
+        data = data.replace(b"\n", b"\r\n")
+    path.write_bytes((b"\xef\xbb\xbf" if bom else b"") + data)
+
+
+def _rebuilt(corpus: Corpus) -> Corpus:
+    return Corpus(
+        assignments=corpus.assignments,
+        network=corpus.network,
+        seed_users=corpus.seed_users,
+        tweet_index=corpus.tweet_index,
+    )
+
+
+class TestRoundTripProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(_roundtrip_corpora(tagless=False), st.booleans(), st.booleans(),
+           st.sampled_from([1, 64, 1 << 18]))
+    def test_tsv_write_then_load_is_identity(self, corpus, crlf, bom, chunk):
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(corpus_module, "_CHUNK_CHARS", chunk):
+            apath, npath = Path(tmp) / "a.tsv", Path(tmp) / "n.tsv"
+            write_corpus(corpus, apath, npath)
+            _reencode(apath, crlf, bom)
+            _reencode(npath, crlf, bom)
+            assert _read_tsv_columns(apath) is not None  # written files take the bulk reader
+            loaded = load_corpus(apath, npath)
+        assert loaded == corpus
+        assert _rebuilt(loaded) == loaded
+        assert _rebuilt(corpus) == loaded
+
+    @settings(max_examples=100, deadline=None)
+    @given(_roundtrip_corpora(tagless=True), st.booleans(), st.booleans())
+    def test_jsonl_write_then_load_is_identity(self, corpus, crlf, bom):
+        with tempfile.TemporaryDirectory() as tmp:
+            apath, npath = Path(tmp) / "a.jsonl", Path(tmp) / "n.tsv"
+            write_corpus(corpus, apath, npath, fmt="jsonl")
+            _reencode(apath, crlf, bom)
+            _reencode(npath, crlf, bom)
+            loaded = load_corpus(apath, npath, fmt="jsonl")
+        assert loaded == corpus
+        assert len(loaded.tweet_index) == len(corpus.tweet_index)  # tagless tweets kept
+        assert _rebuilt(loaded) == loaded
+
+
+class TestColumns:
+    def test_layout_of_a_small_corpus(self, stats_fixture_corpus):
+        c = stats_fixture_corpus
+        assert (c.ts.dtype, c.user.dtype, c.tag.dtype) == (np.int64, np.int32, np.int32)
+        assert c.users == ["u1", "u2", "u3"]
+        assert c.tags == ["h1", "h2", "h3"]
+        assert c.ts.tolist() == [100, 100, 200, 300, 300, 400]
+        assert c.user.tolist() == [0, 0, 0, 1, 1, 2]
+        assert c.tag.tolist() == [0, 1, 0, 1, 2, 0]
+        assert c.tweets == ["t1", "t1", "t2", "t3", "t3", "t4"]
+
+    def test_assignments_view_is_built_once_from_the_columns(self, stats_fixture_corpus):
+        c = stats_fixture_corpus
+        view = c.assignments
+        assert view is c.assignments
+        assert [(a.user_id, a.tweet_id, a.hashtag, a.timestamp) for a in view] == [
+            (c.users[u], tw, c.tags[t], ts)
+            for u, tw, t, ts in zip(c.user.tolist(), c.tweets, c.tag.tolist(), c.ts.tolist())
+        ]
+
+    def test_routes_give_equal_corpora(self, tmp_path):
+        generated, _ = generate(GenParams(n_seed_users=3, n_background_users=4,
+                                          n_followees_per_seed=2, n_tweets_per_user=6))
+        apath, npath = tmp_path / "a.tsv", tmp_path / "n.tsv"
+        write_corpus(generated, apath, npath)
+        loaded = load_corpus(apath, npath)
+        tweets = [(a.user_id, a.tweet_id, a.timestamp, (a.hashtag,))
+                  for a in reversed(generated.assignments)]
+        from_tweets = Corpus.from_tweets(tweets, generated.network.edges)
+        for other in (loaded, from_tweets, _rebuilt(generated)):
+            assert other == generated and generated == other
+
+    def test_validate_checks_the_columns(self, stats_fixture_corpus):
+        c = stats_fixture_corpus
+        users = [c.users[u] for u in c.user.tolist()]
+        tags = [c.tags[t] for t in c.tag.tolist()]
+        ts = c.ts.tolist()
+        Corpus.from_columns(ts, c.tweets, users, tags, c.network, c.tweet_index).validate()
+        ts[1] += 1  # row 1 now disagrees with its tweet's timestamp
+        shifted = Corpus.from_columns(ts, c.tweets, users, tags, c.network, c.tweet_index)
+        with pytest.raises(CorpusError, match="disagrees with tweet index"):
+            shifted.validate()
+        with pytest.raises(ValueError, match="differ in length"):
+            Corpus.from_columns(ts[:-1], c.tweets, users, tags, c.network, c.tweet_index)
+
+    def test_a_changed_row_is_unequal(self, stats_fixture_corpus):
+        c = stats_fixture_corpus
+        rows = list(c.assignments)
+        rows[2] = type(rows[2])(rows[2].user_id, rows[2].tweet_id, "h9", rows[2].timestamp)
+        other = Corpus(assignments=rows, network=c.network, seed_users=c.seed_users,
+                       tweet_index=c.tweet_index)
+        assert other != c
 
 
 class TestInvariants:
