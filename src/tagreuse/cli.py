@@ -171,6 +171,8 @@ def _effective_config(subcommand: str, args: argparse.Namespace) -> dict[str, An
     effective: dict[str, Any] = {}
     for opt in opts:
         value = getattr(args, opt.name, None)
+        if isinstance(value, list):  # argparse drops a lone "--" value, as in --d=--
+            raise UsageError(f"option --{opt.name.replace('_', '-')} needs a value")
         if value is None and opt.name in file_values:
             raw = file_values[opt.name]
             try:
@@ -394,6 +396,7 @@ _HANDLERS = {
 _DATA_ERRORS = (
     CorpusError,
     OSError,  # a missing input, or an output path that cannot be written
+    UnicodeDecodeError,  # an input or config file that is not UTF-8 text
     NoEvaluableUsers,
     NoPriorUsage,
     temporal.InvalidRange,

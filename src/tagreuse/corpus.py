@@ -10,7 +10,8 @@ the same tables. `tweet_index` maps every tweet, including tweets without
 hashtags, to its (user, timestamp), and a static follow network maps each
 seed user to the set of accounts they follow. `Corpus.assignments` is a
 list of `HashtagAssignment` objects over the same rows, built on first
-read and cached. Everything downstream reads this structure and never
+read and cached for callers that want objects; the package itself reads
+only the columns. Everything downstream reads this structure and never
 mutates it.
 
 `load_corpus` reads a TSV file in chunks and checks each chunk with bulk

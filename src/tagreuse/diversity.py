@@ -102,13 +102,16 @@ class SimilarityIndex:
         before: int | None = None,
         exclude_tweets: frozenset[str] | set[str] | None = None,
     ) -> "SimilarityIndex":
+        """The index of the corpus's tweets, read from its columns: rows at
+        or after `before` and tweets in `exclude_tweets` are left out."""
+        hashtags = corpus.tags
         by_tweet: dict[str, set[str]] = {}
-        for a in corpus.assignments:
-            if before is not None and a.timestamp >= before:
+        for ts, t, tweet_id in zip(memoryview(corpus.ts), memoryview(corpus.tag), corpus.tweets):
+            if before is not None and ts >= before:
                 continue
-            if exclude_tweets is not None and a.tweet_id in exclude_tweets:
+            if exclude_tweets is not None and tweet_id in exclude_tweets:
                 continue
-            by_tweet.setdefault(a.tweet_id, set()).add(a.hashtag)
+            by_tweet.setdefault(tweet_id, set()).add(hashtags[t])
         vectors: dict[str, dict[str, int]] = {}
         for tags in by_tweet.values():
             if len(tags) < 2:

@@ -63,24 +63,33 @@ def make_split(corpus: Corpus) -> EvalSplit:
     Users with fewer than two hashtag-bearing tweets are excluded; ties on
     timestamp resolve to the larger tweet id (the corpus sort order).
     """
-    tweets_by_user: dict[str, dict[str, int]] = {}
-    tags_by_tweet: dict[str, set[str]] = {}
-    for a in corpus.assignments:
-        if a.user_id in corpus.seed_users:
-            tweets_by_user.setdefault(a.user_id, {})[a.tweet_id] = a.timestamp
-            tags_by_tweet.setdefault(a.tweet_id, set()).add(a.hashtag)
+    users, tags = corpus.users, corpus.tags
+    is_seed = [u in corpus.seed_users for u in users]
+    latest: dict[int, tuple[int, str]] = {}  # user id -> (timestamp, id) of its latest tweet
+    several: set[int] = set()  # user ids with at least two tweets
+    for ts, u, tweet_id in zip(memoryview(corpus.ts), memoryview(corpus.user), corpus.tweets):
+        if is_seed[u]:
+            last = latest.get(u)
+            if last is None:
+                latest[u] = (ts, tweet_id)
+            elif tweet_id != last[1]:
+                several.add(u)
+                if (ts, tweet_id) > last:
+                    latest[u] = (ts, tweet_id)
+    test_tags: dict[str, set[str]] = {latest[u][1]: set() for u in several}
+    for t, tweet_id in zip(memoryview(corpus.tag), corpus.tweets):
+        found = test_tags.get(tweet_id)
+        if found is not None:
+            found.add(tags[t])
     splits = []
-    for user_id in sorted(tweets_by_user):
-        tweets = tweets_by_user[user_id]
-        if len(tweets) < 2:
-            continue
-        test_tweet = max(tweets, key=lambda t: (tweets[t], t))
+    for u in sorted(several, key=users.__getitem__):
+        ref_time, test_tweet = latest[u]
         splits.append(
             UserSplit(
-                user_id=user_id,
+                user_id=users[u],
                 test_tweet_id=test_tweet,
-                test_hashtags=frozenset(tags_by_tweet[test_tweet]),
-                ref_time=tweets[test_tweet],
+                test_hashtags=frozenset(test_tags[test_tweet]),
+                ref_time=ref_time,
             )
         )
     return EvalSplit(users=tuple(splits))

@@ -5,9 +5,14 @@ before* it, so no answer leaks later events.
 
 Every read comes from one time cursor: running counts and per-user usage
 traces over the time-sorted assignments, advanced forward to each query's
-reference time. There are no point lookups. Queries in ascending time
-order therefore cost one pass over the corpus in total; a query earlier
-than the cursor restarts it from the first event.
+reference time. The cursor reads the corpus columns (`ts`, `user` and
+`tag` through memoryviews, ids resolved through the `users`/`tags`
+tables), so no assignment objects are built; the counts and traces it
+keeps are keyed by user id and hashtag strings. The columns are
+time-sorted, so the rows an advance takes are found by bisecting `ts`.
+There are no point lookups. Queries in ascending time order therefore
+cost one pass over the corpus in total; a query earlier than the cursor
+restarts it from the first event.
 
 A user's trace for a hashtag is the list of its usage timestamps in
 cursor order, so ascending, with tied timestamps equal ints. Score dicts
@@ -16,6 +21,8 @@ cursor and dropped whenever its time changes.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
 
 from .corpus import Corpus, FollowNetwork
 
@@ -58,6 +65,8 @@ class CorpusIndex:
     def __init__(self, corpus: Corpus):
         self.corpus = corpus
         self.network: FollowNetwork = corpus.network
+        # Memoryviews index as Python ints (never numpy scalars) without a copy.
+        self._columns = tuple(map(memoryview, (corpus.ts, corpus.user, corpus.tag)))
         self._cursor = RunningCounts()
 
     def counts_before(self, ref_time: int) -> RunningCounts:
@@ -73,17 +82,15 @@ class CorpusIndex:
         if cur.time is not None and ref_time < cur.time:
             cur = self._cursor = RunningCounts()
         cur.memo.clear()
-        assignments = self.corpus.assignments
-        n = len(assignments)
+        corpus = self.corpus
+        users, tags = corpus.users, corpus.tags
+        ts_col, user_col, tag_col = self._columns
         pos = cur.pos
+        end = bisect_left(ts_col, ref_time, pos)
         profiles, times, norm2 = cur.profiles, cur.times, cur.norm2
         postings, global_counts = cur.postings, cur.global_counts
-        while pos < n:
-            a = assignments[pos]
-            ts = a.timestamp
-            if ts >= ref_time:
-                break
-            user, ht = a.user_id, a.hashtag
+        for ts, user, ht in zip(ts_col[pos:end], map(users.__getitem__, user_col[pos:end]),
+                                map(tags.__getitem__, tag_col[pos:end])):
             profile = profiles.get(user)
             if profile is None:
                 profile = profiles[user] = {}
@@ -96,13 +103,12 @@ class CorpusIndex:
             else:
                 times[user][ht] = [ts]
             norm2[user] += 2 * c + 1  # (c + 1)^2 - c^2
-            users = postings.get(ht)
-            if users is None:
-                users = postings[ht] = {}
-            users[user] = c + 1
+            posting = postings.get(ht)
+            if posting is None:
+                posting = postings[ht] = {}
+            posting[user] = c + 1
             global_counts[ht] = global_counts.get(ht, 0) + 1
-            pos += 1
-        cur.pos = pos
+        cur.pos = end
         cur.time = ref_time
         return cur
 

@@ -22,6 +22,13 @@ Scoring models:
   cf      user-based collaborative filtering, cosine similarity between
           hashtag count profiles, scores summed over the top neighbors.
   mp      most popular: global usage counts (plain baseline).
+
+One kernel (_activations) scores a user's whole {hashtag: trace} dict in a
+single loop, and bll_activation filters its input and calls the same
+kernel, so there is one arithmetic path. Its sum is a plain in-order loop
+from 0.0: builtin sum() of floats is compensated on Python >= 3.12, and
+numpy's power/log may dispatch to SIMD code that is not the C library's
+pow/log, so either would change the bits.
 """
 
 from __future__ import annotations
@@ -84,26 +91,42 @@ def bll_activation(
     """ln(sum over prior usages of max(ref_time - t, min_delta)^-d).
 
     Usages at or after ref_time are ignored; raises NoPriorUsage if none
-    remain. When every term underflows (large d and old usages), the sum
-    is taken in log space instead: with x_j = -d ln dt_j and m = max x_j,
+    remain. The remaining trace is scored by the same kernel as the
+    recommenders' traces (see _activations).
+    """
+    trace = [t for t in usage_timestamps if t < ref_time]
+    if not trace:
+        raise NoPriorUsage(f"no usage strictly before ref_time={ref_time}")
+    return _activations({None: trace}, ref_time, params)[None]
+
+
+def _activations(traces: dict, ref_time: int, params: BLLParams) -> dict:
+    """Activation per key of non-empty traces that hold only times
+    strictly before ref_time: ln of the sum of max(ref_time - t,
+    min_delta)^-d, added in trace order from 0.0.
+
+    When every term underflows (large d and old usages), the sum is taken
+    in log space instead: with x_j = -d ln dt_j and m = max x_j,
     ln sum_j exp(x_j) = m + ln sum_j exp(x_j - m).
+
+    The direct sum is a plain loop, never sum() or numpy (see the module
+    docstring).
     """
     d, min_delta = params.d, params.min_delta_seconds
-    total = 0.0
-    n = 0
-    for t in usage_timestamps:
-        if t < ref_time:
-            total += max(ref_time - t, min_delta) ** -d
-            n += 1
-    if n == 0:
-        raise NoPriorUsage(f"no usage strictly before ref_time={ref_time}")
-    if total == 0.0:
-        logs = [
-            -d * math.log(max(ref_time - t, min_delta)) for t in usage_timestamps if t < ref_time
-        ]
-        m = max(logs)
-        return m + math.log(sum(math.exp(x - m) for x in logs))
-    return math.log(total)
+    neg_d, log = -d, math.log
+    scores = {}
+    for key, trace in traces.items():
+        total = 0.0
+        for t in trace:
+            dt = ref_time - t
+            total += (dt if dt > min_delta else min_delta) ** neg_d
+        if total == 0.0:
+            logs = [-d * log(max(ref_time - t, min_delta)) for t in trace]
+            m = max(logs)
+            scores[key] = m + log(sum(math.exp(x - m) for x in logs))
+        else:
+            scores[key] = log(total)
+    return scores
 
 
 def _top(scores: dict, k: int, key) -> list:
@@ -165,9 +188,7 @@ def _bll_scores(
                 else:
                     traces[ht] = pooled = pooled + times
                     pooled.sort()
-    scores = counts.memo[key] = {
-        ht: bll_activation(times, ref_time, params) for ht, times in traces.items()
-    }
+    scores = counts.memo[key] = _activations(traces, ref_time, params)
     return scores
 
 

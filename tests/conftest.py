@@ -191,6 +191,25 @@ def brute_force_deltas(corpus: Corpus, a) -> tuple[int | None, int | None]:
     return ind, soc
 
 
+def reference_bll_activation(times, ref_time: int, params) -> float:
+    """BLL activation by a plain per-term loop: ln of the in-order sum,
+    from 0.0, of max(ref_time - t, min_delta)^-d over t < ref_time, and
+    the log-sum-exp form when that sum underflows to 0.0 (its last sum is
+    builtin sum(), as in the library's log-space path)."""
+    d, min_delta = params.d, params.min_delta_seconds
+    total = 0.0
+    kept = []
+    for t in times:
+        if t < ref_time:
+            kept.append(t)
+            total += max(ref_time - t, min_delta) ** -d
+    if total != 0.0:
+        return math.log(total)
+    logs = [-d * math.log(max(ref_time - t, min_delta)) for t in kept]
+    m = max(logs)
+    return m + math.log(sum(math.exp(x - m) for x in logs))
+
+
 def reference_cooccurrence_vectors(corpus: Corpus, before=None, exclude_tweets=None):
     """Co-occurrence counts by a dict-of-dicts loop: a tweet's distinct
     tags, from assignments strictly before `before` and outside

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import random
 from pathlib import Path
 
 import pytest
@@ -98,18 +99,42 @@ def test_determinism_across_runs_and_worker_counts(name, capsys, tmp_path):
     assert outputs[0] == outputs[1]
 
 
-@pytest.mark.parametrize("name", ["stats", "classify", "recency", "generate"])
-def test_analysis_reads_columns_without_the_assignments_view(name, capsys, tmp_path,
-                                                             monkeypatch):
+def _forbid_assignments_view(monkeypatch):
     def no_view(self):
         raise AssertionError("Corpus.assignments was built")
 
     monkeypatch.setattr(Corpus, "assignments", property(no_view))
+
+
+@pytest.mark.parametrize("name", ["stats", "classify", "recency", "generate", "recommend",
+                                  "evaluate"])
+def test_analysis_reads_columns_without_the_assignments_view(name, capsys, tmp_path,
+                                                             monkeypatch):
+    _forbid_assignments_view(monkeypatch)
     argv_template, files = GOLDEN_CASES[name]
     code, _, err = run_cli(capsys, *(a.replace("{tmp}", str(tmp_path)) for a in argv_template))
     assert code == 0, err
     for fname in files:
         assert (tmp_path / fname).read_bytes() == (GOLDEN / f"{name}.{fname}").read_bytes()
+
+
+@pytest.mark.parametrize("name", ["recommend", "evaluate"])
+def test_reranked_runs_read_columns_without_the_assignments_view(name, capsys, tmp_path,
+                                                                 monkeypatch):
+    """--rerank hybrid builds the similarity index from the columns too: the
+    run's bytes equal those of the same run with the view allowed."""
+    argv_template, files = GOLDEN_CASES[name]
+    outputs = []
+    for run in ("view", "columns"):
+        if run == "columns":
+            _forbid_assignments_view(monkeypatch)
+        rundir = tmp_path / run
+        rundir.mkdir()
+        argv = [a.replace("{tmp}", str(rundir)) for a in argv_template]
+        code, out, err = run_cli(capsys, *argv, "--rerank", "hybrid", "--lambda", "0.5")
+        assert code == 0, err
+        outputs.append([out, *((rundir / fname).read_bytes() for fname in files)])
+    assert outputs[0] == outputs[1]
 
 
 def test_inputs_are_not_mutated(capsys, tmp_path):
@@ -283,6 +308,33 @@ class TestExitCodes:
         scores = [item["score"] for item in json.loads(out)["items"]]
         assert scores and all(math.isfinite(s) for s in scores)
 
+    @pytest.mark.parametrize("which", ["assignments", "network", "config"])
+    def test_non_utf8_input_exits_2(self, capsys, tmp_path, which):
+        binary = tmp_path / "binary"
+        binary.write_bytes(b"\xff\xfeu1\tt1\t5\talpha\n")
+        paths = {"assignments": "tests/data/assignments.tsv",
+                 "network": "tests/data/network.tsv", "config": None}
+        paths[which] = str(binary)
+        argv = ["stats", "--assignments", paths["assignments"], "--network", paths["network"]]
+        if paths["config"]:
+            argv += ["--config", paths["config"]]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "data error" in err and "Traceback" not in err
+
+    def test_option_value_of_a_lone_double_dash_exit_1(self, capsys, tmp_path):
+        # argparse drops a "--" value and would hand the handler an empty list
+        for argv in (["generate", "--p-individual=--", "--outdir", str(tmp_path / "g")],
+                     ["recommend", "--assignments", "tests/data/assignments.tsv",
+                      "--network", "tests/data/network.tsv", "--algo", "bll_i",
+                      "--user", "u1", "--at", "600", "--d=--"]):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 1
+            assert out == ""
+            assert "needs a value" in err and "Traceback" not in err
+        assert not (tmp_path / "g").exists()
+
     def test_bad_workers_value(self, capsys):
         # the flag is gone: any worker count is an unrecognized argument
         code, out, err = run_cli(
@@ -407,3 +459,75 @@ class TestOutputOptions:
         assert all("ild" in row and "serendipity" in row for row in rows)
         header = (tmp_path / "bll_is.tsv").read_text().splitlines()[1]
         assert header == "# k\tprecision\trecall\tild\tserendipity"
+
+
+class TestArgvFuzz:
+    """Random argv drawn from SUBCOMMAND_OPTS, with bad values and bad
+    paths, always ends in exit 0, 1 or 2 and never in a traceback."""
+
+    @staticmethod
+    def _paths(tmp_path: Path) -> dict[str, list[str]]:
+        a_dir = tmp_path / "a_dir"
+        a_dir.mkdir()
+        a_file = tmp_path / "a_file"
+        a_file.write_text("u1\tt1\t5\n", encoding="utf-8")
+        locked = tmp_path / "locked"
+        locked.mkdir(mode=0o500)
+        binary = tmp_path / "binary"
+        binary.write_bytes(b"\xff\xfe\x00k=v\n\x80")
+        config = tmp_path / "ok.cfg"
+        config.write_text("kmax=3\nd=0.5\n", encoding="utf-8")
+        bad_paths = [str(a_dir), str(a_file / "x"), str(tmp_path / "missing"), str(binary),
+                     str(locked / "x"), ""]
+        return {
+            "input": ["tests/data/assignments.tsv", "tests/data/network.tsv", *bad_paths],
+            "output": [str(tmp_path / "out" / "x.json"), str(a_dir), str(a_file),
+                       str(a_file / "x"), str(locked / "x"), str(locked)],
+            "config": [str(config), "tests/data/evaluate.cfg", *bad_paths],
+        }
+
+    @staticmethod
+    def _value(rng: random.Random, opt, paths: dict[str, list[str]]) -> str:
+        if opt.name in ("assignments", "network"):
+            return rng.choice(paths["input"])
+        if opt.name in ("out", "outdir", "per_assignment"):
+            return rng.choice(paths["output"])
+        junk = ["", "abc", "-1", "0", "nan", "inf", "1e309", "--", "1.5"]
+        if opt.choices:
+            return rng.choice([*opt.choices, *opt.choices, "zzz", ""])
+        if opt.typ is int:
+            return rng.choice(["0", "1", "2", "3", "-2", "600", *junk])
+        if opt.typ is float:
+            return rng.choice(["0", "0.25", "0.5", "1", "2", "60", *junk])
+        if opt.name == "algos":
+            return rng.choice(["bll_i,mp", "cf", "bll_s,bll_is", ",", "mp,nope", *junk])
+        return rng.choice(["u1", "u2", "nobody", *junk])
+
+    def test_random_argv_exit_cleanly(self, capsys, tmp_path):
+        rng = random.Random(1305)
+        paths = self._paths(tmp_path)
+        failures = []
+        for _ in range(250):
+            name = rng.choice(sorted(cli.SUBCOMMAND_OPTS))
+            argv = [name]
+            for opt in cli.SUBCOMMAND_OPTS[name]:
+                if rng.random() < (0.9 if opt.required else 0.3):
+                    flag = "--lambda" if opt.name == "lambda_param" else \
+                        "--" + opt.name.replace("_", "-")
+                    argv.append(f"{flag}={self._value(rng, opt, paths)}")
+            if rng.random() < 0.1:
+                argv.append(f"--config={rng.choice(paths['config'])}")
+            if rng.random() < 0.05:
+                argv.append(rng.choice(["--bogus", "stray", "--k"]))
+            if rng.random() < 0.2:
+                options = argv[1:]
+                rng.shuffle(options)
+                argv[1:] = options
+            try:
+                code, _, err = run_cli(capsys, *argv)
+            except Exception as exc:  # report every failing argv, not just the first
+                failures.append((argv, repr(exc)))
+                continue
+            if code not in (0, 1, 2) or "Traceback" in err:
+                failures.append((argv, code, err[-300:]))
+        assert not failures, failures[:5]

@@ -19,6 +19,7 @@ from tagreuse.evaluation import (
     EmptyTestSet,
     EvalConfig,
     NoEvaluableUsers,
+    UserSplit,
     evaluate,
     make_split,
     precision_recall_at_k,
@@ -76,6 +77,30 @@ class TestMakeSplit:
             tweets += [(u, f"{u}1", 1, ("a",)), (u, f"{u}2", 2, ("b",))]
         corpus = corpus_from_tweets(tweets, {u: set() for u in ("zed", "alf", "mid")})
         assert [u.user_id for u in make_split(corpus).users] == ["alf", "mid", "zed"]
+
+    def test_matches_reference_on_random_corpora(self):
+        """The column split against a per-user dict of every tweet, on
+        corpora with tied timestamps, multi-tag tweets and non-seed users."""
+        rng = random.Random(4711)
+        held_out = 0
+        for _ in range(40):
+            corpus = random_corpus(rng, max_users=15, max_assignments=120, max_timestamp=30)
+            tweets_by_user: dict[str, dict[str, int]] = {}
+            tags_by_tweet: dict[str, set[str]] = {}
+            for a in corpus.assignments:
+                if a.user_id in corpus.seed_users:
+                    tweets_by_user.setdefault(a.user_id, {})[a.tweet_id] = a.timestamp
+                    tags_by_tweet.setdefault(a.tweet_id, set()).add(a.hashtag)
+            expected = []
+            for user in sorted(tweets_by_user):
+                tweets = tweets_by_user[user]
+                if len(tweets) >= 2:
+                    test = max(tweets, key=lambda t: (tweets[t], t))
+                    expected.append(UserSplit(user, test, frozenset(tags_by_tweet[test]),
+                                              tweets[test]))
+            assert make_split(corpus).users == tuple(expected)
+            held_out += len(expected)
+        assert held_out > 50
 
 
 class TestPrecisionRecallAtK:

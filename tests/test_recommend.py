@@ -25,10 +25,12 @@ from tagreuse.recommend import (
     recommend_bll_s,
     recommend_cf,
     recommend_most_popular,
+    _activations,
+    _bll_scores,
     _rank,
 )
 
-from conftest import corpus_from_tweets, random_corpus
+from conftest import corpus_from_tweets, random_corpus, reference_bll_activation
 
 D = 0.5
 
@@ -182,6 +184,80 @@ class TestBllActivation:
         # d = inf would make every activation nan, and nan scores get ranked
         with pytest.raises(ValueError, match="finite"):
             BLLParams(d=d)
+
+
+def _bits(scores: dict) -> dict:
+    return {key: score.hex() for key, score in scores.items()}
+
+
+class TestActivationKernel:
+    """_activations scores a whole {tag: trace} dict with the arithmetic of
+    bll_activation and of a plain per-term reference, bit for bit."""
+
+    def test_matches_per_trace_activation_on_random_traces(self):
+        rng = random.Random(2017)
+        seen = Counter()
+        for _ in range(300):
+            ref = rng.randint(2 * 10**9, 4 * 10**9)
+            params = BLLParams(
+                d=rng.choice([0.1, 0.5, 1.7, 60.0, rng.uniform(0.01, 60.0)]),
+                min_delta_seconds=rng.choice([1, 2, 7, 100, 5000]),
+            )
+            traces = {}
+            for i in range(rng.randint(1, 8)):
+                far = rng.random() < 0.4
+                n = rng.choice([1, 1, 2, 3, 6])
+                deltas = sorted(
+                    (rng.randint(10**6, 10**9) if far else rng.randint(1, 200) for _ in range(n)),
+                    reverse=True,
+                )
+                if n > 1 and rng.random() < 0.3:
+                    deltas = [deltas[0]] * n  # tied timestamps
+                traces[f"t{i}"] = [ref - dt for dt in deltas]
+            got = _activations(traces, ref, params)
+            assert list(got) == list(traces)
+            per_trace = {ht: bll_activation(trace, ref, params) for ht, trace in traces.items()}
+            reference = {ht: reference_bll_activation(trace, ref, params)
+                         for ht, trace in traces.items()}
+            assert _bits(got) == _bits(per_trace) == _bits(reference)
+
+            d, md = params.d, params.min_delta_seconds
+            underflows = [all(max(ref - t, md) ** -d == 0.0 for t in trace)
+                          for trace in traces.values()]
+            seen["mixed"] += 0 < sum(underflows) < len(underflows)
+            seen["single"] += any(len(trace) == 1 for trace in traces.values())
+            seen["tied"] += any(len(trace) > 1 and len(set(trace)) == 1
+                                for trace in traces.values())
+            seen["clamped"] += md > 1 and any(ref - t < md for trace in traces.values()
+                                               for t in trace)
+        # log space for some tags of one dict but not all, single-term and
+        # tied traces, and deltas below a min_delta above 1 all occur
+        assert min(seen[k] for k in ("mixed", "single", "tied", "clamped")) >= 20, seen
+
+    def test_pooled_social_trace_equals_merged_list(self):
+        rng = random.Random(1991)
+        pooled = 0
+        for _ in range(25):
+            corpus = random_corpus(rng, max_users=12, max_assignments=150, max_timestamp=60)
+            if not corpus.assignments:
+                continue
+            ref = rng.choice([a.timestamp for a in corpus.assignments]) + rng.randint(0, 1)
+            index = CorpusIndex(corpus)
+            for user in sorted(corpus.seed_users):
+                followees = corpus.network.edges[user]
+                merged: dict[str, list[int]] = {}
+                sources: dict[str, set[str]] = {}
+                for a in corpus.assignments:
+                    if a.user_id in followees and a.timestamp < ref:
+                        merged.setdefault(a.hashtag, []).append(a.timestamp)
+                        sources.setdefault(a.hashtag, set()).add(a.user_id)
+                pooled += sum(len(users) > 1 for users in sources.values())
+                for params in (BLLParams(d=D), BLLParams(d=2.5, min_delta_seconds=4)):
+                    got = _bll_scores(index, "s", user, ref, params)
+                    expected = {ht: bll_activation(sorted(times), ref, params)
+                                for ht, times in merged.items()}
+                    assert _bits(got) == _bits(expected), (user, ref)
+        assert pooled >= 20
 
 
 @pytest.fixture
