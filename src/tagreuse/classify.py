@@ -14,17 +14,23 @@ The fraction explained by individual or social reuse (the sum of the
 first three) is the headline reuse statistic.
 
 `classify_all` is a single chronological sweep over the corpus columns
-with an incremental per-hashtag last-use index; it also extracts the
-recency deltas that the temporal module bins.
+with an incremental per-hashtag last-use index. It returns `Labels`,
+arrays over the classified rows that hold each row's label code and the
+two recency deltas that the temporal module bins. Entry i describes
+corpus row `rows[i]`: its user is `corpus.users[corpus.user[rows[i]]]`
+and its label `LABELS[codes[i]]`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from typing import Iterator
 
-from .corpus import Corpus, HashtagAssignment, _gc_paused
+import numpy as np
+
+from .corpus import Corpus
 
 
 class ReuseLabel(Enum):
@@ -34,40 +40,12 @@ class ReuseLabel(Enum):
     NETWORK = "network"
     EXTERNAL = "external"
 
-    @property
-    def has_individual_bit(self) -> bool:
-        return self in (ReuseLabel.INDIVIDUAL, ReuseLabel.INDIVIDUAL_SOCIAL)
 
-    @property
-    def has_social_bit(self) -> bool:
-        return self in (ReuseLabel.SOCIAL, ReuseLabel.INDIVIDUAL_SOCIAL)
-
-
-def _label_from_bits(individual: bool, social: bool, network: bool) -> ReuseLabel:
-    if individual and social:
-        return ReuseLabel.INDIVIDUAL_SOCIAL
-    if individual:
-        return ReuseLabel.INDIVIDUAL
-    if social:
-        return ReuseLabel.SOCIAL
-    if network:
-        return ReuseLabel.NETWORK
-    return ReuseLabel.EXTERNAL
-
-
-@dataclass(frozen=True, slots=True)
-class LabeledAssignment:
-    """A classified seed-user assignment with its reuse recency deltas.
-
-    individual_delta / social_delta are seconds since the most recent
-    qualifying prior usage (own / followee), present iff the label carries
-    the corresponding bit; both are clamped to >= 1.
-    """
-
-    assignment: HashtagAssignment
-    label: ReuseLabel
-    individual_delta: int | None
-    social_delta: int | None
+# A label code is an index into LABELS.
+LABELS = tuple(ReuseLabel)
+# Code by individual + 2 * social + 4 * network bit: the individual and
+# social bits outrank the network bit, and no bit at all is external.
+_CODE_BY_BITS = (4, 0, 1, 2, 3, 0, 1, 2)
 
 
 @dataclass(frozen=True)
@@ -79,12 +57,10 @@ class ReuseBreakdown:
     n_classified: int
 
     @classmethod
-    def from_labels(cls, labels: Iterator[ReuseLabel]) -> "ReuseBreakdown":
-        counts = {label: 0 for label in ReuseLabel}
-        n = 0
-        for label in labels:
-            counts[label] += 1
-            n += 1
+    def from_codes(cls, codes: np.ndarray) -> "ReuseBreakdown":
+        """Counts per label over an array of label codes."""
+        counts = dict(zip(LABELS, np.bincount(codes, minlength=len(LABELS)).tolist()))
+        n = len(codes)
         fractions = {label: c / n for label, c in counts.items()} if n else {}
         return cls(counts=counts, fractions=fractions, n_classified=n)
 
@@ -110,15 +86,27 @@ class ReuseBreakdown:
         }
 
 
-# One classified seed-user assignment: (user_id, tweet_id, hashtag,
-# timestamp, label, individual_delta, social_delta), the first four in
-# HashtagAssignment's field order and the rest as in LabeledAssignment.
-SweptAssignment = tuple[str, str, str, int, ReuseLabel, int | None, int | None]
+@dataclass(frozen=True)
+class Labels:
+    """Classified seed-user rows as four equal-length arrays: `rows`
+    (ascending indexes into the corpus columns), `codes` (int8 indexes
+    into LABELS), and `individual_delta` / `social_delta`, the seconds
+    since the user's own / any followee's most recent prior usage,
+    clamped to >= 1, and 0 where the label lacks that bit."""
+
+    rows: np.ndarray
+    codes: np.ndarray
+    individual_delta: np.ndarray
+    social_delta: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.rows)
 
 
-def sweep(corpus: Corpus) -> Iterator[SweptAssignment]:
+def sweep(corpus: Corpus) -> Iterator[tuple[int, int, int, int]]:
     """Chronological single-pass classification of all seed-user
-    assignments, yielded in corpus order.
+    assignments, yielding (row, code, individual_delta, social_delta) as
+    in `Labels`, in corpus order.
 
     Reads the corpus columns as Python ints (users and hashtags by id)
     and keeps one dict per hashtag mapping user -> last usage
@@ -126,7 +114,7 @@ def sweep(corpus: Corpus) -> Iterator[SweptAssignment]:
     enters the index, so ties are never counted as prior. Per-assignment
     cost is O(min(followees, users of the hashtag)).
     """
-    users, tags, tweets = corpus.users, corpus.tags, corpus.tweets
+    users = corpus.users
     user_id = dict(zip(users, range(len(users))))
     is_seed = [u in corpus.seed_users for u in users]
     # Followees that never tweet a hashtag cannot be in any last-use dict.
@@ -134,14 +122,14 @@ def sweep(corpus: Corpus) -> Iterator[SweptAssignment]:
         user_id[u]: tuple(user_id[f] for f in corpus.network.edges[u] if f in user_id)
         for u in corpus.seed_users if u in user_id
     }
-    last_use: list[dict[int, int]] = [{} for _ in tags]
+    last_use: list[dict[int, int]] = [{} for _ in corpus.tags]
     # Memoryviews index as Python ints (never numpy scalars) without a copy.
     ts_col, user_col, tag_col = map(memoryview, (corpus.ts, corpus.user, corpus.tag))
 
-    def label_one(i: int, users_of: dict[int, int]) -> SweptAssignment:
-        ts, u = ts_col[i], user_col[i]
+    def label_one(i: int, users_of: dict[int, int]) -> tuple[int, int, int, int]:
         if not users_of:
-            return users[u], tweets[i], tags[tag_col[i]], ts, ReuseLabel.EXTERNAL, None, None
+            return i, _CODE_BY_BITS[0], 0, 0
+        ts, u = ts_col[i], user_col[i]
         own_ts = users_of.get(u)
         followees = followee_lists[u]
         social_ts: int | None = None
@@ -160,14 +148,10 @@ def sweep(corpus: Corpus) -> Iterator[SweptAssignment]:
                     n_social_users += 1
                     if social_ts is None or ts_v > social_ts:
                         social_ts = ts_v
-        n_other = len(users_of) - n_social_users - (1 if own_ts is not None else 0)
-        label = _label_from_bits(own_ts is not None, social_ts is not None, n_other > 0)
-        return (
-            users[u], tweets[i], tags[tag_col[i]], ts,
-            label,
-            max(ts - own_ts, 1) if own_ts is not None else None,
-            max(ts - social_ts, 1) if social_ts is not None else None,
-        )
+        n_other = len(users_of) - n_social_users - (own_ts is not None)
+        ind = max(ts - own_ts, 1) if own_ts is not None else 0
+        soc = max(ts - social_ts, 1) if social_ts is not None else 0
+        return i, _CODE_BY_BITS[(ind > 0) + 2 * (soc > 0) + 4 * (n_other > 0)], ind, soc
 
     n = len(ts_col)
     i = 0
@@ -193,18 +177,16 @@ def sweep(corpus: Corpus) -> Iterator[SweptAssignment]:
         i = j
 
 
-def classify_all(corpus: Corpus) -> tuple[list[LabeledAssignment], ReuseBreakdown]:
-    """Classify every seed-user assignment; returns labels in corpus order
-    plus the aggregate breakdown.
+def _swept(corpus: Corpus) -> Labels:
+    """The sweep collected into arrays. Each row's tuple is freed as soon
+    as it is read, so no gc pause is needed: there is nothing to collect."""
+    table = np.fromiter(chain.from_iterable(sweep(corpus)), np.int64).reshape(-1, 4)
+    rows, codes, individual, social = table.T
+    return Labels(rows.copy(), codes.astype(np.int8), individual.copy(), social.copy())
 
-    Bulk path: cyclic garbage collection is paused for the duration of the
-    sweep (and restored afterwards). The sweep allocates a few flat records
-    per seed assignment and no cycles, while full collections over a
-    multimillion-object corpus would otherwise dominate large runs.
-    """
-    with _gc_paused():
-        labeled = [
-            LabeledAssignment(HashtagAssignment(u, tw, ht, ts), label, d_ind, d_soc)
-            for u, tw, ht, ts, label, d_ind, d_soc in sweep(corpus)
-        ]
-    return labeled, ReuseBreakdown.from_labels(la.label for la in labeled)
+
+def classify_all(corpus: Corpus) -> tuple[Labels, ReuseBreakdown]:
+    """Classify every seed-user assignment; returns the labels in corpus
+    order plus the aggregate breakdown."""
+    labels = _swept(corpus)
+    return labels, ReuseBreakdown.from_codes(labels.codes)

@@ -240,15 +240,19 @@ def _cmd_stats(cfg: dict[str, Any]) -> int:
 
 def _cmd_classify(cfg: dict[str, Any]) -> int:
     corpus = _load(cfg)
-    labeled, breakdown = classify.classify_all(corpus)
+    labels, breakdown = classify.classify_all(corpus)
     meta = _meta("classify", cfg)
     obj = {"meta": meta, **breakdown.to_json_dict()}
     _emit(_json_text(obj), cfg["out"])
     if cfg["per_assignment"]:
         lines = _header_lines(meta, "user\ttweet\tts\thashtag\tlabel")
-        for la in labeled:
-            a = la.assignment
-            lines.append(f"{a.user_id}\t{a.tweet_id}\t{a.timestamp}\t{a.hashtag}\t{la.label.value}")
+        users, tweets, tags = corpus.users, corpus.tweets, corpus.tags
+        values = [label.value for label in classify.LABELS]
+        rows = labels.rows
+        for i, u, ts, t, code in zip(rows.tolist(), corpus.user[rows].tolist(),
+                                     corpus.ts[rows].tolist(), corpus.tag[rows].tolist(),
+                                     labels.codes.tolist()):
+            lines.append(f"{users[u]}\t{tweets[i]}\t{ts}\t{tags[t]}\t{values[code]}")
         _write_atomic(Path(cfg["per_assignment"]), "\n".join(lines) + "\n")
     return EXIT_OK
 

@@ -30,7 +30,7 @@ from itertools import chain
 import numpy as np
 
 from .corpus import Corpus
-from .recommend import Ranked
+from .recommend import Ranked, minmax_normalize
 
 
 @dataclass(frozen=True)
@@ -217,16 +217,9 @@ def serendipity(
 
 
 def normalize_scores(candidates: Ranked) -> Ranked:
-    """Min-max rescale scores to [0, 1] preserving order; a degenerate
-    range maps everything to 1.0."""
-    if not candidates:
-        return []
-    values = [s for _, s in candidates]
-    lo, hi = min(values), max(values)
-    if hi == lo:
-        return [(ht, 1.0) for ht, _ in candidates]
-    span = hi - lo
-    return [(ht, (s - lo) / span) for ht, s in candidates]
+    """`minmax_normalize` over a ranked list, keeping its order; a list
+    holds each hashtag once."""
+    return list(minmax_normalize(dict(candidates)).items())
 
 
 def rerank_hybrid(

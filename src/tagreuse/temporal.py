@@ -3,10 +3,11 @@
 For every seed-user assignment whose label carries the individual bit we
 record the time since the user's own most recent prior usage of that
 hashtag; for the social bit, the time since the most recent prior usage
-by any followee. `recency_samples` takes both kinds from one
-classification sweep. The samples are binned into log-spaced histograms
-(meant for log-log plotting) and checked for a daily-periodicity peak:
-a strict local maximum at the bin containing 24 hours.
+by any followee. `recency_samples` takes both kinds, as int64 arrays of
+seconds, from the delta columns of one classification sweep. The
+samples are binned into log-spaced histograms (meant for log-log
+plotting) and checked for a daily-periodicity peak: a strict local
+maximum at the bin containing 24 hours.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import classify
-from .corpus import Corpus, _gc_paused
+from .corpus import Corpus
 
 SECONDS_PER_HOUR = 3600.0
 
@@ -34,15 +35,8 @@ class RangeExcludes24h(Exception):
     """Peak detection needs a bin containing the 24 hour mark."""
 
 
-@dataclass(frozen=True, slots=True)
-class RecencySample:
-    kind: str  # "individual" or "social"
-    delta_seconds: int  # >= 1
-
-
 @dataclass(frozen=True)
 class RecencyHistogram:
-    kind: str
     bin_edges_hours: tuple[float, ...]  # ascending, geometric; len = n_bins + 1
     counts: tuple[int, ...]
 
@@ -59,60 +53,45 @@ class PeakCheck:
     bin_index: int
 
 
-def recency_samples(corpus: Corpus) -> tuple[list[RecencySample], list[RecencySample]]:
-    """(individual, social) samples, one per seed-user assignment with that
-    label bit, from one classification sweep with cyclic gc paused."""
-    individual: list[RecencySample] = []
-    social: list[RecencySample] = []
-    with _gc_paused():
-        for _, _, _, _, _, individual_delta, social_delta in classify.sweep(corpus):
-            if individual_delta is not None:
-                individual.append(RecencySample("individual", individual_delta))
-            if social_delta is not None:
-                social.append(RecencySample("social", social_delta))
-    return individual, social
+def recency_samples(corpus: Corpus) -> tuple[np.ndarray, np.ndarray]:
+    """(individual, social) deltas in seconds, one per seed-user assignment
+    with that label bit, in corpus order, from one classification sweep."""
+    labels = classify._swept(corpus)
+    individual, social = labels.individual_delta, labels.social_delta
+    return individual[individual > 0], social[social > 0]
 
 
-def individual_recency_samples(corpus: Corpus) -> list[RecencySample]:
+# The one-kind accessors are names the benchmark's tracer wraps.
+def individual_recency_samples(corpus: Corpus) -> np.ndarray:
     """The individual samples of `recency_samples`."""
     return recency_samples(corpus)[0]
 
 
-def social_recency_samples(corpus: Corpus) -> list[RecencySample]:
+def social_recency_samples(corpus: Corpus) -> np.ndarray:
     """The social samples of `recency_samples`."""
     return recency_samples(corpus)[1]
 
 
 def build_histogram(
-    samples: Sequence[RecencySample],
+    deltas: Sequence[int] | np.ndarray,
     n_bins: int = DEFAULT_N_BINS,
     min_hours: float = DEFAULT_MIN_HOURS,
     max_hours: float = DEFAULT_MAX_HOURS,
 ) -> RecencyHistogram:
-    """Bin samples into half-open geometric bins [lo, hi) over
-    [min_hours, max_hours]. Out-of-range samples clamp into the first or
-    last bin, so counts always sum to len(samples)."""
+    """Bin deltas (seconds) into half-open geometric bins [lo, hi) over
+    [min_hours, max_hours]. Out-of-range deltas clamp into the first or
+    last bin, so counts always sum to len(deltas)."""
     if n_bins < 2:
         raise InvalidRange(f"need at least 2 bins, got {n_bins}")
     if not (0 < min_hours < max_hours < float("inf")):
         raise InvalidRange(
             f"need finite 0 < min_hours < max_hours, got [{min_hours}, {max_hours}]"
         )
-    kinds = {s.kind for s in samples}
-    if len(kinds) > 1:
-        raise ValueError(f"mixed sample kinds: {sorted(kinds)}")
-    kind = kinds.pop() if kinds else ""
-
     edges = np.geomspace(min_hours, max_hours, n_bins + 1)
-    counts = np.zeros(n_bins, dtype=np.int64)
-    if samples:
-        hours = np.array([s.delta_seconds for s in samples], dtype=np.float64)
-        hours /= SECONDS_PER_HOUR
-        idx = np.searchsorted(edges, hours, side="right") - 1
-        np.clip(idx, 0, n_bins - 1, out=idx)
-        np.add.at(counts, idx, 1)
+    hours = np.asarray(deltas, dtype=np.float64) / SECONDS_PER_HOUR
+    idx = np.searchsorted(edges, hours, side="right") - 1
+    counts = np.bincount(np.clip(idx, 0, n_bins - 1), minlength=n_bins)
     return RecencyHistogram(
-        kind=kind,
         bin_edges_hours=tuple(float(e) for e in edges),
         counts=tuple(int(c) for c in counts),
     )

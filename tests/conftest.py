@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from tagreuse.classify import ReuseLabel
+from tagreuse.classify import LABELS, ReuseLabel, classify_all
 from tagreuse.corpus import Corpus, EmptyAfterNormalization, FollowNetwork, HashtagAssignment
 from tagreuse.synth import (
     INDIVIDUAL_POOL_CAP,
@@ -141,6 +141,19 @@ def bubble_fixture():
         ("out1", 0.65), ("out2", 0.6), ("out3", 0.55),
     ]
     return corpus, candidates, {"in1", "in2"}, {"in3", "in4"}
+
+
+def classified(corpus: Corpus) -> list[tuple[HashtagAssignment, ReuseLabel, int, int]]:
+    """(assignment, label, individual_delta, social_delta) per row of
+    `classify_all`, in its order; a delta is 0 where the label lacks it."""
+    labels, _ = classify_all(corpus)
+    return [
+        (corpus.assignments[row], LABELS[code], ind, soc)
+        for row, code, ind, soc in zip(
+            labels.rows.tolist(), labels.codes.tolist(),
+            labels.individual_delta.tolist(), labels.social_delta.tolist(),
+        )
+    ]
 
 
 def brute_force_bits(corpus: Corpus, a) -> tuple[bool, bool, bool]:

@@ -35,7 +35,7 @@ from tagreuse.temporal import (
     social_recency_samples,
 )
 
-from conftest import brute_force_label, bubble_fixture, random_corpus
+from conftest import brute_force_label, bubble_fixture, classified, random_corpus
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -52,9 +52,8 @@ def test_criterion_01_classifier_oracle_equivalence():
     n_checked = 0
     for _ in range(200):
         corpus = random_corpus(rng, max_users=50, max_assignments=500, max_timestamp=600)
-        labeled, _ = classify_all(corpus)
-        for la in labeled:
-            assert brute_force_label(corpus, la.assignment) is la.label, la
+        for a, label, _, _ in classified(corpus):
+            assert brute_force_label(corpus, a) is label, a
             n_checked += 1
     elapsed = time.perf_counter() - t0
     assert n_checked > 10_000
@@ -108,9 +107,9 @@ def test_criterion_03_confirmation_bias_statistic_range():
         recency_exponent=1.5, daily_amplitude=0.0, rng_seed=31,
     )
     corpus, _ = generate(params)
-    labeled, _ = classify_all(corpus)
-    warmup = len(labeled) // 5  # drop the first 20%: cold-start fallbacks
-    warm = ReuseBreakdown.from_labels(la.label for la in labeled[warmup:])
+    labels, _ = classify_all(corpus)
+    warmup = len(labels) // 5  # drop the first 20%: cold-start fallbacks
+    warm = ReuseBreakdown.from_codes(labels.codes[warmup:])
     explained = warm.explained_fraction
     assert 0.66 - 0.08 <= explained <= 0.81 + 0.08, explained
     report(3, f"confirmation-bias statistic {explained:.4f} in [0.58, 0.89]")
@@ -274,8 +273,8 @@ def test_criterion_09_performance_and_scaling():
 
     small = make(500)
     big = make(5000)
-    assert len(small.assignments) == 100_000
-    assert len(big.assignments) == 1_000_000
+    assert len(small.ts) == 100_000
+    assert len(big.ts) == 1_000_000
     times_small, times_big = [], []
     for _ in range(5):
         times_small.append(timed(small))

@@ -2,21 +2,24 @@
 
 from __future__ import annotations
 
+import inspect
 import random
 
+import numpy as np
 import pytest
 
-from tagreuse.classify import ReuseBreakdown, ReuseLabel, classify_all
+from tagreuse import classify
+from tagreuse.classify import LABELS, ReuseBreakdown, ReuseLabel, classify_all
+from tagreuse.temporal import recency_samples
 
-from conftest import brute_force_label, corpus_from_tweets, random_corpus
+from conftest import brute_force_label, classified, corpus_from_tweets, random_corpus
 
 
 def labels_for_user(corpus, user):
-    labeled, _ = classify_all(corpus)
     return {
-        (la.assignment.hashtag, la.assignment.timestamp): la.label
-        for la in labeled
-        if la.assignment.user_id == user
+        (a.hashtag, a.timestamp): label
+        for a, label, _, _ in classified(corpus)
+        if a.user_id == user
     }
 
 
@@ -59,15 +62,14 @@ class TestFixtureLabels:
 
     def test_no_seed_assignments(self):
         corpus = corpus_from_tweets([("B", "e1", 10, ("x",))], {"A": {"B"}})
-        labeled, breakdown = classify_all(corpus)
-        assert labeled == []
+        labels, breakdown = classify_all(corpus)
+        assert len(labels) == 0
         assert breakdown.n_classified == 0
         assert breakdown.fractions == {}
         assert breakdown.explained_fraction == 0.0
 
     def test_non_seed_users_are_not_classified(self, primed_reuse_corpus):
-        labeled, _ = classify_all(primed_reuse_corpus)
-        assert {la.assignment.user_id for la in labeled} == {"A"}
+        assert {a.user_id for a, _, _, _ in classified(primed_reuse_corpus)} == {"A"}
 
 
 class TestStrictPast:
@@ -95,22 +97,21 @@ class TestOracleEquivalence:
         rng = random.Random(1234)
         for _ in range(30):
             corpus = random_corpus(rng, max_users=20, max_assignments=200, max_timestamp=100)
-            labeled, _ = classify_all(corpus)
-            for la in labeled:
-                assert la.label is brute_force_label(corpus, la.assignment), la
+            for a, label, _, _ in classified(corpus):
+                assert label is brute_force_label(corpus, a), a
 
     def test_fixture_matches_brute_force(self, primed_reuse_corpus):
-        labeled, _ = classify_all(primed_reuse_corpus)
-        assert labeled
-        for la in labeled:
-            assert la.label is brute_force_label(primed_reuse_corpus, la.assignment), la
+        rows = classified(primed_reuse_corpus)
+        assert rows
+        for a, label, _, _ in rows:
+            assert label is brute_force_label(primed_reuse_corpus, a), a
 
     def test_small_random_corpora_match_brute_force(self):
         rng = random.Random(99)
         for _ in range(10):
             corpus = random_corpus(rng, max_users=15, max_assignments=150)
-            for la in classify_all(corpus)[0]:
-                assert la.label is brute_force_label(corpus, la.assignment), la
+            for a, label, _, _ in classified(corpus):
+                assert label is brute_force_label(corpus, a), a
 
 
 class TestProperties:
@@ -130,11 +131,11 @@ class TestProperties:
                 continue
             extended = tweets + [(seed, "late1", t_max + 10, ("h0",))]
             edges = {s: set(f) for s, f in corpus.network.edges.items()}
-            base_labels = classify_all(corpus)[0]
-            ext_labels = classify_all(corpus_from_tweets(extended, edges))[0]
-            for la_base, la_ext in zip(base_labels, ext_labels):
-                assert la_base.assignment == la_ext.assignment
-                assert la_base.label is la_ext.label
+            base_rows = classified(corpus)
+            ext_rows = classified(corpus_from_tweets(extended, edges))
+            for (a_base, label_base, _, _), (a_ext, label_ext, _, _) in zip(base_rows, ext_rows):
+                assert a_base == a_ext
+                assert label_base is label_ext
 
     def test_bijection_invariance_of_explained_fraction(self):
         rng = random.Random(17)
@@ -163,10 +164,40 @@ class TestProperties:
                 assert sum(breakdown.fractions.values()) == pytest.approx(1.0, abs=1e-9)
 
 
-def test_breakdown_from_labels_roundtrip():
+def test_breakdown_from_codes_roundtrip():
     labels = [ReuseLabel.INDIVIDUAL, ReuseLabel.INDIVIDUAL, ReuseLabel.NETWORK]
-    b = ReuseBreakdown.from_labels(iter(labels))
+    b = ReuseBreakdown.from_codes(np.array([LABELS.index(x) for x in labels], np.int8))
     assert b.counts[ReuseLabel.INDIVIDUAL] == 2
     assert b.counts[ReuseLabel.NETWORK] == 1
     assert b.n_classified == 3
     assert b.explained_fraction == pytest.approx(2 / 3)
+
+
+def test_label_arrays_cover_seed_rows_with_matching_deltas():
+    """On random corpora with ties and multi-hashtag tweets, `rows` is every
+    seed row in order, a delta is positive exactly when the label has its
+    bit, and `recency_samples` is the positive deltas of the same labels."""
+    assert inspect.isgeneratorfunction(classify.sweep)
+    individual_codes = [LABELS.index(ReuseLabel.INDIVIDUAL),
+                        LABELS.index(ReuseLabel.INDIVIDUAL_SOCIAL)]
+    social_codes = [LABELS.index(ReuseLabel.SOCIAL), LABELS.index(ReuseLabel.INDIVIDUAL_SOCIAL)]
+    rng = random.Random(606)
+    n_rows = 0
+    for _ in range(40):
+        corpus = random_corpus(rng, max_users=15, max_assignments=200, max_timestamp=60)
+        labels, breakdown = classify_all(corpus)
+        seed_rows = [i for i, a in enumerate(corpus.assignments)
+                     if a.user_id in corpus.seed_users]
+        assert labels.rows.tolist() == seed_rows
+        assert labels.rows.dtype == np.int64 and labels.codes.dtype == np.int8
+        assert len(labels) == len(labels.codes) == len(labels.individual_delta) \
+            == len(labels.social_delta) == breakdown.n_classified
+        ind, soc = labels.individual_delta, labels.social_delta
+        assert ((ind > 0) == np.isin(labels.codes, individual_codes)).all()
+        assert ((soc > 0) == np.isin(labels.codes, social_codes)).all()
+        assert (ind >= 0).all() and (soc >= 0).all()
+        individual, social = recency_samples(corpus)
+        assert individual.tolist() == ind[ind > 0].tolist()
+        assert social.tolist() == soc[soc > 0].tolist()
+        n_rows += len(labels)
+    assert n_rows > 1000

@@ -11,11 +11,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tagreuse import synth
-from tagreuse.classify import ReuseLabel, classify_all
+from tagreuse.classify import ReuseLabel
 from tagreuse.corpus import write_corpus
 from tagreuse.synth import GenParams, InvalidParams, _recency_weights, generate
 
-from conftest import brute_force_label, reference_generate
+from conftest import brute_force_label, classified, reference_generate
 
 FLOAT_FIELDS = (
     "p_individual", "p_social", "p_network", "p_external",
@@ -167,21 +167,20 @@ class TestGroundTruthCompatibility:
 
     def test_sources_match_classifier_labels_exactly(self):
         corpus, gt = generate(GenParams(**{**BASE.__dict__, "n_tweets_per_user": 60}))
-        labeled, _ = classify_all(corpus)
-        by_tweet = {la.assignment.tweet_id: la for la in labeled}
+        by_tweet = {a.tweet_id: (a, label) for a, label, _, _ in classified(corpus)}
         sources_seen = set()
         for rec in gt.records:
-            la = by_tweet[rec.tweet_id]
-            assert la.assignment.hashtag == rec.hashtag
-            assert la.label is self.EXPECTED[rec.source], rec
+            a, label = by_tweet[rec.tweet_id]
+            assert a.hashtag == rec.hashtag
+            assert label is self.EXPECTED[rec.source], rec
             sources_seen.add(rec.source)
         assert sources_seen == set(self.EXPECTED)  # the mixture exercises all four
 
     def test_classifier_agrees_with_brute_force_on_generated_data(self):
         corpus, _ = generate(BASE)
-        labeled, _ = classify_all(corpus)
-        for la in labeled[::7]:  # spot-check a slice; the full scan is quadratic
-            assert brute_force_label(corpus, la.assignment) is la.label
+        # spot-check a slice; the full scan is quadratic
+        for a, label, _, _ in classified(corpus)[::7]:
+            assert brute_force_label(corpus, a) is label
 
     def test_fractions_sum_to_one(self):
         _, gt = generate(BASE)
@@ -300,8 +299,7 @@ class TestLargeRecencyExponent:
     def test_pure_reuse_mixture_generates(self, mixture):
         params = _with_mixture(replace(BASE, recency_exponent=800.0), mixture)
         corpus, gt = generate(params)
-        labeled, _ = classify_all(corpus)
-        by_tweet = {la.assignment.tweet_id: la.label for la in labeled}
+        by_tweet = {a.tweet_id: label for a, label, _, _ in classified(corpus)}
         expected = TestGroundTruthCompatibility.EXPECTED
         assert all(by_tweet[r.tweet_id] is expected[r.source] for r in gt.records)
         want = "individual" if mixture[0] else "social"

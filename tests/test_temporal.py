@@ -12,7 +12,6 @@ from tagreuse.temporal import (
     PeakCheck,
     RangeExcludes24h,
     RecencyHistogram,
-    RecencySample,
     build_histogram,
     detect_daily_peak,
     individual_recency_samples,
@@ -20,65 +19,61 @@ from tagreuse.temporal import (
     social_recency_samples,
 )
 
-from conftest import brute_force_deltas, corpus_from_tweets, random_corpus
+from conftest import brute_force_deltas, classified, corpus_from_tweets, random_corpus
 from tagreuse import classify
-from tagreuse.classify import classify_all
 
 
 class TestSampleExtraction:
     def test_individual_delta_is_time_since_own_usage(self):
         tweets = [("A", "e1", 1000, ("x",)), ("A", "e2", 4600, ("x",))]
         corpus = corpus_from_tweets(tweets, {"A": set()})
-        samples = individual_recency_samples(corpus)
-        assert samples == [RecencySample("individual", 3600)]
+        assert individual_recency_samples(corpus).tolist() == [3600]
 
     def test_single_use_hashtags_yield_no_samples(self):
         tweets = [("A", "e1", 10, ("x",)), ("A", "e2", 20, ("y",))]
         corpus = corpus_from_tweets(tweets, {"A": set()})
-        assert individual_recency_samples(corpus) == []
+        assert individual_recency_samples(corpus).tolist() == []
 
     def test_equal_timestamp_own_usage_is_not_prior(self):
         # ties are mutually non-prior, so no individual sample is emitted
         tweets = [("A", "e1", 30, ("x",)), ("A", "e2", 30, ("x",))]
         corpus = corpus_from_tweets(tweets, {"A": set()})
-        assert individual_recency_samples(corpus) == []
+        assert individual_recency_samples(corpus).tolist() == []
 
     def test_social_delta_is_time_since_followee_usage(self):
         tweets = [("B", "e1", 2000, ("x",)), ("A", "e2", 5600, ("x",))]
         corpus = corpus_from_tweets(tweets, {"A": {"B"}})
-        assert social_recency_samples(corpus) == [RecencySample("social", 3600)]
+        assert social_recency_samples(corpus).tolist() == [3600]
 
     def test_no_followees_no_social_samples(self):
         tweets = [("B", "e1", 10, ("x",)), ("A", "e2", 20, ("x",))]
         corpus = corpus_from_tweets(tweets, {"A": set()})
-        assert social_recency_samples(corpus) == []
+        assert social_recency_samples(corpus).tolist() == []
 
     def test_followee_usage_after_is_ignored(self):
         tweets = [("A", "e1", 10, ("x",)), ("B", "e2", 20, ("x",))]
         corpus = corpus_from_tweets(tweets, {"A": {"B"}})
-        assert social_recency_samples(corpus) == []
+        assert social_recency_samples(corpus).tolist() == []
 
     def test_individual_social_assignment_emits_both(self, primed_reuse_corpus):
         ind = individual_recency_samples(primed_reuse_corpus)
         soc = social_recency_samples(primed_reuse_corpus)
         # (x, 40) has both bits: own usage at 30, followee usage at 20
-        assert RecencySample("individual", 10) in ind
-        assert RecencySample("social", 20) in soc
-        labeled, _ = classify_all(primed_reuse_corpus)
-        both = [la for la in labeled if la.label.value == "individual_social"]
-        assert all(
-            la.individual_delta is not None and la.social_delta is not None for la in both
-        )
+        assert 10 in ind.tolist()
+        assert 20 in soc.tolist()
+        both = [row for row in classified(primed_reuse_corpus)
+                if row[1].value == "individual_social"]
+        assert both
+        assert all(ind_delta > 0 and soc_delta > 0 for _, _, ind_delta, soc_delta in both)
 
     def test_matches_brute_force_on_random_corpora(self):
         rng = random.Random(42)
         for _ in range(15):
             corpus = random_corpus(rng, max_users=15, max_assignments=150, max_timestamp=200)
-            labeled, _ = classify_all(corpus)
-            for la in labeled:
-                ind, soc = brute_force_deltas(corpus, la.assignment)
-                assert la.individual_delta == ind
-                assert la.social_delta == soc
+            for a, _, ind_delta, soc_delta in classified(corpus):
+                ind, soc = brute_force_deltas(corpus, a)
+                assert ind_delta == (ind or 0)
+                assert soc_delta == (soc or 0)
 
 
     def test_one_sweep_gives_both_kinds(self, monkeypatch):
@@ -95,15 +90,13 @@ class TestSampleExtraction:
             sweeps.clear()
             individual, social = recency_samples(corpus)
             assert len(sweeps) == 1
-            assert individual == [RecencySample("individual", d) for d, _ in deltas if d]
-            assert social == [RecencySample("social", d) for _, d in deltas if d]
+            assert individual.tolist() == [d for d, _ in deltas if d]
+            assert social.tolist() == [d for _, d in deltas if d]
 
 
 class TestBuildHistogram:
     def test_hand_binned_fixture(self):
-        samples = [
-            RecencySample("individual", int(h * 3600)) for h in (1.0, 24.0, 24.0, 25.0)
-        ]
+        samples = [int(h * 3600) for h in (1.0, 24.0, 24.0, 25.0)]
         hist = build_histogram(samples, n_bins=3, min_hours=0.1, max_hours=1000.0)
         # independent edge computation: geometric spacing over 4 decades
         edges = [0.1 * (1000.0 / 0.1) ** (i / 3) for i in range(4)]
@@ -117,14 +110,14 @@ class TestBuildHistogram:
 
     def test_sample_on_interior_edge_goes_to_higher_bin(self):
         # edges of 2 bins over [1, 100] are (1, 10, 100); 10h sits in bin 1
-        samples = [RecencySample("individual", 10 * 3600)]
+        samples = [10 * 3600]
         hist = build_histogram(samples, n_bins=2, min_hours=1.0, max_hours=100.0)
         assert hist.counts == (0, 1)
 
     def test_clamping_preserves_counts(self):
         samples = [
-            RecencySample("individual", 1),          # far below min
-            RecencySample("individual", 10**9),      # far above max
+            1,          # far below min
+            10**9,      # far above max
         ]
         hist = build_histogram(samples, n_bins=4, min_hours=1.0, max_hours=10.0)
         assert hist.counts[0] == 1
@@ -144,14 +137,12 @@ class TestBuildHistogram:
     def test_non_finite_bounds_rejected(self, bounds):
         min_hours, max_hours = bounds
         with pytest.raises(InvalidRange, match="finite"):
-            build_histogram([RecencySample("social", 3600)], n_bins=3,
+            build_histogram([3600], n_bins=3,
                             min_hours=min_hours, max_hours=max_hours)
 
     def test_permutation_invariance(self):
         rng = random.Random(3)
-        samples = [
-            RecencySample("social", rng.randint(1, 10**7)) for _ in range(300)
-        ]
+        samples = [rng.randint(1, 10**7) for _ in range(300)]
         h1 = build_histogram(samples)
         shuffled = samples[:]
         rng.shuffle(shuffled)
@@ -160,20 +151,15 @@ class TestBuildHistogram:
 
     def test_counts_sum_to_samples(self):
         rng = random.Random(8)
-        samples = [RecencySample("individual", rng.randint(1, 10**9)) for _ in range(500)]
+        samples = [rng.randint(1, 10**9) for _ in range(500)]
         hist = build_histogram(samples, n_bins=13, min_hours=0.5, max_hours=200.0)
         assert sum(hist.counts) == 500
-
-    def test_mixed_kinds_rejected(self):
-        samples = [RecencySample("individual", 10), RecencySample("social", 10)]
-        with pytest.raises(ValueError):
-            build_histogram(samples)
 
 
 def _hist(counts, min_hours=1.0, max_hours=1000.0):
     n = len(counts)
     edges = tuple(min_hours * (max_hours / min_hours) ** (i / n) for i in range(n + 1))
-    return RecencyHistogram("individual", edges, tuple(counts))
+    return RecencyHistogram(edges, tuple(counts))
 
 
 class TestDetectDailyPeak:
@@ -208,7 +194,7 @@ class TestDetectDailyPeak:
         assert check.is_peak is False
 
     def test_default_scheme_bin_contains_24h(self):
-        hist = build_histogram([RecencySample("individual", 24 * 3600)])
+        hist = build_histogram([24 * 3600])
         check = detect_daily_peak(hist)
         lo = hist.bin_edges_hours[check.bin_index]
         hi = hist.bin_edges_hours[check.bin_index + 1]
