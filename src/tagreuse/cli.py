@@ -245,15 +245,16 @@ def _cmd_classify(cfg: dict[str, Any]) -> int:
     obj = {"meta": meta, **breakdown.to_json_dict()}
     _emit(_json_text(obj), cfg["out"])
     if cfg["per_assignment"]:
-        lines = _header_lines(meta, "user\ttweet\tts\thashtag\tlabel")
+        path = Path(cfg["per_assignment"])
+        path.parent.mkdir(parents=True, exist_ok=True)
         users, tweets, tags = corpus.users, corpus.tweets, corpus.tags
         values = [label.value for label in classify.LABELS]
         rows = labels.rows
-        for i, u, ts, t, code in zip(rows.tolist(), corpus.user[rows].tolist(),
-                                     corpus.ts[rows].tolist(), corpus.tag[rows].tolist(),
-                                     labels.codes.tolist()):
-            lines.append(f"{users[u]}\t{tweets[i]}\t{ts}\t{tags[t]}\t{values[code]}")
-        _write_atomic(Path(cfg["per_assignment"]), "\n".join(lines) + "\n")
+        columns = (rows, corpus.user[rows], corpus.ts[rows], corpus.tag[rows], labels.codes)
+        with atomic_open(path) as fh:
+            fh.write("\n".join(_header_lines(meta, "user\ttweet\tts\thashtag\tlabel")) + "\n")
+            for i, u, ts, t, code in zip(*map(memoryview, columns)):
+                fh.write(f"{users[u]}\t{tweets[i]}\t{ts}\t{tags[t]}\t{values[code]}\n")
     return EXIT_OK
 
 

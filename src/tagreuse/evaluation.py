@@ -7,15 +7,17 @@ events strictly before that user's query. Precision/recall are macro
 averaged over users at every k up to k_max, optionally after hybrid
 re-ranking and with diversity/serendipity columns.
 
-`evaluate` answers all queries in one chronological pass: users are
-visited in ascending reference time, so the shared CorpusIndex cursor
-advances once over the corpus, and every algorithm scores a user before
-the cursor moves on.
+`evaluate` answers all queries from one CorpusIndex: users are visited in
+ascending reference time, and every algorithm scores a user before the
+next, so the values the index caches for that user's reference time (the
+global tag counts, the bll_i and bll_s score dicts) serve them all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .corpus import Corpus
 # All stay bound, intra_list_diversity too: bench/tracing.py wraps them by name here.
@@ -63,35 +65,19 @@ def make_split(corpus: Corpus) -> EvalSplit:
     Users with fewer than two hashtag-bearing tweets are excluded; ties on
     timestamp resolve to the larger tweet id (the corpus sort order).
     """
-    users, tags = corpus.users, corpus.tags
-    is_seed = [u in corpus.seed_users for u in users]
-    latest: dict[int, tuple[int, str]] = {}  # user id -> (timestamp, id) of its latest tweet
-    several: set[int] = set()  # user ids with at least two tweets
-    for ts, u, tweet_id in zip(memoryview(corpus.ts), memoryview(corpus.user), corpus.tweets):
-        if is_seed[u]:
-            last = latest.get(u)
-            if last is None:
-                latest[u] = (ts, tweet_id)
-            elif tweet_id != last[1]:
-                several.add(u)
-                if (ts, tweet_id) > last:
-                    latest[u] = (ts, tweet_id)
-    test_tags: dict[str, set[str]] = {latest[u][1]: set() for u in several}
-    for t, tweet_id in zip(memoryview(corpus.tag), corpus.tweets):
-        found = test_tags.get(tweet_id)
-        if found is not None:
-            found.add(tags[t])
-    splits = []
-    for u in sorted(several, key=users.__getitem__):
-        ref_time, test_tweet = latest[u]
-        splits.append(
-            UserSplit(
-                user_id=users[u],
-                test_tweet_id=test_tweet,
-                test_hashtags=frozenset(test_tags[test_tweet]),
-                ref_time=ref_time,
-            )
-        )
+    # The rows are in (timestamp, tweet, hashtag) order, so a tweet's rows
+    # are adjacent and a user's latest tweet is the one of its last row.
+    last = np.zeros(len(corpus.users), dtype=np.int64)
+    np.maximum.at(last, corpus.user, np.arange(len(corpus.user), dtype=np.int32))
+    n_rows, tweets, splits = np.bincount(corpus.user).tolist(), corpus.tweets, []
+    for u, hi in enumerate(last.tolist()):
+        test_tweet, start = tweets[hi], hi
+        while start and tweets[start - 1] == test_tweet:
+            start -= 1
+        if corpus.users[u] in corpus.seed_users and n_rows[u] > hi + 1 - start:
+            test_tags = frozenset(map(corpus.tags.__getitem__, corpus.tag[start : hi + 1].tolist()))
+            splits.append(UserSplit(corpus.users[u], test_tweet, test_tags, int(corpus.ts[hi])))
+    splits.sort(key=lambda us: us.user_id)
     return EvalSplit(users=tuple(splits))
 
 
@@ -169,8 +155,8 @@ def evaluate(
     """Run every algorithm over the split and macro-average the metrics.
 
     Users whose recommendation list is empty contribute zeros. Queries run
-    in ascending (ref_time, user_id) order, so the index's time cursor
-    only moves forward; each user's per-k contributions are kept and then
+    in ascending (ref_time, user_id) order, for the index's cache hits;
+    each user's per-k contributions are kept and then
     summed in sorted user-id order, so results are reproducible to the
     bit. With re-ranking, each list's pair similarities are built once,
     as the candidates' pair table: the re-ranker reads it, and the ILD at

@@ -1,128 +1,122 @@
-"""Time-sliced reads over a corpus.
+"""As-of reads over a corpus.
 
 All queries take a reference time and answer about usage *strictly
-before* it, so no answer leaks later events.
-
-Every read comes from one time cursor: running counts and per-user usage
-traces over the time-sorted assignments, advanced forward to each query's
-reference time. The cursor reads the corpus columns (`ts`, `user` and
-`tag` through memoryviews, ids resolved through the `users`/`tags`
-tables), so no assignment objects are built; the counts and traces it
-keeps are keyed by user id and hashtag strings. The columns are
-time-sorted, so the rows an advance takes are found by bisecting `ts`.
-There are no point lookups. Queries in ascending time order therefore
-cost one pass over the corpus in total; a query earlier than the cursor
-restarts it from the first event.
-
-A user's trace for a hashtag is the list of its usage timestamps in
-cursor order, so ascending, with tied timestamps equal ints. Score dicts
-derived at the cursor's time (the BLL activations) are memoized on the
-cursor and dropped whenever its time changes.
+before* it, so no answer leaks later events. The columns are time-sorted,
+so that usage is the row prefix [0, end), end = CorpusIndex.end(ref_time).
+The index sorts the rows once, stably, by (user id, tag id): a user's rows
+are one block of that order, grouped by tag and in time order within a
+tag, and the part below `end` gives the user's per-hashtag counts and
+usage traces (ascending timestamps, tied ones equal ints). Nothing is
+counted as time moves, so every answer depends only on (arguments,
+corpus), whatever the order of the queries.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from typing import Any, Callable, Hashable, Iterable
 
-from .corpus import Corpus, FollowNetwork
+import numpy as np
+
+from .corpus import Corpus, CorpusError
+
+# Up to this many rows per user, squared profile norms (at most the squared
+# row count) and so the float64 sums of count products stay exact (< 2**53).
+MAX_USER_ROWS = 94_906_265
 
 
-class RunningCounts:
-    """Usage counts over all assignments strictly before `time`.
-
-    profiles   user -> {hashtag: count}, hashtags in first-use order
-    times      user -> {hashtag: [timestamps]}, same order, ascending lists
-    norm2      user -> sum of squared profile counts (exact int)
-    postings   hashtag -> {user: count}
-    global_counts  hashtag -> count
-    memo       values derived at `time`, emptied when `time` changes
-    """
-
-    __slots__ = ("time", "pos", "profiles", "times", "norm2", "postings", "global_counts",
-                 "memo")
-
-    def __init__(self) -> None:
-        self.time: int | None = None
-        self.pos = 0  # index of the first assignment not yet counted
-        self.profiles: dict[str, dict[str, int]] = {}
-        self.times: dict[str, dict[str, list[int]]] = {}
-        self.norm2: dict[str, int] = {}
-        self.postings: dict[str, dict[str, int]] = {}
-        self.global_counts: dict[str, int] = {}
-        self.memo: dict = {}
+def _last_of_runs(*keys: np.ndarray) -> np.ndarray:
+    """Mask of the last position of each run of equal values in all keys."""
+    last = np.zeros(len(keys[0]), dtype=bool)
+    last[-1:] = True
+    for key in keys:
+        last[:-1] |= key[1:] != key[:-1]
+    return last
 
 
 class CorpusIndex:
-    """Query structure over one corpus, with one internal time cursor.
-
-    Every answer depends only on (arguments, corpus), whatever the order
-    of the queries. Reads are cheapest in ascending
-    reference time; a read at an earlier time than the previous one
-    rewinds the cursor, which recounts from the first event. The cursor
-    is mutable state, so one index must not be shared across threads.
-    """
+    """Immutable as-of index over one corpus's columns. User id u's rows
+    are order[user_ptr[u]:user_ptr[u + 1]]; sq[row] is 2k - 1 for the k-th
+    use of the row's (user, tag) pair, so a user's squared profile norm at
+    `end` is the sum of sq over its rows below `end`. The only state a read
+    changes is one (ref_time, dict) cache of values derived at the latest
+    reference time, which a read at another time replaces whole."""
 
     def __init__(self, corpus: Corpus):
-        self.corpus = corpus
-        self.network: FollowNetwork = corpus.network
-        # Memoryviews index as Python ints (never numpy scalars) without a copy.
-        self._columns = tuple(map(memoryview, (corpus.ts, corpus.user, corpus.tag)))
-        self._cursor = RunningCounts()
+        self.corpus, self.network = corpus, corpus.network
+        user, tag = corpus.user, corpus.tag
+        per_user = np.bincount(user, minlength=len(corpus.users))
+        if len(user) >= 2**31 or (len(user) and per_user.max() > MAX_USER_ROWS):
+            raise CorpusError(f"a user with more than {MAX_USER_ROWS} rows, or 2**31 rows"
+                              " in all, is beyond the index's exact integer sums")
+        self.user_ptr = np.concatenate(([0], np.cumsum(per_user)))
+        self.order = np.lexsort((tag, user)).astype(np.int32)
+        # a (user, tag) run starts right after the previous run's last row
+        first = np.roll(_last_of_runs(user[self.order], tag[self.order]), 1)
+        rank = np.arange(len(user), dtype=np.int32)
+        rank -= np.maximum.accumulate(np.where(first, rank, 0))
+        self.sq = np.empty(len(user), dtype=np.int32)
+        self.sq[self.order] = 2 * rank + 1
+        self.user_ids = dict(zip(corpus.users, range(len(corpus.users))))
+        self.tag_ids = dict(zip(corpus.tags, range(len(corpus.tags))))
+        self._ts, self._cache = memoryview(corpus.ts), (None, {})
 
-    def counts_before(self, ref_time: int) -> RunningCounts:
-        """The cursor, advanced to ref_time.
+    def end(self, ref_time: int) -> int:
+        """Number of rows strictly before ref_time (any int)."""
+        return bisect_left(self._ts, ref_time)
 
-        The returned counts are live: they hold for ref_time only until
-        the index is next read at another time. Callers must not mutate
-        them.
-        """
-        cur = self._cursor
-        if ref_time == cur.time:
-            return cur
-        if cur.time is not None and ref_time < cur.time:
-            cur = self._cursor = RunningCounts()
-        cur.memo.clear()
-        corpus = self.corpus
-        users, tags = corpus.users, corpus.tags
-        ts_col, user_col, tag_col = self._columns
-        pos = cur.pos
-        end = bisect_left(ts_col, ref_time, pos)
-        profiles, times, norm2 = cur.profiles, cur.times, cur.norm2
-        postings, global_counts = cur.postings, cur.global_counts
-        for ts, user, ht in zip(ts_col[pos:end], map(users.__getitem__, user_col[pos:end]),
-                                map(tags.__getitem__, tag_col[pos:end])):
-            profile = profiles.get(user)
-            if profile is None:
-                profile = profiles[user] = {}
-                times[user] = {}
-                norm2[user] = 0
-            c = profile.get(ht, 0)
-            profile[ht] = c + 1
-            if c:
-                times[user][ht].append(ts)
-            else:
-                times[user][ht] = [ts]
-            norm2[user] += 2 * c + 1  # (c + 1)^2 - c^2
-            posting = postings.get(ht)
-            if posting is None:
-                posting = postings[ht] = {}
-            posting[user] = c + 1
-            global_counts[ht] = global_counts.get(ht, 0) + 1
-        cur.pos = end
-        cur.time = ref_time
-        return cur
+    def cached(self, ref_time: int, key: Hashable, compute: Callable[[], Any]) -> Any:
+        """compute(), cached under key for ref_time; never read at another time."""
+        at, values = self._cache
+        if at != ref_time:
+            at, values = self._cache = (ref_time, {})
+        if key not in values:
+            values[key] = compute()
+        return values[key]
+
+    def global_counts_before(self, ref_time: int) -> np.ndarray:
+        """Usage count per tag id strictly before ref_time."""
+        tag, n_tags = self.corpus.tag, len(self.corpus.tags)
+        return self.cached(ref_time, "global_counts",
+                           lambda: np.bincount(tag[: self.end(ref_time)], minlength=n_tags))
+
+    def _rows(self, user_ids: Iterable[str], end: int) -> np.ndarray:
+        """The given users' rows below `end`, user by user, by (tag id, row)."""
+        ptr, order = self.user_ptr, self.order
+        blocks = (order[ptr[u] : ptr[u + 1]] for u in map(self.user_ids.get, user_ids)
+                  if u is not None)
+        return np.concatenate([order[:0], *(block[block < end] for block in blocks)])
+
+    def profiles(self, user_ids: Iterable[str], end: int) -> tuple[np.ndarray, ...]:
+        """(tag ids, counts, users): the user id users[i] used tag id ids[i]
+        counts[i] times below `end`, users in the given order (those with
+        rows), tag ids ascending per user. The last row of a (user, tag)
+        run below `end` is its count-th use, so sq gives the count."""
+        rows = self._rows(user_ids, end)
+        users, tags = self.corpus.user[rows], self.corpus.tag[rows]
+        last = _last_of_runs(tags, users)
+        return tags[last], (self.sq[rows[last]] + 1) >> 1, users[last]
+
+    def traces_before(self, user_ids: Iterable[str], ref_time: int) -> dict[str, list[int]]:
+        """Hashtag -> ascending usage timestamps strictly before ref_time,
+        pooled over the given users, hashtags in tag-id order."""
+        rows = self._rows(user_ids, self.end(ref_time))
+        # sorted by (tag id, row) through one int64 key: rows are below 2**31
+        key = np.sort(self.corpus.tag[rows].astype(np.int64) << 32 | rows)
+        rows, tags = key & 0xFFFFFFFF, key >> 32
+        last = _last_of_runs(tags)
+        times, bounds = self.corpus.ts[rows].tolist(), [0, *(np.flatnonzero(last) + 1).tolist()]
+        names = self.corpus.tags
+        return {names[t]: times[a:b] for t, a, b in zip(tags[last].tolist(), bounds, bounds[1:])}
 
     def profile_before(self, user_id: str, ref_time: int) -> dict[str, int]:
         """Hashtag -> own usage count vector of one user strictly before
-        ref_time, hashtags in first-use order."""
-        return dict(self.counts_before(ref_time).profiles.get(user_id, {}))
+        ref_time, hashtags in tag-id order."""
+        ids, counts, _ = self.profiles([user_id], self.end(ref_time))
+        return dict(zip(map(self.corpus.tags.__getitem__, ids.tolist()), counts.tolist()))
 
     def own_tags_before(self, user_id: str, ref_time: int) -> set[str]:
-        return set(self.counts_before(ref_time).profiles.get(user_id, ()))
+        return set(self.traces_before([user_id], ref_time))
 
     def followee_tags_before(self, user_id: str, ref_time: int) -> set[str]:
-        profiles = self.counts_before(ref_time).profiles
-        tags: set[str] = set()
-        for f in self.network.followees(user_id):
-            tags.update(profiles.get(f, ()))
-        return tags
+        return set(self.traces_before(self.network.followees(user_id), ref_time))

@@ -4,11 +4,11 @@ All recommenders are pure functions of (index, user, ref_time, k): they
 look only at usage strictly before ref_time and produce a deterministic
 ranked list of at most k (hashtag, score) pairs, ordered by score, then
 global usage frequency before ref_time, then the hashtag string. The
-answer does not depend on query order, but every recommender and the
-frequency tie-break read the index's time cursor, so a run of queries is
-cheapest in ascending ref_time. The bll_i and bll_s score dicts are
-memoized on the cursor, so bll_is at the same (user, ref_time, params)
-reuses them.
+answer does not depend on query order. Every recommender reads the
+index's sorted order of the corpus columns (see CorpusIndex); the
+tie-break's global counts and the bll_i and bll_s score dicts are cached
+on the index for the latest ref_time, so bll_is at the same (user,
+ref_time, params) reuses them.
 
 Scoring models:
 
@@ -37,6 +37,8 @@ import heapq
 import math
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .corpus import NotSeedUser
 from .index import CorpusIndex
@@ -143,8 +145,8 @@ def _top(scores: dict, k: int, key) -> list:
 def _rank(scores: dict[str, float], k: int, index: CorpusIndex, ref_time: int) -> Ranked:
     """Deterministic top-k: score desc, global pre-ref frequency desc,
     hashtag asc."""
-    freq = index.counts_before(ref_time).global_counts.get
-    return _top(scores, k, lambda item: (-item[1], -freq(item[0], 0), item[0]))
+    freq, tag_id = index.global_counts_before(ref_time), index.tag_ids
+    return _top(scores, k, lambda item: (-item[1], -freq[tag_id[item[0]]], item[0]))
 
 
 def minmax_normalize(scores: dict[str, float]) -> dict[str, float]:
@@ -168,28 +170,11 @@ def _bll_scores(
     index: CorpusIndex, kind: str, user_id: str, ref_time: int, params: BLLParams
 ) -> dict[str, float]:
     """Activation per hashtag over the user's own traces (kind "i") or over
-    the followees' traces pooled per hashtag (kind "s"), memoized on the
-    cursor. A pooled tag with one followee reads that live trace; a shared
-    tag gets a new sorted list, so the cursor's traces are never mutated."""
-    counts = index.counts_before(ref_time)
-    key = (kind, user_id, params)
-    scores = counts.memo.get(key)
-    if scores is not None:
-        return scores
-    if kind == "i":
-        traces = counts.times.get(user_id, {})
-    else:
-        traces = {}
-        for f in index.network.followees(user_id):
-            for ht, times in counts.times.get(f, {}).items():
-                pooled = traces.get(ht)
-                if pooled is None:
-                    traces[ht] = times
-                else:
-                    traces[ht] = pooled = pooled + times
-                    pooled.sort()
-    scores = counts.memo[key] = _activations(traces, ref_time, params)
-    return scores
+    the followees' traces pooled per hashtag (kind "s"), cached on the
+    index for ref_time."""
+    users = [user_id] if kind == "i" else index.network.followees(user_id)
+    return index.cached(ref_time, (kind, user_id, params), lambda: _activations(
+        index.traces_before(users, ref_time), ref_time, params))
 
 
 def recommend_bll_i(
@@ -257,35 +242,46 @@ def recommend_cf(
     query profile is a cold start and yields an empty list.
 
     Only users sharing a hashtag with the query user have a nonzero
-    similarity, so the dot products come from the postings of the query's
-    hashtags, as exact ints like the squared norms.
+    similarity. Dot products and squared norms are exact integer-valued
+    float64 sums (see index.MAX_USER_ROWS).
     """
     _require_seed(index, user_id)
     profile = index.profile_before(user_id, ref_time)
     if not profile:
         return []
-    counts = index.counts_before(ref_time)
-    dots: dict[str, int] = {}
-    for ht, c in profile.items():
-        for v, cv in counts.postings[ht].items():
-            dots[v] = dots.get(v, 0) + c * cv
-    del dots[user_id]
-    norm2 = counts.norm2
-    norm_u = math.sqrt(norm2[user_id])
-    sims = [(dot / (norm_u * math.sqrt(norm2[v])), v) for v, dot in dots.items()]
-    scores: dict[str, float] = {}
-    for sim, v in heapq.nsmallest(params.n_neighbors, sims, key=lambda sv: (-sv[0], sv[1])):
-        for ht, count in counts.profiles[v].items():
-            scores[ht] = scores.get(ht, 0.0) + sim * count
+    corpus, end = index.corpus, index.end(ref_time)
+    users = corpus.user[:end].astype(np.intp)  # bincount with weights is slower on int32
+    weights = np.zeros(len(corpus.tags))
+    weights[list(map(index.tag_ids.__getitem__, profile))] = list(profile.values())
+    dots = np.bincount(users, weights=weights[corpus.tag[:end]], minlength=len(corpus.users))
+    norms = np.sqrt(np.bincount(users, weights=index.sq[:end], minlength=len(corpus.users)))
+    u = index.user_ids[user_id]
+    dots[u] = 0.0
+    sims = np.divide(dots, norms[u] * norms, out=np.zeros_like(dots), where=dots > 0)
+    near, names = np.flatnonzero(sims), corpus.users
+    top = _top(dict(zip(near.tolist(), sims[near].tolist())), params.n_neighbors,
+               key=lambda item: (-item[1], names[item[0]]))
+    ids, counts, owners = index.profiles([names[v] for v, _ in top], end)
+    # each neighbor's sim * count, added per hashtag in neighbor order from
+    # 0.0; every term is positive, so the candidates are the nonzero totals
+    totals = np.bincount(ids, weights=sims[owners] * counts)
+    return _rank_leaders(totals, k, index, ref_time)
+
+
+def _rank_leaders(values: np.ndarray, k: int, index: CorpusIndex, ref_time: int) -> Ranked:
+    """_rank of the nonzero scores in values (one per tag id), handed only
+    the tags at or above the k-th largest score (ties included)."""
+    top = np.flatnonzero(values)
+    if 0 < k < len(top):
+        top = top[values[top] >= np.partition(values[top], -k)[-k]]
+    scores = dict(zip(map(index.corpus.tags.__getitem__, top.tolist()), values[top].tolist()))
     return _rank(scores, k, index, ref_time)
 
 
 def recommend_most_popular(index: CorpusIndex, ref_time: int, k: int) -> Ranked:
-    """Global usage counts strictly before ref_time."""
-    counts = index.counts_before(ref_time).global_counts
-    # the score is the frequency, so _rank's key reduces to (-count, hashtag)
-    top = _top(counts, k, lambda item: (-item[1], item[0]))
-    return [(ht, float(c)) for ht, c in top]
+    """Global usage counts strictly before ref_time, by count, then hashtag."""
+    counts = index.global_counts_before(ref_time).astype(np.float64)
+    return _rank_leaders(counts, k, index, ref_time)
 
 
 def recommend(

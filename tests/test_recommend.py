@@ -9,7 +9,8 @@ from collections import Counter
 
 import pytest
 
-from tagreuse.corpus import NotSeedUser
+from tagreuse import index as index_module
+from tagreuse.corpus import CorpusError, NotSeedUser
 from tagreuse.index import CorpusIndex
 from tagreuse.recommend import (
     ALGORITHM_NAMES,
@@ -58,7 +59,8 @@ def _oracle_order(corpus, scores, ref, k):
 def _rewinding_refs(rng, corpus):
     """Reference times for one shared index: past the last event first, then
     up to three timestamps that several assignments share (ties at the
-    reference time) in random order, so the index's cursor must rewind."""
+    reference time) in random order, so the index answers earlier times
+    after later ones."""
     per_ts = Counter(a.timestamp for a in corpus.assignments)
     tied = sorted(ts for ts, n in per_ts.items() if n > 1)
     earlier = rng.sample(tied, min(3, len(tied)))
@@ -452,6 +454,26 @@ class TestCF:
                     checked += 1
         assert checked > 0
 
+    def test_scores_bit_equal_plain_loop_reference(self):
+        # _oracle_cf_scores adds sim * count per hashtag in neighbor order
+        # from 0.0; another order of the same terms can change the last bit
+        rng = random.Random(6262)
+        checked = 0
+        for _ in range(30):
+            corpus = random_corpus(rng, max_users=30, max_assignments=300, max_timestamp=200)
+            if not corpus.seed_users or not corpus.assignments:
+                continue
+            index = CorpusIndex(corpus)
+            for ref in _rewinding_refs(rng, corpus):
+                for user in sorted(corpus.seed_users)[:4]:
+                    n = rng.choice([1, 3, 20])
+                    scores = _oracle_cf_scores(corpus, user, ref, n) or {}
+                    got = recommend_cf(index, user, ref, len(scores) + 1, CFParams(n_neighbors=n))
+                    assert _bits(dict(got)) == _bits(scores), (user, ref, n)
+                    assert got == _oracle_order(corpus, scores, ref, len(scores))
+                    checked += bool(scores)
+        assert checked >= 100
+
 
 class TestMostPopular:
     def test_empty_corpus(self):
@@ -554,8 +576,18 @@ class TestAllRecommendersAgainstOracles:
         assert checked >= 50
 
 
+def _oracle_traces(corpus, users, ref):
+    traces: dict[str, list[int]] = {}
+    for a in corpus.assignments:
+        if a.user_id in users and a.timestamp < ref:
+            traces.setdefault(a.hashtag, []).append(a.timestamp)
+    return {ht: sorted(times) for ht, times in traces.items()}
+
+
 class TestCursorReads:
-    """bll_i, bll_s and bll_is read the cursor's traces and its score memo."""
+    """bll_i, bll_s and bll_is read traces from the index's sorted order and
+    cache their score dicts for the latest reference time; mp and the
+    ranking tie-break read the cached global counts."""
 
     def test_bll_is_after_its_components_equals_fresh_index(self, history_corpus):
         ref = 3600
@@ -568,11 +600,14 @@ class TestCursorReads:
             results[d] = recommend_bll_is(index, "A", ref, 10, params)
             fresh = recommend_bll_is(CorpusIndex(history_corpus), "A", ref, 10, params)
             assert results[d] == fresh
-        # the two decays rank differently, so a memo keyed without them shows
+        # the two decays rank differently, so a cache keyed without them shows
         assert results[D] != results[2.0]
-        # reads at one time keep the memo: one entry per (kind, user, params)
-        memo = index.counts_before(ref).memo
-        assert set(memo) == {(kind, "A", BLLParams(d=d)) for kind in "is" for d in (D, 2.0)}
+        # reads at one time keep the cache: one entry per (kind, user, params)
+        at, values = index._cache
+        assert at == ref
+        assert set(values) - {"global_counts"} == {
+            (kind, "A", BLLParams(d=d)) for kind in "is" for d in (D, 2.0)
+        }
 
     def test_bll_is_after_components_on_random_corpora(self):
         rng = random.Random(8080)
@@ -593,21 +628,22 @@ class TestCursorReads:
         assert checked > 0
 
     def test_move_and_rewind_do_not_go_stale(self, history_corpus):
-        # 3600 -> 3700 crosses no event: the traces stay, the memo must not
+        # 3600 -> 3700 crosses no event: the traces stay, the cache must not
         index = CorpusIndex(history_corpus)
         for ref in (2000, 3600, 3700, 2000, 3600):
             for algo in ("bll_i", "bll_s", "bll_is"):
                 fresh = recommend(algo, CorpusIndex(history_corpus), "A", ref, 10)
                 assert recommend(algo, index, "A", ref, 10) == fresh, (algo, ref)
-            expected = CorpusIndex(history_corpus).counts_before(ref).times
-            assert index.counts_before(ref).times == expected
+            for user in history_corpus.users:
+                expected = _oracle_traces(history_corpus, {user}, ref)
+                assert index.traces_before([user], ref) == expected, (user, ref)
 
     def test_traces_are_ascending_per_user_and_tag(self, history_corpus):
-        times = CorpusIndex(history_corpus).counts_before(2600).times
-        assert times["A"] == {"a": [1000], "b": [1500, 2500]}
-        assert times["B1"] == {"x": [1200], "b": [1200]}
-        assert times["B2"] == {"x": [2200]}
-        assert times["C"] == {"a": [900], "x": [900], "z": [900]}
+        index = CorpusIndex(history_corpus)
+        assert index.traces_before(["A"], 2600) == {"a": [1000], "b": [1500, 2500]}
+        assert index.traces_before(["B1"], 2600) == {"x": [1200], "b": [1200]}
+        assert index.traces_before(["B2"], 2600) == {"x": [2200]}
+        assert index.traces_before(["C"], 2600) == {"a": [900], "x": [900], "z": [900]}
 
     def test_shared_followee_tags_leave_traces_unchanged(self):
         ref = 1000
@@ -620,21 +656,15 @@ class TestCursorReads:
         ]
         corpus = corpus_from_tweets(tweets, {"A": {"B1", "B2", "B3"}})
         index = CorpusIndex(corpus)
-        traces = index.counts_before(ref).times
-        before = {
-            f: {ht: (trace, list(trace)) for ht, trace in traces[f].items()}
-            for f in ("B1", "B2", "B3")
-        }
+        before = {f: index.traces_before([f], ref) for f in ("B1", "B2", "B3")}
         got = dict(recommend_bll_s(index, "A", ref, 10))
         assert got["x"] == bll_activation([100, 150, 200, 300], ref)
         assert got["y"] == bll_activation([100, 150], ref)
         assert got["w"] == bll_activation([300], ref)
-        after = index.counts_before(ref).times
-        for f, per_tag in before.items():
-            assert after[f].keys() == per_tag.keys()
-            for ht, (trace, copy) in per_tag.items():
-                assert after[f][ht] is trace
-                assert trace == copy, (f, ht)
+        pooled = index.traces_before(["B1", "B2", "B3"], ref)
+        assert pooled == {"x": [100, 150, 200, 300], "y": [100, 150], "w": [300]}
+        for f, traces in before.items():
+            assert index.traces_before([f], ref) == traces == _oracle_traces(corpus, {f}, ref)
 
     @pytest.fixture
     def tied_corpus(self):
@@ -650,25 +680,74 @@ class TestCursorReads:
     def test_prefiltered_rank_equals_unfiltered(self, tied_corpus):
         ref = 10_000
         index = CorpusIndex(tied_corpus)
-        freq = index.counts_before(ref).global_counts.get
         # two leaders, a block of 12 tied at 3.0, and a tail tied at 1.0
         scores = {f"t{i:02d}": 5.0 if i < 2 else 3.0 if i < 14 else 1.0 for i in range(24)}
         n = len(scores)
         for k in (0, 1, 2, 3, 7, 14, 15, n, n + 1):
             expected = heapq.nsmallest(
-                k, scores.items(), key=lambda item: (-item[1], -freq(item[0], 0), item[0])
+                k, scores.items(),
+                key=lambda item: (-item[1], -_oracle_freq(tied_corpus, item[0], ref), item[0]),
             )
             assert _rank(scores, k, index, ref) == expected, k
 
     def test_prefiltered_most_popular_equals_unfiltered(self, tied_corpus):
         ref = 10_000
         index = CorpusIndex(tied_corpus)
-        counts = index.counts_before(ref).global_counts
+        counts = Counter(a.hashtag for a in tied_corpus.assignments if a.timestamp < ref)
         n = len(counts)
-        for k in (0, 1, 5, 8, 9, n, n + 1):
+        for k in (-1, 0, 1, 5, 8, 9, n, n + 1):
             expected = heapq.nsmallest(k, counts.items(), key=lambda item: (-item[1], item[0]))
             got = recommend_most_popular(index, ref, k)
             assert got == [(ht, float(c)) for ht, c in expected], k
+
+
+def _answer(index, query):
+    """One read of the index as plain data, scores as float.hex strings."""
+    read, user, ref = query
+    if read in ALGORITHM_NAMES:
+        return [(ht, score.hex()) for ht, score in recommend(read, index, user, ref, 10)]
+    if read == "traces":
+        return index.traces_before(index.network.followees(user), ref)
+    return getattr(index, read)(user, ref)
+
+
+class TestSharedIndex:
+    """One index answers any sequence of reads as fresh indexes do."""
+
+    def test_shuffled_repeated_queries_equal_fresh_index(self):
+        rng = random.Random(5151)
+        reads = (*ALGORITHM_NAMES, "traces", "profile_before", "own_tags_before",
+                 "followee_tags_before")
+        seen = Counter()
+        for _ in range(25):
+            corpus = random_corpus(rng, max_users=12, max_assignments=150, max_timestamp=60)
+            if not corpus.assignments:
+                continue
+            per_ts = Counter(corpus.ts.tolist())
+            tied = [ts for ts, n in per_ts.items() if n > 1]
+            first, last = int(corpus.ts[0]), int(corpus.ts[-1])
+            refs = [first - 1, first, last, last + 1, -(10**20), 10**20,
+                    *rng.sample(tied, min(3, len(tied)))]
+            users = sorted(corpus.seed_users)[:3]
+            queries = [(read, user, ref) for read in reads for user in users for ref in refs]
+            queries *= 2
+            rng.shuffle(queries)
+            index = CorpusIndex(corpus)
+            for query in queries:
+                got = _answer(index, query)
+                assert got == _answer(CorpusIndex(corpus), query), query
+                seen["nonempty"] += bool(got)
+            seen["tied"] += bool(tied)
+        assert seen["nonempty"] >= 200 and seen["tied"] >= 10, seen
+
+    def test_rows_per_user_beyond_exact_sums_rejected(self, monkeypatch):
+        tweets = [("u", f"t{i}", 10 + i, ("x",)) for i in range(3)]
+        corpus = corpus_from_tweets(tweets, {"u": set()})
+        monkeypatch.setattr(index_module, "MAX_USER_ROWS", 3)
+        CorpusIndex(corpus)
+        monkeypatch.setattr(index_module, "MAX_USER_ROWS", 2)
+        with pytest.raises(CorpusError, match="exact"):
+            CorpusIndex(corpus)
 
 
 class TestNormalization:
