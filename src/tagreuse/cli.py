@@ -306,6 +306,8 @@ def _recommender_params(
 
 def _cmd_recommend(cfg: dict[str, Any]) -> int:
     bll, mix, cf, hybrid = _recommender_params(cfg)
+    if cfg["k"] < 1:
+        raise UsageError(f"k must be >= 1, got {cfg['k']}")
     corpus = _load(cfg)
     index = CorpusIndex(corpus)
     items = recommend(cfg["algo"], index, cfg["user"], cfg["at"], cfg["k"], bll=bll, mix=mix, cf=cf)

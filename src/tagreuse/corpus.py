@@ -14,13 +14,13 @@ read and cached for callers that want objects; the package itself reads
 only the columns. Everything downstream reads this structure and never
 mutates it.
 
-`load_corpus` reads a TSV file in chunks and checks each chunk with bulk
-string and list operations. A file that fails any check (a malformed,
-duplicate or out-of-order line) is read again by the line reader, which
-raises, counts and sorts exactly as a line-at-a-time parser does; JSONL
-files always take the line reader. Its rows and those of
-`Corpus.from_tweets` go through one assembly step into columns, so every
-route gives the same corpus.
+`load_corpus` reads a file once, in chunks of lines. A TSV chunk is
+checked with bulk string and list operations; only a chunk that fails a
+check (it holds a malformed line), and every JSONL chunk, goes to the line
+reader, which raises and counts exactly as a line-at-a-time parser does.
+The rows of a load and of `Corpus.from_tweets` go through one assembly
+step, which sorts and deduplicates rows not already in strict order, so
+every route gives the same corpus.
 """
 
 from __future__ import annotations
@@ -34,9 +34,9 @@ import unicodedata
 import uuid
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import chain, compress, islice, repeat
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -44,11 +44,9 @@ log = logging.getLogger(__name__)
 
 # One parsed tweet: (user_id, tweet_id, timestamp, hashtags).
 TweetRecord = tuple[str, str, int, tuple[str, ...]]
-# One assignment before assembly: (timestamp, tweet_id, hashtag, user_id).
-_Row = tuple[int, str, str, str]
 
 MAX_TIMESTAMP = 2**63 - 1  # largest value of the int64 `ts` column
-# Characters per `readlines` call of the bulk TSV reader: enough lines to
+# Characters per `readlines` call of the assignments reader: enough lines to
 # amortize the per-chunk work, few enough that the chunk's split fields
 # stay small next to the corpus itself.
 _CHUNK_CHARS = 1 << 18
@@ -291,17 +289,13 @@ class Corpus:
                 raise InconsistentNetwork(f"seed user {seed!r} follows itself")
             net[seed] = fset
         with _gc_paused():
-            tweet_index: dict[str, tuple[str, int]] = {}
-            rows: dict[_Row, None] = {}
+            rows = _Rows({}, [], [], [], [], {}, {})
             for user_id, tweet_id, ts, hashtags in tweets:
                 meta = (user_id, ts)
-                if tweet_index.setdefault(tweet_id, meta) != meta:
-                    raise CorpusError(
-                        f"tweet {tweet_id!r} appears with conflicting metadata"
-                    )
-                for ht in hashtags:
-                    rows[ts, tweet_id, ht, user_id] = None
-            return _assemble(FollowNetwork(net), tweet_index, rows, n_malformed_lines)
+                if rows.tweet_index.setdefault(tweet_id, meta) != meta:
+                    raise CorpusError(f"tweet {tweet_id!r} appears with conflicting metadata")
+                rows.add(user_id, tweet_id, ts, hashtags)
+            return _assemble(FollowNetwork(net), rows, n_malformed_lines)
 
     def all_users(self) -> frozenset[str]:
         """Every distinct user id in the assignments or the network."""
@@ -335,17 +329,42 @@ class Corpus:
             prev_key = key
 
 
-def _assemble(
-    network: FollowNetwork,
-    tweet_index: dict[str, tuple[str, int]],
-    rows: dict[_Row, None],
-    n_malformed_lines: int,
-) -> Corpus:
-    """The corpus of validated rows. A dict collapses duplicates and keeps
-    input order, so the sort is linear on a sorted file; a tweet has one
+class _Rows(NamedTuple):
+    """Assignment rows in input order, as columns, with the tweet index; and
+    the interned user ids and normalized-tag cache that a file load builds
+    them from."""
+
+    tweet_index: dict[str, tuple[str, int]]
+    ts: list[int]
+    tweets: list[str]
+    users: list[str]
+    tags: list[str]
+    interned: dict[str, str]  # user id -> its first string object
+    normalized: dict[str, str]  # raw hashtag -> normalize_hashtag(raw)
+
+    def add(self, user_id: str, tweet_id: str, ts: int, tags: Iterable[str]) -> None:
+        """Append a tweet's row for each of its hashtags."""
+        for ht in tags:
+            self.ts.append(ts)
+            self.tweets.append(tweet_id)
+            self.users.append(user_id)
+            self.tags.append(ht)
+
+
+def _assemble(network: FollowNetwork, rows: _Rows, n_malformed_lines: int) -> Corpus:
+    """The corpus of validated rows. Rows in strict (timestamp, tweet,
+    hashtag) order are its columns as they are; others are sorted, which
+    is linear on a nearly sorted input, and deduplicated. A tweet has one
     (user, timestamp), so rows sort like `HashtagAssignment.sort_key`."""
-    ts, tweets, tags, users = zip(*sorted(rows)) if rows else ((),) * 4
-    return Corpus.from_columns(ts, tweets, users, tags, network, tweet_index, n_malformed_lines)
+    ts, tweets, users, tags = rows.ts, rows.tweets, rows.users, rows.tags
+    keys = zip(ts, tweets, tags)
+    if not (all(map(operator.lt, ts, islice(ts, 1, None)))  # ties: whole keys
+            or all(map(operator.lt, keys, islice(zip(ts, tweets, tags), 1, None)))):
+        srt = sorted(zip(ts, tweets, tags, users))
+        ts, tweets, tags, users = zip(*compress(  # equal rows are neighbours once sorted
+            srt, chain((True,), map(operator.ne, islice(srt, 1, None), srt))))
+    return Corpus.from_columns(ts, tweets, users, tags, network, rows.tweet_index,
+                               n_malformed_lines)
 
 
 @dataclass(frozen=True)
@@ -424,117 +443,100 @@ def _jsonl_fields(line: str) -> tuple | None:
     return user_id, tweet_id, ts, raw_tags
 
 
-def _read_tsv_columns(
-    path: Path,
-) -> tuple[dict[str, tuple[str, int]], list[int], list[str], list[str], list[str]] | None:
-    """(tweet_index, ts, tweets, users, tags) of a TSV file, or None if any
-    line is malformed, repeats a row, contradicts an earlier line of its
-    tweet or is out of (timestamp, tweet, hashtag) order; such a file is
-    left to the line reader. Reads chunks of lines and checks each with
-    bulk string and list operations; each distinct raw hashtag is
-    normalized once and user ids are interned."""
-    tweet_index: dict[str, tuple[str, int]] = {}
-    ts_col: list[int] = []
-    tweet_col: list[str] = []
-    user_col: list[str] = []
-    tag_col: list[str] = []
-    interned: dict[str, str] = {}  # user id -> its first string object
-    normalized: dict[str, str] = {}  # raw hashtag -> normalize_hashtag(raw)
-    last_key: tuple = ()
+def _add_tsv_chunk(rows: _Rows, chunk: list[str]) -> bool:
+    """Add a chunk of TSV lines to `rows` with bulk string and list
+    operations if they find every line well formed and in agreement with
+    its tweet's first line; otherwise leave `rows` as it was and return
+    False. Each new raw hashtag is normalized once."""
+    lines = list(filter(None, map(str.rstrip, chunk, repeat("\r\n"))))
+    if not lines:
+        return True
+    if set(map(str.count, lines, repeat("\t"))) != {3}:
+        return False
+    fields = "\t".join(lines).split("\t")
+    users, tweets, raw_tags = fields[0::4], fields[1::4], fields[3::4]
+    if "" in users or "" in tweets:
+        return False
+    try:
+        ts = list(map(int, fields[2::4]))
+        new_tags = {raw: normalize_hashtag(raw)
+                    for raw in dict.fromkeys(raw_tags).keys() - rows.normalized.keys()}
+    except (ValueError, EmptyAfterNormalization):
+        return False
+    if min(ts) <= 0 or max(ts) > MAX_TIMESTAMP:
+        return False
+    interned, tweet_index = rows.interned, rows.tweet_index
+    n_users, n_tweets = len(interned), len(tweet_index)
+    users = list(map(interned.setdefault, users, users))
+    metas = list(zip(users, ts))
+    # setdefault keeps each tweet's first (user, timestamp), so a line agrees with
+    # its tweet when it gets its own back; popping the entries added undoes the chunk.
+    if list(map(tweet_index.setdefault, tweets, metas)) != metas:
+        for d, n in ((interned, n_users), (tweet_index, n_tweets)):
+            for _ in range(len(d) - n):
+                d.popitem()
+        return False
+    rows.normalized.update(new_tags)
+    rows.ts.extend(ts)
+    rows.tweets.extend(tweets)
+    rows.users.extend(users)
+    rows.tags.extend(map(rows.normalized.__getitem__, raw_tags))
+    return True
+
+
+def _add_lines(rows: _Rows, chunk: list[str], n_before: int,
+               fields_of: Callable[[str], tuple | None], on_malformed: str, path: Path) -> int:
+    """Add the well-formed lines of a chunk to `rows` one at a time, the
+    chunk's lines numbered from `n_before + 1`; returns the number of
+    malformed lines. A line is kept whole or not at all. Only successful
+    normalizations are cached, so a bad raw tag fails on every line that
+    carries it."""
+    tweet_index, interned, normalized = rows.tweet_index, rows.interned, rows.normalized
+    n_bad = 0
+    for line_no, line in enumerate(chunk, n_before + 1):
+        try:
+            fields = fields_of(line)
+            if fields is None:
+                continue
+            user_id, tweet_id, ts, raw_tags = fields
+            tags = []
+            for raw in raw_tags:
+                ht = normalized.get(raw)
+                if ht is None:
+                    ht = normalized[raw] = normalize_hashtag(raw)
+                tags.append(ht)
+            user_id = interned.setdefault(user_id, user_id)
+            meta = (user_id, ts)
+            if tweet_index.setdefault(tweet_id, meta) != meta:
+                raise ValueError(f"tweet {tweet_id!r} already seen with different user/timestamp")
+        except (ValueError, KeyError, EmptyAfterNormalization) as exc:
+            n_bad += 1
+            if on_malformed == "raise":
+                raise ParseError(line_no, str(exc), str(path)) from exc
+            log.warning("%s:%d: skipping malformed line: %s", path, line_no, exc)
+            continue
+        rows.add(user_id, tweet_id, ts, tags)
+    return n_bad
+
+
+def _read_assignments(path: Path, fmt: str, on_malformed: str) -> tuple[_Rows, int]:
+    """The rows and tweet index of an assignments file, and its malformed
+    line count. The file is read once, in chunks of lines: a TSV chunk goes
+    through the bulk checks of `_add_tsv_chunk`, and only a chunk that
+    fails them, or a JSONL chunk, goes through `_add_lines`."""
+    fields_of = _tsv_fields if fmt == "tsv" else _jsonl_fields
+    rows = _Rows({}, [], [], [], [], {}, {})
+    n_read = n_bad = 0
+    # Both formats end a line at '\n', '\r\n' or a lone '\r'; newline=""
+    # keeps the ending on the line for the field readers to strip.
     with path.open("r", encoding="utf-8-sig", newline="") as fh:
         while chunk := fh.readlines(_CHUNK_CHARS):
-            lines = list(filter(None, map(str.rstrip, chunk, repeat("\r\n"))))
-            if not lines:
-                continue
-            if set(map(str.count, lines, repeat("\t"))) != {3}:
-                return None
-            fields = "\t".join(lines).split("\t")
-            users, tweets, raw_tags = fields[0::4], fields[1::4], fields[3::4]
-            if "" in users or "" in tweets:
-                return None
-            try:
-                ts = list(map(int, fields[2::4]))
-                for raw in dict.fromkeys(raw_tags).keys() - normalized.keys():
-                    normalized[raw] = normalize_hashtag(raw)
-            except (ValueError, EmptyAfterNormalization):
-                return None
-            if min(ts) <= 0 or max(ts) > MAX_TIMESTAMP:
-                return None
-            tags = list(map(normalized.__getitem__, raw_tags))
-            if not last_key < (ts[0], tweets[0], tags[0]):
-                return None
-            if not all(map(operator.lt, ts, islice(ts, 1, None))):  # ties: whole keys
-                keys = list(zip(ts, tweets, tags))
-                if not all(map(operator.lt, keys, islice(keys, 1, None))):
-                    return None
-            last_key = (ts[-1], tweets[-1], tags[-1])
-            users = list(map(interned.setdefault, users, users))
-            metas = list(zip(users, ts))
-            n_new = len(tweet_index)
-            carried = tweet_index.get(tweets[0])
-            tweet_index.update(zip(tweets, metas))
-            n_new = len(tweet_index) - n_new
-            # One new tweet per line needs no further check. Otherwise, as
-            # strict order keeps a tweet's lines together, only the chunk's
-            # first tweet may be indexed already (by the chunk before), and
-            # every line must agree with its tweet's entry.
-            if n_new != len(tweets) and (
-                n_new != len(dict.fromkeys(tweets)) - (carried is not None)
-                or carried not in (None, metas[0])
-                or not all(map(operator.eq, map(tweet_index.__getitem__, tweets), metas))
-            ):
-                return None
-            ts_col += ts
-            tweet_col += tweets
-            user_col += users
-            tag_col += tags
-    return tweet_index, ts_col, tweet_col, user_col, tag_col
-
-
-def _read_assignments(
-    path: Path, fmt: str, on_malformed: str
-) -> tuple[dict[str, tuple[str, int]], dict[_Row, None], int]:
-    """(tweet_index, rows, malformed line count) of an assignments file. A
-    line is kept whole or not at all. Only successful normalizations are
-    cached, so a bad raw tag fails on every line that carries it."""
-    fields_of = _tsv_fields if fmt == "tsv" else _jsonl_fields
-    tweet_index: dict[str, tuple[str, int]] = {}
-    rows: dict[_Row, None] = {}
-    users: dict[str, str] = {}  # interned user ids
-    normalized: dict[str, str] = {}  # raw hashtag -> normalize_hashtag(raw)
-    n_bad = 0
-    # Both formats end a line at '\n', '\r\n' or a lone '\r'; TSV reads
-    # with newline="" so the ending stays on the line for rstrip to remove.
-    with path.open("r", encoding="utf-8-sig", newline="" if fmt == "tsv" else None) as fh:
-        for line_no, line in enumerate(fh, 1):
-            try:
-                fields = fields_of(line)
-                if fields is None:
-                    continue
-                user_id, tweet_id, ts, raw_tags = fields
-                tags = []
-                for raw in raw_tags:
-                    ht = normalized.get(raw)
-                    if ht is None:
-                        ht = normalized[raw] = normalize_hashtag(raw)
-                    tags.append(ht)
-                user_id = users.setdefault(user_id, user_id)
-                meta = (user_id, ts)
-                if tweet_index.setdefault(tweet_id, meta) != meta:
-                    raise ValueError(
-                        f"tweet {tweet_id!r} already seen with different user/timestamp"
-                    )
-            except (ValueError, KeyError, EmptyAfterNormalization) as exc:
-                n_bad += 1
-                if on_malformed == "raise":
-                    raise ParseError(line_no, str(exc), str(path)) from exc
-                log.warning("%s:%d: skipping malformed line: %s", path, line_no, exc)
-                continue
-            for ht in tags:
-                rows[ts, tweet_id, ht, user_id] = None
+            if fmt == "jsonl" or not _add_tsv_chunk(rows, chunk):
+                n_bad += _add_lines(rows, chunk, n_read, fields_of, on_malformed, path)
+            n_read += len(chunk)
     if n_bad:
         log.warning("%s: %d malformed line(s) skipped", path, n_bad)
-    return tweet_index, rows, n_bad
+    return rows, n_bad
 
 
 def _load_network(path: Path) -> FollowNetwork:
@@ -571,9 +573,9 @@ def load_corpus(
 ) -> Corpus:
     """Parse, normalize, validate and index a dataset.
 
-    Cyclic gc is paused throughout. A TSV file is read in chunks with bulk
-    checks; one that fails a check, and any JSONL file, is read again line
-    by line. Either way each line is validated once, each distinct raw
+    Cyclic gc is paused throughout. The file is read once, in chunks; a TSV
+    chunk that fails the bulk checks, and any JSONL chunk, is read line by
+    line. Either way each line is validated once, each distinct raw
     hashtag normalized once and user ids interned, and the result equals
     `Corpus.from_tweets` over the file's valid tweet records.
 
@@ -593,12 +595,7 @@ def load_corpus(
 
     network = _load_network(npath)
     with _gc_paused():
-        columns = _read_tsv_columns(apath) if fmt == "tsv" else None
-        if columns is None:
-            corpus = _assemble(network, *_read_assignments(apath, fmt, on_malformed))
-        else:
-            tweet_index, ts, tweets, users, tags = columns
-            corpus = Corpus.from_columns(ts, tweets, users, tags, network, tweet_index)
+        corpus = _assemble(network, *_read_assignments(apath, fmt, on_malformed))
     log.info(
         "loaded %d assignments, %d tweets, %d seed users from %s",
         len(corpus.tweets), len(corpus.tweet_index), len(corpus.seed_users), apath,

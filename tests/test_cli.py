@@ -218,6 +218,13 @@ class TestExitCodes:
             "--user", "u1", "--at", "600", "--beta", "3.0",
         )
         assert code == 1
+        for k in ("0", "-3"):  # rejected before the load: the inputs do not exist
+            code, out, err = run_cli(
+                capsys, "recommend", "--assignments", "missing.tsv", "--network", "missing.tsv",
+                "--algo", "mp", "--user", "u1", "--at", "600", "--k", k,
+            )
+            assert (code, out) == (1, "")
+            assert f"k must be >= 1, got {k}" in err
 
     def test_unknown_user_is_a_data_error(self, capsys):
         code, _, err = run_cli(

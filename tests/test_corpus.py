@@ -24,9 +24,10 @@ from tagreuse.corpus import (
     EmptyAfterNormalization,
     InconsistentNetwork,
     ParseError,
+    _add_tsv_chunk,
     _gc_paused,
     _read_assignments,
-    _read_tsv_columns,
+    _Rows,
     compute_stats,
     load_corpus,
     normalize_hashtag,
@@ -88,6 +89,15 @@ class TestNormalizeHashtag:
         assert not any(c.isspace() for c in once)
 
 
+def _line_read_chunks(apath, npath, fmt: str = "tsv") -> tuple[Corpus, list[range]]:
+    """The corpus of a count-mode load, and the line numbers of each chunk
+    that the load sent to the line reader, in file order."""
+    with mock.patch.object(corpus_module, "_add_lines", wraps=corpus_module._add_lines) as spy:
+        corpus = load_corpus(apath, npath, fmt, on_malformed="count")
+    return corpus, [range(c.args[2] + 1, c.args[2] + 1 + len(c.args[1]))
+                    for c in spy.call_args_list]
+
+
 class TestLoadCorpus:
     def _write(self, tmp_path, assignments: str, network: str = "u1\tu2\n"):
         apath = tmp_path / "a.tsv"
@@ -127,7 +137,7 @@ class TestLoadCorpus:
         # first line, so "b" is a one-field line 2, in both readers
         apath, npath = self._write(tmp_path, "")
         apath.write_bytes(b"u1\tt1\t5\ta\rb\n")
-        assert _read_tsv_columns(apath) is None
+        assert _line_read_chunks(apath, npath)[1] == [range(1, 3)]
         with pytest.raises(ParseError) as err:
             _read_assignments(apath, "tsv", "raise")
         assert err.value.line_no == 2
@@ -137,7 +147,7 @@ class TestLoadCorpus:
         assert err.value.reason == "expected 4 tab-separated fields, got 1"
         # as a plain line ending, a lone '\r' is accepted by the bulk reader
         apath.write_bytes(b"u1\tt1\t5\ta\ru2\tt2\t6\tb\r")
-        assert _read_tsv_columns(apath) is not None
+        assert _line_read_chunks(apath, npath)[1] == []
         assert [a.tweet_id for a in load_corpus(apath, npath).assignments] == ["t1", "t2"]
 
     @pytest.mark.parametrize("fmt", ["tsv", "jsonl"])
@@ -248,7 +258,9 @@ class TestLoaderEquivalence:
     """load_corpus against Corpus.from_tweets over the line-by-line
     reference parser in conftest, on files full of malformed lines."""
 
-    def _check(self, fmt: str, data: bytes) -> None:
+    def _check(self, fmt: str, data: bytes) -> list[range]:
+        """Also returns the line numbers of the chunks read line by line:
+        for TSV, exactly the chunks that hold a malformed line."""
         with tempfile.TemporaryDirectory() as tmp:
             apath, npath = Path(tmp) / f"a.{fmt}", Path(tmp) / "n.tsv"
             apath.write_bytes(data)
@@ -256,7 +268,14 @@ class TestLoaderEquivalence:
             records, bad = reference_parse_assignments(apath, fmt)
             expected = Corpus.from_tweets(records, EDGES)
 
-            counted = load_corpus(apath, npath, fmt, on_malformed="count")
+            counted, line_read = _line_read_chunks(apath, npath, fmt)
+            if fmt == "tsv":
+                assert all(set(chunk) & set(bad) for chunk in line_read)
+                assert set(bad) <= {n for chunk in line_read for n in chunk}
+            else:
+                with apath.open(encoding="utf-8-sig", newline="") as fh:
+                    n_lines = sum(1 for _ in fh)
+                assert [n for chunk in line_read for n in chunk] == list(range(1, n_lines + 1))
             assert counted == expected
             assert list(counted.tweet_index) == list(expected.tweet_index)
             assert counted.n_malformed_lines == len(bad)
@@ -267,6 +286,7 @@ class TestLoaderEquivalence:
                 assert err.value.line_no == bad[0]
             else:
                 assert load_corpus(apath, npath, fmt) == expected
+        return line_read
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(_tsv_line, max_size=25), st.sampled_from(["\n", "\r\n"]), st.booleans())
@@ -288,8 +308,8 @@ class TestLoaderEquivalence:
     )
     def test_tsv_in_chunks_matches_reference_parser(self, rows, ordered, flips, chunk):
         """Tweet i is by u1, u2 or u3 at 1 + i // 2, so two tweets share each
-        timestamp. Ordered files without repeated keys or flipped users take
-        the bulk reader, in chunks down to one line each."""
+        timestamp. Ordered files without flipped users take the bulk reader,
+        repeated keys included, in chunks down to one line each."""
         def key(row):
             i, raw = row
             return 1 + i // 2, f"t{i}", normalize_hashtag(raw)
@@ -302,14 +322,9 @@ class TestLoaderEquivalence:
         ]
         data = _assignment_file(lines, "\n", False)
         with mock.patch.object(corpus_module, "_CHUNK_CHARS", chunk):
-            self._check("tsv", data)
-            if ordered and not set(flips) & set(range(len(rows))):
-                keys = [key(row) for row in rows]
-                with tempfile.TemporaryDirectory() as tmp:
-                    apath = Path(tmp) / "a.tsv"
-                    apath.write_bytes(data)
-                    bulk = _read_tsv_columns(apath)
-                assert (bulk is not None) == (len(set(keys)) == len(keys))
+            line_read = self._check("tsv", data)
+        if ordered and not set(flips) & set(range(len(rows))):
+            assert line_read == []
 
     def test_bad_tag_is_rejected_on_every_line(self, tmp_path):
         apath, npath = tmp_path / "a.tsv", tmp_path / "n.tsv"
@@ -403,9 +418,11 @@ _SMALL_CHUNK = 200  # characters; about a dozen lines
 
 
 class TestChunkedReader:
-    """The bulk TSV reader in chunks of a few lines: a flaw past the first
-    chunks sends the whole file to the line reader, which gives the same
-    errors, line numbers, counts and corpus as the reference parser."""
+    """The bulk TSV reader in chunks of a few lines: a malformed line sends
+    its chunk, and no other, to the line reader, and the load gives the
+    same errors, line numbers, counts and corpus as the reference parser.
+    Repeated and out-of-order rows are valid, and are settled when the rows
+    are assembled, so no chunk of such a file is read line by line."""
 
     def _paths(self, tmp_path, lines):
         apath, npath = tmp_path / "a.tsv", tmp_path / "n.tsv"
@@ -420,7 +437,7 @@ class TestChunkedReader:
         apath, npath = self._paths(tmp_path, lines)
         records, bad = reference_parse_assignments(apath, "tsv")
         assert not bad
-        assert _read_tsv_columns(apath) is not None
+        assert _line_read_chunks(apath, npath)[1] == []
         assert load_corpus(apath, npath) == Corpus.from_tweets(records, EDGES)
 
     @pytest.mark.parametrize("chunk", [1, _SMALL_CHUNK])
@@ -434,8 +451,18 @@ class TestChunkedReader:
         records, bad = reference_parse_assignments(apath, "tsv")
         expected = Corpus.from_tweets(records, EDGES)
 
-        assert _read_tsv_columns(apath) is None
-        counted = load_corpus(apath, npath, on_malformed="count")
+        counted, line_read = _line_read_chunks(apath, npath)
+        if reason is None:
+            assert line_read == []
+        else:
+            assert len(line_read) == 1 and k + 1 in line_read[0]
+        self._check_against_reference(apath, npath, counted, reason, k, lines)
+
+    def _check_against_reference(self, apath, npath, counted, reason, k, lines):
+        """`counted` is the count-mode load of `apath`; `reason` is the
+        ParseError reason of line k + 1, or None for a valid file."""
+        records, bad = reference_parse_assignments(apath, "tsv")
+        expected = Corpus.from_tweets(records, EDGES)
         assert counted == expected
         assert list(counted.tweet_index) == list(expected.tweet_index)
         assert counted.n_malformed_lines == len(bad)
@@ -450,6 +477,40 @@ class TestChunkedReader:
                 load_corpus(apath, npath)
             assert (err.value.line_no, err.value.reason) == (k + 1, reason)
             assert str(err.value) == f"{apath}:{k + 1}: {reason}"
+
+    @pytest.mark.parametrize("flaw", ["duplicate_last_row", "swapped_halves", "malformed_first"])
+    def test_file_level_flaw(self, tmp_path, monkeypatch, flaw):
+        monkeypatch.setattr(corpus_module, "_CHUNK_CHARS", _SMALL_CHUNK)
+        lines = _ordered_tsv_lines(40)
+        half = len(lines) // 2
+        k, reason = 2, "expected 4 tab-separated fields, got 1"
+        if flaw == "duplicate_last_row":
+            lines, reason = lines + lines[-1:], None
+        elif flaw == "swapped_halves":
+            lines, reason = lines[half:] + lines[:half], None
+        else:
+            lines = lines[:k] + ["broken line"] + lines[k:]
+        apath, npath = self._paths(tmp_path, lines)
+        counted, line_read = _line_read_chunks(apath, npath)
+        if reason is None:
+            assert line_read == []
+        else:  # the first chunk alone; the chunks after it take the bulk reader
+            assert len(line_read) == 1 and line_read[0][0] == 1 and k + 1 in line_read[0]
+            assert line_read[0][-1] < len(lines)
+        self._check_against_reference(apath, npath, counted, reason, k, lines)
+
+    def test_failed_chunk_leaves_the_rows_as_they_were(self):
+        rows = _Rows({}, [], [], [], [], {}, {})
+        assert _add_tsv_chunk(rows, ["u1\tt1\t5\ta\n", "u2\tt2\t6\tB\n"])
+        before = (list(rows.tweet_index.items()), list(rows.interned.items()),
+                  list(rows.normalized.items()), rows.ts[:], rows.tweets[:], rows.users[:],
+                  rows.tags[:])
+        # new users, tweets and tags, then a line at odds with tweet t1
+        assert not _add_tsv_chunk(rows, ["u3\tt3\t7\tc\n", "u4\tt4\t8\td\n",
+                                         "u4\tt1\t9\ta\n"])
+        assert before == (list(rows.tweet_index.items()), list(rows.interned.items()),
+                          list(rows.normalized.items()), rows.ts, rows.tweets, rows.users,
+                          rows.tags)
 
 
 class TestGcPaused:
@@ -631,7 +692,7 @@ class TestRoundTripProperties:
             write_corpus(corpus, apath, npath)
             _reencode(apath, crlf, bom)
             _reencode(npath, crlf, bom)
-            assert _read_tsv_columns(apath) is not None  # written files take the bulk reader
+            assert _line_read_chunks(apath, npath)[1] == []  # written files take the bulk reader
             loaded = load_corpus(apath, npath)
         assert loaded == corpus
         assert _rebuilt(loaded) == loaded
