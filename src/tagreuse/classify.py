@@ -13,24 +13,41 @@ non-prior):
 The fraction explained by individual or social reuse (the sum of the
 first three) is the headline reuse statistic.
 
-`classify_all` is a single chronological sweep over the corpus columns
-with an incremental per-hashtag last-use index. It returns `Labels`,
-arrays over the classified rows that hold each row's label code and the
-two recency deltas that the temporal module bins. Entry i describes
-corpus row `rows[i]`: its user is `corpus.users[corpus.user[rows[i]]]`
-and its label `LABELS[codes[i]]`.
+`label_rows` labels every seed-user row at once, with sorts and searches
+over packed int64 keys of the corpus columns:
+
+- The rows are in time order, so a row's time is the first row of its
+  run of equal timestamps, and "strictly earlier" is "a smaller row than
+  that".
+- One sort of the rows by (user, tag, row) puts each user's uses of a
+  tag in time order. A row's own last earlier use ends the previous time
+  run of its (user, tag) group.
+- Each row of a followed user is an exposure of every seed that follows
+  that user, keyed by (seed, tag, row). Among the sorted exposures, the
+  last one below a seed row's own key (seed, tag, time), within its
+  (seed, tag) block, is the last followee use. Exposures are expanded
+  for one block of seeds at a time.
+- The network bit only decides the label when neither other bit is set,
+  and then some other user used the tag earlier exactly when anyone did:
+  when the tag's first use is earlier.
+
+It returns `Labels`, arrays over the classified rows that hold each row's
+label code and the two recency deltas that the temporal module bins;
+`classify_all` adds the breakdown. Entry i describes corpus row
+`rows[i]`: its user is `corpus.users[corpus.user[rows[i]]]` and its label
+`LABELS[codes[i]]`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
 from typing import Iterator
 
 import numpy as np
 
-from .corpus import Corpus
+from .corpus import Corpus, CorpusError
+from .index import _last_of_runs
 
 
 class ReuseLabel(Enum):
@@ -45,7 +62,13 @@ class ReuseLabel(Enum):
 LABELS = tuple(ReuseLabel)
 # Code by individual + 2 * social + 4 * network bit: the individual and
 # social bits outrank the network bit, and no bit at all is external.
-_CODE_BY_BITS = (4, 0, 1, 2, 3, 0, 1, 2)
+_CODES = np.array((4, 0, 1, 2, 3, 0, 1, 2), dtype=np.int8)
+# Packed sort keys are int64, so every key must fit in this many bits.
+KEY_BITS = 63
+# Exposures are expanded for one block of seeds at a time, a new block
+# starting every n_rows // EXPOSURE_BLOCK_DIVISOR exposures (at least 1),
+# which keeps a call's peak memory near that of its sorts over the rows.
+EXPOSURE_BLOCK_DIVISOR = 4
 
 
 @dataclass(frozen=True)
@@ -91,8 +114,9 @@ class Labels:
     """Classified seed-user rows as four equal-length arrays: `rows`
     (ascending indexes into the corpus columns), `codes` (int8 indexes
     into LABELS), and `individual_delta` / `social_delta`, the seconds
-    since the user's own / any followee's most recent prior usage,
-    clamped to >= 1, and 0 where the label lacks that bit."""
+    since the user's own / any followee's most recent prior usage (at
+    least 1, since prior means strictly earlier), and 0 where the label
+    lacks that bit."""
 
     rows: np.ndarray
     codes: np.ndarray
@@ -103,90 +127,129 @@ class Labels:
         return len(self.rows)
 
 
-def sweep(corpus: Corpus) -> Iterator[tuple[int, int, int, int]]:
-    """Chronological single-pass classification of all seed-user
-    assignments, yielding (row, code, individual_delta, social_delta) as
-    in `Labels`, in corpus order.
+def _first_of_runs(*keys: np.ndarray) -> np.ndarray:
+    """Mask of the first position of each run of equal values in all keys."""
+    return np.roll(_last_of_runs(*keys), 1)
 
-    Reads the corpus columns as Python ints (users and hashtags by id)
-    and keeps one dict per hashtag mapping user -> last usage
-    timestamp. Events sharing a timestamp are labeled before any of them
-    enters the index, so ties are never counted as prior. Per-assignment
-    cost is O(min(followees, users of the hashtag)).
-    """
-    users = corpus.users
+
+def _run_start(first: np.ndarray) -> np.ndarray:
+    """Each position's run start, from the mask of run starts."""
+    start = np.arange(len(first), dtype=np.int32)
+    start *= first
+    return np.maximum.accumulate(start, out=start)
+
+
+def _key_bits(n_rows: int, n_users: int, n_tags: int) -> int:
+    """Bits of users * tags * 2**bits(n_rows - 1), one past every packed
+    (user or seed, tag, row) key of `label_rows`."""
+    return (n_users * n_tags).bit_length() + max(n_rows - 1, 0).bit_length()
+
+
+def label_rows(corpus: Corpus) -> Labels:
+    """Label every seed-user row and take both recency deltas, as the
+    module docstring describes. Large temporaries are deleted as soon as
+    they are used, which keeps the peak memory of a call low."""
+    ts, user, tag = corpus.ts, corpus.user, corpus.tag
+    users, n_tags = corpus.users, len(corpus.tags)
+    is_seed = np.array([u in corpus.seed_users for u in users], dtype=bool)
+    seed_row = is_seed[user]
+    if not seed_row.any():
+        none = np.zeros(0, np.int64)
+        return Labels(none, np.zeros(0, np.int8), none, none)
+    n, seeds, row_bits = len(ts), np.flatnonzero(is_seed), (len(ts) - 1).bit_length()
+    row_mask = (1 << row_bits) - 1
+    if n >= 2**31 or _key_bits(n, len(users), n_tags) > KEY_BITS:
+        raise CorpusError(f"{n} rows of {len(users)} users and {n_tags} hashtags are beyond"
+                          f" the classifier's int32 row ids or {KEY_BITS}-bit sort keys")
+    first_ts = np.full(n_tags, ts[-1])
+    np.minimum.at(first_ts, tag, ts)
+    time_row = _run_start(_first_of_runs(ts))
+
+    # Rows by (user, tag), in time order within a pair. The queries q are
+    # the seed rows in that order; a seed's own last strictly earlier use
+    # of the tag ends the run of the pair before the query's time row.
+    group = user.astype(np.int64) * n_tags + tag
+    group <<= row_bits
+    group |= np.arange(n)
+    group.sort()
+    rows = (group & row_mask).astype(np.int32)
+    group >>= row_bits
+    time_row = time_row[rows]
+    q = np.flatnonzero(seed_row[rows])
+    del seed_row
+    q_start = _run_start(_first_of_runs(group, time_row))[q]
+    has_own = ~_first_of_runs(group)[q_start]
+    del group
+    q_rows = rows[q]
+    q_ts = ts[q_rows]
+    individual = np.where(has_own, q_ts - ts[rows[q_start - 1]], 0)
+    # With neither other bit, some other user used the tag earlier exactly
+    # when anyone did; with either, the network bit does not change the code.
+    network = first_ts[tag[q_rows]] < q_ts
+    del q_start, q_ts
+
+    # Every row of a followee is one exposure of each seed that follows
+    # its user, keyed ((seed * T + tag) << row_bits) | row; a query's key
+    # has the first row of its time instead. A user's rows are one block
+    # of the (user, tag) order, so the exposures of one follow edge are a
+    # slice of `key` plus the seed's offset.
+    key = tag[rows].astype(np.int64)
+    key <<= row_bits
+    q_key = key[q] | time_row[q]
+    key |= rows
+    del rows, time_row
+    stride = n_tags << row_bits
+    q_key += np.searchsorted(seeds, user[q_rows]) * stride
+    del q
     user_id = dict(zip(users, range(len(users))))
-    is_seed = [u in corpus.seed_users for u in users]
-    # Followees that never tweet a hashtag cannot be in any last-use dict.
-    followee_lists: dict[int, tuple[int, ...]] = {
-        user_id[u]: tuple(user_id[f] for f in corpus.network.edges[u] if f in user_id)
-        for u in corpus.seed_users if u in user_id
-    }
-    last_use: list[dict[int, int]] = [{} for _ in corpus.tags]
-    # Memoryviews index as Python ints (never numpy scalars) without a copy.
-    ts_col, user_col, tag_col = map(memoryview, (corpus.ts, corpus.user, corpus.tag))
-
-    def label_one(i: int, users_of: dict[int, int]) -> tuple[int, int, int, int]:
-        if not users_of:
-            return i, _CODE_BY_BITS[0], 0, 0
-        ts, u = ts_col[i], user_col[i]
-        own_ts = users_of.get(u)
-        followees = followee_lists[u]
-        social_ts: int | None = None
-        n_social_users = 0
-        if len(followees) <= len(users_of):
-            for f in followees:
-                ts_f = users_of.get(f)
-                if ts_f is not None:
-                    n_social_users += 1
-                    if social_ts is None or ts_f > social_ts:
-                        social_ts = ts_f
-        else:
-            fset = set(followees)
-            for v, ts_v in users_of.items():
-                if v in fset:
-                    n_social_users += 1
-                    if social_ts is None or ts_v > social_ts:
-                        social_ts = ts_v
-        n_other = len(users_of) - n_social_users - (own_ts is not None)
-        ind = max(ts - own_ts, 1) if own_ts is not None else 0
-        soc = max(ts - social_ts, 1) if social_ts is not None else 0
-        return i, _CODE_BY_BITS[(ind > 0) + 2 * (soc > 0) + 4 * (n_other > 0)], ind, soc
-
-    n = len(ts_col)
-    i = 0
-    while i < n:
-        ts = ts_col[i]
-        if i + 1 == n or ts_col[i + 1] != ts:
-            # unique timestamp: label and update in one touch
-            u = user_col[i]
-            users_of = last_use[tag_col[i]]
-            if is_seed[u]:
-                yield label_one(i, users_of)
-            users_of[u] = ts
-            i += 1
+    followees = [[user_id[f] for f in corpus.network.edges[users[u]] if f in user_id]
+                 for u in seeds.tolist()]
+    edge_seed = np.repeat(np.arange(len(seeds)), [len(fs) for fs in followees])
+    edge_user = np.array([f for fs in followees for f in fs], dtype=np.int64)
+    user_ptr = np.concatenate(([0], np.cumsum(np.bincount(user, minlength=len(users)))))
+    size = user_ptr[edge_user + 1] - user_ptr[edge_user]
+    exposed = np.concatenate(([0], np.cumsum(size)))  # exposures before each edge
+    edge_ptr = np.searchsorted(edge_seed, np.arange(len(seeds) + 1))
+    q_ptr = np.searchsorted(q_key, np.arange(len(seeds) + 1) * stride)
+    block = exposed[edge_ptr[:-1]] // max(n // EXPOSURE_BLOCK_DIVISOR, 1)
+    bounds = np.append(np.flatnonzero(_first_of_runs(block)), len(seeds)).tolist()
+    social = np.zeros(len(q_rows), dtype=np.int64)
+    for s0, s1 in zip(bounds[:-1], bounds[1:]):
+        e0, e1, a, b = edge_ptr[s0], edge_ptr[s1], q_ptr[s0], q_ptr[s1]
+        if exposed[e0] == exposed[e1] or a == b:
             continue
-        j = i + 1
-        while j < n and ts_col[j] == ts:
-            j += 1
-        for idx in range(i, j):
-            if is_seed[user_col[idx]]:
-                yield label_one(idx, last_use[tag_col[idx]])
-        for idx in range(i, j):
-            last_use[tag_col[idx]][user_col[idx]] = ts
-        i = j
+        counts = size[e0:e1]
+        keys = key[np.repeat(user_ptr[edge_user[e0:e1]] - exposed[e0:e1], counts)
+                   + np.arange(exposed[e0], exposed[e1])]
+        keys += np.repeat(edge_seed[e0:e1] * stride, counts)
+        keys.sort()
+        # the last exposure below the query, if in the query's (seed, tag) block
+        below = np.searchsorted(keys, q_key[a:b])
+        last = keys[below - 1]
+        hit = (below > 0) & (last >= (q_key[a:b] & ~row_mask))
+        social[a:b] = np.where(hit, ts[q_rows[a:b]] - ts[last & row_mask], 0)
+    del key, q_key
+
+    codes = _CODES[has_own + 2 * (social > 0) + 4 * network]
+    del has_own, network
+    seed_rows = np.flatnonzero(is_seed[user])
+    slot = np.empty(n, dtype=np.int64)
+    slot[q_rows] = np.arange(len(q_rows))
+    order = slot[seed_rows]  # query index of each seed row, in corpus order
+    del slot
+    return Labels(seed_rows, codes[order], individual[order], social[order])
 
 
-def _swept(corpus: Corpus) -> Labels:
-    """The sweep collected into arrays. Each row's tuple is freed as soon
-    as it is read, so no gc pause is needed: there is nothing to collect."""
-    table = np.fromiter(chain.from_iterable(sweep(corpus)), np.int64).reshape(-1, 4)
-    rows, codes, individual, social = table.T
-    return Labels(rows.copy(), codes.astype(np.int8), individual.copy(), social.copy())
+def sweep(corpus: Corpus) -> Iterator[tuple[int, int, int, int]]:
+    """Per-row view of `label_rows`: (row, code, individual_delta,
+    social_delta) for each classified row, in corpus order."""
+    labels = label_rows(corpus)
+    yield from zip(labels.rows.tolist(), labels.codes.tolist(),
+                   labels.individual_delta.tolist(), labels.social_delta.tolist())
 
 
 def classify_all(corpus: Corpus) -> tuple[Labels, ReuseBreakdown]:
     """Classify every seed-user assignment; returns the labels in corpus
     order plus the aggregate breakdown."""
-    labels = _swept(corpus)
+    labels = label_rows(corpus)
     return labels, ReuseBreakdown.from_codes(labels.codes)

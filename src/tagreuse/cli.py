@@ -267,18 +267,18 @@ def _peak_json(hist: temporal.RecencyHistogram) -> dict[str, Any] | None:
 
 
 def _cmd_recency(cfg: dict[str, Any]) -> int:
+    bins = (cfg["bins"], cfg["min_hours"], cfg["max_hours"])
+    try:
+        temporal.check_histogram(*bins)
+    except temporal.InvalidRange as exc:
+        raise UsageError(str(exc)) from exc
     corpus = _load(cfg)
     meta = _meta("recency", cfg)
     outdir = Path(cfg["outdir"])
     summary: dict[str, Any] = {"meta": meta}
     individual, social = temporal.recency_samples(corpus)
     for kind, samples in (("individual", individual), ("social", social)):
-        try:
-            hist = temporal.build_histogram(
-                samples, cfg["bins"], cfg["min_hours"], cfg["max_hours"]
-            )
-        except temporal.InvalidRange as exc:
-            raise UsageError(str(exc)) from exc
+        hist = temporal.build_histogram(samples, *bins)
         lines = _header_lines(meta, "bin_center_hours\tcount")
         for center, count in zip(hist.bin_centers_hours, hist.counts):
             lines.append(f"{center!r}\t{count}")

@@ -4,7 +4,7 @@ For every seed-user assignment whose label carries the individual bit we
 record the time since the user's own most recent prior usage of that
 hashtag; for the social bit, the time since the most recent prior usage
 by any followee. `recency_samples` takes both kinds, as int64 arrays of
-seconds, from the delta columns of one classification sweep. The
+seconds, from the delta columns of one `classify.label_rows` call. The
 samples are binned into log-spaced histograms (meant for log-log
 plotting) and checked for a daily-periodicity peak: a strict local
 maximum at the bin containing 24 hours.
@@ -25,6 +25,8 @@ SECONDS_PER_HOUR = 3600.0
 DEFAULT_N_BINS = 50
 DEFAULT_MIN_HOURS = 0.1
 DEFAULT_MAX_HOURS = 10_000.0
+# At most this many bins: their edges take 8 bytes each.
+MAX_BINS = 10**6
 
 
 class InvalidRange(Exception):
@@ -55,8 +57,8 @@ class PeakCheck:
 
 def recency_samples(corpus: Corpus) -> tuple[np.ndarray, np.ndarray]:
     """(individual, social) deltas in seconds, one per seed-user assignment
-    with that label bit, in corpus order, from one classification sweep."""
-    labels = classify._swept(corpus)
+    with that label bit, in corpus order, from one classification."""
+    labels = classify.label_rows(corpus)
     individual, social = labels.individual_delta, labels.social_delta
     return individual[individual > 0], social[social > 0]
 
@@ -72,6 +74,19 @@ def social_recency_samples(corpus: Corpus) -> np.ndarray:
     return recency_samples(corpus)[1]
 
 
+def check_histogram(n_bins: int, min_hours: float, max_hours: float) -> None:
+    """Raise InvalidRange unless 2 <= n_bins <= MAX_BINS and
+    0 < min_hours < max_hours, all finite."""
+    if n_bins < 2:
+        raise InvalidRange(f"need at least 2 bins, got {n_bins}")
+    if n_bins > MAX_BINS:
+        raise InvalidRange(f"need at most {MAX_BINS} bins, got {n_bins}")
+    if not (0 < min_hours < max_hours < float("inf")):
+        raise InvalidRange(
+            f"need finite 0 < min_hours < max_hours, got [{min_hours}, {max_hours}]"
+        )
+
+
 def build_histogram(
     deltas: Sequence[int] | np.ndarray,
     n_bins: int = DEFAULT_N_BINS,
@@ -80,13 +95,9 @@ def build_histogram(
 ) -> RecencyHistogram:
     """Bin deltas (seconds) into half-open geometric bins [lo, hi) over
     [min_hours, max_hours]. Out-of-range deltas clamp into the first or
-    last bin, so counts always sum to len(deltas)."""
-    if n_bins < 2:
-        raise InvalidRange(f"need at least 2 bins, got {n_bins}")
-    if not (0 < min_hours < max_hours < float("inf")):
-        raise InvalidRange(
-            f"need finite 0 < min_hours < max_hours, got [{min_hours}, {max_hours}]"
-        )
+    last bin, so counts always sum to len(deltas). The parameters must pass
+    `check_histogram`."""
+    check_histogram(n_bins, min_hours, max_hours)
     edges = np.geomspace(min_hours, max_hours, n_bins + 1)
     hours = np.asarray(deltas, dtype=np.float64) / SECONDS_PER_HOUR
     idx = np.searchsorted(edges, hours, side="right") - 1

@@ -7,12 +7,21 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tagreuse import classify
 from tagreuse.classify import LABELS, ReuseBreakdown, ReuseLabel, classify_all
+from tagreuse.corpus import CorpusError
 from tagreuse.temporal import recency_samples
 
-from conftest import brute_force_label, classified, corpus_from_tweets, random_corpus
+from conftest import (
+    brute_force_deltas,
+    brute_force_label,
+    classified,
+    corpus_from_tweets,
+    random_corpus,
+)
 
 
 def labels_for_user(corpus, user):
@@ -114,6 +123,62 @@ class TestOracleEquivalence:
                 assert label is brute_force_label(corpus, a), a
 
 
+@st.composite
+def small_corpora(draw):
+    """Corpora with tied timestamps, multi-tag tweets, seeds that follow
+    seeds, followees that never tweet ("ghost"), seeds with no rows or no
+    followees, and corpora with no rows or no seed rows."""
+    users = [f"u{i}" for i in range(draw(st.integers(1, 7)))]
+    seeds = draw(st.lists(st.sampled_from(users), unique=True))
+    edges = {
+        s: set(draw(st.lists(st.sampled_from([*users, "ghost"]).filter(s.__ne__),
+                             unique=True, max_size=4)))
+        for s in seeds
+    }
+    tweets = draw(st.lists(st.tuples(
+        st.sampled_from(users), st.integers(1, 8),
+        st.lists(st.sampled_from("abcd"), min_size=1, max_size=3, unique=True),
+    ), max_size=40))
+    return corpus_from_tweets(
+        [(u, f"t{i}", ts, tuple(tags)) for i, (u, ts, tags) in enumerate(tweets)], edges)
+
+
+@pytest.mark.parametrize("divisor", [classify.EXPOSURE_BLOCK_DIVISOR, 10**9])
+@settings(max_examples=300, deadline=None)
+@given(corpus=small_corpora())
+def test_label_rows_match_the_oracles(divisor, corpus):
+    """Every seed row, its label and both deltas equal the quadratic
+    oracles'; a divisor of 10**9 caps each exposure block at 1, so every
+    seed with exposures is a block of its own."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classify, "EXPOSURE_BLOCK_DIVISOR", divisor)
+        labels = classify.label_rows(corpus)
+    rows = corpus.assignments
+    assert labels.rows.tolist() == [i for i, a in enumerate(rows)
+                                    if a.user_id in corpus.seed_users]
+    for row, code, ind, soc in zip(labels.rows.tolist(), labels.codes.tolist(),
+                                   labels.individual_delta.tolist(),
+                                   labels.social_delta.tolist()):
+        assert LABELS[code] is brute_force_label(corpus, rows[row]), rows[row]
+        assert (ind or None, soc or None) == brute_force_deltas(corpus, rows[row])
+
+
+def test_sort_key_budget():
+    """The packed keys of the paper's Random shape (13.6M rows, a (user,
+    tag) product below 2**38) fit; one bit fewer than a corpus needs is a
+    CorpusError, not a wrapped key."""
+    assert classify._key_bits(13_600_000, 2**19, 2**19 - 1) == 62
+    tweets = [("A", "e1", 10, ("x", "y")), ("B", "e2", 20, ("x",)), ("A", "e3", 30, ("x",))]
+    corpus = corpus_from_tweets(tweets, {"A": {"B"}})
+    need = classify._key_bits(len(corpus.ts), len(corpus.users), len(corpus.tags))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classify, "KEY_BITS", need)
+        assert classify.label_rows(corpus).codes.tolist() == [4, 4, 2]
+        mp.setattr(classify, "KEY_BITS", need - 1)
+        with pytest.raises(CorpusError, match="sort keys"):
+            classify.label_rows(corpus)
+
+
 class TestProperties:
     def test_causality_later_events_do_not_change_earlier_labels(self):
         rng = random.Random(5)
@@ -178,6 +243,8 @@ def test_label_arrays_cover_seed_rows_with_matching_deltas():
     seed row in order, a delta is positive exactly when the label has its
     bit, and `recency_samples` is the positive deltas of the same labels."""
     assert inspect.isgeneratorfunction(classify.sweep)
+    assert list(classify.sweep(corpus_from_tweets([("A", "e1", 1, ("x",))], {"A": set()}))) \
+        == [(0, LABELS.index(ReuseLabel.EXTERNAL), 0, 0)]
     individual_codes = [LABELS.index(ReuseLabel.INDIVIDUAL),
                         LABELS.index(ReuseLabel.INDIVIDUAL_SOCIAL)]
     social_codes = [LABELS.index(ReuseLabel.SOCIAL), LABELS.index(ReuseLabel.INDIVIDUAL_SOCIAL)]

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from tagreuse import cli
+from tagreuse import classify, cli, temporal
 from tagreuse.corpus import Corpus, load_corpus
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -398,6 +398,43 @@ class TestExitCodes:
         assert out == ""
         assert "finite" in err and "Traceback" not in err
         assert not list(tmp_path.glob("out/*"))
+
+    @pytest.mark.parametrize("bins, message", [
+        ("1", "need at least 2 bins, got 1"),
+        (str(temporal.MAX_BINS + 1), f"need at most {temporal.MAX_BINS} bins"),
+    ])
+    def test_recency_bins_checked_before_the_load_exit_1(self, capsys, tmp_path, bins,
+                                                         message):
+        # the inputs do not exist, so only a check before the load gives exit 1
+        code, out, err = run_cli(
+            capsys, "recency", "--assignments", "missing.tsv", "--network", "missing.tsv",
+            "--bins", bins, "--outdir", str(tmp_path / "out"),
+        )
+        assert (code, out) == (1, "")
+        assert message in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_corpus_beyond_the_sort_keys_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(classify, "KEY_BITS", 2)
+        code, out, err = run_cli(
+            capsys, "classify", "--assignments", "tests/data/assignments.tsv",
+            "--network", "tests/data/network.tsv",
+        )
+        assert (code, out) == (2, "")
+        assert "sort keys" in err and "Traceback" not in err
+
+    def test_recency_with_two_bins(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            capsys, "recency", "--assignments", "tests/data/assignments.tsv",
+            "--network", "tests/data/network.tsv", "--bins", "2",
+            "--outdir", str(tmp_path),
+        )
+        assert code == 0, err
+        summary = json.loads(out)
+        for kind in ("individual", "social"):
+            counts = [int(line.split("\t")[1]) for line in
+                      (tmp_path / f"{kind}.tsv").read_text().splitlines()[2:]]
+            assert len(counts) == 2 and sum(counts) == summary[kind]["n_samples"]
 
 
 class TestConfigFile:

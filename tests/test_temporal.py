@@ -76,10 +76,10 @@ class TestSampleExtraction:
                 assert soc_delta == (soc or 0)
 
 
-    def test_one_sweep_gives_both_kinds(self, monkeypatch):
-        sweeps = []
-        sweep = classify.sweep
-        monkeypatch.setattr(classify, "sweep", lambda c: sweeps.append(1) or sweep(c))
+    def test_one_classification_gives_both_kinds(self, monkeypatch):
+        calls = []
+        label_rows = classify.label_rows
+        monkeypatch.setattr(classify, "label_rows", lambda c: calls.append(1) or label_rows(c))
         rng = random.Random(5)
         for _ in range(15):
             corpus = random_corpus(rng, max_users=15, max_assignments=150, max_timestamp=200)
@@ -87,9 +87,9 @@ class TestSampleExtraction:
                 brute_force_deltas(corpus, a)
                 for a in corpus.assignments if a.user_id in corpus.seed_users
             ]
-            sweeps.clear()
+            calls.clear()
             individual, social = recency_samples(corpus)
-            assert len(sweeps) == 1
+            assert len(calls) == 1
             assert individual.tolist() == [d for d, _ in deltas if d]
             assert social.tolist() == [d for _, d in deltas if d]
 
