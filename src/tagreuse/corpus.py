@@ -34,6 +34,7 @@ import unicodedata
 import uuid
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, compress, islice, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
@@ -157,12 +158,6 @@ class FollowNetwork:
     def is_seed(self, user_id: str) -> bool:
         return user_id in self.edges
 
-    def all_followees(self) -> frozenset[str]:
-        out: set[str] = set()
-        for f in self.edges.values():
-            out |= f
-        return frozenset(out)
-
 
 def _intern(values: Sequence[str]) -> tuple[list[str], np.ndarray]:
     """(table, ids): the distinct values in order of first appearance, and
@@ -234,6 +229,11 @@ class Corpus:
         self.n_malformed_lines = n_malformed_lines
         self._assignments: list[HashtagAssignment] | None = None
 
+    @cached_property
+    def tag_ids(self) -> dict[str, int]:
+        """Hashtag -> its id, the index into `tags`; built on first read."""
+        return dict(zip(self.tags, range(len(self.tags))))
+
     @property
     def assignments(self) -> list[HashtagAssignment]:
         """The rows as objects, in column order; built on first read."""
@@ -299,10 +299,8 @@ class Corpus:
 
     def all_users(self) -> frozenset[str]:
         """Every distinct user id in the assignments or the network."""
-        users = {u for (u, _) in self.tweet_index.values()}
-        users |= self.seed_users
-        users |= self.network.all_followees()
-        return frozenset(users)
+        return frozenset(chain(map(operator.itemgetter(0), self.tweet_index.values()),
+                               self.seed_users, *self.network.edges.values()))
 
     def validate(self) -> None:
         """Check corpus invariants on the columns; raises CorpusError on
@@ -426,10 +424,7 @@ def _jsonl_fields(line: str) -> tuple | None:
     obj = json.loads(line)
     if not isinstance(obj, dict):
         raise ValueError("expected a JSON object per line")
-    user_id = obj["user"]
-    tweet_id = obj["tweet"]
-    ts = obj["ts"]
-    raw_tags = obj["hashtags"]
+    user_id, tweet_id, ts, raw_tags = obj["user"], obj["tweet"], obj["ts"], obj["hashtags"]
     if not isinstance(user_id, str) or not user_id:
         raise ValueError("bad 'user' field")
     if not isinstance(tweet_id, str) or not tweet_id:
@@ -632,12 +627,8 @@ def write_corpus(
                 corpus.tweet_index, key=lambda t: (corpus.tweet_index[t][1], t)
             ):
                 user_id, ts = corpus.tweet_index[tweet_id]
-                obj = {
-                    "user": user_id,
-                    "tweet": tweet_id,
-                    "ts": ts,
-                    "hashtags": sorted(tags_by_tweet[tweet_id]),
-                }
+                obj = {"user": user_id, "tweet": tweet_id, "ts": ts,
+                       "hashtags": sorted(tags_by_tweet[tweet_id])}
                 fh.write(json.dumps(obj, sort_keys=True) + "\n")
     with atomic_open(network_path) as fh:
         for seed in sorted(corpus.network.edges):

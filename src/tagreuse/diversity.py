@@ -2,7 +2,8 @@
 
 Hashtag similarity is grounded in tweet-level co-occurrence: two hashtags
 are similar when they tend to appear in the same tweets. SimilarityIndex
-keeps the counts in CSR form over interned tag ids. Every cosine comes
+keeps the counts in CSR form over the corpus's tag ids, counted in one
+array program over the tweets' runs of rows. Every cosine comes
 from SimilarityIndex.pair_table, which gathers the listed tags' rows by
 array indexing and scores all pairs of one list with a single float64
 matrix product; the counts keep that product exact (see SimilarityIndex).
@@ -24,8 +25,10 @@ permuted to the re-ranked order, to the ILD. On top of that:
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain
+from itertools import islice
+from operator import eq
 
 import numpy as np
 
@@ -46,84 +49,60 @@ class HybridParams:
 
 
 class SimilarityIndex:
-    """Sparse tweet co-occurrence vectors per hashtag, on interned tag ids.
+    """Sparse tweet co-occurrence vectors per hashtag, on the corpus's tag ids.
 
     vector(a)[b] = number of tweets containing both a and b (a != b).
     Symmetric by construction; built from assignments strictly before
     `before` when given (the training portion).
 
-    The constructor interns every tag to an int id: first each tag with a
-    vector, in the order given, then each neighbour not seen yet. The
-    counts are kept in CSR form: row r holds the neighbour ids
-    `_indices[_indptr[r]:_indptr[r + 1]]` and their counts, as float64, in
-    the same slice of `_data`. Row r is the tag `_tags[r]`. A tag that is
-    only a neighbour has an empty row, and one more empty row, id
-    `len(_tags)`, stands for every unknown tag. `_norms` holds each row's
-    norm, 0.0 for an empty row. The dict of vectors is not kept.
+    The counts are kept in CSR form: row r is the tag `tags[r]`, id r in
+    `tag_ids`, and holds the neighbour ids `_indices[_indptr[r]:_indptr[r +
+    1]]` and their int counts in the same slice of `_counts`. One
+    more empty row, id `len(tags)`, stands for every unknown tag. `_norms`
+    holds each row's norm, 0.0 for an empty row.
 
     Cosines are read from pair tables (see pair_table), built by a float64
     matrix product of the counts. Every partial sum of a dot product there
     is an integer no larger than the larger squared norm, so the product
     is exact in any summation order as long as every squared norm is below
-    2**53; the constructor rejects vectors that break that bound.
+    2**53; the constructor rejects counts that break that bound.
     """
 
-    def __init__(self, vectors: dict[str, dict[str, int]]):
-        norms = []
-        for ht, vec in vectors.items():
-            squared = sum(c * c for c in vec.values())
-            if squared >= 2**53:
-                raise ValueError(
-                    f"co-occurrence vector of {ht!r} has squared norm {squared} >= 2**53;"
-                    " its cosines would not be exact"
-                )
-            norms.append(math.sqrt(squared))
-        self._tags = list(dict.fromkeys(chain(vectors, chain.from_iterable(vectors.values()))))
-        ids = {ht: i for i, ht in enumerate(self._tags)}
-        # the rows after the vectors' own (neighbour-only tags, then unknown) are empty
-        lengths = np.zeros(len(ids) + 2, dtype=np.intp)
-        lengths[1 : len(vectors) + 1] = list(map(len, vectors.values()))
-        self._indptr = np.cumsum(lengths)
-        nnz = int(self._indptr[-1])
-        self._indices = np.fromiter(
-            map(ids.__getitem__, chain.from_iterable(vectors.values())), np.intp, nnz
-        )
-        self._data = np.fromiter(
-            chain.from_iterable(map(dict.values, vectors.values())), np.float64, nnz
-        )
-        self._norms = np.zeros(len(ids) + 1)
-        self._norms[: len(norms)] = norms
-        self._ids = ids
+    def __init__(self, tags: list[str], tag_ids: dict[str, int], indptr: np.ndarray,
+                 indices: np.ndarray, counts: np.ndarray):
+        """Row r of the CSR arrays (indptr has len(tags) + 1 entries) holds
+        the distinct neighbour ids of tags[r] and their positive int counts."""
+        squared = _squared_norms(tags, indptr, counts)
+        self._tags, self._ids, self._indices, self._counts = tags, tag_ids, indices, counts
+        self._indptr = np.append(indptr, indptr[-1])
+        self._norms = np.sqrt(np.append(squared, 0).astype(np.float64))
 
     @classmethod
-    def from_corpus(
-        cls,
-        corpus: Corpus,
-        before: int | None = None,
-        exclude_tweets: frozenset[str] | set[str] | None = None,
-    ) -> "SimilarityIndex":
+    def from_corpus(cls, corpus: Corpus, before: int | None = None,
+                    exclude_tweets: frozenset[str] | set[str] | None = None) -> "SimilarityIndex":
         """The index of the corpus's tweets, read from its columns: rows at
-        or after `before` and tweets in `exclude_tweets` are left out."""
-        hashtags = corpus.tags
-        by_tweet: dict[str, set[str]] = {}
-        for ts, t, tweet_id in zip(memoryview(corpus.ts), memoryview(corpus.tag), corpus.tweets):
-            if before is not None and ts >= before:
-                continue
-            if exclude_tweets is not None and tweet_id in exclude_tweets:
-                continue
-            by_tweet.setdefault(tweet_id, set()).add(hashtags[t])
-        vectors: dict[str, dict[str, int]] = {}
-        for tags in by_tweet.values():
-            if len(tags) < 2:
-                continue
-            ordered = sorted(tags)
-            for i, a in enumerate(ordered):
-                va = vectors.setdefault(a, {})
-                for b in ordered[i + 1 :]:
-                    va[b] = va.get(b, 0) + 1
-                    vb = vectors.setdefault(b, {})
-                    vb[a] = vb.get(a, 0) + 1
-        return cls(vectors)
+        or after `before` and tweets in `exclude_tweets` are left out.
+
+        The rows are in (timestamp, tweet, tag) order and a tweet has one
+        timestamp, so the rows before `before` are a prefix, and each tweet
+        is one run of rows with distinct tags. Each ordered pair of rows in
+        a run counts once, under the key tag_a * T + tag_b (T tags), so the
+        sorted distinct keys are the CSR entries in order."""
+        tweets, n_tags = corpus.tweets, len(corpus.tags)
+        n = len(tweets) if before is None else bisect_left(memoryview(corpus.ts), before)
+        same = np.zeros(n + 1, dtype=bool)  # same[i]: row i continues row i - 1's tweet
+        same[1:n] = np.fromiter(map(eq, islice(tweets, 1, n), tweets), bool, max(n - 1, 0))
+        starts = np.flatnonzero(~same[:-1] & same[1:])  # runs of two rows or more
+        lengths = np.flatnonzero(same[:-1] & ~same[1:]) + 1 - starts
+        if exclude_tweets:
+            held = np.fromiter(map(exclude_tweets.__contains__,
+                                   map(tweets.__getitem__, starts.tolist())), bool, len(starts))
+            starts, lengths = starts[~held], lengths[~held]
+        keys, counts = np.unique(_pair_keys(corpus.tag, starts, lengths, n_tags),
+                                 return_counts=True)
+        indptr = np.searchsorted(keys, np.arange(n_tags + 1) * n_tags)
+        keys %= n_tags  # now the neighbour ids
+        return cls(corpus.tags, corpus.tag_ids, indptr, keys, counts)
 
     def _rows(self, tags: list[str]) -> np.ndarray:
         get, unknown = self._ids.get, len(self._tags)
@@ -131,12 +110,9 @@ class SimilarityIndex:
 
     def vector(self, hashtag: str) -> dict[str, int]:
         """The counts of one tag, rebuilt from its CSR row ({} if none)."""
-        row = self._rows([hashtag])[0]
-        lo, hi = self._indptr[row], self._indptr[row + 1]
-        return {
-            self._tags[nb]: int(c)
-            for nb, c in zip(self._indices[lo:hi].tolist(), self._data[lo:hi].tolist())
-        }
+        lo, hi = self._indptr[self._rows([hashtag])[0] + np.arange(2)]
+        return dict(zip(map(self._tags.__getitem__, self._indices[lo:hi].tolist()),
+                        self._counts[lo:hi].tolist()))
 
     def pair_table(self, tags: list[str]) -> list[list[float]]:
         """table[i][j] is the cosine of the co-occurrence vectors of tags[i]
@@ -152,7 +128,7 @@ class SimilarityIndex:
         pos = np.arange(ends[-1] if len(tags) else 0) + np.repeat(starts - ends + lengths, lengths)
         cols, inverse = np.unique(self._indices[pos], return_inverse=True)
         m = np.zeros((len(tags), len(cols)))
-        m[np.repeat(np.arange(len(tags)), lengths), inverse] = self._data[pos]
+        m[np.repeat(np.arange(len(tags)), lengths), inverse] = self._counts[pos]
         dot = m @ m.T  # exact: see the class docstring
         nrm = self._norms[rows]
         table = np.zeros_like(dot)
@@ -162,6 +138,40 @@ class SimilarityIndex:
     def similarity(self, ht_a: str, ht_b: str) -> float:
         """Cosine of the two co-occurrence vectors; 0 if either is empty."""
         return self.pair_table([ht_a, ht_b])[0][1]
+
+
+def _squared_norms(tags: list[str], indptr: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Each CSR row's sum of squared counts, exact; ValueError from 2**53 on."""
+    # A count of 2**27 breaks the bound alone. Below it, a square splits at
+    # bit 27 into two parts below 2**28; a row holds fewer than 2**31 (one
+    # per distinct neighbour id), so their row sums, as differences of int64
+    # cumulative sums, are exact whatever those wrap to.
+    squares = np.minimum(counts, 2**27).astype(np.int64, copy=False)
+    squares *= squares
+    total = np.zeros(len(squares) + 1, dtype=np.int64)
+    np.cumsum(squares >> 27, out=total[1:])
+    high = np.diff(total[indptr])
+    np.cumsum(squares & (2**27 - 1), out=total[1:])
+    low = np.diff(total[indptr])
+    wide = np.flatnonzero(high + (low >> 27) >= 2**26)
+    if len(wide):
+        r = wide[0]
+        raise ValueError(f"co-occurrence vector of {tags[r]!r} has squared norm"
+                         f" {int(high[r]) * 2**27 + int(low[r])} >= 2**53;"
+                         " its cosines would not be exact")
+    return (high << 27) + low
+
+
+def _pair_keys(tag: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
+               n_tags: int) -> np.ndarray:
+    """tag[a] * n_tags + tag[b] for each ordered pair of distinct rows a, b in
+    each run of rows starts[i] + [0, lengths[i]), one block per run length."""
+    blocks = [np.zeros(0, dtype=np.int64)]
+    for size in np.unique(lengths).tolist():
+        tags = tag[starts[lengths == size, None] + np.arange(size)].astype(np.int64)
+        others = (np.arange(size)[:, None] + np.arange(1, size)) % size  # per position
+        blocks.append((tags[:, others] + tags[:, :, None] * n_tags).ravel())
+    return np.concatenate(blocks)
 
 
 def _hashtags(items: Ranked | list[str]) -> list[str]:

@@ -58,7 +58,6 @@ class CorpusIndex:
         self.sq = np.empty(len(user), dtype=np.int32)
         self.sq[self.order] = 2 * rank + 1
         self.user_ids = dict(zip(corpus.users, range(len(corpus.users))))
-        self.tag_ids = dict(zip(corpus.tags, range(len(corpus.tags))))
         self._ts, self._cache = memoryview(corpus.ts), (None, {})
 
     def end(self, ref_time: int) -> int:

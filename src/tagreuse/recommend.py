@@ -145,7 +145,7 @@ def _top(scores: dict, k: int, key) -> list:
 def _rank(scores: dict[str, float], k: int, index: CorpusIndex, ref_time: int) -> Ranked:
     """Deterministic top-k: score desc, global pre-ref frequency desc,
     hashtag asc."""
-    freq, tag_id = index.global_counts_before(ref_time), index.tag_ids
+    freq, tag_id = index.global_counts_before(ref_time), index.corpus.tag_ids
     return _top(scores, k, lambda item: (-item[1], -freq[tag_id[item[0]]], item[0]))
 
 
@@ -252,7 +252,7 @@ def recommend_cf(
     corpus, end = index.corpus, index.end(ref_time)
     users = corpus.user[:end].astype(np.intp)  # bincount with weights is slower on int32
     weights = np.zeros(len(corpus.tags))
-    weights[list(map(index.tag_ids.__getitem__, profile))] = list(profile.values())
+    weights[list(map(corpus.tag_ids.__getitem__, profile))] = list(profile.values())
     dots = np.bincount(users, weights=weights[corpus.tag[:end]], minlength=len(corpus.users))
     norms = np.sqrt(np.bincount(users, weights=index.sq[:end], minlength=len(corpus.users)))
     u = index.user_ids[user_id]

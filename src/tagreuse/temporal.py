@@ -115,8 +115,7 @@ def daily_peak_bin(hist: RecencyHistogram) -> int:
         raise RangeExcludes24h(
             f"histogram range [{edges[0]}, {edges[-1]}) does not contain 24h"
         )
-    i = int(np.searchsorted(edges, 24.0, side="right")) - 1
-    return i
+    return int(np.searchsorted(edges, 24.0, side="right")) - 1
 
 
 def detect_daily_peak(hist: RecencyHistogram) -> PeakCheck:

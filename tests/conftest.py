@@ -13,12 +13,15 @@ import math
 import random
 import unicodedata
 from collections import OrderedDict
+from itertools import chain
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tagreuse.classify import LABELS, ReuseLabel, classify_all
 from tagreuse.corpus import Corpus, EmptyAfterNormalization, FollowNetwork, HashtagAssignment
+from tagreuse.diversity import SimilarityIndex
 from tagreuse.synth import (
     INDIVIDUAL_POOL_CAP,
     INDIVIDUAL_SCAN_CAP,
@@ -242,6 +245,20 @@ def reference_cooccurrence_vectors(corpus: Corpus, before=None, exclude_tweets=N
                     va = vectors.setdefault(a, {})
                     va[b] = va.get(b, 0) + 1
     return vectors
+
+
+def index_from_vectors(vectors: dict[str, dict[str, int]]) -> SimilarityIndex:
+    """A SimilarityIndex holding exactly `vectors`, which need not be
+    symmetric: row r is tags[r], the tags with a vector first, in the order
+    given, then each neighbour not seen yet, with an empty row."""
+    tags = list(dict.fromkeys(chain(vectors, chain.from_iterable(vectors.values()))))
+    ids = {ht: i for i, ht in enumerate(tags)}
+    lengths = [len(vectors.get(ht, {})) for ht in tags]
+    return SimilarityIndex(
+        tags, ids, np.concatenate(([0], np.cumsum(lengths, dtype=np.int64))),
+        np.array([ids[nb] for vec in vectors.values() for nb in vec], dtype=np.int64),
+        np.array([c for vec in vectors.values() for c in vec.values()], dtype=np.int64),
+    )
 
 
 def brute_force_cosine(index, ht_a: str, ht_b: str) -> float:

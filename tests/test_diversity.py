@@ -23,6 +23,7 @@ from conftest import (
     brute_force_cosine,
     bubble_fixture,
     corpus_from_tweets,
+    index_from_vectors,
     merged_synth_corpus,
     random_corpus,
     reference_cooccurrence_vectors,
@@ -67,7 +68,7 @@ def synth_lists():
     )
     corpus = merged_synth_corpus(params, 3)
     index = SimilarityIndex.from_corpus(corpus)
-    pool = sorted({a.hashtag for a in corpus.assignments}) + ["novec1", "novec2"]
+    pool = sorted(corpus.tags) + ["novec1", "novec2"]
     rng = random.Random(12)
     lengths = [0, 1, 2] + [rng.randrange(3, 31) for _ in range(40)] + [30]
     return index, [[rng.choice(pool) for _ in range(n)] for n in lengths]
@@ -88,12 +89,22 @@ def _random_vectors(rng, n_tags, symmetric):
     return vectors
 
 
+def _row_records(corpus, split=False):
+    """One tweet record per row of the corpus: under the row's tweet id, so
+    that from_tweets gives the corpus back, or one tweet per row if split."""
+    return [
+        (corpus.users[u], f"{tweet}/{t}" if split else tweet, ts, (corpus.tags[t],))
+        for u, tweet, t, ts in zip(corpus.user.tolist(), corpus.tweets, corpus.tag.tolist(),
+                                   corpus.ts.tolist())
+    ]
+
+
 class TestIndexLayout:
     def test_vector_round_trips(self):
         rng = random.Random(5)
         for trial in range(60):
             vectors = _random_vectors(rng, rng.randint(1, 15), symmetric=trial % 2 == 0)
-            index = SimilarityIndex(vectors)
+            index = index_from_vectors(vectors)
             for ht, vec in vectors.items():
                 assert index.vector(ht) == vec
                 assert all(type(c) is int for c in index.vector(ht).values())
@@ -104,7 +115,7 @@ class TestIndexLayout:
 
     def test_no_vectors_kept(self):
         vectors = {"a": {"b": 2, "c": 1}, "b": {"a": 2}, "c": {"a": 1}}
-        index = SimilarityIndex(vectors)
+        index = index_from_vectors(vectors)
         for value in vars(index).values():
             if isinstance(value, dict):
                 assert not any(isinstance(v, dict) for v in value.values())
@@ -114,41 +125,67 @@ class TestIndexLayout:
         assert index.vector("d") == {}
 
     def test_rows_in_id_order(self):
-        # own tags first in the order given, then neighbour-only tags
-        index = SimilarityIndex({"b": {"x": 1, "a": 2}, "a": {"b": 2, "y": 3}})
+        # row r is tag r (neighbour-only tags have empty rows), and one more
+        # empty row stands for every unknown tag
+        index = index_from_vectors({"b": {"x": 1, "a": 2}, "a": {"b": 2, "y": 3}})
         assert index._tags == ["b", "a", "x", "y"]
         assert index._indptr.tolist() == [0, 2, 4, 4, 4, 4]
         assert index._norms.tolist() == [math.sqrt(5), math.sqrt(13), 0.0, 0.0, 0.0]
+        assert index._rows(["a", "unknown", "y", "b"]).tolist() == [1, 4, 3, 0]
+
+    def test_rows_are_the_corpus_tag_ids(self, cooc_corpus):
+        index = SimilarityIndex.from_corpus(cooc_corpus)
+        assert index._tags is cooc_corpus.tags
+        assert index._ids is cooc_corpus.tag_ids
+        assert len(index._indptr) == len(cooc_corpus.tags) + 2
+        assert index._rows(["q", "neverseen"]).tolist() == [cooc_corpus.tag_ids["q"], 7]
 
     def test_asymmetric_pair_table_matches_brute_force(self):
         rng = random.Random(6)
         for trial in range(40):
             vectors = _random_vectors(rng, rng.randint(1, 12), symmetric=trial % 2 == 0)
-            index = SimilarityIndex(vectors)
+            index = index_from_vectors(vectors)
             pool = [f"t{i}" for i in range(12)] + ["unknown"]
             tags = [rng.choice(pool) for _ in range(rng.randint(0, 14))]
             table = index.pair_table(tags)
             for i, a in enumerate(tags):
                 assert table[i] == [brute_force_cosine(index, a, b) for b in tags]
 
-    @pytest.mark.parametrize("cut", [None, "before", "exclude", "both"])
+    @pytest.mark.parametrize("cut", [None, "before", "exclude", "both", "at_first",
+                                     "exclude_all", "single_tag", "late_tag"])
     def test_from_corpus_matches_reference_counts(self, cut):
         rng = random.Random(8)
         n_counts = 0
         for _ in range(25):
             corpus = random_corpus(rng, max_assignments=300, tag_pool_size=rng.randint(2, 15))
-            tweet_ids = sorted({a.tweet_id for a in corpus.assignments})
+            edges = corpus.network.edges
+            if cut == "single_tag":  # every row its own tweet: no vector at all
+                corpus = corpus_from_tweets(_row_records(corpus, split=True), edges)
+            tweet_ids = sorted(set(corpus.tweets))
             before = rng.randint(1, 500) if cut in ("before", "both") else None
             exclude = (
                 frozenset(rng.sample(tweet_ids, len(tweet_ids) // 3))
                 if cut in ("exclude", "both") else None
             )
+            if cut == "at_first":  # at or below the first timestamp: no row is kept
+                before = int(corpus.ts.min(initial=1)) - rng.randint(0, 2)
+            elif cut == "exclude_all":
+                exclude = frozenset(tweet_ids)
+            elif cut == "late_tag":  # every row of "late" lies at `before`
+                before = int(corpus.ts.max(initial=0)) + 1
+                late = ("u00", "late", before, ("late", "h0"))
+                corpus = corpus_from_tweets(_row_records(corpus) + [late], edges)
             expected = reference_cooccurrence_vectors(corpus, before, exclude)
             index = SimilarityIndex.from_corpus(corpus, before=before, exclude_tweets=exclude)
-            for ht in {a.hashtag for a in corpus.assignments} | {"unknown"}:
+            for ht in set(corpus.tags) | {"unknown"}:
                 assert index.vector(ht) == expected.get(ht, {})
+            if not expected:
+                assert not any(map(any, index.pair_table(corpus.tags)))
             n_counts += sum(map(len, expected.values()))
-        assert n_counts > 100
+        if cut in ("at_first", "exclude_all", "single_tag"):
+            assert n_counts == 0
+        else:
+            assert n_counts > 100
 
 
 class TestPairTable:
@@ -172,7 +209,7 @@ class TestPairTable:
 
     def test_large_counts_are_exact(self):
         # dot products near 2**50: exact in float64, not in float32
-        index = SimilarityIndex({
+        index = index_from_vectors({
             "a": {"x": 2**25 + 1, "y": 3},
             "b": {"x": 2**25 - 1, "y": 5, "z": 2**20 + 7},
             "c": {"y": 11, "z": 1},
@@ -185,11 +222,20 @@ class TestPairTable:
     def test_squared_norm_bound(self):
         # 2 * (2**26)**2 == 2**53: the first squared norm a float64 product
         # of counts could no longer hold exactly
-        SimilarityIndex({"a": {"b": 2**26}, "b": {"a": 2**26}})
+        index_from_vectors({"a": {"b": 2**26}, "b": {"a": 2**26}})
         with pytest.raises(ValueError, match="2\\*\\*53"):
-            SimilarityIndex({"a": {"b": 2**26, "c": 2**26}})
+            index_from_vectors({"a": {"b": 2**26, "c": 2**26}})
         with pytest.raises(ValueError):
-            SimilarityIndex({"a": {"b": 2**40}})
+            index_from_vectors({"a": {"b": 2**40}})
+        # four squares summing to 2**53 - 1, whose low 27 bits carry once a
+        # fifth count of 1 brings the sum to 2**53
+        near = {"b": 94906265, "c": 10885, "d": 71, "e": 50}
+        index_from_vectors({"a": near})
+        with pytest.raises(ValueError, match=f"squared norm {2**53} >="):
+            index_from_vectors({"a": {**near, "f": 1}})
+        # a sum of squares of 2**64, which an int64 sum would wrap to 0
+        with pytest.raises(ValueError, match=f"squared norm {2**64} >="):
+            index_from_vectors({"a": {f"n{i}": 2**26 for i in range(2**12)}})
 
 
 class TestPairwiseSimilarity:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -349,3 +351,23 @@ class TestPassOrder:
                 rec = recommend(algo, CorpusIndex(corpus), us.user_id, us.ref_time, 6)
                 expected.append([ht for ht, _ in rec])
         assert tables == expected
+
+
+class TestPinnedRerank:
+    """The re-ranked report of multi-hashtag corpora, pinned by the SHA-256
+    of its JSON: the goldens' tweets carry one hashtag each, so no golden
+    covers a nonzero cosine."""
+
+    @pytest.mark.parametrize("corpus_of, digest", [
+        (_paired_synth_corpus, "022ff6fc7b172b7bac2d8ad0ca4e2508615743b82ca392cf5920dfdc311a0ab2"),
+        (lambda: merged_synth_corpus(GenParams(
+            n_seed_users=10, n_followees_per_seed=3, n_background_users=8,
+            vocab_size=60, n_tweets_per_user=40, rng_seed=4141,
+        ), 4), "83a7f170fd78e66c3189d2e89fae0b033127a4472cb46348e90e9ba742856485"),
+    ])
+    def test_report_bytes(self, corpus_of, digest):
+        config = EvalConfig(k_max=10, rerank_lambda=0.5)
+        report = evaluate(corpus_of(), list(ALGORITHM_NAMES), config).to_json_dict()
+        assert any(0.0 < row["ild"] < 1.0 for row in report["algorithms"]["cf"])
+        text = json.dumps(report, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
