@@ -227,9 +227,9 @@ def serendipity(
 
 
 def normalize_scores(candidates: Ranked) -> Ranked:
-    """`minmax_normalize` over a ranked list, keeping its order; a list
-    holds each hashtag once."""
-    return list(minmax_normalize(dict(candidates)).items())
+    """`minmax_normalize` over a ranked list's scores, keeping its order."""
+    scores = minmax_normalize(np.array([score for _, score in candidates], dtype=np.float64))
+    return [(ht, score) for (ht, _), score in zip(candidates, scores.tolist())]
 
 
 def rerank_hybrid(

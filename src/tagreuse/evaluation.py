@@ -10,7 +10,7 @@ re-ranking and with diversity/serendipity columns.
 `evaluate` answers all queries from one CorpusIndex: users are visited in
 ascending reference time, and every algorithm scores a user before the
 next, so the values the index caches for that user's reference time (the
-global tag counts, the bll_i and bll_s score dicts) serve them all.
+global tag counts, the bll_i and bll_s score arrays) serve them all.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ before* it, so no answer leaks later events. The columns are time-sorted,
 so that usage is the row prefix [0, end), end = CorpusIndex.end(ref_time).
 The index sorts the rows once, stably, by (user id, tag id): a user's rows
 are one block of that order, grouped by tag and in time order within a
-tag, and the part below `end` gives the user's per-hashtag counts and
+tag, and the part below `end` gives the user's per-tag-id counts and
 usage traces (ascending timestamps, tied ones equal ints). Nothing is
 counted as time moves, so every answer depends only on (arguments,
 corpus), whatever the order of the queries.
@@ -96,17 +96,16 @@ class CorpusIndex:
         last = _last_of_runs(tags, users)
         return tags[last], (self.sq[rows[last]] + 1) >> 1, users[last]
 
-    def traces_before(self, user_ids: Iterable[str], ref_time: int) -> dict[str, list[int]]:
-        """Hashtag -> ascending usage timestamps strictly before ref_time,
-        pooled over the given users, hashtags in tag-id order."""
-        rows = self._rows(user_ids, self.end(ref_time))
+    def traces(self, user_ids: Iterable[str], end: int) -> tuple[np.ndarray, list[int], list[int]]:
+        """(tag ids, times, bounds): times[bounds[i]:bounds[i + 1]] are the
+        ascending timestamps of tag id ids[i] below `end`, pooled over the
+        given users, tag ids ascending."""
+        rows = self._rows(user_ids, end)
         # sorted by (tag id, row) through one int64 key: rows are below 2**31
         key = np.sort(self.corpus.tag[rows].astype(np.int64) << 32 | rows)
         rows, tags = key & 0xFFFFFFFF, key >> 32
         last = _last_of_runs(tags)
-        times, bounds = self.corpus.ts[rows].tolist(), [0, *(np.flatnonzero(last) + 1).tolist()]
-        names = self.corpus.tags
-        return {names[t]: times[a:b] for t, a, b in zip(tags[last].tolist(), bounds, bounds[1:])}
+        return tags[last], self.corpus.ts[rows].tolist(), [0, *(np.flatnonzero(last) + 1).tolist()]
 
     def profile_before(self, user_id: str, ref_time: int) -> dict[str, int]:
         """Hashtag -> own usage count vector of one user strictly before
@@ -114,8 +113,12 @@ class CorpusIndex:
         ids, counts, _ = self.profiles([user_id], self.end(ref_time))
         return dict(zip(map(self.corpus.tags.__getitem__, ids.tolist()), counts.tolist()))
 
+    def _tags_before(self, user_ids: Iterable[str], ref_time: int) -> set[str]:
+        ids = np.unique(self.corpus.tag[self._rows(user_ids, self.end(ref_time))])
+        return set(map(self.corpus.tags.__getitem__, ids.tolist()))
+
     def own_tags_before(self, user_id: str, ref_time: int) -> set[str]:
-        return set(self.traces_before([user_id], ref_time))
+        return self._tags_before([user_id], ref_time)
 
     def followee_tags_before(self, user_id: str, ref_time: int) -> set[str]:
-        return set(self.traces_before(self.network.followees(user_id), ref_time))
+        return self._tags_before(self.network.followees(user_id), ref_time)

@@ -4,11 +4,11 @@ All recommenders are pure functions of (index, user, ref_time, k): they
 look only at usage strictly before ref_time and produce a deterministic
 ranked list of at most k (hashtag, score) pairs, ordered by score, then
 global usage frequency before ref_time, then the hashtag string. The
-answer does not depend on query order. Every recommender reads the
-index's sorted order of the corpus columns (see CorpusIndex); the
-tie-break's global counts and the bll_i and bll_s score dicts are cached
-on the index for the latest ref_time, so bll_is at the same (user,
-ref_time, params) reuses them.
+answer does not depend on query order. Each recommender scores tag ids
+from the index's sorted order of the corpus columns (see CorpusIndex);
+_rank alone names them. The tie-break's global counts and the bll_i and
+bll_s score arrays are cached on the index for the latest ref_time, so
+bll_is at the same (user, ref_time, params) reuses them.
 
 Scoring models:
 
@@ -23,7 +23,7 @@ Scoring models:
           hashtag count profiles, scores summed over the top neighbors.
   mp      most popular: global usage counts (plain baseline).
 
-One kernel (_activations) scores a user's whole {hashtag: trace} dict in a
+One kernel (_activations) scores all traces of one flat time list in a
 single loop, and bll_activation filters its input and calls the same
 kernel, so there is one arithmetic path. Its sum is a plain in-order loop
 from 0.0: builtin sum() of floats is compensated on Python >= 3.12, and
@@ -76,13 +76,10 @@ class MixParams:
 @dataclass(frozen=True)
 class CFParams:
     n_neighbors: int = 20
-    similarity: str = "cosine"
 
     def __post_init__(self):
         if self.n_neighbors < 1:
             raise ValueError(f"n_neighbors must be >= 1, got {self.n_neighbors}")
-        if self.similarity != "cosine":
-            raise ValueError(f"unsupported similarity {self.similarity!r}")
 
 
 def bll_activation(
@@ -99,13 +96,15 @@ def bll_activation(
     trace = [t for t in usage_timestamps if t < ref_time]
     if not trace:
         raise NoPriorUsage(f"no usage strictly before ref_time={ref_time}")
-    return _activations({None: trace}, ref_time, params)[None]
+    return _activations(trace, [0, len(trace)], ref_time, params)[0]
 
 
-def _activations(traces: dict, ref_time: int, params: BLLParams) -> dict:
-    """Activation per key of non-empty traces that hold only times
-    strictly before ref_time: ln of the sum of max(ref_time - t,
-    min_delta)^-d, added in trace order from 0.0.
+def _activations(
+    times: list[int], bounds: list[int], ref_time: int, params: BLLParams
+) -> list[float]:
+    """Activation of each non-empty trace times[bounds[i]:bounds[i + 1]]
+    of times strictly before ref_time, in trace order: ln of the sum of
+    max(ref_time - t, min_delta)^-d, added in time order from 0.0.
 
     When every term underflows (large d and old usages), the sum is taken
     in log space instead: with x_j = -d ln dt_j and m = max x_j,
@@ -116,8 +115,9 @@ def _activations(traces: dict, ref_time: int, params: BLLParams) -> dict:
     """
     d, min_delta = params.d, params.min_delta_seconds
     neg_d, log = -d, math.log
-    scores = {}
-    for key, trace in traces.items():
+    scores = []
+    for a, b in zip(bounds, bounds[1:]):
+        trace = times[a:b]
         total = 0.0
         for t in trace:
             dt = ref_time - t
@@ -125,40 +125,39 @@ def _activations(traces: dict, ref_time: int, params: BLLParams) -> dict:
         if total == 0.0:
             logs = [-d * log(max(ref_time - t, min_delta)) for t in trace]
             m = max(logs)
-            scores[key] = m + log(sum(math.exp(x - m) for x in logs))
+            scores.append(m + log(sum(math.exp(x - m) for x in logs)))
         else:
-            scores[key] = log(total)
+            scores.append(log(total))
     return scores
 
 
-def _top(scores: dict, k: int, key) -> list:
-    """heapq.nsmallest(k, scores.items(), key) for a key that leads with
-    -score: only items at or above the k-th largest score can be in the
+def _top(ids: np.ndarray, values: np.ndarray, k: int, key) -> list[tuple[int, float]]:
+    """heapq.nsmallest(k, zip(ids, values), key) for a key that leads with
+    -value: only items at or above the k-th largest value can be in the
     top k, so the Python-keyed heap sees just those (ties included)."""
-    items = scores.items()
-    if 0 < k < len(scores):
-        kth = heapq.nlargest(k, scores.values())[-1]
-        items = [(x, v) for x, v in items if v >= kth]
-    return heapq.nsmallest(k, items, key=key)
+    if 0 < k < len(ids):
+        keep = values >= np.partition(values, -k)[-k]
+        ids, values = ids[keep], values[keep]
+    return heapq.nsmallest(k, zip(ids.tolist(), values.tolist()), key=key)
 
 
-def _rank(scores: dict[str, float], k: int, index: CorpusIndex, ref_time: int) -> Ranked:
-    """Deterministic top-k: score desc, global pre-ref frequency desc,
-    hashtag asc."""
-    freq, tag_id = index.global_counts_before(ref_time), index.corpus.tag_ids
-    return _top(scores, k, lambda item: (-item[1], -freq[tag_id[item[0]]], item[0]))
+def _rank(ids: np.ndarray, scores: np.ndarray, k: int, index: CorpusIndex, ref_time: int) -> Ranked:
+    """Deterministic top-k of the tag ids by score desc, global pre-ref
+    frequency desc, hashtag asc."""
+    freq, tags = index.global_counts_before(ref_time), index.corpus.tags
+    top = _top(ids, scores, k, lambda item: (-item[1], -freq[item[0]], tags[item[0]]))
+    return [(tags[t], score) for t, score in top]
 
 
-def minmax_normalize(scores: dict[str, float]) -> dict[str, float]:
+def minmax_normalize(scores: np.ndarray) -> np.ndarray:
     """Min-max rescale to [0, 1]. A degenerate score range (single
     candidate, or all equal) maps every candidate to 1.0."""
-    if not scores:
-        return {}
-    lo, hi = min(scores.values()), max(scores.values())
+    if not len(scores):
+        return scores
+    lo, hi = scores.min(), scores.max()
     if hi == lo:
-        return {ht: 1.0 for ht in scores}
-    span = hi - lo
-    return {ht: (s - lo) / span for ht, s in scores.items()}
+        return np.ones_like(scores)
+    return (scores - lo) / (hi - lo)
 
 
 def _require_seed(index: CorpusIndex, user_id: str) -> None:
@@ -168,13 +167,17 @@ def _require_seed(index: CorpusIndex, user_id: str) -> None:
 
 def _bll_scores(
     index: CorpusIndex, kind: str, user_id: str, ref_time: int, params: BLLParams
-) -> dict[str, float]:
-    """Activation per hashtag over the user's own traces (kind "i") or over
-    the followees' traces pooled per hashtag (kind "s"), cached on the
-    index for ref_time."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """(tag ids, activations) over the user's own traces (kind "i") or over
+    the followees' traces pooled per tag (kind "s"), cached on the index
+    for ref_time."""
     users = [user_id] if kind == "i" else index.network.followees(user_id)
-    return index.cached(ref_time, (kind, user_id, params), lambda: _activations(
-        index.traces_before(users, ref_time), ref_time, params))
+
+    def compute():
+        ids, times, bounds = index.traces(users, index.end(ref_time))
+        return ids, np.array(_activations(times, bounds, ref_time, params))
+
+    return index.cached(ref_time, (kind, user_id, params), compute)
 
 
 def recommend_bll_i(
@@ -186,7 +189,7 @@ def recommend_bll_i(
 ) -> Ranked:
     """Rank the user's own previously used hashtags by activation."""
     _require_seed(index, user_id)
-    return _rank(_bll_scores(index, "i", user_id, ref_time, params), k, index, ref_time)
+    return _rank(*_bll_scores(index, "i", user_id, ref_time, params), k, index, ref_time)
 
 
 def recommend_bll_s(
@@ -199,7 +202,7 @@ def recommend_bll_s(
     """Rank hashtags previously used by the user's followees, activation
     computed over the union of all followees' usage times."""
     _require_seed(index, user_id)
-    return _rank(_bll_scores(index, "s", user_id, ref_time, params), k, index, ref_time)
+    return _rank(*_bll_scores(index, "s", user_id, ref_time, params), k, index, ref_time)
 
 
 def recommend_bll_is(
@@ -217,14 +220,13 @@ def recommend_bll_is(
     combined as beta * individual + (1 - beta) * social.
     """
     _require_seed(index, user_id)
-    norm_i = minmax_normalize(_bll_scores(index, "i", user_id, ref_time, params))
-    norm_s = minmax_normalize(_bll_scores(index, "s", user_id, ref_time, params))
-    beta = mix.beta
-    combined = {
-        ht: beta * norm_i.get(ht, 0.0) + (1.0 - beta) * norm_s.get(ht, 0.0)
-        for ht in set(norm_i) | set(norm_s)
-    }
-    return _rank(combined, k, index, ref_time)
+    ids_i, scores_i = _bll_scores(index, "i", user_id, ref_time, params)
+    ids_s, scores_s = _bll_scores(index, "s", user_id, ref_time, params)
+    ids = np.union1d(ids_i, ids_s)
+    norm_i, norm_s = np.zeros(len(ids)), np.zeros(len(ids))
+    norm_i[np.searchsorted(ids, ids_i)] = minmax_normalize(scores_i)
+    norm_s[np.searchsorted(ids, ids_s)] = minmax_normalize(scores_s)
+    return _rank(ids, mix.beta * norm_i + (1.0 - mix.beta) * norm_s, k, index, ref_time)
 
 
 def recommend_cf(
@@ -246,42 +248,33 @@ def recommend_cf(
     float64 sums (see index.MAX_USER_ROWS).
     """
     _require_seed(index, user_id)
-    profile = index.profile_before(user_id, ref_time)
-    if not profile:
-        return []
     corpus, end = index.corpus, index.end(ref_time)
+    profile_ids, profile_counts, _ = index.profiles([user_id], end)
+    if not len(profile_ids):
+        return []
     users = corpus.user[:end].astype(np.intp)  # bincount with weights is slower on int32
     weights = np.zeros(len(corpus.tags))
-    weights[list(map(corpus.tag_ids.__getitem__, profile))] = list(profile.values())
+    weights[profile_ids] = profile_counts
     dots = np.bincount(users, weights=weights[corpus.tag[:end]], minlength=len(corpus.users))
     norms = np.sqrt(np.bincount(users, weights=index.sq[:end], minlength=len(corpus.users)))
     u = index.user_ids[user_id]
     dots[u] = 0.0
     sims = np.divide(dots, norms[u] * norms, out=np.zeros_like(dots), where=dots > 0)
     near, names = np.flatnonzero(sims), corpus.users
-    top = _top(dict(zip(near.tolist(), sims[near].tolist())), params.n_neighbors,
-               key=lambda item: (-item[1], names[item[0]]))
+    top = _top(near, sims[near], params.n_neighbors, key=lambda item: (-item[1], names[item[0]]))
     ids, counts, owners = index.profiles([names[v] for v, _ in top], end)
     # each neighbor's sim * count, added per hashtag in neighbor order from
     # 0.0; every term is positive, so the candidates are the nonzero totals
     totals = np.bincount(ids, weights=sims[owners] * counts)
-    return _rank_leaders(totals, k, index, ref_time)
-
-
-def _rank_leaders(values: np.ndarray, k: int, index: CorpusIndex, ref_time: int) -> Ranked:
-    """_rank of the nonzero scores in values (one per tag id), handed only
-    the tags at or above the k-th largest score (ties included)."""
-    top = np.flatnonzero(values)
-    if 0 < k < len(top):
-        top = top[values[top] >= np.partition(values[top], -k)[-k]]
-    scores = dict(zip(map(index.corpus.tags.__getitem__, top.tolist()), values[top].tolist()))
-    return _rank(scores, k, index, ref_time)
+    candidates = np.flatnonzero(totals)
+    return _rank(candidates, totals[candidates], k, index, ref_time)
 
 
 def recommend_most_popular(index: CorpusIndex, ref_time: int, k: int) -> Ranked:
     """Global usage counts strictly before ref_time, by count, then hashtag."""
-    counts = index.global_counts_before(ref_time).astype(np.float64)
-    return _rank_leaders(counts, k, index, ref_time)
+    counts = index.global_counts_before(ref_time)
+    used = np.flatnonzero(counts)
+    return _rank(used, counts[used].astype(np.float64), k, index, ref_time)
 
 
 def recommend(

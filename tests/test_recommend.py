@@ -7,6 +7,7 @@ import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from tagreuse import index as index_module
@@ -192,9 +193,17 @@ def _bits(scores: dict) -> dict:
     return {key: score.hex() for key, score in scores.items()}
 
 
+def _trace_dict(index, users, ref):
+    """{hashtag: trace} of index.traces(users) before ref."""
+    ids, times, bounds = index.traces(users, index.end(ref))
+    names = index.corpus.tags
+    return {names[t]: times[a:b] for t, a, b in zip(ids.tolist(), bounds, bounds[1:])}
+
+
 class TestActivationKernel:
-    """_activations scores a whole {tag: trace} dict with the arithmetic of
-    bll_activation and of a plain per-term reference, bit for bit."""
+    """_activations scores the traces of a flat time list cut by run bounds
+    with the arithmetic of bll_activation and of a plain per-term
+    reference, bit for bit."""
 
     def test_matches_per_trace_activation_on_random_traces(self):
         rng = random.Random(2017)
@@ -216,8 +225,13 @@ class TestActivationKernel:
                 if n > 1 and rng.random() < 0.3:
                     deltas = [deltas[0]] * n  # tied timestamps
                 traces[f"t{i}"] = [ref - dt for dt in deltas]
-            got = _activations(traces, ref, params)
-            assert list(got) == list(traces)
+            times = [t for trace in traces.values() for t in trace]
+            bounds = [0]
+            for trace in traces.values():
+                bounds.append(bounds[-1] + len(trace))
+            scores = _activations(times, bounds, ref, params)
+            assert len(scores) == len(traces)
+            got = dict(zip(traces, scores))
             per_trace = {ht: bll_activation(trace, ref, params) for ht, trace in traces.items()}
             reference = {ht: reference_bll_activation(trace, ref, params)
                          for ht, trace in traces.items()}
@@ -255,7 +269,8 @@ class TestActivationKernel:
                         sources.setdefault(a.hashtag, set()).add(a.user_id)
                 pooled += sum(len(users) > 1 for users in sources.values())
                 for params in (BLLParams(d=D), BLLParams(d=2.5, min_delta_seconds=4)):
-                    got = _bll_scores(index, "s", user, ref, params)
+                    ids, scores = _bll_scores(index, "s", user, ref, params)
+                    got = dict(zip(map(corpus.tags.__getitem__, ids.tolist()), scores.tolist()))
                     expected = {ht: bll_activation(sorted(times), ref, params)
                                 for ht, times in merged.items()}
                     assert _bits(got) == _bits(expected), (user, ref)
@@ -533,6 +548,21 @@ class TestRankedListContracts:
                 scores = [s for _, s in items]
                 assert scores == sorted(scores, reverse=True)
 
+    def test_ties_follow_hashtag_strings_not_tag_ids(self):
+        # first used in separate tweets, "zz", "mm" and "aa" get the tag ids
+        # 0, 1, 2, the reverse of string order; one use each gives equal
+        # counts, and a min_delta above every gap equal bll_i activations
+        tweets = [("u", "t1", 10, ("zz",)), ("u", "t2", 20, ("mm",)), ("u", "t3", 30, ("aa",))]
+        corpus = corpus_from_tweets(tweets, {"u": set()})
+        assert corpus.tags == ["zz", "mm", "aa"]
+        index = CorpusIndex(corpus)
+        params = BLLParams(min_delta_seconds=1000)
+        for k in (2, 3):
+            for got in (recommend_most_popular(index, 100, k),
+                        recommend_bll_i(index, "u", 100, k, params)):
+                assert [ht for ht, _ in got] == ["aa", "mm", "zz"][:k]
+                assert len({score for _, score in got}) == 1
+
     def test_unknown_algorithm_rejected(self, history_corpus):
         with pytest.raises(ValueError):
             recommend("pagerank", CorpusIndex(history_corpus), "A", 100, 5)
@@ -582,6 +612,47 @@ def _oracle_traces(corpus, users, ref):
         if a.user_id in users and a.timestamp < ref:
             traces.setdefault(a.hashtag, []).append(a.timestamp)
     return {ht: sorted(times) for ht, times in traces.items()}
+
+
+class TestBllBitsAgainstOracles:
+    """bll_i, bll_s and bll_is scores equal, float.hex for float.hex, dict
+    references that score each oracle trace by a plain per-term loop."""
+
+    def test_random_corpora_bit_equal(self):
+        rng = random.Random(9797)
+        seen = Counter()
+        for _ in range(10):
+            corpus = random_corpus(rng, max_users=30, max_assignments=250, max_timestamp=400)
+            if not corpus.seed_users or not corpus.assignments:
+                continue
+            index = CorpusIndex(corpus)
+            for ref in _rewinding_refs(rng, corpus):
+                for user in sorted(corpus.seed_users)[:3]:
+                    # d = 200 sends traces with every gap above 41 to log space
+                    for params in (BLLParams(d=D), BLLParams(d=1.7, min_delta_seconds=5),
+                                   BLLParams(d=200.0)):
+                        own = _oracle_traces(corpus, {user}, ref)
+                        social = _oracle_traces(corpus, corpus.network.edges[user], ref)
+                        si, ss = ({ht: reference_bll_activation(ts, ref, params)
+                                   for ht, ts in traces.items()} for traces in (own, social))
+                        beta = rng.choice([0.0, 0.3, 0.5, 1.0])
+                        ni, ns = _oracle_minmax(si), _oracle_minmax(ss)
+                        mixed = {
+                            ht: beta * ni.get(ht, 0.0) + (1 - beta) * ns.get(ht, 0.0)
+                            for ht in set(ni) | set(ns)
+                        }
+                        for algo, scores in (("bll_i", si), ("bll_s", ss), ("bll_is", mixed)):
+                            got = recommend(algo, index, user, ref, len(scores) + 1,
+                                            bll=params, mix=MixParams(beta=beta))
+                            expected = _oracle_order(corpus, scores, ref, len(scores))
+                            assert [(ht, s.hex()) for ht, s in got] == \
+                                [(ht, s.hex()) for ht, s in expected], (algo, user, ref)
+                            seen[algo] += bool(scores)
+                        seen["log space"] += any(
+                            all(max(ref - t, params.min_delta_seconds) ** -params.d == 0.0
+                                for t in ts)
+                            for ts in (*own.values(), *social.values()))
+        assert min(seen.values()) >= 20, seen
 
 
 class TestCursorReads:
@@ -636,14 +707,17 @@ class TestCursorReads:
                 assert recommend(algo, index, "A", ref, 10) == fresh, (algo, ref)
             for user in history_corpus.users:
                 expected = _oracle_traces(history_corpus, {user}, ref)
-                assert index.traces_before([user], ref) == expected, (user, ref)
+                assert _trace_dict(index, [user], ref) == expected, (user, ref)
 
     def test_traces_are_ascending_per_user_and_tag(self, history_corpus):
         index = CorpusIndex(history_corpus)
-        assert index.traces_before(["A"], 2600) == {"a": [1000], "b": [1500, 2500]}
-        assert index.traces_before(["B1"], 2600) == {"x": [1200], "b": [1200]}
-        assert index.traces_before(["B2"], 2600) == {"x": [2200]}
-        assert index.traces_before(["C"], 2600) == {"a": [900], "x": [900], "z": [900]}
+        ids, times, bounds = index.traces(["A"], index.end(2600))
+        assert [history_corpus.tags[t] for t in ids.tolist()] == ["a", "b"]
+        assert (times, bounds) == ([1000, 1500, 2500], [0, 1, 3])
+        assert _trace_dict(index, ["A"], 2600) == {"a": [1000], "b": [1500, 2500]}
+        assert _trace_dict(index, ["B1"], 2600) == {"x": [1200], "b": [1200]}
+        assert _trace_dict(index, ["B2"], 2600) == {"x": [2200]}
+        assert _trace_dict(index, ["C"], 2600) == {"a": [900], "x": [900], "z": [900]}
 
     def test_shared_followee_tags_leave_traces_unchanged(self):
         ref = 1000
@@ -656,15 +730,15 @@ class TestCursorReads:
         ]
         corpus = corpus_from_tweets(tweets, {"A": {"B1", "B2", "B3"}})
         index = CorpusIndex(corpus)
-        before = {f: index.traces_before([f], ref) for f in ("B1", "B2", "B3")}
+        before = {f: _trace_dict(index, [f], ref) for f in ("B1", "B2", "B3")}
         got = dict(recommend_bll_s(index, "A", ref, 10))
         assert got["x"] == bll_activation([100, 150, 200, 300], ref)
         assert got["y"] == bll_activation([100, 150], ref)
         assert got["w"] == bll_activation([300], ref)
-        pooled = index.traces_before(["B1", "B2", "B3"], ref)
+        pooled = _trace_dict(index, ["B1", "B2", "B3"], ref)
         assert pooled == {"x": [100, 150, 200, 300], "y": [100, 150], "w": [300]}
         for f, traces in before.items():
-            assert index.traces_before([f], ref) == traces == _oracle_traces(corpus, {f}, ref)
+            assert _trace_dict(index, [f], ref) == traces == _oracle_traces(corpus, {f}, ref)
 
     @pytest.fixture
     def tied_corpus(self):
@@ -683,12 +757,14 @@ class TestCursorReads:
         # two leaders, a block of 12 tied at 3.0, and a tail tied at 1.0
         scores = {f"t{i:02d}": 5.0 if i < 2 else 3.0 if i < 14 else 1.0 for i in range(24)}
         n = len(scores)
+        ids = np.array([tied_corpus.tag_ids[ht] for ht in scores])
+        values = np.array(list(scores.values()))
         for k in (0, 1, 2, 3, 7, 14, 15, n, n + 1):
             expected = heapq.nsmallest(
                 k, scores.items(),
                 key=lambda item: (-item[1], -_oracle_freq(tied_corpus, item[0], ref), item[0]),
             )
-            assert _rank(scores, k, index, ref) == expected, k
+            assert _rank(ids, values, k, index, ref) == expected, k
 
     def test_prefiltered_most_popular_equals_unfiltered(self, tied_corpus):
         ref = 10_000
@@ -707,7 +783,7 @@ def _answer(index, query):
     if read in ALGORITHM_NAMES:
         return [(ht, score.hex()) for ht, score in recommend(read, index, user, ref, 10)]
     if read == "traces":
-        return index.traces_before(index.network.followees(user), ref)
+        return _trace_dict(index, index.network.followees(user), ref)
     return getattr(index, read)(user, ref)
 
 
@@ -750,24 +826,27 @@ class TestSharedIndex:
             CorpusIndex(corpus)
 
 
+def _minmax(scores: list[float]) -> list[float]:
+    return minmax_normalize(np.array(scores, dtype=np.float64)).tolist()
+
+
 class TestNormalization:
     def test_minmax_basic(self):
-        norm = minmax_normalize({"a": -4.0, "b": -2.0, "c": 0.0})
-        assert norm == pytest.approx({"a": 0.0, "b": 0.5, "c": 1.0})
+        norm = _minmax([-4.0, -2.0, 0.0])
+        assert norm == pytest.approx([0.0, 0.5, 1.0])
 
     def test_single_candidate_gets_one(self):
-        assert minmax_normalize({"a": -7.3}) == {"a": 1.0}
+        assert _minmax([-7.3]) == [1.0]
 
     def test_all_equal_get_one(self):
-        assert minmax_normalize({"a": 2.0, "b": 2.0}) == {"a": 1.0, "b": 1.0}
+        assert _minmax([2.0, 2.0]) == [1.0, 1.0]
 
     def test_empty(self):
-        assert minmax_normalize({}) == {}
+        assert _minmax([]) == []
 
     def test_order_invariant_under_positive_scaling(self):
         # the normalization path of the mixed recommender: scaling all
         # component scores by a positive constant changes nothing
-        scores = {"a": -1.0, "b": -5.0, "c": -2.5, "d": -1.0}
-        scaled = {ht: 3.7 * s for ht, s in scores.items()}
-        base = sorted(minmax_normalize(scores).items())
-        assert sorted(minmax_normalize(scaled).items()) == pytest.approx(base)
+        scores = [-1.0, -5.0, -2.5, -1.0]
+        scaled = [3.7 * s for s in scores]
+        assert _minmax(scaled) == pytest.approx(_minmax(scores))
