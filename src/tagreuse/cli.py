@@ -247,14 +247,15 @@ def _cmd_classify(cfg: dict[str, Any]) -> int:
     if cfg["per_assignment"]:
         path = Path(cfg["per_assignment"])
         path.parent.mkdir(parents=True, exist_ok=True)
-        users, tweets, tags = corpus.users, corpus.tweets, corpus.tags
+        users, tweet_ids, tags = corpus.users, corpus.tweet_ids, corpus.tags
         values = [label.value for label in classify.LABELS]
         rows = labels.rows
-        columns = (rows, corpus.user[rows], corpus.ts[rows], corpus.tag[rows], labels.codes)
+        columns = (corpus.user[rows], corpus.tweet[rows], corpus.ts[rows], corpus.tag[rows],
+                   labels.codes)
         with atomic_open(path) as fh:
             fh.write("\n".join(_header_lines(meta, "user\ttweet\tts\thashtag\tlabel")) + "\n")
-            for i, u, ts, t, code in zip(*map(memoryview, columns)):
-                fh.write(f"{users[u]}\t{tweets[i]}\t{ts}\t{tags[t]}\t{values[code]}\n")
+            for u, tw, ts, t, code in zip(*map(memoryview, columns)):
+                fh.write(f"{users[u]}\t{tweet_ids[tw]}\t{ts}\t{tags[t]}\t{values[code]}\n")
     return EXIT_OK
 
 

@@ -1,26 +1,28 @@
 """Dataset model: hashtag assignments, the follow network, and corpus statistics.
 
 A corpus holds its hashtag assignments (one (user, tweet, hashtag,
-timestamp) event each) as four parallel columns in strict
-(timestamp, tweet, hashtag) order: `ts` (int64 Unix seconds), `user` and
-`tag` (int32 ids into the `users` and `tags` tables) and `tweets` (tweet
-id strings). The tables list each distinct user id and hashtag in order
-of first appearance in the columns, so corpora with the same rows have
-the same tables. `tweet_index` maps every tweet, including tweets without
-hashtags, to its (user, timestamp), and a static follow network maps each
-seed user to the set of accounts they follow. `Corpus.assignments` is a
-list of `HashtagAssignment` objects over the same rows, built on first
-read and cached for callers that want objects; the package itself reads
-only the columns. Everything downstream reads this structure and never
-mutates it.
+timestamp) event each) as four parallel row columns in strict
+(timestamp, tweet, hashtag) order: `ts` (int64 Unix seconds) and `user`,
+`tweet` and `tag` (int32 ids into the `users`, `tweet_ids` and `tags`
+tables). `tweet_ids` lists every tweet, hashtag-less ones included, in
+order of first appearance in the input; `tweet_user` (int32) and
+`tweet_ts` (int64) give each tweet's user id and timestamp, which its rows
+share. `tags` lists the hashtags in order of first appearance in the rows,
+and `users` the users of the rows in that order and then, by user id, the
+users seen only on hashtag-less tweets, so corpora with the same rows and
+tweets have the same ids. A static follow network maps each seed user to
+the set of accounts they follow. `Corpus.tweet_index` (tweet id -> (user,
+timestamp)) and `Corpus.assignments` (`HashtagAssignment` objects) are
+views built on first read and cached; the package itself reads only the
+columns. Everything downstream reads this structure and never mutates it.
 
 `load_corpus` reads a file once, in chunks of lines. A TSV chunk is
-checked with bulk string and list operations; only a chunk that fails a
-check (it holds a malformed line), and every JSONL chunk, goes to the line
-reader, which raises and counts exactly as a line-at-a-time parser does.
-The rows of a load and of `Corpus.from_tweets` go through one assembly
-step, which sorts and deduplicates rows not already in strict order, so
-every route gives the same corpus.
+checked with bulk string and array operations and interned straight into
+int arrays; only a chunk that fails a check (it holds a malformed line),
+and every JSONL chunk, goes to the line reader, which raises and counts
+exactly as a line-at-a-time parser does. A load and `Corpus.from_tweets`
+feed one accumulator and one assembly step, which sorts and deduplicates
+rows not already in strict order, so every route gives the same corpus.
 """
 
 from __future__ import annotations
@@ -32,12 +34,13 @@ import operator
 import os
 import unicodedata
 import uuid
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress, islice, repeat
+from itertools import chain, count, filterfalse, repeat
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -159,114 +162,129 @@ class FollowNetwork:
         return user_id in self.edges
 
 
-def _intern(values: Sequence[str]) -> tuple[list[str], np.ndarray]:
-    """(table, ids): the distinct values in order of first appearance, and
-    each value's int32 index into that table."""
-    table = list(dict.fromkeys(values))
-    id_of = dict(zip(table, range(len(table))))
-    return table, np.fromiter(map(id_of.__getitem__, values), np.int32, len(values))
+def _intern(ids: dict[str, int], values: list[str]) -> np.ndarray:
+    """Each value's int32 id in `ids`, which gives new values the next ids."""
+    new = list(filterfalse(ids.__contains__, dict.fromkeys(values)))
+    ids.update(zip(new, range(len(ids), len(ids) + len(new))))
+    return np.fromiter(map(ids.__getitem__, values), np.int32, len(values))
+
+
+def _by_first_use(table: list[str], uses: np.ndarray, *columns: np.ndarray) -> tuple:
+    """(table, *columns) with ids renumbered by first use in `uses`; unused ids are dropped."""
+    top = np.maximum.accumulate(uses)
+    if len(uses) and top[0] == 0 and (np.diff(top) <= 1).all():  # first used in id order
+        if top[-1] + 1 == len(table):
+            return (table, *columns)
+        order = np.arange(top[-1] + 1)
+    else:
+        first = np.full(len(table), len(uses))
+        np.minimum.at(first, uses, np.arange(len(uses)))
+        order = np.flatnonzero(first < len(uses))
+        order = order[np.argsort(first[order])]
+    new_id = np.zeros(len(table), np.int32)
+    new_id[order] = np.arange(len(order))
+    return ([table[i] for i in order.tolist()], *(new_id[c] for c in columns))
+
+
+def _string_rank(table: list[str], ids: np.ndarray) -> np.ndarray:
+    """rank[i] > 0 orders table[i] among the strings of `ids`; 0 elsewhere."""
+    rank = np.zeros(len(table), np.int32)
+    ranked = sorted(set(memoryview(ids)), key=table.__getitem__)
+    rank[ranked] = np.arange(1, len(ranked) + 1)
+    return rank
+
+
+def _order_break(ts: np.ndarray, tweet: np.ndarray, tag: np.ndarray,
+                 tweet_ids: list[str], tags: list[str]) -> int | None:
+    """The first row whose (timestamp, tweet id, hashtag) key is not above the
+    previous row's, or None; strings are compared only where timestamps tie."""
+    later = ts[1:] > ts[:-1]
+    if later.all():
+        return None
+    bad = ts[1:] < ts[:-1]
+    tie = np.flatnonzero(~(later | bad))
+    same = tweet[tie] == tweet[tie + 1]
+    for ids, table, pairs in ((tag, tags, tie[same]), (tweet, tweet_ids, tie[~same])):
+        names = (map(table.__getitem__, memoryview(ids[p])) for p in (pairs, pairs + 1))
+        bad[pairs] = ~np.fromiter(map(operator.lt, *names), bool, len(pairs))
+    breaks = np.flatnonzero(bad)
+    return int(breaks[0]) + 1 if len(breaks) else None
 
 
 class Corpus:
     """Immutable, validated dataset. Safe for shared read-only access.
 
-    The assignments are the parallel columns `ts`, `user`, `tag` and
-    `tweets` (see the module docstring); `users[user[i]]` and
-    `tags[tag[i]]` are the user id and hashtag of row i. Two corpora are
-    equal when their rows, network, seed users and tweet index are.
-    """
+    Row i has user `users[user[i]]`, tweet `tweet_ids[tweet[i]]`, hashtag
+    `tags[tag[i]]` and timestamp `ts[i]`; equal corpora have equal rows,
+    tweets, network and seed users (see the module docstring)."""
 
     __hash__ = None  # type: ignore[assignment]
 
-    def __init__(
-        self,
-        assignments: Iterable[HashtagAssignment],
-        network: FollowNetwork,
-        seed_users: frozenset[str],
-        tweet_index: dict[str, tuple[str, int]],  # tweet_id -> (user_id, timestamp)
-        n_malformed_lines: int = 0,
-    ):
-        """The corpus of `assignments` in the given order, which `validate`
-        checks."""
-        assignments = list(assignments)
-        self._set(
-            [a.timestamp for a in assignments], [a.tweet_id for a in assignments],
-            [a.user_id for a in assignments], [a.hashtag for a in assignments],
-            network, seed_users, tweet_index, n_malformed_lines,
-        )
-        self._assignments = assignments
-
     @classmethod
-    def from_columns(
-        cls,
-        ts: Sequence[int],
-        tweets: Sequence[str],
-        users: Sequence[str],
-        tags: Sequence[str],
-        network: FollowNetwork,
-        tweet_index: dict[str, tuple[str, int]],
-        n_malformed_lines: int = 0,
-    ) -> "Corpus":
-        """The corpus of parallel, time-sorted columns of timestamps, tweet
-        ids, user ids and normalized hashtags; the seed users are the
-        network's."""
-        corpus = cls.__new__(cls)
-        corpus._set(ts, tweets, users, tags, network, frozenset(network.edges), tweet_index,
-                    n_malformed_lines)
-        return corpus
-
-    def _set(self, ts, tweets, users, tags, network, seed_users, tweet_index,
-             n_malformed_lines) -> None:
-        if not len(ts) == len(tweets) == len(users) == len(tags):
+    def from_columns(cls, tweet: np.ndarray, tag: np.ndarray, tweet_user: np.ndarray,
+                     tweet_ts: np.ndarray, users: list[str], tweet_ids: list[str],
+                     tags: list[str], network: FollowNetwork,
+                     n_malformed_lines: int = 0) -> "Corpus":
+        """The corpus of rows in strict (timestamp, tweet, hashtag) order, as
+        int32 tweet and tag ids, and of the tweets' int32 user ids and int64
+        timestamps; the seed users are the network's. The tables may list
+        unused ids. User and tag ids become canonical (module docstring)."""
+        if len(tweet) != len(tag) or len(tweet_user) != len(tweet_ts):
             raise ValueError("corpus columns differ in length")
-        self.ts = np.array(ts, dtype=np.int64)
-        self.users, self.user = _intern(users)
-        self.tags, self.tag = _intern(tags)
-        self.tweets = list(tweets)
-        self.network = network
-        self.seed_users = seed_users
-        self.tweet_index = tweet_index
+        self = cls.__new__(cls)
+        user = tweet_user[tweet]
+        tagless_only = np.zeros(len(users), dtype=bool)
+        tagless_only[tweet_user] = True
+        tagless_only[user] = False
+        tail = sorted(np.flatnonzero(tagless_only).tolist(), key=users.__getitem__)
+        self.users, self.tweet_user, self.user = _by_first_use(
+            users, np.append(user, np.array(tail, np.int32)) if tail else user, tweet_user, user)
+        self.tags, self.tag = _by_first_use(tags, tag, tag)
+        self.ts = tweet_ts[tweet]
+        self.tweet, self.tweet_ts, self.tweet_ids = tweet, tweet_ts, tweet_ids
+        self.network, self.seed_users = network, frozenset(network.edges)
         self.n_malformed_lines = n_malformed_lines
-        self._assignments: list[HashtagAssignment] | None = None
+        return self
 
     @cached_property
     def tag_ids(self) -> dict[str, int]:
         """Hashtag -> its id, the index into `tags`; built on first read."""
         return dict(zip(self.tags, range(len(self.tags))))
 
-    @property
+    @cached_property
     def assignments(self) -> list[HashtagAssignment]:
         """The rows as objects, in column order; built on first read."""
-        if self._assignments is None:
-            # A row's timestamp is its tweet's (see validate): reading it from
-            # the tweet index shares that int object instead of making a new one.
-            self._assignments = list(map(
-                HashtagAssignment,
-                map(self.users.__getitem__, memoryview(self.user)),
-                self.tweets,
-                map(self.tags.__getitem__, memoryview(self.tag)),
-                map(operator.itemgetter(1), map(self.tweet_index.__getitem__, self.tweets)),
-            ))
-        return self._assignments
+        return list(map(
+            HashtagAssignment,
+            map(self.users.__getitem__, memoryview(self.user)),
+            map(self.tweet_ids.__getitem__, memoryview(self.tweet)),
+            map(self.tags.__getitem__, memoryview(self.tag)),
+            memoryview(self.ts),
+        ))
+
+    def _tweet_dict(self) -> dict[str, tuple[str, int]]:
+        """Tweet id -> (user id, timestamp), in table order."""
+        users = map(self.users.__getitem__, memoryview(self.tweet_user))
+        return dict(zip(self.tweet_ids, zip(users, memoryview(self.tweet_ts))))
+
+    tweet_index = cached_property(_tweet_dict)  # built on first read
 
     def __eq__(self, other: object) -> bool:
-        # The tables follow first appearance, so equal rows mean equal ids.
+        # The user and tag ids are canonical; the tweet tables may differ in order.
         if not isinstance(other, Corpus):
             return NotImplemented
         return (
-            self.tweets == other.tweets
-            and self.users == other.users
-            and self.tags == other.tags
-            and np.array_equal(self.ts, other.ts)
-            and np.array_equal(self.user, other.user)
-            and np.array_equal(self.tag, other.tag)
-            and self.network == other.network
-            and self.seed_users == other.seed_users
-            and self.tweet_index == other.tweet_index
+            (self.users, self.tags, self.network, self.seed_users)
+            == (other.users, other.tags, other.network, other.seed_users)
+            and all(np.array_equal(getattr(self, c), getattr(other, c))
+                    for c in ("ts", "user", "tag"))
+            and list(map(self.tweet_ids.__getitem__, memoryview(self.tweet)))
+            == list(map(other.tweet_ids.__getitem__, memoryview(other.tweet)))
+            and self._tweet_dict() == other._tweet_dict()
         )
 
     def __repr__(self) -> str:
-        return (f"Corpus({len(self.tweets)} assignments, {len(self.tweet_index)} tweets, "
+        return (f"Corpus({len(self.tag)} assignments, {len(self.tweet_ids)} tweets, "
                 f"{len(self.seed_users)} seed users)")
 
     @classmethod
@@ -279,7 +297,7 @@ class Corpus:
         """Assemble a corpus from already-normalized tweet records.
 
         Collapses duplicate hashtags within a tweet, sorts assignments by
-        (timestamp, tweet_id, hashtag) and indexes every tweet, including
+        (timestamp, tweet_id, hashtag) and keeps every tweet, including
         tweets that carry no hashtags.
         """
         net: dict[str, frozenset[str]] = {}
@@ -289,80 +307,89 @@ class Corpus:
                 raise InconsistentNetwork(f"seed user {seed!r} follows itself")
             net[seed] = fset
         with _gc_paused():
-            rows = _Rows({}, [], [], [], [], {}, {})
+            rows = _Rows()
             for user_id, tweet_id, ts, hashtags in tweets:
-                meta = (user_id, ts)
-                if rows.tweet_index.setdefault(tweet_id, meta) != meta:
+                if not rows.add(user_id, tweet_id, ts, map(rows.tag_id, hashtags)):
                     raise CorpusError(f"tweet {tweet_id!r} appears with conflicting metadata")
-                rows.add(user_id, tweet_id, ts, hashtags)
             return _assemble(FollowNetwork(net), rows, n_malformed_lines)
 
     def all_users(self) -> frozenset[str]:
-        """Every distinct user id in the assignments or the network."""
-        return frozenset(chain(map(operator.itemgetter(0), self.tweet_index.values()),
-                               self.seed_users, *self.network.edges.values()))
+        """Every distinct user id in the tweets or the network."""
+        return frozenset(chain(self.users, self.seed_users, *self.network.edges.values()))
 
     def validate(self) -> None:
-        """Check corpus invariants on the columns; raises CorpusError on
-        violation."""
-        for seed in self.seed_users:
-            if seed not in self.network.edges:
-                raise InconsistentNetwork(f"seed {seed!r} missing from network")
-        prev_key: tuple[int, str, str] | None = None
-        users, tags = self.users, self.tags
-        for u, tweet_id, t, ts in zip(memoryview(self.user), self.tweets, memoryview(self.tag),
-                                      memoryview(self.ts)):
-            a = HashtagAssignment(users[u], tweet_id, tags[t], ts)
-            if a.timestamp <= 0:
-                raise CorpusError(f"non-positive timestamp on {a}")
-            if normalize_hashtag(a.hashtag) != a.hashtag:
-                raise CorpusError(f"hashtag not normalized: {a.hashtag!r}")
-            if a.tweet_id not in self.tweet_index:
-                raise CorpusError(f"assignment references unknown tweet {a.tweet_id!r}")
-            if self.tweet_index[a.tweet_id] != (a.user_id, a.timestamp):
-                raise CorpusError(f"assignment disagrees with tweet index: {a}")
-            key = a.sort_key
-            if prev_key is not None and key <= prev_key:
-                raise CorpusError(f"assignments not in strict sort order at {a}")
-            prev_key = key
+        """Check corpus invariants on the columns; raises CorpusError."""
+        for ht in self.tags:
+            if normalize_hashtag(ht) != ht:
+                raise CorpusError(f"hashtag not normalized: {ht!r}")
+        if len(self.ts) and self.ts.min() <= 0:
+            raise CorpusError(f"non-positive timestamp on {self.assignments[np.argmin(self.ts)]}")
+        i = _order_break(self.ts, self.tweet, self.tag, self.tweet_ids, self.tags)
+        if i is not None:
+            raise CorpusError(f"assignments not in strict sort order at {self.assignments[i]}")
 
 
-class _Rows(NamedTuple):
-    """Assignment rows in input order, as columns, with the tweet index; and
-    the interned user ids and normalized-tag cache that a file load builds
-    them from."""
+class _Rows:
+    """What a load or `Corpus.from_tweets` has read: rows as int32 tweet
+    slot and tag ids, and each slot's user id and timestamp. A tweet is
+    known by its first slot; the bulk TSV reader gives every line a slot,
+    the line reader only a new tweet. Ids follow first appearance."""
 
-    tweet_index: dict[str, tuple[str, int]]
-    ts: list[int]
-    tweets: list[str]
-    users: list[str]
-    tags: list[str]
-    interned: dict[str, str]  # user id -> its first string object
-    normalized: dict[str, str]  # raw hashtag -> normalize_hashtag(raw)
+    def __init__(self) -> None:
+        self.user_ids, self.tweet_slot, self.tag_ids = {}, {}, {}  # -> user id, first slot, tag id
+        self.normalized: dict[str, int] = {}  # raw hashtag -> tag id of its normal form
+        self.slot_user, self.slot_ts, self.tweet, self.tag = map(array, "iqii")  # int32/64
 
-    def add(self, user_id: str, tweet_id: str, ts: int, tags: Iterable[str]) -> None:
-        """Append a tweet's row for each of its hashtags."""
-        for ht in tags:
-            self.ts.append(ts)
-            self.tweets.append(tweet_id)
-            self.users.append(user_id)
-            self.tags.append(ht)
+    def tag_id(self, hashtag: str) -> int:
+        return self.tag_ids.setdefault(hashtag, len(self.tag_ids))
+
+    def add(self, user_id: str, tweet_id: str, ts: int, tag_ids: Iterable[int]) -> bool:
+        """Add a tweet's row for each of its tag ids; False, with no row
+        added, if the tweet was seen before with another user or timestamp."""
+        user = self.user_ids.setdefault(user_id, len(self.user_ids))
+        slot = self.tweet_slot.setdefault(tweet_id, len(self.slot_ts))
+        if slot == len(self.slot_ts):
+            self.slot_user.append(user)
+            self.slot_ts.append(ts)
+        elif (self.slot_user[slot], self.slot_ts[slot]) != (user, ts):
+            return False
+        for tag in tag_ids:
+            self.tweet.append(slot)
+            self.tag.append(tag)
+        return True
 
 
 def _assemble(network: FollowNetwork, rows: _Rows, n_malformed_lines: int) -> Corpus:
-    """The corpus of validated rows. Rows in strict (timestamp, tweet,
-    hashtag) order are its columns as they are; others are sorted, which
-    is linear on a nearly sorted input, and deduplicated. A tweet has one
-    (user, timestamp), so rows sort like `HashtagAssignment.sort_key`."""
-    ts, tweets, users, tags = rows.ts, rows.tweets, rows.users, rows.tags
-    keys = zip(ts, tweets, tags)
-    if not (all(map(operator.lt, ts, islice(ts, 1, None)))  # ties: whole keys
-            or all(map(operator.lt, keys, islice(zip(ts, tweets, tags), 1, None)))):
-        srt = sorted(zip(ts, tweets, tags, users))
-        ts, tweets, tags, users = zip(*compress(  # equal rows are neighbours once sorted
-            srt, chain((True,), map(operator.ne, islice(srt, 1, None), srt))))
-    return Corpus.from_columns(ts, tweets, users, tags, network, rows.tweet_index,
-                               n_malformed_lines)
+    """The corpus of validated rows. Rows out of strict (timestamp, tweet,
+    hashtag) order are sorted by timestamp, near-linear when nearly sorted,
+    then rows that tie on it by their tweet id and hashtag string ranks;
+    equal neighbours are dropped. A tweet has one timestamp, so rows sort
+    like `HashtagAssignment.sort_key`."""
+    tweet_ids, tags = list(rows.tweet_slot), list(rows.tag_ids)
+    first_slot = np.fromiter(rows.tweet_slot.values(), np.int32, len(tweet_ids))  # ascending
+    rows.tweet_slot.clear()  # the largest dict of a load; the list keeps its keys
+    arrays = (rows.slot_user, rows.slot_ts, rows.tweet, rows.tag)
+    tweet_user, tweet_ts, tweet, tag = (np.frombuffer(a, a.typecode) for a in arrays)
+    if len(first_slot) < len(tweet_ts):  # slots of later lines of a tweet
+        tweet_of_slot = np.zeros(len(tweet_ts), np.int32)
+        tweet_of_slot[first_slot] = np.arange(len(first_slot))
+        tweet = tweet_of_slot[tweet]
+        tweet_user, tweet_ts = tweet_user[first_slot], tweet_ts[first_slot]
+    ts = tweet_ts[tweet]
+    if _order_break(ts, tweet, tag, tweet_ids, tags) is not None:
+        order = np.argsort(ts, kind="stable")
+        tied = ts[order[1:]] == ts[order[:-1]]
+        in_tie = np.append(tied, False) | np.append(False, tied)
+        group = np.cumsum(np.append(True, ~tied))[in_tie]
+        sub = order[in_tie]
+        tweet_rank, tag_rank = _string_rank(tweet_ids, tweet[sub]), _string_rank(tags, tag[sub])
+        order[in_tie] = sub[np.lexsort((tag_rank[tag[sub]], tweet_rank[tweet[sub]], group))]
+        tweet, tag = tweet[order], tag[order]
+        keep = np.ones(len(tweet), dtype=bool)
+        keep[1:] = (tweet[1:] != tweet[:-1]) | (tag[1:] != tag[:-1])
+        tweet, tag = tweet[keep], tag[keep]
+    return Corpus.from_columns(tweet, tag, tweet_user, tweet_ts, list(rows.user_ids), tweet_ids,
+                               tags, network, n_malformed_lines)
 
 
 @dataclass(frozen=True)
@@ -390,9 +417,9 @@ def compute_stats(corpus: Corpus) -> CorpusStats:
     return CorpusStats(
         n_seed_users=len(corpus.seed_users),
         n_users=len(corpus.all_users()),
-        n_tweets=len(corpus.tweet_index),
+        n_tweets=len(corpus.tweet_ids),
         n_distinct_hashtags=len(corpus.tags),
-        n_assignments=len(corpus.tweets),
+        n_assignments=len(corpus.tag),
     )
 
 
@@ -439,7 +466,7 @@ def _jsonl_fields(line: str) -> tuple | None:
 
 
 def _add_tsv_chunk(rows: _Rows, chunk: list[str]) -> bool:
-    """Add a chunk of TSV lines to `rows` with bulk string and list
+    """Add a chunk of TSV lines to `rows` with bulk string and array
     operations if they find every line well formed and in agreement with
     its tweet's first line; otherwise leave `rows` as it was and return
     False. Each new raw hashtag is normalized once."""
@@ -453,29 +480,32 @@ def _add_tsv_chunk(rows: _Rows, chunk: list[str]) -> bool:
     if "" in users or "" in tweets:
         return False
     try:
-        ts = list(map(int, fields[2::4]))
+        ts = np.fromiter(map(int, fields[2::4]), np.int64, len(lines))
         new_tags = {raw: normalize_hashtag(raw)
-                    for raw in dict.fromkeys(raw_tags).keys() - rows.normalized.keys()}
-    except (ValueError, EmptyAfterNormalization):
+                    for raw in filterfalse(rows.normalized.__contains__, dict.fromkeys(raw_tags))}
+    except (ValueError, OverflowError, EmptyAfterNormalization):
         return False
-    if min(ts) <= 0 or max(ts) > MAX_TIMESTAMP:
+    if ts.min() <= 0:
         return False
-    interned, tweet_index = rows.interned, rows.tweet_index
-    n_users, n_tweets = len(interned), len(tweet_index)
-    users = list(map(interned.setdefault, users, users))
-    metas = list(zip(users, ts))
-    # setdefault keeps each tweet's first (user, timestamp), so a line agrees with
-    # its tweet when it gets its own back; popping the entries added undoes the chunk.
-    if list(map(tweet_index.setdefault, tweets, metas)) != metas:
-        for d, n in ((interned, n_users), (tweet_index, n_tweets)):
+    n_users, n_tweets, n_slots = len(rows.user_ids), len(rows.tweet_slot), len(rows.slot_ts)
+    user = _intern(rows.user_ids, users)
+    # Line i takes slot n_slots + i; it agrees with its tweet if the tweet's first slot matches.
+    slot = np.fromiter(map(rows.tweet_slot.setdefault, tweets, count(n_slots)), np.int32,
+                       len(lines))
+    rows.slot_user.frombytes(user.tobytes())
+    rows.slot_ts.frombytes(ts.tobytes())
+    if not (np.array_equal(np.frombuffer(rows.slot_user, np.int32)[slot], user)
+            and np.array_equal(np.frombuffer(rows.slot_ts, np.int64)[slot], ts)):
+        for d, n in ((rows.user_ids, n_users), (rows.tweet_slot, n_tweets)):
             for _ in range(len(d) - n):
                 d.popitem()
+        del rows.slot_user[n_slots:], rows.slot_ts[n_slots:]
         return False
-    rows.normalized.update(new_tags)
-    rows.ts.extend(ts)
-    rows.tweets.extend(tweets)
-    rows.users.extend(users)
-    rows.tags.extend(map(rows.normalized.__getitem__, raw_tags))
+    normalized = rows.normalized
+    normalized.update(zip(new_tags, map(rows.tag_id, new_tags.values())))
+    rows.tweet.frombytes(slot.tobytes())
+    rows.tag.frombytes(np.fromiter(map(normalized.__getitem__, raw_tags), np.int32,
+                                   len(lines)).tobytes())
     return True
 
 
@@ -486,7 +516,7 @@ def _add_lines(rows: _Rows, chunk: list[str], n_before: int,
     malformed lines. A line is kept whole or not at all. Only successful
     normalizations are cached, so a bad raw tag fails on every line that
     carries it."""
-    tweet_index, interned, normalized = rows.tweet_index, rows.interned, rows.normalized
+    normalized = rows.normalized
     n_bad = 0
     for line_no, line in enumerate(chunk, n_before + 1):
         try:
@@ -496,31 +526,27 @@ def _add_lines(rows: _Rows, chunk: list[str], n_before: int,
             user_id, tweet_id, ts, raw_tags = fields
             tags = []
             for raw in raw_tags:
-                ht = normalized.get(raw)
-                if ht is None:
-                    ht = normalized[raw] = normalize_hashtag(raw)
-                tags.append(ht)
-            user_id = interned.setdefault(user_id, user_id)
-            meta = (user_id, ts)
-            if tweet_index.setdefault(tweet_id, meta) != meta:
+                tag = normalized.get(raw)
+                if tag is None:
+                    tag = normalized[raw] = rows.tag_id(normalize_hashtag(raw))
+                tags.append(tag)
+            if not rows.add(user_id, tweet_id, ts, tags):
                 raise ValueError(f"tweet {tweet_id!r} already seen with different user/timestamp")
         except (ValueError, KeyError, EmptyAfterNormalization) as exc:
             n_bad += 1
             if on_malformed == "raise":
                 raise ParseError(line_no, str(exc), str(path)) from exc
             log.warning("%s:%d: skipping malformed line: %s", path, line_no, exc)
-            continue
-        rows.add(user_id, tweet_id, ts, tags)
     return n_bad
 
 
 def _read_assignments(path: Path, fmt: str, on_malformed: str) -> tuple[_Rows, int]:
-    """The rows and tweet index of an assignments file, and its malformed
-    line count. The file is read once, in chunks of lines: a TSV chunk goes
+    """The rows and tweets of an assignments file, and its malformed line
+    count. The file is read once, in chunks of lines: a TSV chunk goes
     through the bulk checks of `_add_tsv_chunk`, and only a chunk that
     fails them, or a JSONL chunk, goes through `_add_lines`."""
     fields_of = _tsv_fields if fmt == "tsv" else _jsonl_fields
-    rows = _Rows({}, [], [], [], [], {}, {})
+    rows = _Rows()
     n_read = n_bad = 0
     # Both formats end a line at '\n', '\r\n' or a lone '\r'; newline=""
     # keeps the ending on the line for the field readers to strip.
@@ -593,7 +619,7 @@ def load_corpus(
         corpus = _assemble(network, *_read_assignments(apath, fmt, on_malformed))
     log.info(
         "loaded %d assignments, %d tweets, %d seed users from %s",
-        len(corpus.tweets), len(corpus.tweet_index), len(corpus.seed_users), apath,
+        len(corpus.tag), len(corpus.tweet_ids), len(corpus.seed_users), apath,
     )
     return corpus
 
@@ -612,23 +638,23 @@ def write_corpus(
     """
     if fmt not in ("tsv", "jsonl"):
         raise ValueError(f"unknown format {fmt!r} (expected 'tsv' or 'jsonl')")
+    users, tweet_ids = corpus.users, corpus.tweet_ids
     tags = list(map(corpus.tags.__getitem__, memoryview(corpus.tag)))
     with atomic_open(assignments_path) as fh:
         if fmt == "tsv":
-            rows = zip(map(corpus.users.__getitem__, memoryview(corpus.user)), corpus.tweets,
+            rows = zip(map(users.__getitem__, memoryview(corpus.user)),
+                       map(tweet_ids.__getitem__, memoryview(corpus.tweet)),
                        memoryview(corpus.ts), tags)
             for user_id, tweet_id, ts, ht in rows:
                 fh.write(f"{user_id}\t{tweet_id}\t{ts}\t{ht}\n")
         else:
-            tags_by_tweet: dict[str, list[str]] = {t: [] for t in corpus.tweet_index}
-            for tweet_id, ht in zip(corpus.tweets, tags):
-                tags_by_tweet[tweet_id].append(ht)
-            for tweet_id in sorted(
-                corpus.tweet_index, key=lambda t: (corpus.tweet_index[t][1], t)
-            ):
-                user_id, ts = corpus.tweet_index[tweet_id]
-                obj = {"user": user_id, "tweet": tweet_id, "ts": ts,
-                       "hashtags": sorted(tags_by_tweet[tweet_id])}
+            tags_by_tweet: list[list[str]] = [[] for _ in tweet_ids]
+            for tweet, ht in zip(memoryview(corpus.tweet), tags):
+                tags_by_tweet[tweet].append(ht)
+            tweet_user, tweet_ts = corpus.tweet_user.tolist(), corpus.tweet_ts.tolist()
+            for tweet in sorted(range(len(tweet_ids)), key=lambda t: (tweet_ts[t], tweet_ids[t])):
+                obj = {"user": users[tweet_user[tweet]], "tweet": tweet_ids[tweet],
+                       "ts": tweet_ts[tweet], "hashtags": sorted(tags_by_tweet[tweet])}
                 fh.write(json.dumps(obj, sort_keys=True) + "\n")
     with atomic_open(network_path) as fh:
         for seed in sorted(corpus.network.edges):

@@ -27,8 +27,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import islice
-from operator import eq
 
 import numpy as np
 
@@ -88,18 +86,22 @@ class SimilarityIndex:
         is one run of rows with distinct tags. Each ordered pair of rows in
         a run counts once, under the key tag_a * T + tag_b (T tags), so the
         sorted distinct keys are the CSR entries in order."""
-        tweets, n_tags = corpus.tweets, len(corpus.tags)
-        n = len(tweets) if before is None else bisect_left(memoryview(corpus.ts), before)
+        n = len(corpus.tweet) if before is None else bisect_left(memoryview(corpus.ts), before)
+        tweet, n_tags = corpus.tweet[:n], len(corpus.tags)
         same = np.zeros(n + 1, dtype=bool)  # same[i]: row i continues row i - 1's tweet
-        same[1:n] = np.fromiter(map(eq, islice(tweets, 1, n), tweets), bool, max(n - 1, 0))
+        same[1:n] = tweet[1:] == tweet[:-1]
         starts = np.flatnonzero(~same[:-1] & same[1:])  # runs of two rows or more
         lengths = np.flatnonzero(same[:-1] & ~same[1:]) + 1 - starts
         if exclude_tweets:
-            held = np.fromiter(map(exclude_tweets.__contains__,
-                                   map(tweets.__getitem__, starts.tolist())), bool, len(starts))
-            starts, lengths = starts[~held], lengths[~held]
-        keys, counts = np.unique(_pair_keys(corpus.tag, starts, lengths, n_tags),
-                                 return_counts=True)
+            held = np.fromiter(map(exclude_tweets.__contains__, corpus.tweet_ids), bool,
+                               len(corpus.tweet_ids))
+            kept = ~np.isin(tweet[starts], np.flatnonzero(held))
+            starts, lengths = starts[kept], lengths[kept]
+        keys = _pair_keys(corpus.tag, starts, lengths, n_tags)
+        keys.sort()
+        starts = np.flatnonzero(np.diff(keys, prepend=-1))  # each distinct key's first; keys >= 0
+        keys, counts = keys[starts], np.diff(starts, append=len(keys))
+        del starts  # before the constructor's temporaries, which set the peak
         indptr = np.searchsorted(keys, np.arange(n_tags + 1) * n_tags)
         keys %= n_tags  # now the neighbour ids
         return cls(corpus.tags, corpus.tag_ids, indptr, keys, counts)

@@ -67,16 +67,18 @@ def make_split(corpus: Corpus) -> EvalSplit:
     """
     # The rows are in (timestamp, tweet, hashtag) order, so a tweet's rows
     # are adjacent and a user's latest tweet is the one of its last row.
+    n_rows = np.bincount(corpus.user, minlength=len(corpus.users))
     last = np.zeros(len(corpus.users), dtype=np.int64)
     np.maximum.at(last, corpus.user, np.arange(len(corpus.user), dtype=np.int32))
-    n_rows, tweets, splits = np.bincount(corpus.user).tolist(), corpus.tweets, []
-    for u, hi in enumerate(last.tolist()):
-        test_tweet, start = tweets[hi], hi
-        while start and tweets[start - 1] == test_tweet:
+    tweet, splits = memoryview(corpus.tweet), []
+    for u in np.flatnonzero(n_rows).tolist():
+        hi = start = int(last[u])
+        while start and tweet[start - 1] == tweet[hi]:
             start -= 1
         if corpus.users[u] in corpus.seed_users and n_rows[u] > hi + 1 - start:
             test_tags = frozenset(map(corpus.tags.__getitem__, corpus.tag[start : hi + 1].tolist()))
-            splits.append(UserSplit(corpus.users[u], test_tweet, test_tags, int(corpus.ts[hi])))
+            splits.append(UserSplit(corpus.users[u], corpus.tweet_ids[tweet[hi]], test_tags,
+                                    int(corpus.ts[hi])))
     splits.sort(key=lambda us: us.user_id)
     return EvalSplit(users=tuple(splits))
 

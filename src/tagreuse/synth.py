@@ -49,7 +49,9 @@ from dataclasses import dataclass, fields
 from itertools import filterfalse, islice
 from pathlib import Path
 
-from .corpus import Corpus, FollowNetwork, _gc_paused, atomic_open
+import numpy as np
+
+from .corpus import Corpus, FollowNetwork, _gc_paused, _intern, atomic_open
 
 SECONDS_PER_DAY = 86_400
 EPOCH = 1_500_000_000
@@ -215,12 +217,10 @@ def generate(params: GenParams) -> tuple[Corpus, GroundTruth]:
     ext_counter = 0
     seed_set = set(seeds)
 
-    # The corpus columns, appended to in time order.
+    # The corpus columns, appended to in time order; row i is tweet i.
     ts_col: list[int] = []
-    tweet_col: list[str] = []
     user_col: list[str] = []
     tag_col: list[str] = []
-    tweet_index: dict[str, tuple[str, int]] = {}
     gt_records: list[GroundTruthRecord] = []
 
     def draw_individual(user: str, ts: int) -> str | None:
@@ -270,7 +270,6 @@ def generate(params: GenParams) -> tuple[Corpus, GroundTruth]:
     for seq, (t_float, user) in enumerate(events):
         ts = max(int(t_float), prev_ts + 1)
         prev_ts = ts
-        tweet_id = f"t{seq:08d}"
         if user in seed_set:
             r = rng.random()
             ht: str | None
@@ -290,16 +289,14 @@ def generate(params: GenParams) -> tuple[Corpus, GroundTruth]:
                 want = "external"
                 ht = f"x{ext_counter:07d}"
                 ext_counter += 1
-            gt_records.append(GroundTruthRecord(tweet_id, ht, want))
+            gt_records.append(GroundTruthRecord(f"t{seq:08d}", ht, want))
         else:
             ht = vocab[rng.randrange(len(vocab))]
             for tags in followers[user]:
                 tags.add(ht)
         ts_col.append(ts)
-        tweet_col.append(tweet_id)
         user_col.append(user)
         tag_col.append(ht)
-        tweet_index[tweet_id] = (user, ts)
         mine = own[user]
         mine.pop(ht, None)
         mine[ht] = ts
@@ -307,9 +304,12 @@ def generate(params: GenParams) -> tuple[Corpus, GroundTruth]:
             global_seen.add(ht)
             global_tags.append(ht)
 
+    user_ids, tag_ids = {}, {}  # value -> id, filled by _intern
     corpus = Corpus.from_columns(
-        ts_col, tweet_col, user_col, tag_col,
-        FollowNetwork({s: frozenset(f) for s, f in followees.items()}), tweet_index,
+        np.arange(len(ts_col), dtype=np.int32), _intern(tag_ids, tag_col),
+        _intern(user_ids, user_col), np.array(ts_col, dtype=np.int64),
+        list(user_ids), [f"t{seq:08d}" for seq in range(len(ts_col))], list(tag_ids),
+        FollowNetwork({s: frozenset(f) for s, f in followees.items()}),
     )
     return corpus, GroundTruth(records=tuple(gt_records))
 

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from tagreuse.classify import LABELS, ReuseLabel, classify_all
-from tagreuse.corpus import Corpus, EmptyAfterNormalization, FollowNetwork, HashtagAssignment
+from tagreuse.corpus import Corpus, EmptyAfterNormalization, HashtagAssignment
 from tagreuse.diversity import SimilarityIndex
 from tagreuse.synth import (
     INDIVIDUAL_POOL_CAP,
@@ -388,7 +388,6 @@ def reference_generate(params: GenParams) -> tuple[Corpus, GroundTruth]:
     seed_set = set(seeds)
 
     assignments: list[HashtagAssignment] = []
-    tweet_index: dict[str, tuple[str, int]] = {}
     gt_records: list[GroundTruthRecord] = []
 
     def draw_individual(user: str, ts: int) -> str | None:
@@ -470,7 +469,6 @@ def reference_generate(params: GenParams) -> tuple[Corpus, GroundTruth]:
         else:
             ht = vocab[rng.randrange(len(vocab))]
         assignments.append(HashtagAssignment(user, tweet_id, ht, ts))
-        tweet_index[tweet_id] = (user, ts)
         od = own[user]
         od[ht] = ts
         od.move_to_end(ht)
@@ -478,11 +476,7 @@ def reference_generate(params: GenParams) -> tuple[Corpus, GroundTruth]:
             global_seen.add(ht)
             global_tags.append(ht)
 
-    corpus = Corpus(
-        assignments=assignments,
-        network=FollowNetwork({s: frozenset(f) for s, f in followees.items()}),
-        seed_users=frozenset(seeds),
-        tweet_index=tweet_index,
-    )
+    corpus = Corpus.from_tweets(
+        [(a.user_id, a.tweet_id, a.timestamp, (a.hashtag,)) for a in assignments], followees)
     return corpus, GroundTruth(records=tuple(gt_records))
 

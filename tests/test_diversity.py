@@ -94,8 +94,9 @@ def _row_records(corpus, split=False):
     that from_tweets gives the corpus back, or one tweet per row if split."""
     return [
         (corpus.users[u], f"{tweet}/{t}" if split else tweet, ts, (corpus.tags[t],))
-        for u, tweet, t, ts in zip(corpus.user.tolist(), corpus.tweets, corpus.tag.tolist(),
-                                   corpus.ts.tolist())
+        for u, tweet, t, ts in zip(corpus.user.tolist(),
+                                   map(corpus.tweet_ids.__getitem__, corpus.tweet.tolist()),
+                                   corpus.tag.tolist(), corpus.ts.tolist())
     ]
 
 
@@ -161,7 +162,7 @@ class TestIndexLayout:
             edges = corpus.network.edges
             if cut == "single_tag":  # every row its own tweet: no vector at all
                 corpus = corpus_from_tweets(_row_records(corpus, split=True), edges)
-            tweet_ids = sorted(set(corpus.tweets))
+            tweet_ids = sorted(corpus.tweet_ids)  # every tweet has rows
             before = rng.randint(1, 500) if cut in ("before", "both") else None
             exclude = (
                 frozenset(rng.sample(tweet_ids, len(tweet_ids) // 3))
