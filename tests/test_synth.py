@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import math
 from dataclasses import replace
 
@@ -304,3 +305,76 @@ class TestLargeRecencyExponent:
         assert all(by_tweet[r.tweet_id] is expected[r.source] for r in gt.records)
         want = "individual" if mixture[0] else "social"
         assert sum(r.source == want for r in gt.records) > len(gt.records) // 2
+
+
+# The benchmark workloads' shapes at gen_params(seed, 0.1) (see
+# bench/workloads.py; evaluate's and rerank's coincide there, so rerank's
+# gets another seed) and criterion 9's, all with its source mixture.
+_C9 = dict(n_followees_per_seed=5, vocab_size=5000, p_individual=0.43, p_social=0.3,
+           p_network=0.25, p_external=0.02, recency_exponent=1.5)
+_SMALL = GenParams(n_seed_users=4, n_followees_per_seed=3, n_background_users=6,
+                   vocab_size=30, n_tweets_per_user=60, rng_seed=11)
+STREAM_CASES = {
+    "analyze": GenParams(n_seed_users=100, n_background_users=500, n_tweets_per_user=20,
+                         rng_seed=7, **_C9),
+    "evaluate": GenParams(n_seed_users=100, n_background_users=100, n_tweets_per_user=20,
+                          rng_seed=7, **_C9),
+    "rerank": GenParams(n_seed_users=100, n_background_users=100, n_tweets_per_user=20,
+                        rng_seed=9, **_C9),
+    "criterion9": GenParams(n_seed_users=100, n_background_users=100, n_tweets_per_user=20,
+                            rng_seed=4040, **_C9),
+    "default": GenParams(),
+    "small": _SMALL,
+    "vocab1": replace(_SMALL, vocab_size=1),
+    "vocab1e6": replace(_SMALL, vocab_size=10**6),
+    "follow_all": replace(_SMALL, n_followees_per_seed=6),
+    "amplitude0.5": replace(_SMALL, daily_amplitude=0.5),
+    "amplitude1": replace(_SMALL, daily_amplitude=1.0),
+    # the daily window brings pool gaps within a fraction of a percent of
+    # each other, where the two exponents' fallback weights differ
+    "recency400": replace(_SMALL, recency_exponent=400.0, daily_amplitude=1.0),
+    "recency800": replace(_SMALL, recency_exponent=800.0, daily_amplitude=1.0),
+    "individual": _with_mixture(replace(_SMALL, recency_exponent=800.0), PURE_MIXTURES[0]),
+    "social": _with_mixture(_SMALL, PURE_MIXTURES[1]),
+    "network": _with_mixture(_SMALL, PURE_MIXTURES[2]),
+    "external": _with_mixture(_SMALL, PURE_MIXTURES[3]),
+    "seed0": replace(_SMALL, rng_seed=0),
+    "seed2**32": replace(_SMALL, rng_seed=2**32),
+    "caps": _EDGE_EXAMPLES[-1],
+}
+STREAM_HASHES = {
+    "analyze": "8c534c7168727b97c82ebececac055a41de1b0da7114da6803c8a00448e2c369",
+    "evaluate": "547200cd34b72e0a64b5c8f15bd7ec4e7a2e1a268b7c0bf55c67b9ca1ce9c765",
+    "rerank": "c7048f603ead9e810ca9d3b1fd3463469363a6ee0af6ee5c17a02e1599ae28b0",
+    "criterion9": "ba2cdc5902927ce0bb4349e1b36cc5e3becebb421c009994999ce84dcad2c00d",
+    "default": "608140e01c41d9a9aac44574dbd901f616ff951c8fc792363f52bf28c6078890",
+    "small": "46aa0277f34e6405395f59fe5c0c93cf92346e9ac235ebc6e44b57bf1a62370d",
+    "vocab1": "ea87c2dc1894116185efa0fcfba832bcf73a1e35a8a26907131cd6730adbf159",
+    "vocab1e6": "541573a372b1ebe8461a0be90a4b9677a1d34957aa7b5551a0ae8cfa22636957",
+    "follow_all": "1038a23d9fbbe5a5852e6817d342d5b7134e12ec97236f203f7e0982530be2b3",
+    "amplitude0.5": "c7e1f5c002e541b3e5c8b606da2401dd12dba9f3f701a90035656216e07c3e5e",
+    "amplitude1": "153ee3e439c7b03fcec92e939765f67f2a856c7907a9c87ebc7bf334adf7c5bf",
+    "recency400": "dbcebd82c42ef3f643bf433cdcaf2f663eccf5a5a48faf87c1a4fcb7d7dec9fe",
+    "recency800": "69c19f2db0b7a9d30cba55a5340ff99e89e13e528997edead815ff8985191198",
+    "individual": "c5812138884a16791616e794b0fba0ae5726da14e541d4e95753f7d997907643",
+    "social": "01dfd5f8c3e19846ae899c5cd8d97d493ca9505a05ca08ced3cc028f8e0fa3b9",
+    "network": "cae90ab8647564fa1798f447791414bf84a1a60cc6f1e5c1e5bc39d4d280e90b",
+    "external": "0585c3b52a53f4babc01ff685cdc81d21adcb411a89eb649ed9c790268ac9730",
+    "seed0": "61b61432eeadfa33a9621646bf29455fba0cb828a65151b53d092ade1cfd15f9",
+    "seed2**32": "bc55c35170819fa8a4c20af1ee268722667de53937695d08bd2b82a166bfe150",
+    "caps": "f7fd64f78ca7ee6fbc33b9e2ba651ed0c0ce0b779e80b4c6b9c9b62a3479b066",
+}
+
+
+@pytest.mark.parametrize("name", sorted(STREAM_CASES))
+def test_stream_hash(name, tmp_path):
+    """SHA-256 of the TSV and JSONL corpus files and the ground-truth file
+    of each case: any change to the random stream or its use shows here."""
+    corpus, gt = generate(STREAM_CASES[name])
+    write_corpus(corpus, tmp_path / "a.tsv", tmp_path / "n.tsv")
+    write_corpus(corpus, tmp_path / "a.jsonl", tmp_path / "n.tsv", fmt="jsonl")
+    synth.write_ground_truth(gt, tmp_path / "g.tsv")
+    digest = hashlib.sha256()
+    for f in ("a.tsv", "a.jsonl", "n.tsv", "g.tsv"):
+        digest.update((tmp_path / f).read_bytes())
+    assert digest.hexdigest() == STREAM_HASHES[name]
