@@ -18,7 +18,7 @@ import hashlib
 import json
 import logging
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any
 
@@ -356,20 +356,8 @@ def _cmd_evaluate(cfg: dict[str, Any]) -> int:
 
 
 def _cmd_generate(cfg: dict[str, Any]) -> int:
-    params = GenParams(
-        n_seed_users=cfg["seed_users"],
-        n_followees_per_seed=cfg["followees_per_seed"],
-        n_background_users=cfg["background_users"],
-        vocab_size=cfg["vocab_size"],
-        n_tweets_per_user=cfg["tweets_per_user"],
-        p_individual=cfg["p_individual"],
-        p_social=cfg["p_social"],
-        p_network=cfg["p_network"],
-        p_external=cfg["p_external"],
-        recency_exponent=cfg["recency_exponent"],
-        daily_amplitude=cfg["daily_amplitude"],
-        rng_seed=cfg["rng_seed"],
-    )
+    # Each GenParams field is the option of its name without an "n_" prefix.
+    params = GenParams(**{f.name: cfg[f.name.removeprefix("n_")] for f in fields(GenParams)})
     try:
         params.validate()
     except InvalidParams as exc:
@@ -377,9 +365,7 @@ def _cmd_generate(cfg: dict[str, Any]) -> int:
     corpus, ground_truth = generate(params)
     outdir = Path(cfg["outdir"])
     outdir.mkdir(parents=True, exist_ok=True)
-    apath, npath, gpath = (
-        outdir / "assignments.tsv", outdir / "network.tsv", outdir / "ground_truth.tsv"
-    )
+    apath, npath, gpath = (outdir / f"{f}.tsv" for f in ("assignments", "network", "ground_truth"))
     write_corpus(corpus, apath, npath, fmt="tsv")
     write_ground_truth(ground_truth, gpath)
     stats = compute_stats(corpus)

@@ -99,9 +99,15 @@ class SimilarityIndex:
             starts, lengths = starts[kept], lengths[kept]
         keys = _pair_keys(corpus.tag, starts, lengths, n_tags)
         keys.sort()
-        starts = np.flatnonzero(np.diff(keys, prepend=-1))  # each distinct key's first; keys >= 0
-        keys, counts = keys[starts], np.diff(starts, append=len(keys))
-        del starts  # before the constructor's temporaries, which set the peak
+        # Where each run of equal keys starts, then the end: no more than one
+        # pair-sized and two entry-sized int64 arrays are alive at once.
+        change = np.ones(len(keys) + 1, dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=change[1:-1])
+        bounds = np.flatnonzero(change)
+        del change
+        keys = keys[bounds[:-1]]
+        counts = np.diff(bounds)
+        del bounds  # before the constructor's temporaries
         indptr = np.searchsorted(keys, np.arange(n_tags + 1) * n_tags)
         keys %= n_tags  # now the neighbour ids
         return cls(corpus.tags, corpus.tag_ids, indptr, keys, counts)
@@ -147,14 +153,18 @@ def _squared_norms(tags: list[str], indptr: np.ndarray, counts: np.ndarray) -> n
     # A count of 2**27 breaks the bound alone. Below it, a square splits at
     # bit 27 into two parts below 2**28; a row holds fewer than 2**31 (one
     # per distinct neighbour id), so their row sums, as differences of int64
-    # cumulative sums, are exact whatever those wrap to.
-    squares = np.minimum(counts, 2**27).astype(np.int64, copy=False)
-    squares *= squares
-    total = np.zeros(len(squares) + 1, dtype=np.int64)
-    np.cumsum(squares >> 27, out=total[1:])
-    high = np.diff(total[indptr])
-    np.cumsum(squares & (2**27 - 1), out=total[1:])
-    low = np.diff(total[indptr])
+    # cumulative sums, are exact whatever those wrap to. One buffer holds
+    # the squares, one part and its cumulative sums in turn.
+    total = np.zeros(len(counts) + 1, dtype=np.int64)
+    squares = total[1:]
+    sums = []
+    for part, operand in ((np.right_shift, 27), (np.bitwise_and, 2**27 - 1)):
+        np.minimum(counts, 2**27, out=squares)
+        squares *= squares
+        part(squares, operand, out=squares)
+        np.cumsum(squares, out=squares)
+        sums.append(np.diff(total[indptr]))
+    high, low = sums
     wide = np.flatnonzero(high + (low >> 27) >= 2**26)
     if len(wide):
         r = wide[0]

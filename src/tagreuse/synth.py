@@ -38,20 +38,27 @@ are forced to be strictly increasing integers so that "earlier event"
 always means "strictly smaller timestamp".
 
 Everything is driven by one random.Random(rng_seed): identical params
-and seed reproduce the corpus byte for byte.
+and seed reproduce the corpus byte for byte. The order and arguments of
+its calls are a contract, since every corpus and ground truth follows
+from them. expovariate, uniform, randrange and choices are inlined with
+random.py's own arithmetic on random() and getrandbits(), the same on
+every supported Python; sample is called as it is.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from bisect import bisect
 from dataclasses import dataclass, fields
-from itertools import filterfalse, islice
+from itertools import accumulate, filterfalse, islice
+from math import log
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
-from .corpus import Corpus, FollowNetwork, _gc_paused, _intern, atomic_open
+from .corpus import Corpus, FollowNetwork, _gc_paused, atomic_open
 
 SECONDS_PER_DAY = 86_400
 EPOCH = 1_500_000_000
@@ -121,52 +128,47 @@ class GenParams:
             )
 
 
-@dataclass(frozen=True, slots=True)
-class GroundTruthRecord:
-    tweet_id: str
-    hashtag: str
-    source: str  # one of SOURCES, post-fallback
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroundTruth:
-    records: tuple[GroundTruthRecord, ...]
+    """The source of each seed assignment of `corpus`, as columns: `rows`
+    (int64, ascending) are the seed rows and `source` (int8) each one's
+    index into SOURCES, post-fallback."""
+    corpus: Corpus
+    rows: np.ndarray
+    source: np.ndarray
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, GroundTruth) and self.corpus == other.corpus and all(
+            np.array_equal(getattr(self, c), getattr(other, c)) for c in ("rows", "source"))
 
     def fractions(self) -> dict[str, float]:
         """Effective (post-fallback) source mixture over seed assignments."""
-        n = len(self.records)
-        if n == 0:
-            return {}
-        counts = {s: 0 for s in SOURCES}
-        for r in self.records:
-            counts[r.source] += 1
-        return {s: c / n for s, c in counts.items()}
+        n, counts = len(self.source), np.bincount(self.source, minlength=len(SOURCES)).tolist()
+        return {s: c / n for s, c in zip(SOURCES, counts)} if n else {}
 
 
-def _simulate_times(
-    rng: random.Random, n_events: int, amplitude: float
-) -> list[float]:
-    """Poisson arrival times, a fraction `amplitude` of which is snapped
-    into the shared daily activity window.
-
-    A snapped event keeps its day if the window is still ahead, otherwise
-    it moves to a uniform position in the next day's window; times stay
-    strictly ordered either way.
-    """
-    w = float(ACTIVITY_WINDOW_SECONDS)
-    t = float(EPOCH)
+def _simulate_times(random_: Callable[[], float], n_users: int, n_events: int,
+                    amplitude: float) -> list[float]:
+    """Each user's Poisson arrival times, user after user; `random_` is the
+    generator's random(). With probability `amplitude` an event is snapped
+    into the shared daily activity window: it keeps its day if the window
+    is still ahead, else it moves to a uniform position in the next day's
+    window, so times stay strictly ordered."""
+    lambd, w = 1.0 / MEAN_GAP_SECONDS, float(ACTIVITY_WINDOW_SECONDS)
     out: list[float] = []
-    for _ in range(n_events):
-        t += rng.expovariate(1.0 / MEAN_GAP_SECONDS)
-        if amplitude > 0.0 and rng.random() < amplitude:
-            phase = t % SECONDS_PER_DAY
-            if phase >= w:
-                t = t - phase + SECONDS_PER_DAY + rng.uniform(0.0, w)
-        out.append(t)
+    for _ in range(n_users):
+        t = float(EPOCH)
+        for _ in range(n_events):
+            t += -log(1.0 - random_()) / lambd  # rng.expovariate(lambd)
+            if amplitude > 0.0 and random_() < amplitude:
+                phase = t % SECONDS_PER_DAY
+                if phase >= w:  # to the next day's window, at rng.uniform(0.0, w)
+                    t = t - phase + SECONDS_PER_DAY + (0.0 + w * random_())
+            out.append(t)
     return out
 
 
-def _recency_weights(gaps: list[int], alpha: float) -> list[float]:
+def _recency_weights(gaps: list[float], alpha: float) -> list[float]:
     """Sampling weights gap^-alpha. Only when every one underflows to 0.0
     are they taken relative to the smallest gap instead,
     exp(-alpha (ln gap - ln gap_min)), which keeps their proportions."""
@@ -183,140 +185,142 @@ def generate(params: GenParams) -> tuple[Corpus, GroundTruth]:
     """Generate a corpus plus the per-assignment source ground truth."""
     params.validate()
     rng = random.Random(params.rng_seed)
+    random_, getrandbits = rng.random, rng.getrandbits
 
-    seeds = [f"s{i:04d}" for i in range(params.n_seed_users)]
-    background = [f"b{i:04d}" for i in range(params.n_background_users)]
-    vocab = [f"v{i:05d}" for i in range(params.vocab_size)]
-    followees: dict[str, tuple[str, ...]] = {
-        s: tuple(sorted(rng.sample(background, params.n_followees_per_seed)))
-        for s in seeds
-    }
-    # followee_tags[s]: every tag some followee of s has used so far.
-    followee_tags: dict[str, set[str]] = {s: set() for s in seeds}
-    followers: dict[str, list[set[str]]] = {b: [] for b in background}
-    for s, flw in followees.items():
+    # User i is names[i]: the seeds, then the background users.
+    n_seeds, n_tweets = params.n_seed_users, params.n_tweets_per_user
+    names = [f"s{i:04d}" for i in range(n_seeds)]
+    names += [f"b{i:04d}" for i in range(params.n_background_users)]
+    n_users = len(names)
+    followees = [sorted(rng.sample(range(n_seeds, n_users), params.n_followees_per_seed),
+                        key=names.__getitem__) for _ in range(n_seeds)]
+    # followee_tags[s]: every tag some followee of seed s has used so far.
+    followee_tags: list[set[int]] = [set() for _ in range(n_seeds)]
+    followers: list[list[set[int]]] = [[] for _ in range(n_users)]
+    for tags, flw in zip(followee_tags, followees):
         for f in flw:
-            followers[f].append(followee_tags[s])
+            followers[f].append(tags)
 
-    events: list[tuple[float, str]] = []
-    for user in seeds + background:
-        events.extend(
-            (t, user)
-            for t in _simulate_times(rng, params.n_tweets_per_user, params.daily_amplitude)
-        )
-    events.sort()
+    event_time = np.array(_simulate_times(random_, n_users, n_tweets, params.daily_amplitude))
+    # Events in (time, user name) order; row i is tweet i. No time lies
+    # below EPOCH, so the i-th timestamp is the larger of int(time) and the
+    # previous one + 1.
+    rank = np.argsort(np.argsort(names))  # of each user's name among the names
+    event_user = np.repeat(np.arange(n_users, dtype=np.int32), n_tweets)
+    order = np.lexsort((rank[event_user], event_time))
+    event_user = event_user[order]
+    steps = np.arange(len(order), dtype=np.int64)
+    ts_col = np.maximum.accumulate(event_time[order].astype(np.int64) - steps) + steps
 
     alpha = params.recency_exponent
-    c_ind = params.p_individual
-    c_soc = c_ind + params.p_social
-    c_net = c_soc + params.p_network
-    # Each user's tags -> time of last use, least recently used first.
-    own: dict[str, dict[str, int]] = {u: {} for u in seeds + background}
-    global_tags: list[str] = []
-    global_seen: set[str] = set()
-    ext_counter = 0
-    seed_set = set(seeds)
+    c_ind, c_soc, c_net = accumulate((params.p_individual, params.p_social, params.p_network))
+    # A tag is an int: a background draw is its vocabulary index and the
+    # k-th external tag is vocab_size + k.
+    vocab_size, ext = params.vocab_size, params.vocab_size
+    vocab_bits = vocab_size.bit_length()
+    # Each user's tags -> time of last use, least recently used first; kept
+    # only for the users some draw reads: the seeds and their followees. The
+    # times are floats, which give the same gaps and weights as ints, sooner.
+    own: list[dict[int, float] | None] = [
+        {} if u < n_seeds or followers[u] else None for u in range(n_users)]
+    global_tags: list[int] = []  # in order of first use; a tag's index is its id
+    tag_id: dict[int, int] = {}
+    tag_col, source_col = [], []  # the tag ids of the rows, the seed rows' sources
 
-    # The corpus columns, appended to in time order; row i is tweet i.
-    ts_col: list[int] = []
-    user_col: list[str] = []
-    tag_col: list[str] = []
-    gt_records: list[GroundTruthRecord] = []
+    def pick(pool: list[int], gaps: list[float]) -> int:
+        # rng.choices(pool, weights=_recency_weights(gaps, alpha))[0]
+        cum = list(accumulate(_recency_weights(gaps, alpha)))
+        total = cum[-1] + 0.0
+        if not 0.0 < total < math.inf:
+            raise ValueError("Total of weights must be greater than zero and finite")
+        return pool[bisect(cum, random_() * total, 0, len(cum) - 1)]
 
-    def draw_individual(user: str, ts: int) -> str | None:
+    def draw_individual(user: int, ts: float) -> int | None:
         mine = own[user]
         # The most recent of the user's tags that no followee has used:
         # up to INDIVIDUAL_POOL_CAP of them among the last INDIVIDUAL_SCAN_CAP.
-        pool = list(islice(
-            filterfalse(followee_tags[user].__contains__,
-                        islice(reversed(mine), INDIVIDUAL_SCAN_CAP)),
-            INDIVIDUAL_POOL_CAP,
-        ))
+        pool = list(islice(filterfalse(followee_tags[user].__contains__,
+                                       islice(reversed(mine), INDIVIDUAL_SCAN_CAP)),
+                           INDIVIDUAL_POOL_CAP))
         if not pool:
             return None
-        weights = _recency_weights([ts - mine[ht] for ht in pool], alpha)
-        return rng.choices(pool, weights=weights, k=1)[0]
+        return pick(pool, [ts - mine[ht] for ht in pool])
 
-    def draw_social(user: str, ts: int) -> str | None:
+    def draw_social(user: int, ts: float) -> int | None:
         mine = own[user]
-        last: dict[str, int] = {}
+        last: dict[int, float] = {}
+        setdefault = last.setdefault
         for f in followees[user]:
-            theirs = own[f]
-            for ht in islice(reversed(theirs), SOCIAL_SCAN_CAP):
-                if ht in mine:
-                    continue
-                t_f = theirs[ht]
-                if ht not in last or t_f > last[ht]:
+            for ht, t_f in islice(reversed(own[f].items()), SOCIAL_SCAN_CAP):
+                if ht not in mine and setdefault(ht, t_f) < t_f:
                     last[ht] = t_f
         if not last:
             return None
-        pool = list(last)
-        weights = _recency_weights([ts - last[ht] for ht in pool], alpha)
-        return rng.choices(pool, weights=weights, k=1)[0]
+        return pick(list(last), [ts - t for t in last.values()])
 
-    def draw_network(user: str) -> str | None:
-        if not global_tags:
+    def draw_network(user: int) -> int | None:
+        n = len(global_tags)
+        if not n:
             return None
-        mine = own[user]
-        social = followee_tags[user]
+        mine, social, bits = own[user], followee_tags[user], n.bit_length()
         for _ in range(NETWORK_TRIES):
-            ht = global_tags[rng.randrange(len(global_tags))]
-            if ht in mine or ht in social:
-                continue
-            return ht
+            r = getrandbits(bits)  # rng.randrange(n)
+            while r >= n:
+                r = getrandbits(bits)
+            ht = global_tags[r]
+            if ht not in mine and ht not in social:
+                return ht
         return None
 
-    prev_ts = 0
-    for seq, (t_float, user) in enumerate(events):
-        ts = max(int(t_float), prev_ts + 1)
-        prev_ts = ts
-        if user in seed_set:
-            r = rng.random()
-            ht: str | None
+    for user, ts in zip(event_user.tolist(), ts_col.astype(np.float64).tolist()):
+        if user < n_seeds:
+            r = random_()
             if r < c_ind:
-                want = "individual"
-                ht = draw_individual(user, ts)
+                code, ht = 0, draw_individual(user, ts)
             elif r < c_soc:
-                want = "social"
-                ht = draw_social(user, ts)
+                code, ht = 1, draw_social(user, ts)
             elif r < c_net:
-                want = "network"
-                ht = draw_network(user)
+                code, ht = 2, draw_network(user)
             else:
-                want = "external"
                 ht = None
             if ht is None:
-                want = "external"
-                ht = f"x{ext_counter:07d}"
-                ext_counter += 1
-            gt_records.append(GroundTruthRecord(f"t{seq:08d}", ht, want))
+                code, ht = 3, ext
+                ext += 1
+            source_col.append(code)
         else:
-            ht = vocab[rng.randrange(len(vocab))]
+            ht = getrandbits(vocab_bits)  # rng.randrange(vocab_size)
+            while ht >= vocab_size:
+                ht = getrandbits(vocab_bits)
             for tags in followers[user]:
                 tags.add(ht)
-        ts_col.append(ts)
-        user_col.append(user)
-        tag_col.append(ht)
         mine = own[user]
-        mine.pop(ht, None)
-        mine[ht] = ts
-        if ht not in global_seen:
-            global_seen.add(ht)
+        if mine is not None:
+            mine.pop(ht, None)
+            mine[ht] = ts
+        i = tag_id.get(ht)
+        if i is None:
+            i = tag_id[ht] = len(global_tags)
             global_tags.append(ht)
+        tag_col.append(i)
 
-    user_ids, tag_ids = {}, {}  # value -> id, filled by _intern
+    n = len(tag_col)
+    tags = [f"v{t:05d}" if t < vocab_size else f"x{t - vocab_size:07d}" for t in global_tags]
     corpus = Corpus.from_columns(
-        np.arange(len(ts_col), dtype=np.int32), _intern(tag_ids, tag_col),
-        _intern(user_ids, user_col), np.array(ts_col, dtype=np.int64),
-        list(user_ids), [f"t{seq:08d}" for seq in range(len(ts_col))], list(tag_ids),
-        FollowNetwork({s: frozenset(f) for s, f in followees.items()}),
+        np.arange(n, dtype=np.int32), np.array(tag_col, dtype=np.int32), event_user, ts_col,
+        names, ["t%08d" % seq for seq in range(n)], tags,
+        FollowNetwork({names[s]: frozenset(map(names.__getitem__, flw))
+                       for s, flw in enumerate(followees)}),
     )
-    return corpus, GroundTruth(records=tuple(gt_records))
+    rows = np.flatnonzero(event_user < n_seeds)
+    return corpus, GroundTruth(corpus, rows, np.array(source_col, dtype=np.int8))
 
 
 def write_ground_truth(gt: GroundTruth, path: str | Path) -> None:
     """TSV: `tweet_id \\t hashtag \\t source`, one row per seed assignment,
     written atomically (see corpus.atomic_open)."""
+    corpus = gt.corpus
+    tweet_ids = map(corpus.tweet_ids.__getitem__, memoryview(corpus.tweet[gt.rows]))
+    tags = map(corpus.tags.__getitem__, memoryview(corpus.tag[gt.rows]))
     with atomic_open(path) as fh:
-        for r in gt.records:
-            fh.write(f"{r.tweet_id}\t{r.hashtag}\t{r.source}\n")
+        for tweet_id, ht, code in zip(tweet_ids, tags, memoryview(gt.source)):
+            fh.write(f"{tweet_id}\t{ht}\t{SOURCES[code]}\n")

@@ -23,14 +23,17 @@ from tagreuse.classify import LABELS, ReuseLabel, classify_all
 from tagreuse.corpus import Corpus, EmptyAfterNormalization, HashtagAssignment
 from tagreuse.diversity import SimilarityIndex
 from tagreuse.synth import (
+    ACTIVITY_WINDOW_SECONDS,
+    EPOCH,
     INDIVIDUAL_POOL_CAP,
     INDIVIDUAL_SCAN_CAP,
+    MEAN_GAP_SECONDS,
     NETWORK_TRIES,
+    SECONDS_PER_DAY,
     SOCIAL_SCAN_CAP,
+    SOURCES,
     GenParams,
     GroundTruth,
-    GroundTruthRecord,
-    _simulate_times,
     generate,
 )
 
@@ -354,10 +357,11 @@ def reference_parse_assignments(path: Path, fmt: str) -> tuple[list, list[int]]:
 
 
 def reference_generate(params: GenParams) -> tuple[Corpus, GroundTruth]:
-    """Reference for synth.generate without its per-seed followee-tag sets:
-    every pool check scans the followees' tag dicts and the bounded scans
-    count by hand. It makes the same RNG calls with the same weights, so
-    it must give the same corpus and ground truth."""
+    """Reference for synth.generate without its per-seed followee-tag sets
+    or its inlined draws: every pool check scans the followees' tag dicts,
+    the bounded scans count by hand, and every draw is a call of rng's own
+    method. It makes the same RNG calls with the same weights, so it must
+    give the same corpus and ground truth."""
     params.validate()
     rng = random.Random(params.rng_seed)
 
@@ -370,11 +374,16 @@ def reference_generate(params: GenParams) -> tuple[Corpus, GroundTruth]:
     }
 
     events: list[tuple[float, str]] = []
+    amplitude = params.daily_amplitude
     for user in seeds + background:
-        events.extend(
-            (t, user)
-            for t in _simulate_times(rng, params.n_tweets_per_user, params.daily_amplitude)
-        )
+        t = float(EPOCH)
+        for _ in range(params.n_tweets_per_user):
+            t += rng.expovariate(1.0 / MEAN_GAP_SECONDS)
+            if amplitude > 0.0 and rng.random() < amplitude:
+                phase = t % SECONDS_PER_DAY
+                if phase >= ACTIVITY_WINDOW_SECONDS:
+                    t = t - phase + SECONDS_PER_DAY + rng.uniform(0.0, ACTIVITY_WINDOW_SECONDS)
+            events.append((t, user))
     events.sort()
 
     alpha = params.recency_exponent
@@ -388,7 +397,8 @@ def reference_generate(params: GenParams) -> tuple[Corpus, GroundTruth]:
     seed_set = set(seeds)
 
     assignments: list[HashtagAssignment] = []
-    gt_records: list[GroundTruthRecord] = []
+    gt_rows: list[int] = []
+    gt_sources: list[int] = []
 
     def draw_individual(user: str, ts: int) -> str | None:
         flw = followees[user]
@@ -465,7 +475,8 @@ def reference_generate(params: GenParams) -> tuple[Corpus, GroundTruth]:
                 want = "external"
                 ht = f"x{ext_counter:07d}"
                 ext_counter += 1
-            gt_records.append(GroundTruthRecord(tweet_id, ht, want))
+            gt_rows.append(seq)
+            gt_sources.append(SOURCES.index(want))
         else:
             ht = vocab[rng.randrange(len(vocab))]
         assignments.append(HashtagAssignment(user, tweet_id, ht, ts))
@@ -478,5 +489,6 @@ def reference_generate(params: GenParams) -> tuple[Corpus, GroundTruth]:
 
     corpus = Corpus.from_tweets(
         [(a.user_id, a.tweet_id, a.timestamp, (a.hashtag,)) for a in assignments], followees)
-    return corpus, GroundTruth(records=tuple(gt_records))
+    rows = np.array(gt_rows, dtype=np.int64)  # timestamps strictly increase: row seq is tweet seq
+    return corpus, GroundTruth(corpus, rows, np.array(gt_sources, dtype=np.int8))
 

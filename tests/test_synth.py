@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import math
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from tagreuse import synth
 from tagreuse.classify import ReuseLabel
 from tagreuse.corpus import write_corpus
-from tagreuse.synth import GenParams, InvalidParams, _recency_weights, generate
+from tagreuse.synth import SOURCES, GenParams, InvalidParams, _recency_weights, generate
 
 from conftest import brute_force_label, classified, reference_generate
 
@@ -28,6 +29,13 @@ COUNT_FIELDS = (
 )
 PURE_MIXTURES = ((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0),
                  (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0))
+
+
+def truth_rows(corpus, gt) -> list:
+    """(assignment, source name) for each ground-truth row, in row order."""
+    return [(corpus.assignments[row], SOURCES[code])
+            for row, code in zip(gt.rows.tolist(), gt.source.tolist())]
+
 
 BASE = GenParams(
     n_seed_users=6,
@@ -97,7 +105,7 @@ class TestStructure:
         corpus, gt = generate(BASE)
         n_users = BASE.n_seed_users + BASE.n_background_users
         assert len(corpus.assignments) == n_users * BASE.n_tweets_per_user
-        assert len(gt.records) == BASE.n_seed_users * BASE.n_tweets_per_user
+        assert len(gt.rows) == len(gt.source) == BASE.n_seed_users * BASE.n_tweets_per_user
 
     def test_followee_sets(self):
         corpus, _ = generate(BASE)
@@ -132,8 +140,8 @@ class TestDegenerateMixtures:
                "p_network": 0.0, "p_external": 1.0}
         )
         corpus, gt = generate(params)
-        assert all(r.source == "external" for r in gt.records)
-        minted = [r.hashtag for r in gt.records]
+        assert all(source == "external" for _, source in truth_rows(corpus, gt))
+        minted = [a.hashtag for a, _ in truth_rows(corpus, gt)]
         assert len(set(minted)) == len(minted)  # every tag fresh
         assert all(ht.startswith("x") for ht in minted)
 
@@ -143,17 +151,16 @@ class TestDegenerateMixtures:
                "p_network": 0.0, "p_external": 0.0}
         )
         corpus, gt = generate(params)
-        sources = [r.source for r in gt.records]
+        sources = [source for _, source in truth_rows(corpus, gt)]
         # cold start falls back to external; afterwards everything is individual
         assert "individual" in sources
         tail = sources[len(sources) // 2 :]
         assert tail.count("individual") / len(tail) > 0.9
         # every individual draw reuses a tag from the user's own strict past
         own_seen: dict[str, set[str]] = {}
-        by_tweet = {r.tweet_id: r for r in gt.records}
+        by_tweet = {a.tweet_id: source for a, source in truth_rows(corpus, gt)}
         for a in corpus.assignments:
-            rec = by_tweet.get(a.tweet_id)
-            if rec is not None and rec.source == "individual":
+            if by_tweet.get(a.tweet_id) == "individual":
                 assert a.hashtag in own_seen.get(a.user_id, set())
             own_seen.setdefault(a.user_id, set()).add(a.hashtag)
 
@@ -170,11 +177,11 @@ class TestGroundTruthCompatibility:
         corpus, gt = generate(GenParams(**{**BASE.__dict__, "n_tweets_per_user": 60}))
         by_tweet = {a.tweet_id: (a, label) for a, label, _, _ in classified(corpus)}
         sources_seen = set()
-        for rec in gt.records:
+        for rec, source in truth_rows(corpus, gt):
             a, label = by_tweet[rec.tweet_id]
             assert a.hashtag == rec.hashtag
-            assert label is self.EXPECTED[rec.source], rec
-            sources_seen.add(rec.source)
+            assert label is self.EXPECTED[source], rec
+            sources_seen.add(source)
         assert sources_seen == set(self.EXPECTED)  # the mixture exercises all four
 
     def test_classifier_agrees_with_brute_force_on_generated_data(self):
@@ -184,9 +191,27 @@ class TestGroundTruthCompatibility:
             assert brute_force_label(corpus, a) is label
 
     def test_fractions_sum_to_one(self):
-        _, gt = generate(BASE)
+        corpus, gt = generate(BASE)
         fractions = gt.fractions()
         assert sum(fractions.values()) == pytest.approx(1.0)
+        sources = [source for _, source in truth_rows(corpus, gt)]
+        assert fractions == {s: sources.count(s) / len(sources) for s in SOURCES}
+
+
+def test_large_vocabulary_costs_no_memory():
+    """Only the tags a corpus uses become strings, so a vocabulary of 10**7
+    costs nothing up front (a list of its names would take over 600 MB)."""
+    params = replace(BASE, n_seed_users=2, n_followees_per_seed=2, n_background_users=2,
+                     vocab_size=10**7)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        corpus, _ = generate(params)
+        peak = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+    assert peak < 10.0, f"generate peak {peak:.1f} MB"
+    assert len(corpus.ts) == 4 * BASE.n_tweets_per_user
 
 
 def _with_mixture(params: GenParams, mixture) -> GenParams:
@@ -302,9 +327,10 @@ class TestLargeRecencyExponent:
         corpus, gt = generate(params)
         by_tweet = {a.tweet_id: label for a, label, _, _ in classified(corpus)}
         expected = TestGroundTruthCompatibility.EXPECTED
-        assert all(by_tweet[r.tweet_id] is expected[r.source] for r in gt.records)
+        records = truth_rows(corpus, gt)
+        assert all(by_tweet[a.tweet_id] is expected[source] for a, source in records)
         want = "individual" if mixture[0] else "social"
-        assert sum(r.source == want for r in gt.records) > len(gt.records) // 2
+        assert sum(source == want for _, source in records) > len(records) // 2
 
 
 # The benchmark workloads' shapes at gen_params(seed, 0.1) (see
