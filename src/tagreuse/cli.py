@@ -107,18 +107,8 @@ SUBCOMMAND_OPTS: dict[str, list[Opt]] = {
         Opt("outdir", str, required=True, help="directory for per-algorithm k/precision/recall files"),
     ],
     "generate": [
-        Opt("seed_users", int, default=20),
-        Opt("followees_per_seed", int, default=5),
-        Opt("background_users", int, default=30),
-        Opt("vocab_size", int, default=200),
-        Opt("tweets_per_user", int, default=50),
-        Opt("p_individual", float, default=0.25),
-        Opt("p_social", float, default=0.25),
-        Opt("p_network", float, default=0.25),
-        Opt("p_external", float, default=0.25),
-        Opt("recency_exponent", float, default=1.0),
-        Opt("daily_amplitude", float, default=0.0),
-        Opt("rng_seed", int, default=0),
+        # one option per GenParams field, named without its "n_" prefix
+        *(Opt(f.name.removeprefix("n_"), type(f.default), f.default) for f in fields(GenParams)),
         Opt("outdir", str, required=True, help="directory for the generated dataset"),
     ],
 }

@@ -7,15 +7,17 @@ events strictly before that user's query. Precision/recall are macro
 averaged over users at every k up to k_max, optionally after hybrid
 re-ranking and with diversity/serendipity columns.
 
-`evaluate` answers all queries from one CorpusIndex: users are visited in
-ascending reference time, and every algorithm scores a user before the
-next, so the values the index caches for that user's reference time (the
-global tag counts, the bll_i and bll_s score arrays) serve them all.
+`evaluate` answers all queries from one CorpusIndex in one pass over the
+split. Every algorithm scores a user before the next, so the values the
+index caches for that user's reference time (the global tag counts, the
+bll_i and bll_s score arrays) serve them all; every index answer depends
+only on its arguments, so the order of the users changes no value. The
+per-k sums are added in the split's user-id order, which fixes their bits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -32,6 +34,11 @@ from .diversity import (
 )
 from .index import CorpusIndex
 from .recommend import BLLParams, CFParams, MixParams, Ranked, recommend
+
+
+# At most this many k: the per-user hits, the points and the report text
+# all grow with it.
+MAX_K = 1000
 
 
 class EmptyTestSet(Exception):
@@ -104,8 +111,8 @@ class EvalConfig:
     rerank_lambda: float | None = None  # enables hybrid re-ranking + extra columns
 
     def __post_init__(self):
-        if self.k_max < 1:
-            raise ValueError(f"k_max must be >= 1, got {self.k_max}")
+        if not 1 <= self.k_max <= MAX_K:
+            raise ValueError(f"k_max must be in [1, {MAX_K}], got {self.k_max}")
 
 
 @dataclass(frozen=True)
@@ -117,12 +124,7 @@ class KPoint:
     serendipity: float | None = None
 
     def to_json_dict(self) -> dict:
-        out: dict = {"k": self.k, "precision": self.precision, "recall": self.recall}
-        if self.ild is not None:
-            out["ild"] = self.ild
-        if self.serendipity is not None:
-            out["serendipity"] = self.serendipity
-        return out
+        return {name: v for name, v in asdict(self).items() if v is not None}
 
 
 @dataclass(frozen=True)
@@ -156,15 +158,15 @@ def evaluate(
 ) -> EvalReport:
     """Run every algorithm over the split and macro-average the metrics.
 
-    Users whose recommendation list is empty contribute zeros. Queries run
-    in ascending (ref_time, user_id) order, for the index's cache hits;
-    each user's per-k contributions are kept and then
-    summed in sorted user-id order, so results are reproducible to the
-    bit. With re-ranking, each list's pair similarities are built once,
-    as the candidates' pair table: the re-ranker reads it, and the ILD at
-    every k (intra_list_diversity_at_k) reads it permuted to the re-ranked
-    order; for k past the end of a short list the ILD is the whole list's
-    value.
+    Users whose recommendation list is empty contribute zeros. Each user's
+    terms are added to the per-k sums as soon as the user is scored, in
+    the split's user-id order: floating-point sums depend on their order,
+    and this one does not depend on reference times or cache hits, so
+    results are reproducible to the bit. With re-ranking, each list's pair
+    similarities are built once, as the candidates' pair table: the
+    re-ranker reads it, and the ILD at every k (intra_list_diversity_at_k)
+    reads it permuted to the re-ranked order; for k past the end of a
+    short list the ILD is the whole list's value.
     """
     split = make_split(corpus)
     if not split.users:
@@ -179,11 +181,11 @@ def evaluate(
 
     k_max = config.k_max
     ks = range(1, k_max + 1)
-    # algo -> user -> (hits at each k, ild at each k, serendipity at each k)
-    rows: dict[str, dict[str, tuple[list[int], list[float], list[float]]]] = {
-        algo: {} for algo in algorithms
-    }
-    for us in sorted(split.users, key=lambda u: (u.ref_time, u.user_id)):
+    # algo -> per-k sums of precision, recall, ILD and serendipity
+    sums = {algo: [[0.0] * k_max for _ in range(4)] for algo in algorithms}
+    per_user: dict[str, dict[str, PerUserResult]] = {algo: {} for algo in algorithms}
+    for us in split.users:
+        n_test = len(us.test_hashtags)
         if with_beyond:
             own = index.own_tags_before(us.user_id, us.ref_time)
             social = index.followee_tags_before(us.user_id, us.ref_time)
@@ -196,13 +198,15 @@ def evaluate(
                 candidates = normalize_scores(rec)
                 table = sim_index.pair_table([ht for ht, _ in candidates])
                 rec = rerank_hybrid(candidates, hybrid, sim_index, table=table)
+            sum_p, sum_r, sum_ild, sum_ser = sums[algo]
             hits_at_k = []
             hits = 0
             for k in ks:
                 if k <= len(rec) and rec[k - 1][0] in us.test_hashtags:
                     hits += 1
                 hits_at_k.append(hits)
-            ild, ser = [], []
+                sum_p[k - 1] += hits / k
+                sum_r[k - 1] += hits / n_test
             if with_beyond:
                 # the candidates' table in re-ranked order: an entry depends
                 # only on its two tags, so this equals a fresh table of rec
@@ -213,45 +217,22 @@ def evaluate(
                 )
                 # past the end of a short list, rec[:k] is the whole list
                 ild += [ild[-1] if ild else 0.0] * (k_max - len(ild))
-                ser = [serendipity(rec[:k], own, social) for k in ks]
-            rows[algo][us.user_id] = (hits_at_k, ild, ser)
-
-    n_users = len(split.users)
-    algo_points: dict[str, tuple[KPoint, ...]] = {}
-    per_user: dict[str, dict[str, PerUserResult]] = {}
-    for algo in algorithms:
-        sum_p = [0.0] * k_max
-        sum_r = [0.0] * k_max
-        sum_ild = [0.0] * k_max
-        sum_ser = [0.0] * k_max
-        details: dict[str, PerUserResult] = {}
-        for us in split.users:
-            hits_at_k, ild, ser = rows[algo][us.user_id]
-            n_test = len(us.test_hashtags)
-            for k in ks:
-                hits = hits_at_k[k - 1]
-                sum_p[k - 1] += hits / k
-                sum_r[k - 1] += hits / n_test
-            if with_beyond:
                 for k in ks:
                     sum_ild[k - 1] += ild[k - 1]
-                    sum_ser[k - 1] += ser[k - 1]
-            details[us.user_id] = PerUserResult(tuple(hits_at_k), n_test)
-        points = tuple(
-            KPoint(
-                k=k,
-                precision=sum_p[k - 1] / n_users,
-                recall=sum_r[k - 1] / n_users,
-                ild=(sum_ild[k - 1] / n_users) if with_beyond else None,
-                serendipity=(sum_ser[k - 1] / n_users) if with_beyond else None,
-            )
-            for k in ks
-        )
-        algo_points[algo] = points
-        per_user[algo] = details
+                    sum_ser[k - 1] += serendipity(rec[:k], own, social)
+            per_user[algo][us.user_id] = PerUserResult(tuple(hits_at_k), n_test)
+
+    n_users = len(split.users)
     return EvalReport(
         n_users_evaluated=n_users,
         k_max=k_max,
-        algorithms=algo_points,
+        algorithms={
+            algo: tuple(
+                KPoint(k, p / n_users, r / n_users,
+                       i / n_users if with_beyond else None, s / n_users if with_beyond else None)
+                for k, p, r, i, s in zip(ks, *sums[algo])
+            )
+            for algo in algorithms
+        },
         per_user=per_user,
     )

@@ -360,8 +360,9 @@ def reference_generate(params: GenParams) -> tuple[Corpus, GroundTruth]:
     """Reference for synth.generate without its per-seed followee-tag sets
     or its inlined draws: every pool check scans the followees' tag dicts,
     the bounded scans count by hand, and every draw is a call of rng's own
-    method. It makes the same RNG calls with the same weights, so it must
-    give the same corpus and ground truth."""
+    method. It makes the same RNG calls with the same weights (the
+    underflow fallback written out), so it must give the same corpus and
+    ground truth."""
     params.validate()
     rng = random.Random(params.rng_seed)
 
@@ -400,10 +401,18 @@ def reference_generate(params: GenParams) -> tuple[Corpus, GroundTruth]:
     gt_rows: list[int] = []
     gt_sources: list[int] = []
 
+    def choose(pool: list[str], gaps: list[int]) -> str:
+        weights = [gap ** -alpha for gap in gaps]
+        if not any(weights):
+            # every weight underflowed: weigh relative to the smallest gap
+            log_min_gap = math.log(min(gaps))
+            weights = [math.exp(-alpha * (math.log(gap) - log_min_gap)) for gap in gaps]
+        return rng.choices(pool, weights=weights, k=1)[0]
+
     def draw_individual(user: str, ts: int) -> str | None:
         flw = followees[user]
         pool: list[str] = []
-        weights: list[float] = []
+        gaps: list[int] = []
         scanned = 0
         for ht in reversed(own[user]):
             scanned += 1
@@ -412,12 +421,12 @@ def reference_generate(params: GenParams) -> tuple[Corpus, GroundTruth]:
             if any(ht in own[f] for f in flw):
                 continue
             pool.append(ht)
-            weights.append((ts - own[user][ht]) ** -alpha)
+            gaps.append(ts - own[user][ht])
             if len(pool) >= INDIVIDUAL_POOL_CAP:
                 break
         if not pool:
             return None
-        return rng.choices(pool, weights=weights, k=1)[0]
+        return choose(pool, gaps)
 
     def draw_social(user: str, ts: int) -> str | None:
         last: dict[str, int] = {}
@@ -435,8 +444,7 @@ def reference_generate(params: GenParams) -> tuple[Corpus, GroundTruth]:
         if not last:
             return None
         pool = list(last)
-        weights = [(ts - last[ht]) ** -alpha for ht in pool]
-        return rng.choices(pool, weights=weights, k=1)[0]
+        return choose(pool, [ts - last[ht] for ht in pool])
 
     def draw_network(user: str) -> str | None:
         if not global_tags:

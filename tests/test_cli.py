@@ -12,6 +12,7 @@ import pytest
 
 from tagreuse import classify, cli, temporal
 from tagreuse.corpus import Corpus, load_corpus
+from tagreuse.evaluation import MAX_K
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data"
@@ -412,6 +413,19 @@ class TestExitCodes:
         )
         assert (code, out) == (1, "")
         assert message in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kmax, code", [(MAX_K + 1, 1), (MAX_K, 2)])
+    def test_evaluate_kmax_checked_before_the_load(self, capsys, tmp_path, kmax, code):
+        # the inputs do not exist: a k_max past MAX_K exits 1 before the
+        # load, and MAX_K itself passes the check and reaches the load (exit 2)
+        got, out, err = run_cli(
+            capsys, "evaluate", "--assignments", "missing.tsv", "--network", "missing.tsv",
+            "--kmax", str(kmax), "--outdir", str(tmp_path / "out"),
+        )
+        assert (got, out) == (code, "")
+        assert ("usage error: k_max must be in" in err) == (code == 1)
+        assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
     def test_corpus_beyond_the_sort_keys_exits_2(self, capsys, monkeypatch):

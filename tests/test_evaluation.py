@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from itertools import groupby
 
 import pytest
 
@@ -331,6 +332,25 @@ class TestPassOrder:
         assert [row["ild"] for row in report["algorithms"]["bll_s"]] == [0.0] * 4
         assert report == _per_user_report(corpus, ["bll_s", "mp"], config)
 
+    @pytest.mark.parametrize("rerank_lambda", [None, 0.5])
+    def test_tied_reference_times_equal_fresh_index_per_query(self, rerank_lambda):
+        # Users whose held-out tweets share a timestamp need not be visited
+        # back to back: another reference time between them refills the
+        # index's one cache entry.
+        rng = random.Random(2020)
+        config = EvalConfig(k_max=5, rerank_lambda=rerank_lambda)
+        algorithms = list(ALGORITHM_NAMES)
+        tied = 0
+        for _ in range(12):
+            corpus = random_corpus(rng, max_users=14, max_assignments=160, max_timestamp=30)
+            times = [us.ref_time for us in make_split(corpus).users]
+            if not times:
+                continue
+            tied += len(list(groupby(times))) > len(set(times))
+            report = evaluate(corpus, algorithms, config).to_json_dict()
+            assert report == _per_user_report(corpus, algorithms, config)
+        assert tied > 0
+
     @pytest.mark.parametrize("corpus_of, algorithms", [
         (_paired_synth_corpus, list(ALGORITHM_NAMES)),
         (lambda: _single_user_corpus(), ["bll_s", "mp"]),  # bll_s gives an empty list
@@ -346,7 +366,7 @@ class TestPassOrder:
                             lambda *_: pytest.fail("similarity called"))
         evaluate(corpus, algorithms, config)
         expected = []
-        for us in sorted(make_split(corpus).users, key=lambda u: (u.ref_time, u.user_id)):
+        for us in make_split(corpus).users:  # split order: one pass, user by user
             for algo in algorithms:
                 rec = recommend(algo, CorpusIndex(corpus), us.user_id, us.ref_time, 6)
                 expected.append([ht for ht, _ in rec])

@@ -232,20 +232,27 @@ def gen_params(draw) -> GenParams:
         n_background_users=n_background,
         vocab_size=draw(st.integers(1, 40)),
         n_tweets_per_user=draw(st.integers(1, 60)),
-        recency_exponent=draw(st.floats(0.1, 8.0)),
+        # 400 and 800 underflow every weight of some pools: the fallback
+        recency_exponent=draw(st.floats(0.1, 8.0) | st.sampled_from((400.0, 800.0))),
         daily_amplitude=draw(st.sampled_from((0.0, 0.5, 1.0)) | st.floats(0.0, 1.0)),
         rng_seed=draw(st.integers(0, 2**32)),
     ), mixture)
 
 
 # Seeds that follow every background user, a one-tag vocabulary, each
-# pure mixture, each amplitude, and a long run that fills the caps.
+# pure mixture, each amplitude, two recency exponents past the underflow
+# of every weight, and (last) a long run that fills the caps.
 _EDGE_EXAMPLES = [
     _with_mixture(GenParams(n_seed_users=3, n_followees_per_seed=4, n_background_users=4,
                             vocab_size=vocab, n_tweets_per_user=40,
                             daily_amplitude=amplitude, rng_seed=7), mixture)
     for mixture in PURE_MIXTURES
     for vocab, amplitude in ((1, 0.0), (3, 0.5), (40, 1.0))
+] + [
+    GenParams(n_seed_users=3, n_followees_per_seed=2, n_background_users=3, vocab_size=12,
+              n_tweets_per_user=40, p_individual=0.5, p_social=0.5, p_network=0.0,
+              p_external=0.0, recency_exponent=alpha, rng_seed=11)
+    for alpha in (400.0, 800.0)
 ] + [
     # changing any one of the three caps by one changes this corpus
     GenParams(n_seed_users=2, n_followees_per_seed=1, n_background_users=2,
