@@ -174,7 +174,6 @@ def evaluate(
     index = CorpusIndex(corpus)
 
     with_beyond = config.rerank_lambda is not None
-    sim_index: SimilarityIndex | None = None
     if with_beyond:
         sim_index = SimilarityIndex.from_corpus(corpus, exclude_tweets=split.test_tweet_ids)
         hybrid = HybridParams(lambda_param=config.rerank_lambda)
@@ -189,7 +188,8 @@ def evaluate(
         if with_beyond:
             own = index.own_tags_before(us.user_id, us.ref_time)
             social = index.followee_tags_before(us.user_id, us.ref_time)
-        for algo in algorithms:
+        # a name given twice is scored once, as it has one set of sums
+        for algo, (sum_p, sum_r, sum_ild, sum_ser) in sums.items():
             rec = recommend(
                 algo, index, us.user_id, us.ref_time, k_max,
                 bll=config.bll, mix=config.mix, cf=config.cf,
@@ -198,7 +198,6 @@ def evaluate(
                 candidates = normalize_scores(rec)
                 table = sim_index.pair_table([ht for ht, _ in candidates])
                 rec = rerank_hybrid(candidates, hybrid, sim_index, table=table)
-            sum_p, sum_r, sum_ild, sum_ser = sums[algo]
             hits_at_k = []
             hits = 0
             for k in ks:
@@ -223,16 +222,21 @@ def evaluate(
             per_user[algo][us.user_id] = PerUserResult(tuple(hits_at_k), n_test)
 
     n_users = len(split.users)
+    algo_points: dict[str, tuple[KPoint, ...]] = {}
+    for algo, (sum_p, sum_r, sum_ild, sum_ser) in sums.items():
+        algo_points[algo] = tuple(
+            KPoint(
+                k=k,
+                precision=sum_p[k - 1] / n_users,
+                recall=sum_r[k - 1] / n_users,
+                ild=(sum_ild[k - 1] / n_users) if with_beyond else None,
+                serendipity=(sum_ser[k - 1] / n_users) if with_beyond else None,
+            )
+            for k in ks
+        )
     return EvalReport(
         n_users_evaluated=n_users,
         k_max=k_max,
-        algorithms={
-            algo: tuple(
-                KPoint(k, p / n_users, r / n_users,
-                       i / n_users if with_beyond else None, s / n_users if with_beyond else None)
-                for k, p, r, i, s in zip(ks, *sums[algo])
-            )
-            for algo in algorithms
-        },
+        algorithms=algo_points,
         per_user=per_user,
     )

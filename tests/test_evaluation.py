@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from functools import partial
 from itertools import groupby
 
 import pytest
@@ -302,15 +303,41 @@ def _per_user_report(corpus, algorithms, config) -> dict:
     return {"n_users_evaluated": n, "k_max": k_max, "algorithms": out}
 
 
+def _tied_corpus(seed: int) -> Corpus:
+    """A random corpus where two evaluated users whose held-out tweets share
+    a timestamp are not neighbours in the split: another reference time
+    between them refills the index's one cache entry."""
+    corpus = random_corpus(random.Random(seed), max_users=14, max_assignments=160,
+                           max_timestamp=30)
+    times = [us.ref_time for us in make_split(corpus).users]
+    assert len(list(groupby(times))) > len(set(times))
+    return corpus
+
+
 class TestPassOrder:
-    @pytest.mark.parametrize("rerank_lambda", [None, 0.5])
-    def test_one_pass_equals_fresh_index_per_query(self, rerank_lambda):
-        corpus = _paired_synth_corpus()
+    @pytest.mark.parametrize("corpus_of, n_users, rerank_lambda", [
+        pytest.param(_paired_synth_corpus, 8, None, id="None"),
+        pytest.param(_paired_synth_corpus, 8, 0.5, id="0.5"),
+        *(pytest.param(partial(_tied_corpus, seed), n_users, rerank_lambda,
+                       id=f"tied{seed}-{rerank_lambda}")
+          for seed, n_users in [(6, 10), (11, 7), (20, 10)] for rerank_lambda in [None, 0.5]),
+    ])
+    def test_one_pass_equals_fresh_index_per_query(self, corpus_of, n_users, rerank_lambda):
+        corpus = corpus_of()
         config = EvalConfig(k_max=6, rerank_lambda=rerank_lambda)
         algorithms = list(ALGORITHM_NAMES)
         report = evaluate(corpus, algorithms, config).to_json_dict()
-        assert report["n_users_evaluated"] == 8
+        assert report["n_users_evaluated"] == n_users
         assert report == _per_user_report(corpus, algorithms, config)
+
+    @pytest.mark.parametrize("rerank_lambda", [None, 0.5])
+    def test_repeated_algorithm_scored_once(self, rerank_lambda):
+        corpus = _paired_synth_corpus()
+        config = EvalConfig(k_max=6, rerank_lambda=rerank_lambda)
+        once = evaluate(corpus, ["cf", "mp"], config)
+        twice = evaluate(corpus, ["cf", "mp", "cf"], config)
+        assert twice.to_json_dict() == once.to_json_dict()
+        assert twice.per_user == once.per_user
 
     def test_rerank_with_lists_shorter_than_k_max(self):
         # bll_i lists hold 15 to 19 tags on this corpus, so k = 16..18 run
@@ -331,25 +358,6 @@ class TestPassOrder:
         report = evaluate(corpus, ["bll_s", "mp"], config).to_json_dict()
         assert [row["ild"] for row in report["algorithms"]["bll_s"]] == [0.0] * 4
         assert report == _per_user_report(corpus, ["bll_s", "mp"], config)
-
-    @pytest.mark.parametrize("rerank_lambda", [None, 0.5])
-    def test_tied_reference_times_equal_fresh_index_per_query(self, rerank_lambda):
-        # Users whose held-out tweets share a timestamp need not be visited
-        # back to back: another reference time between them refills the
-        # index's one cache entry.
-        rng = random.Random(2020)
-        config = EvalConfig(k_max=5, rerank_lambda=rerank_lambda)
-        algorithms = list(ALGORITHM_NAMES)
-        tied = 0
-        for _ in range(12):
-            corpus = random_corpus(rng, max_users=14, max_assignments=160, max_timestamp=30)
-            times = [us.ref_time for us in make_split(corpus).users]
-            if not times:
-                continue
-            tied += len(list(groupby(times))) > len(set(times))
-            report = evaluate(corpus, algorithms, config).to_json_dict()
-            assert report == _per_user_report(corpus, algorithms, config)
-        assert tied > 0
 
     @pytest.mark.parametrize("corpus_of, algorithms", [
         (_paired_synth_corpus, list(ALGORITHM_NAMES)),
