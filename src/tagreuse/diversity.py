@@ -99,14 +99,16 @@ class SimilarityIndex:
             starts, lengths = starts[kept], lengths[kept]
         keys = _pair_keys(corpus.tag, starts, lengths, n_tags)
         keys.sort()
-        # Where each run of equal keys starts, then the end: no more than one
-        # pair-sized and two entry-sized int64 arrays are alive at once.
+        # Where each run of equal keys starts, then the end. The distinct keys
+        # are taken first, so the pair-sized array goes before the run bounds
+        # come; the counts (below 2**31 pairs) are int32.
         change = np.ones(len(keys) + 1, dtype=bool)
         np.not_equal(keys[1:], keys[:-1], out=change[1:-1])
+        keys = keys[change[:-1]]
         bounds = np.flatnonzero(change)
         del change
-        keys = keys[bounds[:-1]]
-        counts = np.diff(bounds)
+        counts = np.empty(len(keys), dtype=np.int32)
+        np.subtract(bounds[1:], bounds[:-1], out=counts, casting="unsafe")
         del bounds  # before the constructor's temporaries
         indptr = np.searchsorted(keys, np.arange(n_tags + 1) * n_tags)
         keys %= n_tags  # now the neighbour ids
@@ -177,13 +179,18 @@ def _squared_norms(tags: list[str], indptr: np.ndarray, counts: np.ndarray) -> n
 def _pair_keys(tag: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
                n_tags: int) -> np.ndarray:
     """tag[a] * n_tags + tag[b] for each ordered pair of distinct rows a, b in
-    each run of rows starts[i] + [0, lengths[i]), one block per run length."""
-    blocks = [np.zeros(0, dtype=np.int64)]
+    each run of rows starts[i] + [0, lengths[i]), one block per run length,
+    written into one array: no other pair-sized array is allocated."""
+    keys = np.empty(int(np.dot(lengths, lengths - 1)), dtype=np.int64)
+    at = 0
     for size in np.unique(lengths).tolist():
         tags = tag[starts[lengths == size, None] + np.arange(size)].astype(np.int64)
-        others = (np.arange(size)[:, None] + np.arange(1, size)) % size  # per position
-        blocks.append((tags[:, others] + tags[:, :, None] * n_tags).ravel())
-    return np.concatenate(blocks)
+        block = keys[at : at + tags.size * (size - 1)].reshape(len(tags), size, size - 1)
+        at += block.size
+        np.multiply(tags[:, :, None], n_tags, out=block)
+        for j in range(1, size):  # the other rows of each position, in run order
+            block[:, :, j - 1] += tags[:, (np.arange(size) + j) % size]
+    return keys
 
 
 def _hashtags(items: Ranked | list[str]) -> list[str]:

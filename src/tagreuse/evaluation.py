@@ -8,11 +8,11 @@ averaged over users at every k up to k_max, optionally after hybrid
 re-ranking and with diversity/serendipity columns.
 
 `evaluate` answers all queries from one CorpusIndex in one pass over the
-split. Every algorithm scores a user before the next, so the values the
-index caches for that user's reference time (the global tag counts, the
-bll_i and bll_s score arrays) serve them all; every index answer depends
-only on its arguments, so the order of the users changes no value. The
-per-k sums are added in the split's user-id order, which fixes their bits.
+split: `recommend_many` scores the users in blocks, every algorithm as
+array passes over a whole block, and each list equals the one-query
+`recommend` list whatever block it was scored in. The per-k sums are
+added one user at a time in the split's user-id order, which fixes their
+bits.
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ from .diversity import (
     serendipity,
 )
 from .index import CorpusIndex
-from .recommend import BLLParams, CFParams, MixParams, Ranked, recommend
+# recommend stays bound too: bench/tracing.py wraps it by name here.
+from .recommend import BLLParams, CFParams, MixParams, Ranked, recommend, recommend_many
 
 
 # At most this many k: the per-user hits, the points and the report text
@@ -159,9 +160,9 @@ def evaluate(
     """Run every algorithm over the split and macro-average the metrics.
 
     Users whose recommendation list is empty contribute zeros. Each user's
-    terms are added to the per-k sums as soon as the user is scored, in
-    the split's user-id order: floating-point sums depend on their order,
-    and this one does not depend on reference times or cache hits, so
+    terms are added to the per-k sums as the user's lists come, in the
+    split's user-id order: floating-point sums depend on their order, and
+    this one does not depend on reference times or block boundaries, so
     results are reproducible to the bit. With re-ranking, each list's pair
     similarities are built once, as the candidates' pair table: the
     re-ranker reads it, and the ILD at every k (intra_list_diversity_at_k)
@@ -183,17 +184,17 @@ def evaluate(
     # algo -> per-k sums of precision, recall, ILD and serendipity
     sums = {algo: [[0.0] * k_max for _ in range(4)] for algo in algorithms}
     per_user: dict[str, dict[str, PerUserResult]] = {algo: {} for algo in algorithms}
-    for us in split.users:
+    # a name given twice is scored once, as it has one set of sums
+    lists = recommend_many(index, list(sums), [us.user_id for us in split.users],
+                           [us.ref_time for us in split.users], k_max,
+                           bll=config.bll, mix=config.mix, cf=config.cf)
+    for us, recs in zip(split.users, lists):
         n_test = len(us.test_hashtags)
         if with_beyond:
             own = index.own_tags_before(us.user_id, us.ref_time)
             social = index.followee_tags_before(us.user_id, us.ref_time)
-        # a name given twice is scored once, as it has one set of sums
         for algo, (sum_p, sum_r, sum_ild, sum_ser) in sums.items():
-            rec = recommend(
-                algo, index, us.user_id, us.ref_time, k_max,
-                bll=config.bll, mix=config.mix, cf=config.cf,
-            )
+            rec = recs[algo]
             if with_beyond:
                 candidates = normalize_scores(rec)
                 table = sim_index.pair_table([ht for ht, _ in candidates])

@@ -3,12 +3,16 @@
 All recommenders are pure functions of (index, user, ref_time, k): they
 look only at usage strictly before ref_time and produce a deterministic
 ranked list of at most k (hashtag, score) pairs, ordered by score, then
-global usage frequency before ref_time, then the hashtag string. The
-answer does not depend on query order. Each recommender scores tag ids
-from the index's sorted order of the corpus columns (see CorpusIndex);
-_rank alone names them. The tie-break's global counts and the bll_i and
-bll_s score arrays are cached on the index for the latest ref_time, so
-bll_is at the same (user, ref_time, params) reuses them.
+global usage frequency before ref_time, then the hashtag string.
+
+Queries (user, ref_time) are scored in blocks: each algorithm is a few
+array passes over the rows that all of a block's queries read, gathered
+from the index's sorted orders (see CorpusIndex), and one ranking names
+the tags of every query at once. `recommend` is a block of one, and
+`recommend_many` cuts a sequence of queries into blocks of at most
+_BLOCK_ROWS gathered rows. Every value of a query is computed from that
+query's own rows alone, so a list does not depend on the block it was
+scored in, nor on the order of the queries.
 
 Scoring models:
 
@@ -23,29 +27,40 @@ Scoring models:
           hashtag count profiles, scores summed over the top neighbors.
   mp      most popular: global usage counts (plain baseline).
 
-One kernel (_activations) scores all traces of one flat time list in a
-single loop, and bll_activation filters its input and calls the same
-kernel, so there is one arithmetic path. Its sum is a plain in-order loop
-from 0.0: builtin sum() of floats is compensated on Python >= 3.12, and
-numpy's power/log may dispatch to SIMD code that is not the C library's
-pow/log, so either would change the bits.
+One kernel (_activations_of) scores every trace of a block, and
+bll_activation calls the same kernel, so there is one arithmetic path.
+Its terms come from the C library's pow through math.pow, and each
+trace's terms are added in time order from 0.0, one column of terms at a
+time (_run_sums), before math.log. numpy's power and log may dispatch to
+SIMD code that is not the C library's pow/log, and numpy's sums and
+builtin sum() (compensated on Python >= 3.12) add in another order, so
+any of them would change the bits.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
+from itertools import repeat
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .corpus import NotSeedUser
-from .index import CorpusIndex
+from .index import CorpusIndex, run_bounds
 
 Ranked = list[tuple[str, float]]
 
 ALGORITHM_NAMES = ("bll_i", "bll_s", "bll_is", "cf", "mp")
+
+# Rows a block of queries gathers at most (one query may gather more): the
+# block's temporaries stay within a few MB while numpy's per-call overhead
+# is shared by many queries.
+_BLOCK_ROWS = 1 << 13
+
+# Reference times and timestamps in this range have int64 differences.
+_SAFE_TIME = 2**62
 
 
 class NoPriorUsage(Exception):
@@ -91,7 +106,7 @@ def bll_activation(
 
     Usages at or after ref_time are ignored; raises NoPriorUsage if none
     remain. The remaining trace is scored by the same kernel as the
-    recommenders' traces (see _activations).
+    recommenders' traces (see _activations_of).
     """
     trace = [t for t in usage_timestamps if t < ref_time]
     if not trace:
@@ -103,178 +118,383 @@ def _activations(
     times: list[int], bounds: list[int], ref_time: int, params: BLLParams
 ) -> list[float]:
     """Activation of each non-empty trace times[bounds[i]:bounds[i + 1]]
-    of times strictly before ref_time, in trace order: ln of the sum of
-    max(ref_time - t, min_delta)^-d, added in time order from 0.0.
+    of times strictly before ref_time, in trace order (see _activations_of)."""
+    try:
+        times_array = np.array(times, dtype=np.int64)
+    except OverflowError:
+        times_array = np.array(times, dtype=object)
+    n_traces = len(bounds) - 1
+    return _activations_of(times_array, np.array(bounds), [ref_time],
+                           np.zeros(n_traces, dtype=np.int64), params).tolist()
 
-    When every term underflows (large d and old usages), the sum is taken
-    in log space instead: with x_j = -d ln dt_j and m = max x_j,
+
+def _run_sums(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Sum of each non-empty run values[bounds[i]:bounds[i + 1]], added in
+    order from 0.0: pass j adds the j-th value of every run longer than j,
+    so each sum is the plain loop's."""
+    at, stop = bounds[:-1].copy(), bounds[1:]
+    totals = np.zeros(len(at))
+    live = np.arange(len(at))
+    while len(live):
+        totals[live] += values[at[live]]
+        at[live] += 1
+        live = live[at[live] < stop[live]]
+    return totals
+
+
+def _activations_of(times: np.ndarray, bounds: np.ndarray, refs: Sequence[int],
+                    owner: np.ndarray, params: BLLParams) -> np.ndarray:
+    """Activation of each non-empty trace times[bounds[i]:bounds[i + 1]] at
+    the reference time refs[owner[i]], every time strictly before it: ln of
+    the sum of max(ref - t, min_delta)^-d, added in time order from 0.0.
+
+    The differences are exact: int64 where every time and reference time
+    lies within +-2**62, Python ints otherwise. When every term of a trace
+    underflows (large d and old usages), its sum is taken in log space
+    instead: with x_j = -d ln dt_j and m = max x_j,
     ln sum_j exp(x_j) = m + ln sum_j exp(x_j - m).
-
-    The direct sum is a plain loop, never sum() or numpy (see the module
-    docstring).
     """
     d, min_delta = params.d, params.min_delta_seconds
-    neg_d, log = -d, math.log
-    scores = []
-    for a, b in zip(bounds, bounds[1:]):
-        trace = times[a:b]
-        total = 0.0
-        for t in trace:
-            dt = ref_time - t
-            total += (dt if dt > min_delta else min_delta) ** neg_d
-        if total == 0.0:
-            logs = [-d * log(max(ref_time - t, min_delta)) for t in trace]
-            m = max(logs)
-            scores.append(m + log(sum(math.exp(x - m) for x in logs)))
-        else:
-            scores.append(log(total))
+    exact = times.dtype == np.int64 and all(-_SAFE_TIME <= r <= _SAFE_TIME for r in refs) and \
+        (not len(times) or -_SAFE_TIME <= times.min() and times.max() <= _SAFE_TIME)
+    if not exact:
+        times = times.astype(object)
+    dt = np.array(refs, dtype=times.dtype)[np.repeat(owner, np.diff(bounds))]
+    dt -= times
+    np.maximum(dt, min_delta, out=dt)
+    # int -> float rounds as Python's int ** float does before calling pow
+    base = dt.astype(np.float64)
+    del dt
+    terms = np.fromiter(map(math.pow, memoryview(base), repeat(-d)), np.float64, len(base))
+    del base
+    totals = _run_sums(terms, bounds)
+    under = np.flatnonzero(totals == 0.0)
+    totals[under] = 1.0
+    log = math.log
+    scores = np.fromiter(map(log, memoryview(totals)), np.float64, len(totals))
+    for i in under.tolist():
+        ref = refs[owner[i]]
+        logs = [-d * log(max(ref - t, min_delta)) for t in times[bounds[i]:bounds[i + 1]].tolist()]
+        m = max(logs)
+        scores[i] = m + log(sum(math.exp(x - m) for x in logs))
     return scores
-
-
-def _top(ids: np.ndarray, values: np.ndarray, k: int, key) -> list[tuple[int, float]]:
-    """heapq.nsmallest(k, zip(ids, values), key) for a key that leads with
-    -value: only items at or above the k-th largest value can be in the
-    top k, so the Python-keyed heap sees just those (ties included)."""
-    if 0 < k < len(ids):
-        keep = values >= np.partition(values, -k)[-k]
-        ids, values = ids[keep], values[keep]
-    return heapq.nsmallest(k, zip(ids.tolist(), values.tolist()), key=key)
-
-
-def _rank(ids: np.ndarray, scores: np.ndarray, k: int, index: CorpusIndex, ref_time: int) -> Ranked:
-    """Deterministic top-k of the tag ids by score desc, global pre-ref
-    frequency desc, hashtag asc."""
-    freq, tags = index.global_counts_before(ref_time), index.corpus.tags
-    top = _top(ids, scores, k, lambda item: (-item[1], -freq[item[0]], tags[item[0]]))
-    return [(tags[t], score) for t, score in top]
 
 
 def minmax_normalize(scores: np.ndarray) -> np.ndarray:
     """Min-max rescale to [0, 1]. A degenerate score range (single
     candidate, or all equal) maps every candidate to 1.0."""
+    return _group_minmax(np.zeros(len(scores), dtype=np.int64), scores)
+
+
+def _group_minmax(group: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """minmax_normalize over each run of equal `group` values:
+    (score - lo) / (hi - lo) per run."""
     if not len(scores):
         return scores
-    lo, hi = scores.min(), scores.max()
-    if hi == lo:
-        return np.ones_like(scores)
-    return (scores - lo) / (hi - lo)
+    bounds = run_bounds(group)
+    starts, sizes = bounds[:-1], np.diff(bounds)
+    lo = np.repeat(np.minimum.reduceat(scores, starts), sizes)
+    span = np.repeat(np.maximum.reduceat(scores, starts), sizes) - lo
+    out = np.ones_like(scores)
+    np.divide(scores - lo, span, out=out, where=span != 0.0)
+    return out
 
 
-def _require_seed(index: CorpusIndex, user_id: str) -> None:
-    if not index.network.is_seed(user_id):
-        raise NotSeedUser(f"user {user_id!r} has no followee entry")
+def _string_ranks(table: list[str], ids: np.ndarray) -> np.ndarray:
+    """Rank of each table[ids[i]] among the strings of ids."""
+    distinct, inverse = np.unique(ids, return_inverse=True)
+    names = list(map(table.__getitem__, distinct.tolist()))
+    rank = np.empty(len(distinct), dtype=np.int64)
+    rank[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
+    return rank[inverse]
 
 
-def _bll_scores(
-    index: CorpusIndex, kind: str, user_id: str, ref_time: int, params: BLLParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """(tag ids, activations) over the user's own traces (kind "i") or over
-    the followees' traces pooled per tag (kind "s"), cached on the index
-    for ref_time."""
-    users = [user_id] if kind == "i" else index.network.followees(user_id)
+def _top_per_group(group: np.ndarray, values: np.ndarray, k: int,
+                   tiebreaks: Callable[[np.ndarray], tuple[np.ndarray, ...]]) -> np.ndarray:
+    """Positions of the k best items of each group (fewer if it has fewer),
+    group by group, best first: by value descending, then by the arrays
+    tiebreaks(positions) ascending, the first of them leading. `group` is
+    ascending. Only items at or above their group's k-th largest value can
+    be among its best k, so the tie-breaks are computed for just those."""
+    if k < 1 or not len(group):
+        return np.zeros(0, dtype=np.int64)
+    bounds = run_bounds(group)
+    starts, sizes = bounds[:-1], np.diff(bounds)
+    keep = np.arange(len(group))
+    if sizes.max() > k:
+        least = np.full(len(starts), -np.inf)
+        for g in np.flatnonzero(sizes > k).tolist():
+            least[g] = np.partition(values[starts[g] : starts[g] + sizes[g]], -k)[-k]
+        keep = np.flatnonzero(values >= np.repeat(least, sizes))
+    keep = keep[np.lexsort((*tiebreaks(keep)[::-1], -values[keep], group[keep]))]
+    kept = group[keep]
+    return keep[np.arange(len(keep)) - np.searchsorted(kept, kept) < k]
 
-    def compute():
-        ids, times, bounds = index.traces(users, index.end(ref_time))
-        return ids, np.array(_activations(times, bounds, ref_time, params))
 
-    return index.cached(ref_time, (kind, user_id, params), compute)
+def _rank_lists(index: CorpusIndex, ends: np.ndarray, query: np.ndarray, tags: np.ndarray,
+                scores: np.ndarray, k: int) -> list[Ranked]:
+    """Deterministic top-k per query of the candidates (query[i], tags[i],
+    scores[i]), query ascending: by score desc, global frequency before the
+    query's `end` desc, hashtag asc; one list per entry of `ends`."""
+    names = index.corpus.tags
+
+    def tiebreaks(kept: np.ndarray) -> tuple[np.ndarray, ...]:
+        t = tags[kept]
+        return -index.tag_counts(t, ends[query[kept]]), _string_ranks(names, t)
+
+    top = _top_per_group(query, scores, k, tiebreaks)
+    bounds = np.searchsorted(query[top], np.arange(len(ends) + 1)).tolist()
+    items = list(zip(map(names.__getitem__, tags[top].tolist()), scores[top].tolist()))
+    return [items[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
-def recommend_bll_i(
+def _most_popular(index: CorpusIndex, ends: np.ndarray, k: int) -> list[Ranked]:
+    """mp's list at each end. One cursor moves through the rows in order of
+    the ends and keeps every tag's count; at each end only the tags at or
+    above the k-th largest count go on to the ranking."""
+    tag, n_tags = index.corpus.tag, len(index.corpus.tags)
+    counts = np.zeros(n_tags, dtype=np.int64)
+    at = 0
+    kept: list = [np.zeros(0, dtype=np.int64)] * len(ends)
+    for q in np.argsort(ends, kind="stable").tolist() if k >= 1 else ():
+        end = int(ends[q])
+        if end > at:
+            counts += np.bincount(tag[at:end], minlength=n_tags)
+            at = end
+        least = np.partition(counts, n_tags - k)[n_tags - k] if k < n_tags else 0
+        kept[q] = np.flatnonzero(counts >= max(least, 1))
+    ids = np.concatenate([np.zeros(0, dtype=np.int64), *kept])
+    query = np.repeat(np.arange(len(ends)), list(map(len, kept)))
+    return _rank_lists(index, ends, query, ids, index.tag_counts(ids, ends[query])
+                       .astype(np.float64), k)
+
+
+class _Block:
+    """Seed users' queries scored together: query q is (users[q], refs[q]).
+    A part that several algorithms read (the traces, the bll_i and bll_s
+    scores) is computed once, on first read, from the rows below each
+    query's end."""
+
+    def __init__(self, index: CorpusIndex, users: Sequence[str], refs: Sequence[int], k: int,
+                 bll: BLLParams, mix: MixParams, cf: CFParams):
+        index.check_key_budget(len(refs))
+        self.index, self.refs, self.k = index, list(refs), k
+        self.ends = np.array([index.end(ref) for ref in self.refs], dtype=np.int64)
+        self._own, self._social = _pairs(index, users, False), _pairs(index, users, True)
+        self.bll_params, self.mix_params, self.cf_params = bll, mix, cf
+        self.n_tags = len(index.corpus.tags)
+
+    def _traces(self, pairs: tuple[np.ndarray, np.ndarray]):
+        query, users = pairs
+        return self.index.grouped_rows(query, users, self.ends[query], len(self.ends))
+
+    @cached_property
+    def own_traces(self):
+        return self._traces(self._own)
+
+    @cached_property
+    def social_traces(self):
+        return self._traces(self._social)
+
+    def _bll_scores(self, traces) -> tuple[np.ndarray, np.ndarray]:
+        keys, bounds, rows = traces
+        return keys, _activations_of(self.index.corpus.ts[rows], bounds, self.refs,
+                                     keys // self.n_tags, self.bll_params)
+
+    @cached_property
+    def own_scores(self) -> tuple[np.ndarray, np.ndarray]:
+        """(query * T + tag id, activation) of every own trace, in key order."""
+        return self._bll_scores(self.own_traces)
+
+    @cached_property
+    def social_scores(self) -> tuple[np.ndarray, np.ndarray]:
+        """(query * T + tag id, activation) of every pooled followee trace."""
+        return self._bll_scores(self.social_traces)
+
+    def _ranked(self, keys: np.ndarray, scores: np.ndarray, lo: int = 0,
+                hi: int | None = None) -> list[Ranked]:
+        """The lists of queries lo..hi-1 from their candidates (query * T +
+        tag id, score), in key order."""
+        query = keys // self.n_tags
+        return _rank_lists(self.index, self.ends[lo:hi], query - lo, keys - query * self.n_tags,
+                           scores, self.k)
+
+    def bll_i(self) -> list[Ranked]:
+        return self._ranked(*self.own_scores)
+
+    def bll_s(self) -> list[Ranked]:
+        return self._ranked(*self.social_scores)
+
+    def bll_is(self) -> list[Ranked]:
+        """Each component min-max normalized per query over its own
+        candidates (a candidate missing from one contributes 0 there), then
+        beta * individual + (1 - beta) * social."""
+        beta = self.mix_params.beta
+        keys_i, scores_i = self.own_scores
+        keys_s, scores_s = self.social_scores
+        keys = np.concatenate((keys_i, keys_s))
+        keys.sort()
+        keys = keys[run_bounds(keys)[:-1]]
+        norm_i, norm_s = np.zeros(len(keys)), np.zeros(len(keys))
+        norm_i[np.searchsorted(keys, keys_i)] = _group_minmax(keys_i // self.n_tags, scores_i)
+        norm_s[np.searchsorted(keys, keys_s)] = _group_minmax(keys_s // self.n_tags, scores_s)
+        return self._ranked(keys, beta * norm_i + (1.0 - beta) * norm_s)
+
+    def cf(self) -> list[Ranked]:
+        """Neighbors are the top n_neighbors users (anyone in the dataset
+        except the query user) by cosine similarity at the query's end; a
+        candidate's score is the similarity-weighted sum of neighbor usage
+        counts, added per hashtag in neighbor order from 0.0. An empty query
+        profile is a cold start and yields an empty list.
+
+        The dot products come from the rows of the query profile's tags
+        (their postings), so only users sharing a tag are seen. Dot products
+        and squared norms are exact integers (see index.MAX_USER_ROWS)."""
+        index, ends = self.index, self.ends
+        keys, bounds, _ = self.own_traces
+        owner = keys // self.n_tags
+        # the profile entries (owner, tag, count) and the number of their
+        # tags' rows below the owner's end (postings)
+        tags, counts = keys - owner * self.n_tags, np.diff(bounds)
+        postings = index.tag_counts(tags, ends[owner])
+        per_query = np.bincount(owner, postings, minlength=len(ends))
+        max_n = max(_BLOCK_ROWS // max(len(index.corpus.users), 1), 1)
+        neighbors = []
+        for lo, hi in _cuts(per_query, _BLOCK_ROWS, max_n):
+            a, b = np.searchsorted(owner, [lo, hi])
+            neighbors.append(self._neighbors(lo, hi, owner[a:b], tags[a:b], counts[a:b],
+                                             postings[a:b]))
+        query, users, sims = map(np.concatenate, zip(*neighbors))
+        lengths = index.user_row_counts(users, ends[query])
+        lists = []
+        for lo, hi in _cuts(np.bincount(query, lengths, minlength=len(ends)), _BLOCK_ROWS,
+                            len(ends)):
+            a, b = np.searchsorted(query, [lo, hi])
+            lists += self._ranked(*self._neighbor_sums(query[a:b], users[a:b], sims[a:b],
+                                                       lengths[a:b]), lo, hi)
+        return lists
+
+    def _neighbors(self, lo: int, hi: int, owner: np.ndarray, tags: np.ndarray,
+                   counts: np.ndarray, postings: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(query, user id, cosine) of the top n_neighbors of queries lo..hi-1
+        by (cosine desc, user id string asc), from their profile entries
+        (owner[i], tags[i], counts[i]) with postings[i] rows each; the
+        query's own user is left out. The dot products are counted in
+        (query, user) bins, from a few entries' postings at a time."""
+        index, ends = self.index, self.ends
+        n_users = len(index.corpus.users)
+        dots = np.zeros((hi - lo) * n_users)
+        for a, b in _cuts(postings, _BLOCK_ROWS, len(postings)):
+            lengths = postings[a:b]
+            rows = index.tag_rows(tags[a:b], lengths)
+            pair = np.repeat((owner[a:b] - lo) * n_users, lengths)
+            pair += index.corpus.user[rows]
+            del rows
+            dots += np.bincount(pair, np.repeat(counts[a:b], lengths), minlength=len(dots))
+            del pair
+        pair = np.flatnonzero(dots)
+        query, users = np.divmod(pair, n_users)
+        query += lo
+        own = self._own[1][np.searchsorted(self._own[0], query)]
+        other = np.flatnonzero(users != own)
+        query, users, own, dots = query[other], users[other], own[other], dots[pair[other]]
+        norms = np.sqrt(index.squared_norms(users, ends[query]).astype(np.float64))
+        own_norms = np.sqrt(index.squared_norms(own, ends[query]).astype(np.float64))
+        sims = dots / (own_norms * norms)
+        names = index.corpus.users
+        top = _top_per_group(query, sims, self.cf_params.n_neighbors,
+                             lambda kept: (_string_ranks(names, users[kept]),))
+        return query[top], users[top], sims[top]
+
+    def _neighbor_sums(self, query: np.ndarray, users: np.ndarray, sims: np.ndarray,
+                       lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(query * T + tag id, score) of every tag of the given queries'
+        neighbors (query, users[i], sims[i]), with lengths[i] rows each, in
+        each query's neighbor order: sim * count summed per tag in that
+        order."""
+        index, n_tags = self.index, self.n_tags
+        # each neighbor's count of each tag, keyed (query, tag, neighbor rank)
+        rows = index.user_rows(users, lengths)
+        key = np.repeat(query * n_tags, lengths)
+        key += index.corpus.tag[rows]
+        key <<= index.row_bits
+        key |= np.repeat(np.arange(len(query)) - np.searchsorted(query, query), lengths)
+        del rows
+        key.sort()
+        change = run_bounds(key)
+        key, counts = key[change[:-1]], np.diff(change)
+        del change
+        rank = key & ((1 << index.row_bits) - 1)
+        key >>= index.row_bits
+        weights = sims[np.searchsorted(query, key // n_tags) + rank] * counts
+        runs = run_bounds(key)
+        return key[runs[:-1]], _run_sums(weights, runs)
+
+
+def _cuts(sizes: np.ndarray, budget: int, max_n: int) -> Iterator[tuple[int, int]]:
+    """Consecutive ranges [lo, hi) of at most max_n items whose sizes sum to
+    at most budget, but for a range of one item."""
+    lo, total = 0, 0
+    for i, size in enumerate(sizes.tolist()):
+        if i > lo and (total + size > budget or i - lo == max_n):
+            yield lo, i
+            lo, total = i, 0
+        total += size
+    if lo < len(sizes):
+        yield lo, len(sizes)
+
+
+def _pairs(index: CorpusIndex, users: Sequence[str], social: bool) -> tuple[np.ndarray, ...]:
+    """(query, user id) of each query's own user or, with `social`, of each
+    of its followees, for the users with rows; query ascending."""
+    get = index.user_ids.get
+    query, ids = [], []
+    for q, user_id in enumerate(users):
+        for u in map(get, index.network.followees(user_id) if social else (user_id,)):
+            if u is not None:
+                query.append(q)
+                ids.append(u)
+    return np.array(query, dtype=np.int64), np.array(ids, dtype=np.int64)
+
+
+def recommend_many(
     index: CorpusIndex,
-    user_id: str,
-    ref_time: int,
+    algorithms: Sequence[str],
+    users: Sequence[str],
+    ref_times: Sequence[int],
     k: int,
-    params: BLLParams = BLLParams(),
-) -> Ranked:
-    """Rank the user's own previously used hashtags by activation."""
-    _require_seed(index, user_id)
-    return _rank(*_bll_scores(index, "i", user_id, ref_time, params), k, index, ref_time)
-
-
-def recommend_bll_s(
-    index: CorpusIndex,
-    user_id: str,
-    ref_time: int,
-    k: int,
-    params: BLLParams = BLLParams(),
-) -> Ranked:
-    """Rank hashtags previously used by the user's followees, activation
-    computed over the union of all followees' usage times."""
-    _require_seed(index, user_id)
-    return _rank(*_bll_scores(index, "s", user_id, ref_time, params), k, index, ref_time)
-
-
-def recommend_bll_is(
-    index: CorpusIndex,
-    user_id: str,
-    ref_time: int,
-    k: int,
-    params: BLLParams = BLLParams(),
+    bll: BLLParams = BLLParams(),
     mix: MixParams = MixParams(),
-) -> Ranked:
-    """Convex mix of the individual and social activations.
-
-    Each component is min-max normalized over its own candidate set
-    (candidates missing from a component contribute 0 there), then
-    combined as beta * individual + (1 - beta) * social.
-    """
-    _require_seed(index, user_id)
-    ids_i, scores_i = _bll_scores(index, "i", user_id, ref_time, params)
-    ids_s, scores_s = _bll_scores(index, "s", user_id, ref_time, params)
-    ids = np.union1d(ids_i, ids_s)
-    norm_i, norm_s = np.zeros(len(ids)), np.zeros(len(ids))
-    norm_i[np.searchsorted(ids, ids_i)] = minmax_normalize(scores_i)
-    norm_s[np.searchsorted(ids, ids_s)] = minmax_normalize(scores_s)
-    return _rank(ids, mix.beta * norm_i + (1.0 - mix.beta) * norm_s, k, index, ref_time)
-
-
-def recommend_cf(
-    index: CorpusIndex,
-    user_id: str,
-    ref_time: int,
-    k: int,
-    params: CFParams = CFParams(),
-) -> Ranked:
-    """User-based collaborative filtering over hashtag count profiles.
-
-    Neighbors are the top n_neighbors users (anyone in the dataset except
-    the query user) by cosine similarity at ref_time; a candidate's score
-    is the similarity-weighted sum of neighbor usage counts. An empty
-    query profile is a cold start and yields an empty list.
-
-    Only users sharing a hashtag with the query user have a nonzero
-    similarity. Dot products and squared norms are exact integer-valued
-    float64 sums (see index.MAX_USER_ROWS).
-    """
-    _require_seed(index, user_id)
-    corpus, end = index.corpus, index.end(ref_time)
-    profile_ids, profile_counts, _ = index.profiles([user_id], end)
-    if not len(profile_ids):
-        return []
-    users = corpus.user[:end].astype(np.intp)  # bincount with weights is slower on int32
-    weights = np.zeros(len(corpus.tags))
-    weights[profile_ids] = profile_counts
-    dots = np.bincount(users, weights=weights[corpus.tag[:end]], minlength=len(corpus.users))
-    norms = np.sqrt(np.bincount(users, weights=index.sq[:end], minlength=len(corpus.users)))
-    u = index.user_ids[user_id]
-    dots[u] = 0.0
-    sims = np.divide(dots, norms[u] * norms, out=np.zeros_like(dots), where=dots > 0)
-    near, names = np.flatnonzero(sims), corpus.users
-    top = _top(near, sims[near], params.n_neighbors, key=lambda item: (-item[1], names[item[0]]))
-    ids, counts, owners = index.profiles([names[v] for v, _ in top], end)
-    # each neighbor's sim * count, added per hashtag in neighbor order from
-    # 0.0; every term is positive, so the candidates are the nonzero totals
-    totals = np.bincount(ids, weights=sims[owners] * counts)
-    candidates = np.flatnonzero(totals)
-    return _rank(candidates, totals[candidates], k, index, ref_time)
-
-
-def recommend_most_popular(index: CorpusIndex, ref_time: int, k: int) -> Ranked:
-    """Global usage counts strictly before ref_time, by count, then hashtag."""
-    counts = index.global_counts_before(ref_time)
-    used = np.flatnonzero(counts)
-    return _rank(used, counts[used].astype(np.float64), k, index, ref_time)
+    cf: CFParams = CFParams(),
+) -> Iterator[dict[str, Ranked]]:
+    """{algorithm: recommend(algorithm, index, users[i], ref_times[i], k)}
+    for each query i in order, scored in blocks of at most _BLOCK_ROWS rows
+    of the users' and their followees' history; a name given twice is
+    scored once."""
+    algorithms = list(dict.fromkeys(algorithms))
+    for algo in algorithms:
+        if algo not in ALGORITHM_NAMES:
+            raise ValueError(f"unknown algorithm {algo!r}; expected one of {ALGORITHM_NAMES}")
+    refs, users = list(ref_times), list(users)
+    ends = np.array([index.end(ref) for ref in refs], dtype=np.int64)
+    popular = _most_popular(index, ends, k) if "mp" in algorithms else None
+    others = [algo for algo in algorithms if algo != "mp"]
+    if not others:
+        for lists in popular:
+            yield {"mp": lists}
+        return
+    for user_id in users:
+        if not index.network.is_seed(user_id):
+            raise NotSeedUser(f"user {user_id!r} has no followee entry")
+    sizes = sum(np.bincount(q, index.user_row_counts(u, ends[q]), minlength=len(users))
+                for q, u in (_pairs(index, users, False), _pairs(index, users, True)))
+    for lo, hi in _cuts(sizes, _BLOCK_ROWS, index.max_queries):
+        block = _Block(index, users[lo:hi], refs[lo:hi], k, bll, mix, cf)
+        lists = {algo: getattr(block, algo)() for algo in others}
+        for q in range(hi - lo):
+            yield {algo: popular[lo + q] if algo == "mp" else lists[algo][q]
+                   for algo in algorithms}
 
 
 def recommend(
@@ -287,15 +507,36 @@ def recommend(
     mix: MixParams = MixParams(),
     cf: CFParams = CFParams(),
 ) -> Ranked:
-    """Dispatch by algorithm name (one of ALGORITHM_NAMES)."""
-    if algo == "bll_i":
-        return recommend_bll_i(index, user_id, ref_time, k, bll)
-    if algo == "bll_s":
-        return recommend_bll_s(index, user_id, ref_time, k, bll)
-    if algo == "bll_is":
-        return recommend_bll_is(index, user_id, ref_time, k, bll, mix)
-    if algo == "cf":
-        return recommend_cf(index, user_id, ref_time, k, cf)
-    if algo == "mp":
-        return recommend_most_popular(index, ref_time, k)
-    raise ValueError(f"unknown algorithm {algo!r}; expected one of {ALGORITHM_NAMES}")
+    """Dispatch by algorithm name (one of ALGORITHM_NAMES): a block of one."""
+    return next(recommend_many(index, [algo], [user_id], [ref_time], k, bll, mix, cf))[algo]
+
+
+def recommend_bll_i(index: CorpusIndex, user_id: str, ref_time: int, k: int,
+                    params: BLLParams = BLLParams()) -> Ranked:
+    """Rank the user's own previously used hashtags by activation."""
+    return recommend("bll_i", index, user_id, ref_time, k, bll=params)
+
+
+def recommend_bll_s(index: CorpusIndex, user_id: str, ref_time: int, k: int,
+                    params: BLLParams = BLLParams()) -> Ranked:
+    """Rank hashtags previously used by the user's followees, activation
+    computed over the union of all followees' usage times."""
+    return recommend("bll_s", index, user_id, ref_time, k, bll=params)
+
+
+def recommend_bll_is(index: CorpusIndex, user_id: str, ref_time: int, k: int,
+                     params: BLLParams = BLLParams(), mix: MixParams = MixParams()) -> Ranked:
+    """Convex mix of the individual and social activations (see _Block.bll_is)."""
+    return recommend("bll_is", index, user_id, ref_time, k, bll=params, mix=mix)
+
+
+def recommend_cf(index: CorpusIndex, user_id: str, ref_time: int, k: int,
+                 params: CFParams = CFParams()) -> Ranked:
+    """User-based collaborative filtering over hashtag count profiles (see
+    _Block.cf)."""
+    return recommend("cf", index, user_id, ref_time, k, cf=params)
+
+
+def recommend_most_popular(index: CorpusIndex, ref_time: int, k: int) -> Ranked:
+    """Global usage counts strictly before ref_time, by count, then hashtag."""
+    return _most_popular(index, np.array([index.end(ref_time)], dtype=np.int64), k)[0]

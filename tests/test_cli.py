@@ -12,7 +12,10 @@ import pytest
 
 from tagreuse import classify, cli, temporal
 from tagreuse.corpus import Corpus, load_corpus
+from tagreuse.diversity import HybridParams, SimilarityIndex, normalize_scores, rerank_hybrid
 from tagreuse.evaluation import MAX_K
+from tagreuse.index import CorpusIndex
+from tagreuse.recommend import ALGORITHM_NAMES, recommend
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data"
@@ -179,6 +182,27 @@ def test_no_temp_files_left_behind(capsys, tmp_path):
     argv_template, _ = GOLDEN_CASES["recency"]
     run_cli(capsys, *[a.replace("{tmp}", str(tmp_path)) for a in argv_template])
     assert not list(tmp_path.glob("*.tmp"))
+
+
+@pytest.mark.parametrize("at", [-(10**20), 0, 2**63, 10**20])
+@pytest.mark.parametrize("rerank", [False, True])
+def test_recommend_at_extreme_times_gives_the_api_items(capsys, at, rerank):
+    # reference times far outside int64 reach the recommenders' array code
+    corpus = load_corpus(DATA / "assignments.tsv", DATA / "network.tsv")
+    index = CorpusIndex(corpus)
+    sim_index = SimilarityIndex.from_corpus(corpus, before=at)
+    for algo in ALGORITHM_NAMES:
+        items = recommend(algo, index, "u1", at, 10)
+        if rerank:
+            items = rerank_hybrid(normalize_scores(items), HybridParams(0.5), sim_index)
+        code, out, _ = run_cli(
+            capsys, "recommend", "--assignments", "tests/data/assignments.tsv",
+            "--network", "tests/data/network.tsv", "--algo", algo, "--user", "u1",
+            "--at", str(at), *(["--rerank", "hybrid", "--lambda", "0.5"] if rerank else []),
+        )
+        assert code == 0, (algo, at)
+        assert json.loads(out)["items"] == [{"hashtag": ht, "score": score}
+                                            for ht, score in items], (algo, at)
 
 
 class TestExitCodes:

@@ -6,6 +6,7 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 
 from tagreuse.diversity import (
@@ -16,6 +17,7 @@ from tagreuse.diversity import (
     normalize_scores,
     rerank_hybrid,
     serendipity,
+    _pair_keys,
 )
 from tagreuse.synth import GenParams
 
@@ -187,6 +189,31 @@ class TestIndexLayout:
             assert n_counts == 0
         else:
             assert n_counts > 100
+
+
+def _concatenated_pair_keys(tag, starts, lengths, n_tags):
+    """The pair keys as one block per run length, then concatenated."""
+    blocks = [np.zeros(0, dtype=np.int64)]
+    for size in np.unique(lengths).tolist():
+        tags = tag[starts[lengths == size, None] + np.arange(size)].astype(np.int64)
+        others = (np.arange(size)[:, None] + np.arange(1, size)) % size
+        blocks.append((tags[:, others] + tags[:, :, None] * n_tags).ravel())
+    return np.concatenate(blocks)
+
+
+def test_pair_keys_equal_the_concatenated_blocks():
+    rng = random.Random(11)
+    for _ in range(200):
+        n_tags = rng.randint(1, 40)
+        lengths = np.array([rng.choice([2, 2, 3, 4, 7]) for _ in range(rng.randint(0, 30))],
+                           dtype=np.int64)
+        gaps = np.array([rng.randint(0, 3) for _ in lengths], dtype=np.int64)
+        starts = np.cumsum(gaps) + np.concatenate(([0], np.cumsum(lengths)[:-1]))
+        tag = np.array([rng.randrange(n_tags) for _ in range(int(lengths.sum() + gaps.sum()))],
+                       dtype=np.int32)
+        keys = _pair_keys(tag, starts, lengths, n_tags)
+        assert keys.dtype == np.int64
+        assert keys.tolist() == _concatenated_pair_keys(tag, starts, lengths, n_tags).tolist()
 
 
 class TestPairTable:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from tagreuse import index as index_module
+from tagreuse import recommend as recommend_module
 from tagreuse.corpus import CorpusError, NotSeedUser
 from tagreuse.index import CorpusIndex
 from tagreuse.recommend import (
@@ -26,10 +27,11 @@ from tagreuse.recommend import (
     recommend_bll_is,
     recommend_bll_s,
     recommend_cf,
+    recommend_many,
     recommend_most_popular,
     _activations,
-    _bll_scores,
-    _rank,
+    _Block,
+    _rank_lists,
 )
 
 from conftest import corpus_from_tweets, random_corpus, reference_bll_activation
@@ -193,6 +195,14 @@ def _bits(scores: dict) -> dict:
     return {key: score.hex() for key, score in scores.items()}
 
 
+def _social_scores(index, user, ref, params):
+    """(tag ids, bll_s activations) of the user's pooled followee traces,
+    scored as a block of one query."""
+    block = _Block(index, [user], [ref], 0, params, MixParams(), CFParams())
+    keys, scores = block.social_scores
+    return keys % len(index.corpus.tags), scores
+
+
 def _trace_dict(index, users, ref):
     """{hashtag: trace} of index.traces(users) before ref."""
     ids, times, bounds = index.traces(users, index.end(ref))
@@ -269,7 +279,7 @@ class TestActivationKernel:
                         sources.setdefault(a.hashtag, set()).add(a.user_id)
                 pooled += sum(len(users) > 1 for users in sources.values())
                 for params in (BLLParams(d=D), BLLParams(d=2.5, min_delta_seconds=4)):
-                    ids, scores = _bll_scores(index, "s", user, ref, params)
+                    ids, scores = _social_scores(index, user, ref, params)
                     got = dict(zip(map(corpus.tags.__getitem__, ids.tolist()), scores.tolist()))
                     expected = {ht: bll_activation(sorted(times), ref, params)
                                 for ht, times in merged.items()}
@@ -656,9 +666,10 @@ class TestBllBitsAgainstOracles:
 
 
 class TestCursorReads:
-    """bll_i, bll_s and bll_is read traces from the index's sorted order and
-    cache their score dicts for the latest reference time; mp and the
-    ranking tie-break read the cached global counts."""
+    """bll_i, bll_s and bll_is read traces from the index's sorted orders;
+    a block shares its bll_i and bll_s scores with bll_is, and the index
+    keeps nothing between reads. mp and the ranking tie-break read counts
+    at the reference time from the by-tag order."""
 
     def test_bll_is_after_its_components_equals_fresh_index(self, history_corpus):
         ref = 3600
@@ -673,12 +684,12 @@ class TestCursorReads:
             assert results[d] == fresh
         # the two decays rank differently, so a cache keyed without them shows
         assert results[D] != results[2.0]
-        # reads at one time keep the cache: one entry per (kind, user, params)
-        at, values = index._cache
-        assert at == ref
-        assert set(values) - {"global_counts"} == {
-            (kind, "A", BLLParams(d=d)) for kind in "is" for d in (D, 2.0)
-        }
+        # reads leave no state behind: the index's attributes are as built
+        built = vars(CorpusIndex(history_corpus))
+        assert vars(index).keys() == built.keys()
+        for name, value in vars(index).items():
+            if isinstance(value, np.ndarray):
+                assert np.array_equal(value, built[name]), name
 
     def test_bll_is_after_components_on_random_corpora(self):
         rng = random.Random(8080)
@@ -764,7 +775,9 @@ class TestCursorReads:
                 k, scores.items(),
                 key=lambda item: (-item[1], -_oracle_freq(tied_corpus, item[0], ref), item[0]),
             )
-            assert _rank(ids, values, k, index, ref) == expected, k
+            query = np.zeros(len(ids), dtype=np.int64)
+            ends = np.array([index.end(ref)])
+            assert _rank_lists(index, ends, query, ids, values, k) == [expected], k
 
     def test_prefiltered_most_popular_equals_unfiltered(self, tied_corpus):
         ref = 10_000
@@ -824,6 +837,91 @@ class TestSharedIndex:
         monkeypatch.setattr(index_module, "MAX_USER_ROWS", 2)
         with pytest.raises(CorpusError, match="exact"):
             CorpusIndex(corpus)
+
+
+def _with_silent_users(rng, corpus):
+    """The corpus plus seeds with no rows, each following users with rows
+    and users with none."""
+    tweets: dict[tuple, list[str]] = {}
+    for a in corpus.assignments:
+        tweets.setdefault((a.user_id, a.tweet_id, a.timestamp), []).append(a.hashtag)
+    edges = {seed: set(followees) for seed, followees in corpus.network.edges.items()}
+    users = sorted(corpus.all_users())
+    for i in range(rng.randint(1, 3)):
+        edges[f"cold{i}"] = set(rng.sample(users, rng.randint(0, min(4, len(users))))) | {
+            f"ghost{i}"}
+    return corpus_from_tweets([(*key, tuple(tags)) for key, tags in tweets.items()], edges)
+
+
+class TestBlocks:
+    """recommend_many scores many queries per block; every list equals the
+    one-query recommend() list, scores float.hex for float.hex, wherever the
+    block boundaries fall."""
+
+    def test_blocks_equal_one_query_lists(self, monkeypatch):
+        rng = random.Random(2151)
+        seen = Counter()
+        for _ in range(30):
+            corpus = _with_silent_users(rng, random_corpus(
+                rng, max_users=14, max_assignments=200, max_timestamp=60))
+            index = CorpusIndex(corpus)
+            per_ts = Counter(corpus.ts.tolist())
+            tied = [ts for ts, n in per_ts.items() if n > 1]
+            last = int(corpus.ts[-1]) if len(corpus.ts) else 0
+            refs = [last + 1, *rng.sample(tied, min(3, len(tied)))]
+            seeds = sorted(corpus.seed_users)
+            # several users at one tied reference time, and users twice
+            queries = [(user, ref) for user in rng.sample(seeds, min(6, len(seeds)))
+                       for ref in refs]
+            rng.shuffle(queries)
+            users, times = [u for u, _ in queries], [r for _, r in queries]
+            # d = 200 sends traces with every gap above 41 to log space; k = 50
+            # is above every candidate count
+            bll = rng.choice([BLLParams(d=D), BLLParams(d=200.0), BLLParams(d=1.7,
+                                                                             min_delta_seconds=5)])
+            mix, cf = MixParams(beta=rng.choice([0.0, 0.3, 1.0])), CFParams(rng.choice([1, 3, 20]))
+            k = rng.choice([1, 3, 50])
+            expected = [{algo: recommend(algo, index, user, ref, k, bll, mix, cf)
+                         for algo in ALGORITHM_NAMES} for user, ref in queries]
+            for budget in (1, 2**62):
+                monkeypatch.setattr(recommend_module, "_BLOCK_ROWS", budget)
+                got = list(recommend_many(index, ALGORITHM_NAMES, users, times, k, bll, mix, cf))
+                assert [{algo: [(ht, s.hex()) for ht, s in lists[algo]] for algo in lists}
+                        for lists in got] == \
+                    [{algo: [(ht, s.hex()) for ht, s in lists[algo]] for algo in lists}
+                     for lists in expected], budget
+            for (user, ref), lists in zip(queries, expected):
+                own = _oracle_traces(corpus, {user}, ref)
+                seen["cold start"] += not own and lists["cf"] == []
+                seen["silent followee"] += any(f not in corpus.users
+                                               for f in corpus.network.edges[user])
+                seen["log space"] += bll.d == 200.0 and any(
+                    all(max(ref - t, 1) ** -bll.d == 0.0 for t in ts) for ts in own.values())
+                seen["k above"] += k == 50 and 0 < len(lists["bll_s"]) < k
+            seen["tied refs"] += bool(tied)
+        assert min(seen.values()) >= 10, seen
+
+    def test_repeated_and_unknown_names(self, history_corpus):
+        index = CorpusIndex(history_corpus)
+        got = list(recommend_many(index, ["mp", "bll_i", "mp"], ["A", "D"], [3600, 2000], 5))
+        assert [sorted(lists) for lists in got] == [["bll_i", "mp"]] * 2
+        assert got[1]["bll_i"] == recommend("bll_i", index, "D", 2000, 5) == []
+        with pytest.raises(ValueError):
+            next(recommend_many(index, ["bll_i", "pagerank"], ["A"], [3600], 5))
+        with pytest.raises(NotSeedUser):
+            next(recommend_many(index, ["cf"], ["A", "C"], [3600, 3600], 5))
+
+    def test_key_budget_bounds_a_block(self, history_corpus, monkeypatch):
+        index = CorpusIndex(history_corpus)
+        index.check_key_budget(index.max_queries)
+        with pytest.raises(ValueError, match="63-bit"):
+            index.check_key_budget(index.max_queries + 1)
+        # blocks are cut at max_queries, so a lower one changes no list
+        expected = list(recommend_many(index, ALGORITHM_NAMES, ["A", "D", "A"],
+                                       [3600, 3600, 1300], 5))
+        monkeypatch.setattr(index, "max_queries", 1)
+        assert list(recommend_many(index, ALGORITHM_NAMES, ["A", "D", "A"],
+                                   [3600, 3600, 1300], 5)) == expected
 
 
 def _minmax(scores: list[float]) -> list[float]:
