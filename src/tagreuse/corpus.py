@@ -141,10 +141,6 @@ class HashtagAssignment:
     hashtag: str
     timestamp: int  # Unix seconds, UTC
 
-    @property
-    def sort_key(self) -> tuple[int, str, str]:
-        return (self.timestamp, self.tweet_id, self.hashtag)
-
 
 @dataclass(frozen=True)
 class FollowNetwork:
@@ -157,9 +153,6 @@ class FollowNetwork:
             return self.edges[user_id]
         except KeyError:
             raise NotSeedUser(f"no followee set known for user {user_id!r}") from None
-
-    def is_seed(self, user_id: str) -> bool:
-        return user_id in self.edges
 
 
 def _intern(ids: dict[str, int], values: list[str]) -> np.ndarray:
@@ -364,7 +357,7 @@ def _assemble(network: FollowNetwork, rows: _Rows, n_malformed_lines: int) -> Co
     hashtag) order are sorted by timestamp, near-linear when nearly sorted,
     then rows that tie on it by their tweet id and hashtag string ranks;
     equal neighbours are dropped. A tweet has one timestamp, so rows sort
-    like `HashtagAssignment.sort_key`."""
+    by (timestamp, tweet id, hashtag)."""
     tweet_ids, tags = list(rows.tweet_slot), list(rows.tag_ids)
     first_slot = np.fromiter(rows.tweet_slot.values(), np.int32, len(tweet_ids))  # ascending
     rows.tweet_slot.clear()  # the largest dict of a load; the list keeps its keys

@@ -184,13 +184,6 @@ class CorpusIndex:
         return self.grouped_rows(np.zeros(len(users), dtype=np.int64), users,
                                  np.full(len(users), end), 1)
 
-    def traces(self, user_ids: Iterable[str], end: int) -> tuple[np.ndarray, list[int], list[int]]:
-        """(tag ids, times, bounds): times[bounds[i]:bounds[i + 1]] are the
-        ascending timestamps of tag id ids[i] below `end`, pooled over the
-        given users, tag ids ascending."""
-        ids, bounds, rows = self._pooled(user_ids, end)
-        return ids, self.corpus.ts[rows].tolist(), bounds.tolist()
-
     def profile_before(self, user_id: str, ref_time: int) -> dict[str, int]:
         """Hashtag -> own usage count vector of one user strictly before
         ref_time, hashtags in tag-id order."""

@@ -47,7 +47,6 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .corpus import NotSeedUser
 from .index import CorpusIndex, run_bounds
 
 Ranked = list[tuple[str, float]]
@@ -111,21 +110,12 @@ def bll_activation(
     trace = [t for t in usage_timestamps if t < ref_time]
     if not trace:
         raise NoPriorUsage(f"no usage strictly before ref_time={ref_time}")
-    return _activations(trace, [0, len(trace)], ref_time, params)[0]
-
-
-def _activations(
-    times: list[int], bounds: list[int], ref_time: int, params: BLLParams
-) -> list[float]:
-    """Activation of each non-empty trace times[bounds[i]:bounds[i + 1]]
-    of times strictly before ref_time, in trace order (see _activations_of)."""
     try:
-        times_array = np.array(times, dtype=np.int64)
+        times = np.array(trace, dtype=np.int64)
     except OverflowError:
-        times_array = np.array(times, dtype=object)
-    n_traces = len(bounds) - 1
-    return _activations_of(times_array, np.array(bounds), [ref_time],
-                           np.zeros(n_traces, dtype=np.int64), params).tolist()
+        times = np.array(trace, dtype=object)
+    return float(_activations_of(times, np.array([0, len(trace)]), [ref_time],
+                                 np.zeros(1, dtype=np.int64), params)[0])
 
 
 def _run_sums(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
@@ -270,17 +260,17 @@ def _most_popular(index: CorpusIndex, ends: np.ndarray, k: int) -> list[Ranked]:
 
 
 class _Block:
-    """Seed users' queries scored together: query q is (users[q], refs[q]).
-    A part that several algorithms read (the traces, the bll_i and bll_s
+    """Seed users' queries scored together: query q is at refs[q], below row
+    ends[q]; `own` and `social` are the _pairs of the block's queries. A
+    part that several algorithms read (the traces, the bll_i and bll_s
     scores) is computed once, on first read, from the rows below each
     query's end."""
 
-    def __init__(self, index: CorpusIndex, users: Sequence[str], refs: Sequence[int], k: int,
-                 bll: BLLParams, mix: MixParams, cf: CFParams):
-        index.check_key_budget(len(refs))
-        self.index, self.refs, self.k = index, list(refs), k
-        self.ends = np.array([index.end(ref) for ref in self.refs], dtype=np.int64)
-        self._own, self._social = _pairs(index, users, False), _pairs(index, users, True)
+    def __init__(self, index: CorpusIndex, refs: Sequence[int], ends: np.ndarray,
+                 own: tuple[np.ndarray, np.ndarray], social: tuple[np.ndarray, np.ndarray],
+                 k: int, bll: BLLParams, mix: MixParams, cf: CFParams):
+        self.index, self.refs, self.ends, self.k = index, refs, ends, k
+        self._own, self._social = own, social
         self.bll_params, self.mix_params, self.cf_params = bll, mix, cf
         self.n_tags = len(index.corpus.tags)
 
@@ -447,7 +437,8 @@ def _cuts(sizes: np.ndarray, budget: int, max_n: int) -> Iterator[tuple[int, int
 
 def _pairs(index: CorpusIndex, users: Sequence[str], social: bool) -> tuple[np.ndarray, ...]:
     """(query, user id) of each query's own user or, with `social`, of each
-    of its followees, for the users with rows; query ascending."""
+    of its followees, for the users with rows; query ascending. With
+    `social`, a user with no followee entry raises NotSeedUser."""
     get = index.user_ids.get
     query, ids = [], []
     for q, user_id in enumerate(users):
@@ -473,6 +464,8 @@ def recommend_many(
     of the users' and their followees' history; a name given twice is
     scored once."""
     algorithms = list(dict.fromkeys(algorithms))
+    if not algorithms:
+        raise ValueError(f"no algorithm given; expected some of {ALGORITHM_NAMES}")
     for algo in algorithms:
         if algo not in ALGORITHM_NAMES:
             raise ValueError(f"unknown algorithm {algo!r}; expected one of {ALGORITHM_NAMES}")
@@ -484,13 +477,15 @@ def recommend_many(
         for lists in popular:
             yield {"mp": lists}
         return
-    for user_id in users:
-        if not index.network.is_seed(user_id):
-            raise NotSeedUser(f"user {user_id!r} has no followee entry")
+    pairs = _pairs(index, users, False), _pairs(index, users, True)
     sizes = sum(np.bincount(q, index.user_row_counts(u, ends[q]), minlength=len(users))
-                for q, u in (_pairs(index, users, False), _pairs(index, users, True)))
+                for q, u in pairs)
     for lo, hi in _cuts(sizes, _BLOCK_ROWS, index.max_queries):
-        block = _Block(index, users[lo:hi], refs[lo:hi], k, bll, mix, cf)
+        cut = []
+        for q, u in pairs:
+            a, b = np.searchsorted(q, (lo, hi))
+            cut.append((q[a:b] - lo, u[a:b]))
+        block = _Block(index, refs[lo:hi], ends[lo:hi], *cut, k, bll, mix, cf)
         lists = {algo: getattr(block, algo)() for algo in others}
         for q in range(hi - lo):
             yield {algo: popular[lo + q] if algo == "mp" else lists[algo][q]
@@ -507,36 +502,6 @@ def recommend(
     mix: MixParams = MixParams(),
     cf: CFParams = CFParams(),
 ) -> Ranked:
-    """Dispatch by algorithm name (one of ALGORITHM_NAMES): a block of one."""
+    """Dispatch by algorithm name (one of ALGORITHM_NAMES): a block of one.
+    A user with no followee entry raises NotSeedUser unless algo is mp."""
     return next(recommend_many(index, [algo], [user_id], [ref_time], k, bll, mix, cf))[algo]
-
-
-def recommend_bll_i(index: CorpusIndex, user_id: str, ref_time: int, k: int,
-                    params: BLLParams = BLLParams()) -> Ranked:
-    """Rank the user's own previously used hashtags by activation."""
-    return recommend("bll_i", index, user_id, ref_time, k, bll=params)
-
-
-def recommend_bll_s(index: CorpusIndex, user_id: str, ref_time: int, k: int,
-                    params: BLLParams = BLLParams()) -> Ranked:
-    """Rank hashtags previously used by the user's followees, activation
-    computed over the union of all followees' usage times."""
-    return recommend("bll_s", index, user_id, ref_time, k, bll=params)
-
-
-def recommend_bll_is(index: CorpusIndex, user_id: str, ref_time: int, k: int,
-                     params: BLLParams = BLLParams(), mix: MixParams = MixParams()) -> Ranked:
-    """Convex mix of the individual and social activations (see _Block.bll_is)."""
-    return recommend("bll_is", index, user_id, ref_time, k, bll=params, mix=mix)
-
-
-def recommend_cf(index: CorpusIndex, user_id: str, ref_time: int, k: int,
-                 params: CFParams = CFParams()) -> Ranked:
-    """User-based collaborative filtering over hashtag count profiles (see
-    _Block.cf)."""
-    return recommend("cf", index, user_id, ref_time, k, cf=params)
-
-
-def recommend_most_popular(index: CorpusIndex, ref_time: int, k: int) -> Ranked:
-    """Global usage counts strictly before ref_time, by count, then hashtag."""
-    return _most_popular(index, np.array([index.end(ref_time)], dtype=np.int64), k)[0]

@@ -6,6 +6,8 @@ import hashlib
 import json
 import math
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -203,6 +205,28 @@ def test_recommend_at_extreme_times_gives_the_api_items(capsys, at, rerank):
         assert code == 0, (algo, at)
         assert json.loads(out)["items"] == [{"hashtag": ht, "score": score}
                                             for ht, score in items], (algo, at)
+
+
+def test_recommend_mp_serves_a_user_without_followee_entry(capsys):
+    corpus = load_corpus(DATA / "assignments.tsv", DATA / "network.tsv")
+    assert "nobody" not in corpus.network.edges
+    items = recommend("mp", CorpusIndex(corpus), "nobody", 10**10, 10)
+    code, out, _ = run_cli(
+        capsys, "recommend", "--assignments", "tests/data/assignments.tsv",
+        "--network", "tests/data/network.tsv", "--algo", "mp", "--user", "nobody",
+        "--at", str(10**10),
+    )
+    assert code == 0 and items
+    assert json.loads(out)["items"] == [{"hashtag": ht, "score": score} for ht, score in items]
+
+
+def test_bench_tracer_installs():
+    # bench/tracing.py wraps functions of the package by name, so deleting
+    # one it wraps fails here too, not only in the benchmark's own tests
+    code = "import sys; sys.path[:0] = sys.argv[1:]; from tracing import Tracer; Tracer().install()"
+    run = subprocess.run([sys.executable, "-c", code, str(ROOT / "bench"), str(ROOT / "src")],
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
 
 
 class TestExitCodes:

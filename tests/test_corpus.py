@@ -883,7 +883,7 @@ class TestInvariants:
         rng = random.Random(7)
         for _ in range(20):
             corpus = random_corpus(rng, max_users=10, max_assignments=120, max_timestamp=20)
-            keys = [a.sort_key for a in corpus.assignments]
+            keys = [(a.timestamp, a.tweet_id, a.hashtag) for a in corpus.assignments]
             assert keys == sorted(keys)
             assert len(set(keys)) == len(keys)
             corpus.validate()

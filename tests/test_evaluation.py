@@ -168,6 +168,10 @@ class TestEvaluate:
         with pytest.raises(NoEvaluableUsers):
             evaluate(corpus, ["mp"])
 
+    def test_empty_algorithm_list_rejected(self):
+        with pytest.raises(ValueError, match="no algorithm"):
+            evaluate(_single_user_corpus(), [])
+
     def test_k_max_points_per_algorithm(self):
         corpus = _single_user_corpus()
         report = evaluate(corpus, ["bll_i", "bll_is", "cf", "mp"], EvalConfig(k_max=10))

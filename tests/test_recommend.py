@@ -23,14 +23,8 @@ from tagreuse.recommend import (
     bll_activation,
     minmax_normalize,
     recommend,
-    recommend_bll_i,
-    recommend_bll_is,
-    recommend_bll_s,
-    recommend_cf,
     recommend_many,
-    recommend_most_popular,
-    _activations,
-    _Block,
+    _activations_of,
     _rank_lists,
 )
 
@@ -195,24 +189,18 @@ def _bits(scores: dict) -> dict:
     return {key: score.hex() for key, score in scores.items()}
 
 
-def _social_scores(index, user, ref, params):
-    """(tag ids, bll_s activations) of the user's pooled followee traces,
-    scored as a block of one query."""
-    block = _Block(index, [user], [ref], 0, params, MixParams(), CFParams())
-    keys, scores = block.social_scores
-    return keys % len(index.corpus.tags), scores
-
-
 def _trace_dict(index, users, ref):
-    """{hashtag: trace} of index.traces(users) before ref."""
-    ids, times, bounds = index.traces(users, index.end(ref))
+    """{hashtag: trace} of the users' rows before ref, pooled per tag by
+    index._pooled."""
+    ids, bounds, rows = index._pooled(users, index.end(ref))
+    times, bounds = index.corpus.ts[rows].tolist(), bounds.tolist()
     names = index.corpus.tags
     return {names[t]: times[a:b] for t, a, b in zip(ids.tolist(), bounds, bounds[1:])}
 
 
 class TestActivationKernel:
-    """_activations scores the traces of a flat time list cut by run bounds
-    with the arithmetic of bll_activation and of a plain per-term
+    """_activations_of scores the traces of a flat time array cut by run
+    bounds with the arithmetic of bll_activation and of a plain per-term
     reference, bit for bit."""
 
     def test_matches_per_trace_activation_on_random_traces(self):
@@ -239,7 +227,8 @@ class TestActivationKernel:
             bounds = [0]
             for trace in traces.values():
                 bounds.append(bounds[-1] + len(trace))
-            scores = _activations(times, bounds, ref, params)
+            scores = _activations_of(np.array(times, dtype=np.int64), np.array(bounds), [ref],
+                                     np.zeros(len(traces), dtype=np.int64), params).tolist()
             assert len(scores) == len(traces)
             got = dict(zip(traces, scores))
             per_trace = {ht: bll_activation(trace, ref, params) for ht, trace in traces.items()}
@@ -279,8 +268,8 @@ class TestActivationKernel:
                         sources.setdefault(a.hashtag, set()).add(a.user_id)
                 pooled += sum(len(users) > 1 for users in sources.values())
                 for params in (BLLParams(d=D), BLLParams(d=2.5, min_delta_seconds=4)):
-                    ids, scores = _social_scores(index, user, ref, params)
-                    got = dict(zip(map(corpus.tags.__getitem__, ids.tolist()), scores.tolist()))
+                    # every candidate of the user's bll_s list, scored by its block
+                    got = dict(recommend("bll_s", index, user, ref, len(corpus.tags), bll=params))
                     expected = {ht: bll_activation(sorted(times), ref, params)
                                 for ht, times in merged.items()}
                     assert _bits(got) == _bits(expected), (user, ref)
@@ -307,7 +296,7 @@ class TestBllI:
     def test_matches_oracle(self, history_corpus):
         ref = 3600
         index = CorpusIndex(history_corpus)
-        got = recommend_bll_i(index, "A", ref, 10, BLLParams(d=D))
+        got = recommend("bll_i", index, "A", ref, 10, bll=BLLParams(d=D))
         scores = _oracle_bll_i_scores(history_corpus, "A", ref)
         expected = _oracle_order(history_corpus, scores, ref, 10)
         assert [ht for ht, _ in got] == [ht for ht, _ in expected]
@@ -316,27 +305,27 @@ class TestBllI:
 
     def test_empty_history(self, history_corpus):
         index = CorpusIndex(history_corpus)
-        assert recommend_bll_i(index, "D", 3600, 5) == []
+        assert recommend("bll_i", index, "D", 3600, 5) == []
 
     def test_k1_is_argmax(self, history_corpus):
         index = CorpusIndex(history_corpus)
-        full = recommend_bll_i(index, "A", 3600, 10)
-        assert recommend_bll_i(index, "A", 3600, 1) == full[:1]
+        full = recommend("bll_i", index, "A", 3600, 10)
+        assert recommend("bll_i", index, "A", 3600, 1) == full[:1]
 
     def test_not_seed_raises(self, history_corpus):
         with pytest.raises(NotSeedUser):
-            recommend_bll_i(CorpusIndex(history_corpus), "C", 3600, 5)
+            recommend("bll_i", CorpusIndex(history_corpus), "C", 3600, 5)
 
 
 class TestBllS:
     def test_no_followees_empty(self):
         corpus = corpus_from_tweets([("B", "t1", 10, ("x",))], {"A": set()})
-        assert recommend_bll_s(CorpusIndex(corpus), "A", 100, 5) == []
+        assert recommend("bll_s", CorpusIndex(corpus), "A", 100, 5) == []
 
     def test_single_followee_single_usage(self):
         ref = 10_000
         corpus = corpus_from_tweets([("B", "t1", ref - 3600, ("x",))], {"A": {"B"}})
-        got = recommend_bll_s(CorpusIndex(corpus), "A", ref, 5)
+        got = recommend("bll_s", CorpusIndex(corpus), "A", ref, 5)
         assert [ht for ht, _ in got] == ["x"]
         assert got[0][1] == pytest.approx(math.log(3600**-0.5), abs=1e-12)
 
@@ -344,13 +333,13 @@ class TestBllS:
         ref = 5000
         tweets = [("B1", "t1", 1000, ("x",)), ("B2", "t2", 3000, ("x",))]
         corpus = corpus_from_tweets(tweets, {"A": {"B1", "B2"}})
-        got = recommend_bll_s(CorpusIndex(corpus), "A", ref, 5)
+        got = recommend("bll_s", CorpusIndex(corpus), "A", ref, 5)
         pooled = math.log(4000**-0.5 + 2000**-0.5)
         assert got[0][1] == pytest.approx(pooled, abs=1e-12)
 
     def test_matches_oracle(self, history_corpus):
         ref = 3600
-        got = recommend_bll_s(CorpusIndex(history_corpus), "A", ref, 10)
+        got = recommend("bll_s", CorpusIndex(history_corpus), "A", ref, 10)
         scores = _oracle_bll_s_scores(history_corpus, "A", ref)
         expected = _oracle_order(history_corpus, scores, ref, 10)
         assert [ht for ht, _ in got] == [ht for ht, _ in expected]
@@ -362,8 +351,8 @@ class TestBllIS:
         # preserves the individual ranking exactly
         ref = 3600
         index = CorpusIndex(history_corpus)
-        mixed = recommend_bll_is(index, "A", ref, 10, mix=MixParams(beta=1.0))
-        own_only = recommend_bll_i(index, "A", ref, 10)
+        mixed = recommend("bll_is", index, "A", ref, 10, mix=MixParams(beta=1.0))
+        own_only = recommend("bll_i", index, "A", ref, 10)
         own_set = {ht for ht, _ in own_only}
         restricted = [ht for ht, _ in mixed if ht in own_set]
         assert restricted == [ht for ht, _ in own_only]
@@ -372,8 +361,8 @@ class TestBllIS:
     def test_beta_zero_matches_social_order(self, history_corpus):
         ref = 3600
         index = CorpusIndex(history_corpus)
-        mixed = recommend_bll_is(index, "A", ref, 10, mix=MixParams(beta=0.0))
-        social_only = recommend_bll_s(index, "A", ref, 10)
+        mixed = recommend("bll_is", index, "A", ref, 10, mix=MixParams(beta=0.0))
+        social_only = recommend("bll_s", index, "A", ref, 10)
         social_set = {ht for ht, _ in social_only}
         restricted = [ht for ht, _ in mixed if ht in social_set]
         assert restricted == [ht for ht, _ in social_only]
@@ -391,7 +380,7 @@ class TestBllIS:
             ("B", "t3", 8000, ("solo",)),
         ]
         corpus = corpus_from_tweets(tweets, {"A": {"B"}})
-        got = recommend_bll_is(CorpusIndex(corpus), "A", ref, 5)
+        got = recommend("bll_is", CorpusIndex(corpus), "A", ref, 5)
         scores = dict(got)
         assert scores["both"] == pytest.approx(0.5 * 1.0 + 0.5 * 1.0)
         assert scores["solo"] == pytest.approx(0.5 * 1.0)
@@ -400,8 +389,8 @@ class TestBllIS:
     def test_matches_oracle_composition(self, history_corpus):
         ref = 3600
         beta = 0.3
-        got = recommend_bll_is(
-            CorpusIndex(history_corpus), "A", ref, 10, mix=MixParams(beta=beta)
+        got = recommend(
+            "bll_is", CorpusIndex(history_corpus), "A", ref, 10, mix=MixParams(beta=beta)
         )
         ni = _oracle_minmax(_oracle_bll_i_scores(history_corpus, "A", ref))
         ns = _oracle_minmax(_oracle_bll_s_scores(history_corpus, "A", ref))
@@ -427,19 +416,19 @@ class TestCF:
             ("V", "t3", 30, ("x",)), ("V", "t4", 40, ("y",)),
         ]
         corpus = corpus_from_tweets(tweets, {"A": set()})
-        got = recommend_cf(CorpusIndex(corpus), "A", ref, 5, CFParams(n_neighbors=5))
+        got = recommend("cf", CorpusIndex(corpus), "A", ref, 5, cf=CFParams(n_neighbors=5))
         # neighbor V has sim 1.0; scores are 1.0 * count
         assert dict(got) == pytest.approx({"x": 1.0, "y": 1.0})
 
     def test_orthogonal_profiles_contribute_nothing(self):
         tweets = [("A", "t1", 10, ("x",)), ("V", "t2", 20, ("y",))]
         corpus = corpus_from_tweets(tweets, {"A": set()})
-        assert recommend_cf(CorpusIndex(corpus), "A", 100, 5) == []
+        assert recommend("cf", CorpusIndex(corpus), "A", 100, 5) == []
 
     def test_cold_start_empty_profile(self):
         tweets = [("V", "t1", 10, ("x",))]
         corpus = corpus_from_tweets(tweets, {"A": set()})
-        assert recommend_cf(CorpusIndex(corpus), "A", 100, 5) == []
+        assert recommend("cf", CorpusIndex(corpus), "A", 100, 5) == []
 
     def test_three_user_fixture_matches_brute_force(self):
         ref = 1000
@@ -450,7 +439,7 @@ class TestCF:
             ("V2", "t4", 40, ("w", "y")),
         ]
         corpus = corpus_from_tweets(tweets, {"A": set()})
-        got = recommend_cf(CorpusIndex(corpus), "A", ref, 10, CFParams(n_neighbors=2))
+        got = recommend("cf", CorpusIndex(corpus), "A", ref, 10, cf=CFParams(n_neighbors=2))
         scores = _oracle_cf_scores(corpus, "A", ref, 2)
         expected = _oracle_order(corpus, scores, ref, 10)
         assert [ht for ht, _ in got] == [ht for ht, _ in expected]
@@ -467,7 +456,7 @@ class TestCF:
             index = CorpusIndex(corpus)
             for ref in _rewinding_refs(rng, corpus):
                 for user in sorted(corpus.seed_users)[:3]:
-                    got = recommend_cf(index, user, ref, 10, CFParams(n_neighbors=4))
+                    got = recommend("cf", index, user, ref, 10, cf=CFParams(n_neighbors=4))
                     scores = _oracle_cf_scores(corpus, user, ref, 4)
                     if scores is None:
                         assert got == []
@@ -493,7 +482,8 @@ class TestCF:
                 for user in sorted(corpus.seed_users)[:4]:
                     n = rng.choice([1, 3, 20])
                     scores = _oracle_cf_scores(corpus, user, ref, n) or {}
-                    got = recommend_cf(index, user, ref, len(scores) + 1, CFParams(n_neighbors=n))
+                    got = recommend("cf", index, user, ref, len(scores) + 1,
+                                    cf=CFParams(n_neighbors=n))
                     assert _bits(dict(got)) == _bits(scores), (user, ref, n)
                     assert got == _oracle_order(corpus, scores, ref, len(scores))
                     checked += bool(scores)
@@ -503,7 +493,7 @@ class TestCF:
 class TestMostPopular:
     def test_empty_corpus(self):
         corpus = corpus_from_tweets([], {})
-        assert recommend_most_popular(CorpusIndex(corpus), 100, 5) == []
+        assert recommend("mp", CorpusIndex(corpus), "u", 100, 5) == []
 
     def test_counts_order(self):
         tweets = [
@@ -511,19 +501,19 @@ class TestMostPopular:
             ("u", "t3", 30, ("a",)), ("v", "t4", 40, ("b",)),
         ]
         corpus = corpus_from_tweets(tweets, {})
-        got = recommend_most_popular(CorpusIndex(corpus), 100, 5)
+        got = recommend("mp", CorpusIndex(corpus), "u", 100, 5)
         assert got == [("a", 3.0), ("b", 1.0)]
 
     def test_tie_broken_lexicographically(self):
         tweets = [("u", "t1", 10, ("zz", "aa"))]
         corpus = corpus_from_tweets(tweets, {})
-        got = recommend_most_popular(CorpusIndex(corpus), 100, 5)
+        got = recommend("mp", CorpusIndex(corpus), "u", 100, 5)
         assert [ht for ht, _ in got] == ["aa", "zz"]
 
     def test_only_counts_before_ref(self):
         tweets = [("u", "t1", 10, ("a",)), ("u", "t2", 50, ("b",))]
         corpus = corpus_from_tweets(tweets, {})
-        got = recommend_most_popular(CorpusIndex(corpus), 20, 5)
+        got = recommend("mp", CorpusIndex(corpus), "u", 20, 5)
         assert [ht for ht, _ in got] == ["a"]
 
 
@@ -568,8 +558,8 @@ class TestRankedListContracts:
         index = CorpusIndex(corpus)
         params = BLLParams(min_delta_seconds=1000)
         for k in (2, 3):
-            for got in (recommend_most_popular(index, 100, k),
-                        recommend_bll_i(index, "u", 100, k, params)):
+            for got in (recommend("mp", index, "u", 100, k),
+                        recommend("bll_i", index, "u", 100, k, bll=params)):
                 assert [ht for ht, _ in got] == ["aa", "mm", "zz"][:k]
                 assert len({score for _, score in got}) == 1
 
@@ -677,10 +667,10 @@ class TestCursorReads:
         results = {}
         for d in (D, 2.0):
             params = BLLParams(d=d)
-            recommend_bll_i(index, "A", ref, 10, params)
-            recommend_bll_s(index, "A", ref, 10, params)
-            results[d] = recommend_bll_is(index, "A", ref, 10, params)
-            fresh = recommend_bll_is(CorpusIndex(history_corpus), "A", ref, 10, params)
+            recommend("bll_i", index, "A", ref, 10, bll=params)
+            recommend("bll_s", index, "A", ref, 10, bll=params)
+            results[d] = recommend("bll_is", index, "A", ref, 10, bll=params)
+            fresh = recommend("bll_is", CorpusIndex(history_corpus), "A", ref, 10, bll=params)
             assert results[d] == fresh
         # the two decays rank differently, so a cache keyed without them shows
         assert results[D] != results[2.0]
@@ -702,10 +692,11 @@ class TestCursorReads:
             ref = corpus.assignments[-1].timestamp + 1
             for user in sorted(corpus.seed_users)[:3]:
                 for params in (BLLParams(d=D), BLLParams(d=1.7)):
-                    recommend_bll_i(index, user, ref, 10, params)
-                    recommend_bll_s(index, user, ref, 10, params)
-                    got = recommend_bll_is(index, user, ref, 10, params)
-                    assert got == recommend_bll_is(CorpusIndex(corpus), user, ref, 10, params)
+                    recommend("bll_i", index, user, ref, 10, bll=params)
+                    recommend("bll_s", index, user, ref, 10, bll=params)
+                    got = recommend("bll_is", index, user, ref, 10, bll=params)
+                    fresh = recommend("bll_is", CorpusIndex(corpus), user, ref, 10, bll=params)
+                    assert got == fresh
                     checked += 1
         assert checked > 0
 
@@ -722,9 +713,10 @@ class TestCursorReads:
 
     def test_traces_are_ascending_per_user_and_tag(self, history_corpus):
         index = CorpusIndex(history_corpus)
-        ids, times, bounds = index.traces(["A"], index.end(2600))
+        ids, bounds, rows = index._pooled(["A"], index.end(2600))
         assert [history_corpus.tags[t] for t in ids.tolist()] == ["a", "b"]
-        assert (times, bounds) == ([1000, 1500, 2500], [0, 1, 3])
+        assert (history_corpus.ts[rows].tolist(), bounds.tolist()) == ([1000, 1500, 2500],
+                                                                       [0, 1, 3])
         assert _trace_dict(index, ["A"], 2600) == {"a": [1000], "b": [1500, 2500]}
         assert _trace_dict(index, ["B1"], 2600) == {"x": [1200], "b": [1200]}
         assert _trace_dict(index, ["B2"], 2600) == {"x": [2200]}
@@ -742,7 +734,7 @@ class TestCursorReads:
         corpus = corpus_from_tweets(tweets, {"A": {"B1", "B2", "B3"}})
         index = CorpusIndex(corpus)
         before = {f: _trace_dict(index, [f], ref) for f in ("B1", "B2", "B3")}
-        got = dict(recommend_bll_s(index, "A", ref, 10))
+        got = dict(recommend("bll_s", index, "A", ref, 10))
         assert got["x"] == bll_activation([100, 150, 200, 300], ref)
         assert got["y"] == bll_activation([100, 150], ref)
         assert got["w"] == bll_activation([300], ref)
@@ -786,7 +778,7 @@ class TestCursorReads:
         n = len(counts)
         for k in (-1, 0, 1, 5, 8, 9, n, n + 1):
             expected = heapq.nsmallest(k, counts.items(), key=lambda item: (-item[1], item[0]))
-            got = recommend_most_popular(index, ref, k)
+            got = recommend("mp", index, "u", ref, k)
             assert got == [(ht, float(c)) for ht, c in expected], k
 
 
@@ -908,8 +900,25 @@ class TestBlocks:
         assert got[1]["bll_i"] == recommend("bll_i", index, "D", 2000, 5) == []
         with pytest.raises(ValueError):
             next(recommend_many(index, ["bll_i", "pagerank"], ["A"], [3600], 5))
+        with pytest.raises(ValueError, match="no algorithm"):
+            next(recommend_many(index, [], ["A"], [3600], 5))
         with pytest.raises(NotSeedUser):
             next(recommend_many(index, ["cf"], ["A", "C"], [3600, 3600], 5))
+
+    @pytest.mark.parametrize("user", ["C", "nobody"])
+    def test_user_without_followee_entry(self, history_corpus, user):
+        # C has rows and nobody has none; neither has a followee entry
+        index = CorpusIndex(history_corpus)
+        for algo in ("bll_i", "bll_s", "bll_is", "cf"):
+            with pytest.raises(NotSeedUser):
+                recommend(algo, index, user, 3600, 5)
+            with pytest.raises(NotSeedUser):
+                next(recommend_many(index, [algo, "mp"], ["A", user, "D"], [3600] * 3, 5))
+        # mp reads no user, so it serves any
+        popular = recommend("mp", index, "A", 3600, 5)
+        assert popular and recommend("mp", index, user, 3600, 5) == popular
+        got = list(recommend_many(index, ["mp"], ["A", user, "D"], [3600] * 3, 5))
+        assert got == [{"mp": popular}] * 3
 
     def test_key_budget_bounds_a_block(self, history_corpus, monkeypatch):
         index = CorpusIndex(history_corpus)
