@@ -25,8 +25,9 @@ over packed int64 keys of the corpus columns:
 - Each row of a followed user is an exposure of every seed that follows
   that user, keyed by (seed, tag, row). Among the sorted exposures, the
   last one below a seed row's own key (seed, tag, time), within its
-  (seed, tag) block, is the last followee use. Exposures are expanded
-  for one block of seeds at a time.
+  (seed, tag) block, is the last followee use. Exposures are gathered
+  as ranges of the (user, tag) order for one size-budgeted block of
+  seeds at a time, by the run and range kernels of the index module.
 - The network bit only decides the label when neither other bit is set,
   and then some other user used the tag earlier exactly when anyone did:
   when the tag's first use is earlier.
@@ -47,7 +48,7 @@ from typing import Iterator
 import numpy as np
 
 from .corpus import Corpus, CorpusError
-from .index import _last_of_runs
+from .index import concat_ranges, first_of_runs, run_start, size_cuts, user_pairs
 
 
 class ReuseLabel(Enum):
@@ -65,9 +66,10 @@ LABELS = tuple(ReuseLabel)
 _CODES = np.array((4, 0, 1, 2, 3, 0, 1, 2), dtype=np.int8)
 # Packed sort keys are int64, so every key must fit in this many bits.
 KEY_BITS = 63
-# Exposures are expanded for one block of seeds at a time, a new block
-# starting every n_rows // EXPOSURE_BLOCK_DIVISOR exposures (at least 1),
-# which keeps a call's peak memory near that of its sorts over the rows.
+# Exposures are expanded for one block of seeds at a time: consecutive
+# seeds with at most n_rows // EXPOSURE_BLOCK_DIVISOR exposures in all (at
+# least 1; a seed with more is a block alone), which keeps a call's peak
+# memory near that of its sorts over the rows.
 EXPOSURE_BLOCK_DIVISOR = 4
 
 
@@ -127,18 +129,6 @@ class Labels:
         return len(self.rows)
 
 
-def _first_of_runs(*keys: np.ndarray) -> np.ndarray:
-    """Mask of the first position of each run of equal values in all keys."""
-    return np.roll(_last_of_runs(*keys), 1)
-
-
-def _run_start(first: np.ndarray) -> np.ndarray:
-    """Each position's run start, from the mask of run starts."""
-    start = np.arange(len(first), dtype=np.int32)
-    start *= first
-    return np.maximum.accumulate(start, out=start)
-
-
 def _key_bits(n_rows: int, n_users: int, n_tags: int) -> int:
     """Bits of users * tags * 2**bits(n_rows - 1), one past every packed
     (user or seed, tag, row) key of `label_rows`."""
@@ -163,7 +153,7 @@ def label_rows(corpus: Corpus) -> Labels:
                           f" the classifier's int32 row ids or {KEY_BITS}-bit sort keys")
     first_ts = np.full(n_tags, ts[-1])
     np.minimum.at(first_ts, tag, ts)
-    time_row = _run_start(_first_of_runs(ts))
+    time_row = run_start(first_of_runs(ts))
 
     # Rows by (user, tag), in time order within a pair. The queries q are
     # the seed rows in that order; a seed's own last strictly earlier use
@@ -177,8 +167,8 @@ def label_rows(corpus: Corpus) -> Labels:
     time_row = time_row[rows]
     q = np.flatnonzero(seed_row[rows])
     del seed_row
-    q_start = _run_start(_first_of_runs(group, time_row))[q]
-    has_own = ~_first_of_runs(group)[q_start]
+    q_start = run_start(first_of_runs(group, time_row))[q]
+    has_own = ~first_of_runs(group)[q_start]
     del group
     q_rows = rows[q]
     q_ts = ts[q_rows]
@@ -201,27 +191,19 @@ def label_rows(corpus: Corpus) -> Labels:
     stride = n_tags << row_bits
     q_key += np.searchsorted(seeds, user[q_rows]) * stride
     del q
-    user_id = dict(zip(users, range(len(users))))
-    followees = [[user_id[f] for f in corpus.network.edges[users[u]] if f in user_id]
-                 for u in seeds.tolist()]
-    edge_seed = np.repeat(np.arange(len(seeds)), [len(fs) for fs in followees])
-    edge_user = np.array([f for fs in followees for f in fs], dtype=np.int64)
+    edge_seed, edge_user = user_pairs(corpus, [users[s] for s in seeds.tolist()], True)
     user_ptr = np.concatenate(([0], np.cumsum(np.bincount(user, minlength=len(users)))))
     size = user_ptr[edge_user + 1] - user_ptr[edge_user]
-    exposed = np.concatenate(([0], np.cumsum(size)))  # exposures before each edge
     edge_ptr = np.searchsorted(edge_seed, np.arange(len(seeds) + 1))
+    exposed = np.append(0, np.cumsum(size))[edge_ptr]  # exposures before each seed
     q_ptr = np.searchsorted(q_key, np.arange(len(seeds) + 1) * stride)
-    block = exposed[edge_ptr[:-1]] // max(n // EXPOSURE_BLOCK_DIVISOR, 1)
-    bounds = np.append(np.flatnonzero(_first_of_runs(block)), len(seeds)).tolist()
     social = np.zeros(len(q_rows), dtype=np.int64)
-    for s0, s1 in zip(bounds[:-1], bounds[1:]):
+    for s0, s1 in size_cuts(np.diff(exposed), max(n // EXPOSURE_BLOCK_DIVISOR, 1), len(seeds)):
         e0, e1, a, b = edge_ptr[s0], edge_ptr[s1], q_ptr[s0], q_ptr[s1]
-        if exposed[e0] == exposed[e1] or a == b:
+        if exposed[s0] == exposed[s1] or a == b:
             continue
-        counts = size[e0:e1]
-        keys = key[np.repeat(user_ptr[edge_user[e0:e1]] - exposed[e0:e1], counts)
-                   + np.arange(exposed[e0], exposed[e1])]
-        keys += np.repeat(edge_seed[e0:e1] * stride, counts)
+        keys = key[concat_ranges(user_ptr[edge_user[e0:e1]], size[e0:e1])]
+        keys += np.repeat(edge_seed[e0:e1] * stride, size[e0:e1])
         keys.sort()
         # the last exposure below the query, if in the query's (seed, tag) block
         below = np.searchsorted(keys, q_key[a:b])

@@ -179,12 +179,12 @@ def _by_first_use(table: list[str], uses: np.ndarray, *columns: np.ndarray) -> t
     return ([table[i] for i in order.tolist()], *(new_id[c] for c in columns))
 
 
-def _string_rank(table: list[str], ids: np.ndarray) -> np.ndarray:
-    """rank[i] > 0 orders table[i] among the strings of `ids`; 0 elsewhere."""
-    rank = np.zeros(len(table), np.int32)
-    ranked = sorted(set(memoryview(ids)), key=table.__getitem__)
-    rank[ranked] = np.arange(1, len(ranked) + 1)
-    return rank
+def string_ranks(table: list[str], ids: np.ndarray) -> np.ndarray:
+    """Rank of each table[ids[i]] among the strings of ids."""
+    distinct, inverse = np.unique(ids, return_inverse=True)
+    names = list(map(table.__getitem__, distinct.tolist()))
+    # the inverse of the sorting permutation ranks each distinct id
+    return np.argsort(sorted(range(len(names)), key=names.__getitem__))[inverse]
 
 
 def _order_break(ts: np.ndarray, tweet: np.ndarray, tag: np.ndarray,
@@ -243,6 +243,11 @@ class Corpus:
     def tag_ids(self) -> dict[str, int]:
         """Hashtag -> its id, the index into `tags`; built on first read."""
         return dict(zip(self.tags, range(len(self.tags))))
+
+    @cached_property
+    def user_ids(self) -> dict[str, int]:
+        """User id -> its id, the index into `users`; built on first read."""
+        return dict(zip(self.users, range(len(self.users))))
 
     @cached_property
     def assignments(self) -> list[HashtagAssignment]:
@@ -375,8 +380,8 @@ def _assemble(network: FollowNetwork, rows: _Rows, n_malformed_lines: int) -> Co
         in_tie = np.append(tied, False) | np.append(False, tied)
         group = np.cumsum(np.append(True, ~tied))[in_tie]
         sub = order[in_tie]
-        tweet_rank, tag_rank = _string_rank(tweet_ids, tweet[sub]), _string_rank(tags, tag[sub])
-        order[in_tie] = sub[np.lexsort((tag_rank[tag[sub]], tweet_rank[tweet[sub]], group))]
+        order[in_tie] = sub[np.lexsort((string_ranks(tags, tag[sub]),
+                                        string_ranks(tweet_ids, tweet[sub]), group))]
         tweet, tag = tweet[order], tag[order]
         keep = np.ones(len(tweet), dtype=bool)
         keep[1:] = (tweet[1:] != tweet[:-1]) | (tag[1:] != tag[:-1])

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Corpus
+from .index import concat_ranges
 from .recommend import Ranked, minmax_normalize
 
 
@@ -73,7 +74,7 @@ class SimilarityIndex:
         squared = _squared_norms(tags, indptr, counts)
         self._tags, self._ids, self._indices, self._counts = tags, tag_ids, indices, counts
         self._indptr = np.append(indptr, indptr[-1])
-        self._norms = np.sqrt(np.append(squared, 0).astype(np.float64))
+        self._norms = np.sqrt(np.append(squared, 0.0))
 
     @classmethod
     def from_corpus(cls, corpus: Corpus, before: int | None = None,
@@ -131,11 +132,8 @@ class SimilarityIndex:
         matrix with one column per distinct neighbour id of the listed
         tags; it lives only for this call."""
         rows = self._rows(tags)
-        starts = self._indptr[rows]
-        lengths = self._indptr[rows + 1] - starts
-        ends = np.cumsum(lengths)
-        # entry t of the gather lies in row i with ends[i] - lengths[i] <= t < ends[i]
-        pos = np.arange(ends[-1] if len(tags) else 0) + np.repeat(starts - ends + lengths, lengths)
+        lengths = self._indptr[rows + 1] - self._indptr[rows]
+        pos = concat_ranges(self._indptr[rows], lengths)
         cols, inverse = np.unique(self._indices[pos], return_inverse=True)
         m = np.zeros((len(tags), len(cols)))
         m[np.repeat(np.arange(len(tags)), lengths), inverse] = self._counts[pos]
@@ -152,28 +150,20 @@ class SimilarityIndex:
 
 def _squared_norms(tags: list[str], indptr: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Each CSR row's sum of squared counts, exact; ValueError from 2**53 on."""
-    # A count of 2**27 breaks the bound alone. Below it, a square splits at
-    # bit 27 into two parts below 2**28; a row holds fewer than 2**31 (one
-    # per distinct neighbour id), so their row sums, as differences of int64
-    # cumulative sums, are exact whatever those wrap to. One buffer holds
-    # the squares, one part and its cumulative sums in turn.
-    total = np.zeros(len(counts) + 1, dtype=np.int64)
-    squares = total[1:]
-    sums = []
-    for part, operand in ((np.right_shift, 27), (np.bitwise_and, 2**27 - 1)):
-        np.minimum(counts, 2**27, out=squares)
-        squares *= squares
-        part(squares, operand, out=squares)
-        np.cumsum(squares, out=squares)
-        sums.append(np.diff(total[indptr]))
-    high, low = sums
-    wide = np.flatnonzero(high + (low >> 27) >= 2**26)
+    # The squares are not negative, so each partial sum of a row is at most
+    # its total; rounding is monotone, so the float64 sums are exact below
+    # 2**53, in any order, and reach 2**53 whenever the exact sum does.
+    squares = np.square(counts[: indptr[-1]], dtype=np.float64)
+    sums = np.zeros(len(indptr) - 1)
+    full = np.flatnonzero(indptr[1:] > indptr[:-1])
+    sums[full] = np.add.reduceat(squares, indptr[full])
+    wide = np.flatnonzero(sums >= 2.0**53)
     if len(wide):
         r = wide[0]
-        raise ValueError(f"co-occurrence vector of {tags[r]!r} has squared norm"
-                         f" {int(high[r]) * 2**27 + int(low[r])} >= 2**53;"
+        norm = sum(c * c for c in counts[indptr[r] : indptr[r + 1]].tolist())
+        raise ValueError(f"co-occurrence vector of {tags[r]!r} has squared norm {norm} >= 2**53;"
                          " its cosines would not be exact")
-    return (high << 27) + low
+    return sums
 
 
 def _pair_keys(tag: np.ndarray, starts: np.ndarray, lengths: np.ndarray,

@@ -114,6 +114,8 @@ class EvalConfig:
     def __post_init__(self):
         if not 1 <= self.k_max <= MAX_K:
             raise ValueError(f"k_max must be in [1, {MAX_K}], got {self.k_max}")
+        if self.rerank_lambda is not None:
+            HybridParams(self.rerank_lambda)  # raises on a lambda outside [0, 1]
 
 
 @dataclass(frozen=True)

@@ -10,13 +10,15 @@ prefix of its block, and one vectorized searchsorted finds the prefixes of
 many (id, end) pairs at once: a block of queries is answered by array
 passes over just the rows it reads, never by a pass over the row prefix.
 The index holds no state that a read changes, so every answer depends only
-on (arguments, corpus), whatever the order of the reads.
+on (arguments, corpus), whatever the order of the reads. The module also
+holds the kernels that classify, recommend and diversity share: run masks,
+starts and bounds, range gathers, size-budgeted cuts and follow pairs.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -30,18 +32,25 @@ _ROW_MASK = (1 << 32) - 1
 _SLICE = 1 << 16  # rows per slice of a filled row-sized array
 
 
-def _last_of_runs(*keys: np.ndarray) -> np.ndarray:
-    """Mask of the last position of each run of equal values in all keys."""
-    last = np.zeros(len(keys[0]), dtype=bool)
-    last[-1:] = True
+def first_of_runs(*keys: np.ndarray) -> np.ndarray:
+    """Mask of the first position of each run of equal values in all keys."""
+    first = np.zeros(len(keys[0]), dtype=bool)
+    first[:1] = True
     for key in keys:
-        last[:-1] |= key[1:] != key[:-1]
-    return last
+        first[1:] |= key[1:] != key[:-1]
+    return first
+
+
+def run_start(first: np.ndarray) -> np.ndarray:
+    """Each position's run start, from the mask of run starts."""
+    start = np.arange(len(first), dtype=np.int32)
+    start *= first
+    return np.maximum.accumulate(start, out=start)
 
 
 def run_bounds(key: np.ndarray) -> np.ndarray:
     """Where each run of equal values of `key` starts, then len(key)."""
-    return np.append(0, np.flatnonzero(_last_of_runs(key)) + 1) if len(key) else np.zeros(1, int)
+    return np.append(np.flatnonzero(first_of_runs(key)), len(key))
 
 
 def _packed_order(ids: np.ndarray) -> np.ndarray:
@@ -53,7 +62,7 @@ def _packed_order(ids: np.ndarray) -> np.ndarray:
     return keys
 
 
-def _concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+def concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """The positions of the ranges starts[i] + [0, lengths[i]), range by
     range, as the cumulative sum of their steps: one array is allocated."""
     starts, lengths = starts[lengths > 0], lengths[lengths > 0]
@@ -62,6 +71,33 @@ def _concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     steps[:1] = starts[:1]
     steps[ends[:-1]] = starts[1:] - starts[:-1] - lengths[:-1] + 1
     return np.cumsum(steps, out=steps)
+
+
+def size_cuts(sizes: np.ndarray, budget: int, max_n: int) -> Iterator[tuple[int, int]]:
+    """Consecutive ranges [lo, hi) of at most max_n items whose sizes sum to
+    at most budget, but for a range of one item."""
+    lo, total = 0, 0
+    for i, size in enumerate(sizes.tolist()):
+        if i > lo and (total + size > budget or i - lo == max_n):
+            yield lo, i
+            lo, total = i, 0
+        total += size
+    if lo < len(sizes):
+        yield lo, len(sizes)
+
+
+def user_pairs(corpus: Corpus, users: Sequence[str], social: bool) -> tuple[np.ndarray, ...]:
+    """(query, user id) of each query's own user or, with `social`, of each
+    of its followees, for the users with rows; query ascending. With
+    `social`, a user with no followee entry raises NotSeedUser."""
+    get = corpus.user_ids.get
+    query, ids = [], []
+    for q, user_id in enumerate(users):
+        for u in map(get, corpus.network.followees(user_id) if social else (user_id,)):
+            if u is not None:
+                query.append(q)
+                ids.append(u)
+    return np.array(query, dtype=np.int64), np.array(ids, dtype=np.int64)
 
 
 class CorpusIndex:
@@ -90,15 +126,16 @@ class CorpusIndex:
         self.user_ptr = np.concatenate(([0], np.cumsum(per_user)))
         self.tag_ptr = np.concatenate(([0], np.cumsum(np.bincount(tag, minlength=n_tags))))
         self.by_tag = _packed_order(tag)
-        # by_tag's rows, stably sorted by user, are in (user, tag, row) order;
-        # a (user, tag) run's k-th row has rank k - 1 in it. (An int32 cast
-        # keeps a key's low 32 bits: its row.)
+        # by_tag's rows, sorted by (user, position in by_tag), are in (user,
+        # tag, row) order; a (user, tag) run's k-th row has rank k - 1 in it.
+        # (An int32 cast keeps a key's low 32 bits: its row.) The positions
+        # are masked in place, and their keys freed as one buffer.
         rows = self.by_tag.astype(np.int32)
-        rows = rows[np.argsort(user[rows], kind="stable")]
-        first = np.roll(_last_of_runs(user[rows], tag[rows]), 1)
+        order = _packed_order(user[rows])
+        rows = rows[np.bitwise_and(order, _ROW_MASK, out=order)]
+        del order
         rank = np.arange(n, dtype=np.int32)
-        rank -= np.maximum.accumulate(np.where(first, rank, 0))
-        del first
+        rank -= run_start(first_of_runs(user[rows], tag[rows]))
         rank <<= 1
         rank += 1
         sq = np.empty(n, dtype=np.int32)
@@ -111,7 +148,6 @@ class CorpusIndex:
             self.cum_sq[lo + 1 : lo + _SLICE + 1] = sq[self.by_user[lo : lo + _SLICE] & _ROW_MASK]
         del sq
         np.cumsum(self.cum_sq, out=self.cum_sq)
-        self.user_ids = dict(zip(corpus.users, range(n_users)))
         self._ts = memoryview(corpus.ts)
 
     def end(self, ref_time: int) -> int:
@@ -134,14 +170,14 @@ class CorpusIndex:
     def user_rows(self, users: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         """The first lengths[i] rows of user id users[i] (those below an end,
         see user_row_counts), pair by pair in row order."""
-        rows = self.by_user[_concat_ranges(self.user_ptr[users], lengths)]
+        rows = self.by_user[concat_ranges(self.user_ptr[users], lengths)]
         rows &= _ROW_MASK
         return rows
 
     def tag_rows(self, tags: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         """The first lengths[i] rows of tag id tags[i] (those below an end,
         see tag_counts), pair by pair in row order."""
-        rows = self.by_tag[_concat_ranges(self.tag_ptr[tags], lengths)]
+        rows = self.by_tag[concat_ranges(self.tag_ptr[tags], lengths)]
         rows &= _ROW_MASK
         return rows
 
@@ -179,7 +215,7 @@ class CorpusIndex:
     def _pooled(self, user_ids: Iterable[str], end: int) -> tuple[np.ndarray, ...]:
         """grouped_rows of the given users' rows below `end` as one query:
         (tag ids, bounds, rows), tag ids ascending."""
-        users = np.array([u for u in map(self.user_ids.get, user_ids) if u is not None],
+        users = np.array([u for u in map(self.corpus.user_ids.get, user_ids) if u is not None],
                          dtype=np.int64)
         return self.grouped_rows(np.zeros(len(users), dtype=np.int64), users,
                                  np.full(len(users), end), 1)

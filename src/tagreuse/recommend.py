@@ -47,7 +47,8 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .index import CorpusIndex, run_bounds
+from .corpus import string_ranks
+from .index import CorpusIndex, run_bounds, size_cuts, user_pairs
 
 Ranked = list[tuple[str, float]]
 
@@ -190,15 +191,6 @@ def _group_minmax(group: np.ndarray, scores: np.ndarray) -> np.ndarray:
     return out
 
 
-def _string_ranks(table: list[str], ids: np.ndarray) -> np.ndarray:
-    """Rank of each table[ids[i]] among the strings of ids."""
-    distinct, inverse = np.unique(ids, return_inverse=True)
-    names = list(map(table.__getitem__, distinct.tolist()))
-    rank = np.empty(len(distinct), dtype=np.int64)
-    rank[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
-    return rank[inverse]
-
-
 def _top_per_group(group: np.ndarray, values: np.ndarray, k: int,
                    tiebreaks: Callable[[np.ndarray], tuple[np.ndarray, ...]]) -> np.ndarray:
     """Positions of the k best items of each group (fewer if it has fewer),
@@ -230,7 +222,7 @@ def _rank_lists(index: CorpusIndex, ends: np.ndarray, query: np.ndarray, tags: n
 
     def tiebreaks(kept: np.ndarray) -> tuple[np.ndarray, ...]:
         t = tags[kept]
-        return -index.tag_counts(t, ends[query[kept]]), _string_ranks(names, t)
+        return -index.tag_counts(t, ends[query[kept]]), string_ranks(names, t)
 
     top = _top_per_group(query, scores, k, tiebreaks)
     bounds = np.searchsorted(query[top], np.arange(len(ends) + 1)).tolist()
@@ -261,7 +253,7 @@ def _most_popular(index: CorpusIndex, ends: np.ndarray, k: int) -> list[Ranked]:
 
 class _Block:
     """Seed users' queries scored together: query q is at refs[q], below row
-    ends[q]; `own` and `social` are the _pairs of the block's queries. A
+    ends[q]; `own` and `social` are the user_pairs of the block's queries. A
     part that several algorithms read (the traces, the bll_i and bll_s
     scores) is computed once, on first read, from the rows below each
     query's end."""
@@ -350,14 +342,14 @@ class _Block:
         per_query = np.bincount(owner, postings, minlength=len(ends))
         max_n = max(_BLOCK_ROWS // max(len(index.corpus.users), 1), 1)
         neighbors = []
-        for lo, hi in _cuts(per_query, _BLOCK_ROWS, max_n):
+        for lo, hi in size_cuts(per_query, _BLOCK_ROWS, max_n):
             a, b = np.searchsorted(owner, [lo, hi])
             neighbors.append(self._neighbors(lo, hi, owner[a:b], tags[a:b], counts[a:b],
                                              postings[a:b]))
         query, users, sims = map(np.concatenate, zip(*neighbors))
         lengths = index.user_row_counts(users, ends[query])
         lists = []
-        for lo, hi in _cuts(np.bincount(query, lengths, minlength=len(ends)), _BLOCK_ROWS,
+        for lo, hi in size_cuts(np.bincount(query, lengths, minlength=len(ends)), _BLOCK_ROWS,
                             len(ends)):
             a, b = np.searchsorted(query, [lo, hi])
             lists += self._ranked(*self._neighbor_sums(query[a:b], users[a:b], sims[a:b],
@@ -375,7 +367,7 @@ class _Block:
         index, ends = self.index, self.ends
         n_users = len(index.corpus.users)
         dots = np.zeros((hi - lo) * n_users)
-        for a, b in _cuts(postings, _BLOCK_ROWS, len(postings)):
+        for a, b in size_cuts(postings, _BLOCK_ROWS, len(postings)):
             lengths = postings[a:b]
             rows = index.tag_rows(tags[a:b], lengths)
             pair = np.repeat((owner[a:b] - lo) * n_users, lengths)
@@ -394,7 +386,7 @@ class _Block:
         sims = dots / (own_norms * norms)
         names = index.corpus.users
         top = _top_per_group(query, sims, self.cf_params.n_neighbors,
-                             lambda kept: (_string_ranks(names, users[kept]),))
+                             lambda kept: (string_ranks(names, users[kept]),))
         return query[top], users[top], sims[top]
 
     def _neighbor_sums(self, query: np.ndarray, users: np.ndarray, sims: np.ndarray,
@@ -420,33 +412,6 @@ class _Block:
         weights = sims[np.searchsorted(query, key // n_tags) + rank] * counts
         runs = run_bounds(key)
         return key[runs[:-1]], _run_sums(weights, runs)
-
-
-def _cuts(sizes: np.ndarray, budget: int, max_n: int) -> Iterator[tuple[int, int]]:
-    """Consecutive ranges [lo, hi) of at most max_n items whose sizes sum to
-    at most budget, but for a range of one item."""
-    lo, total = 0, 0
-    for i, size in enumerate(sizes.tolist()):
-        if i > lo and (total + size > budget or i - lo == max_n):
-            yield lo, i
-            lo, total = i, 0
-        total += size
-    if lo < len(sizes):
-        yield lo, len(sizes)
-
-
-def _pairs(index: CorpusIndex, users: Sequence[str], social: bool) -> tuple[np.ndarray, ...]:
-    """(query, user id) of each query's own user or, with `social`, of each
-    of its followees, for the users with rows; query ascending. With
-    `social`, a user with no followee entry raises NotSeedUser."""
-    get = index.user_ids.get
-    query, ids = [], []
-    for q, user_id in enumerate(users):
-        for u in map(get, index.network.followees(user_id) if social else (user_id,)):
-            if u is not None:
-                query.append(q)
-                ids.append(u)
-    return np.array(query, dtype=np.int64), np.array(ids, dtype=np.int64)
 
 
 def recommend_many(
@@ -477,10 +442,10 @@ def recommend_many(
         for lists in popular:
             yield {"mp": lists}
         return
-    pairs = _pairs(index, users, False), _pairs(index, users, True)
+    pairs = user_pairs(index.corpus, users, False), user_pairs(index.corpus, users, True)
     sizes = sum(np.bincount(q, index.user_row_counts(u, ends[q]), minlength=len(users))
                 for q, u in pairs)
-    for lo, hi in _cuts(sizes, _BLOCK_ROWS, index.max_queries):
+    for lo, hi in size_cuts(sizes, _BLOCK_ROWS, index.max_queries):
         cut = []
         for q, u in pairs:
             a, b = np.searchsorted(q, (lo, hi))

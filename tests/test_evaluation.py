@@ -238,6 +238,11 @@ class TestEvaluate:
             assert p.ild is not None and 0.0 <= p.ild <= 1.0
             assert p.serendipity is not None and 0.0 <= p.serendipity <= 1.0
 
+    @pytest.mark.parametrize("lam", [5.0, -0.1, float("nan")])
+    def test_rerank_lambda_checked_by_the_config(self, lam):
+        with pytest.raises(ValueError, match=r"lambda must be in \[0, 1\], got"):
+            EvalConfig(k_max=3, rerank_lambda=lam)
+
     def test_plain_report_has_no_beyond_accuracy_columns(self):
         report = evaluate(_single_user_corpus(), ["bll_i"], EvalConfig(k_max=2))
         for p in report.algorithms["bll_i"]:
