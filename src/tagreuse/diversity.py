@@ -3,13 +3,16 @@
 Hashtag similarity is grounded in tweet-level co-occurrence: two hashtags
 are similar when they tend to appear in the same tweets. SimilarityIndex
 keeps the counts in CSR form over the corpus's tag ids, counted in one
-array program over the tweets' runs of rows. Every cosine comes
-from SimilarityIndex.pair_table, which gathers the listed tags' rows by
-array indexing and scores all pairs of one list with a single float64
-matrix product; the counts keep that product exact (see SimilarityIndex).
-A caller that scores one list several times builds its table once and
-passes it on: `evaluate` hands the candidates' table to the re-ranker and,
-permuted to the re-ranked order, to the ILD. On top of that:
+array program over the tweets' runs of rows.
+
+Ranked lists are scored in blocks: rerank_block builds the pair tables of
+all of a block's lists at once, by sparse accumulation over their tags'
+CSR rows (SimilarityIndex._tables), then runs the re-ranker, the ILD of
+every prefix and the serendipity of every prefix as array passes over
+(lists x positions) arrays, each list padded to the block's longest.
+Every value takes the arithmetic, in the order, of a plain loop over its
+own list, so it does not depend on the block. The per-list functions are
+blocks of one:
 
   intra_list_diversity_at_k
                         1 - mean pairwise similarity of every prefix of a
@@ -24,15 +27,15 @@ permuted to the re-ranked order, to the ILD. On top of that:
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .corpus import Corpus
-from .index import concat_ranges
-from .recommend import Ranked, minmax_normalize
+from .index import concat_ranges, run_bounds
+from .recommend import Ranked, _group_minmax
 
 
 @dataclass(frozen=True)
@@ -57,14 +60,15 @@ class SimilarityIndex:
     The counts are kept in CSR form: row r is the tag `tags[r]`, id r in
     `tag_ids`, and holds the neighbour ids `_indices[_indptr[r]:_indptr[r +
     1]]` and their int counts in the same slice of `_counts`. One
-    more empty row, id `len(tags)`, stands for every unknown tag. `_norms`
-    holds each row's norm, 0.0 for an empty row.
+    more empty row, id `len(tags)`, stands for every unknown tag. `_squares`
+    holds each row's squared norm and `_norms` its norm, 0.0 for an empty
+    row.
 
-    Cosines are read from pair tables (see pair_table), built by a float64
-    matrix product of the counts. Every partial sum of a dot product there
-    is an integer no larger than the larger squared norm, so the product
-    is exact in any summation order as long as every squared norm is below
-    2**53; the constructor rejects counts that break that bound.
+    Cosines are read from pair tables (see _tables), whose dot products are
+    float64 sums of products of counts. Every partial sum there is an
+    integer no larger than the larger squared norm, so the sum is exact in
+    any order as long as every squared norm is below 2**53; the constructor
+    rejects counts that break that bound.
     """
 
     def __init__(self, tags: list[str], tag_ids: dict[str, int], indptr: np.ndarray,
@@ -74,7 +78,8 @@ class SimilarityIndex:
         squared = _squared_norms(tags, indptr, counts)
         self._tags, self._ids, self._indices, self._counts = tags, tag_ids, indices, counts
         self._indptr = np.append(indptr, indptr[-1])
-        self._norms = np.sqrt(np.append(squared, 0.0))
+        self._squares = np.append(squared, 0.0)
+        self._norms = np.sqrt(self._squares)
 
     @classmethod
     def from_corpus(cls, corpus: Corpus, before: int | None = None,
@@ -125,23 +130,52 @@ class SimilarityIndex:
         return dict(zip(map(self._tags.__getitem__, self._indices[lo:hi].tolist()),
                         self._counts[lo:hi].tolist()))
 
+    def _tables(self, tags: list[str], lengths: np.ndarray) -> np.ndarray:
+        """The pair tables of a block of lists, list i being the next
+        lengths[i] tags: tables[i, p, q] is the cosine of the co-occurrence
+        vectors of its p-th and q-th tags, 0 where their dot product is 0,
+        which covers tags with no vector and cells past a list's end.
+
+        The lists' CSR entries are grouped by (list, neighbour id). In each
+        group of two or more, every ordered pair of entries adds the product
+        of their counts to its cell's dot product, an exact integer (see the
+        class docstring); a diagonal cell's dot product is its row's squared
+        norm. No count matrix is made."""
+        rows = self._rows(tags)
+        n_lists, width = len(lengths), int(lengths.max(initial=0))
+        slots = np.flatnonzero(np.arange(width) < lengths[:, None])  # list * width + position
+        sizes = self._indptr[rows + 1] - self._indptr[rows]
+        at = concat_ranges(self._indptr[rows], sizes)
+        group = np.repeat(np.repeat(np.arange(n_lists), lengths) * len(self._norms), sizes)
+        group += self._indices[at]
+        order = np.argsort(group, kind="stable")
+        group = group[order]
+        runs = np.diff(run_bounds(group))
+        shared = np.repeat(runs > 1, runs)
+        order, bounds = order[shared], run_bounds(group[shared])
+        del group, shared
+        slot = np.repeat(slots, sizes)[order]
+        count = self._counts[at[order]].astype(np.float64)
+        del at, order
+        runs = np.diff(bounds)
+        size = np.repeat(runs, runs)  # each entry's group size
+        left = np.repeat(np.arange(len(slot)), size)
+        right = concat_ranges(np.repeat(bounds[:-1], runs), size)
+        cells = slot[left] * width
+        cells += slot[right] % width
+        dot = np.bincount(cells, count[left] * count[right], minlength=n_lists * width * width)
+        del left, right, cells
+        dot = dot.astype(np.float64, copy=False)  # int when there is no pair
+        dot[slots * width + slots % width] = self._squares[rows]
+        dot = dot.reshape(n_lists, width, width)
+        nrm = _padded(self._norms[rows], lengths, 0.0)
+        np.divide(dot, nrm[:, :, None] * nrm[:, None, :], out=dot, where=dot != 0.0)
+        return dot
+
     def pair_table(self, tags: list[str]) -> list[list[float]]:
         """table[i][j] is the cosine of the co-occurrence vectors of tags[i]
-        and tags[j]; 0 where their dot product is 0, which covers tags with
-        no vector. The rows' CSR slices are gathered into an n x U counts
-        matrix with one column per distinct neighbour id of the listed
-        tags; it lives only for this call."""
-        rows = self._rows(tags)
-        lengths = self._indptr[rows + 1] - self._indptr[rows]
-        pos = concat_ranges(self._indptr[rows], lengths)
-        cols, inverse = np.unique(self._indices[pos], return_inverse=True)
-        m = np.zeros((len(tags), len(cols)))
-        m[np.repeat(np.arange(len(tags)), lengths), inverse] = self._counts[pos]
-        dot = m @ m.T  # exact: see the class docstring
-        nrm = self._norms[rows]
-        table = np.zeros_like(dot)
-        np.divide(dot, nrm[:, None] * nrm[None, :], out=table, where=dot != 0.0)
-        return table.tolist()
+        and tags[j]: the pair table of a block of one list (see _tables)."""
+        return self._tables(tags, np.array([len(tags)]))[0].tolist()
 
     def similarity(self, ht_a: str, ht_b: str) -> float:
         """Cosine of the two co-occurrence vectors; 0 if either is empty."""
@@ -187,28 +221,98 @@ def _hashtags(items: Ranked | list[str]) -> list[str]:
     return [it[0] if isinstance(it, tuple) else it for it in items]
 
 
-def intra_list_diversity_at_k(
-    items: Ranked | list[str], index: SimilarityIndex, *, table: list[list[float]] | None = None
-) -> list[float]:
-    """Element k-1 is the intra-list diversity of items[:k], for every k.
-
-    The list's pair table is built once, unless the caller passes it as
-    `table`. Every prefix then adds up its own pairs from the table in
-    row-major order (i ascending, then j > i ascending), with a plain
-    loop, so each value is bit-identical to scoring that prefix alone.
-    """
-    tags = _hashtags(items)
-    n = len(tags)
-    if table is None:
-        table = index.pair_table(tags)
-    out = [0.0] if n else []  # one item has no pairs
-    for k in range(2, n + 1):
-        total = 0.0
-        for i in range(k - 1):
-            for sim in table[i][i + 1 : k]:
-                total += sim
-        out.append(1.0 - total / (k * (k - 1) / 2))
+def _padded(values: np.ndarray, lengths: np.ndarray, fill) -> np.ndarray:
+    """A (lists, longest list) array: row i holds the next lengths[i]
+    values, then `fill`."""
+    out = np.full((len(lengths), int(lengths.max(initial=0))), fill, dtype=values.dtype)
+    out[np.arange(out.shape[1]) < lengths[:, None]] = values
     return out
+
+
+def _greedy(scores: np.ndarray, lengths: np.ndarray, tables: np.ndarray,
+            lam: float) -> np.ndarray:
+    """order[i, t]: the position of list i picked at step t, for t below
+    lengths[i]. Each step picks, in every list at once, the first position
+    of the highest lam * score + (1 - lam) * (1 - max similarity to the
+    positions picked), among those not picked yet; scores and tables are
+    padded past each list's end (see _padded and SimilarityIndex._tables)."""
+    n_lists, width = scores.shape
+    lists = np.arange(n_lists)
+    accuracy = lam * scores
+    closed = np.where(np.arange(width) < lengths[:, None], 0.0, -np.inf)  # picked or padding
+    max_sim = np.zeros_like(scores)
+    order = np.zeros((n_lists, width), dtype=np.intp)
+    for step in range(width):
+        gain = accuracy + (1.0 - lam) * (1.0 - max_sim)
+        gain += closed
+        best = gain.argmax(axis=1)
+        order[:, step] = best
+        closed[lists, best] = -np.inf
+        np.maximum(max_sim, tables[lists, best], out=max_sim)
+    return order
+
+
+def _ild_prefixes(tables: np.ndarray) -> np.ndarray:
+    """ild[i, k - 1]: the intra-list diversity of the first k items of list
+    i, from its pair table in list order. Each prefix adds its pairs (p, q),
+    p < q, from 0.0 in row-major order: one step per pair adds its cosine
+    to the sums of every prefix that holds it, in every list at once. A
+    pair whose cosine is 0 in every list is skipped, as adding 0.0 to a
+    sum of cosines (never negative) changes no bit."""
+    n_lists, width = tables.shape[:2]
+    sums = np.zeros((width + 1, n_lists))  # sums[k]: the prefixes of k items
+    for p, q in zip(*map(np.ndarray.tolist, np.nonzero(np.triu(tables.any(axis=0), 1)))):
+        sums[q + 1 :] += tables[:, p, q]
+    ild = np.zeros((n_lists, width))  # one item has no pairs
+    k = np.arange(2, width + 1)
+    ild[:, 1:] = (1.0 - sums[2:] / (k * (k - 1) / 2)[:, None]).T
+    return ild
+
+
+def _serendipity_prefixes(outside: np.ndarray) -> np.ndarray:
+    """The share of the first k items of list i that are outside, at [i, k - 1]."""
+    return np.cumsum(outside, axis=1) / np.arange(1, outside.shape[1] + 1)
+
+
+def _at_k(prefixes: np.ndarray, lengths: np.ndarray, k_max: int) -> np.ndarray:
+    """The prefix values at k = 1..k_max: the whole list's past its end,
+    0.0 (a prefix of no item) for an empty list."""
+    prefixes = np.hstack((np.zeros((len(lengths), 1)), prefixes))
+    return np.take_along_axis(prefixes, np.minimum(np.arange(1, k_max + 1), lengths[:, None]), 1)
+
+
+def rerank_block(lists: Sequence[Ranked], lam: float, index: SimilarityIndex,
+                 outside: np.ndarray, k_max: int) -> tuple[list[Ranked], np.ndarray, np.ndarray]:
+    """Each list re-ranked as rerank_hybrid(normalize_scores(list)) does,
+    and the ILD and the serendipity of each re-ranked list's first k items
+    for k = 1..k_max, as (lists, k_max) arrays: the whole list's past its
+    end, 0.0 for an empty list. outside[j] says whether the j-th item of
+    the lists, concatenated in input order, is outside its user's history.
+    The block's arrays hold len(lists) x (longest list) ** 2 cells."""
+    lengths = np.fromiter(map(len, lists), np.int64, len(lists))
+    tags = [ht for rec in lists for ht, _ in rec]
+    scores = _group_minmax(np.repeat(np.arange(len(lists)), lengths),
+                           np.fromiter((s for rec in lists for _, s in rec), np.float64, len(tags)))
+    tables = index._tables(tags, lengths)
+    order = _greedy(_padded(scores, lengths, 0.0), lengths, tables, lam)
+    at = np.arange(len(lists))[:, None, None]
+    tables = tables[at, order[:, :, None], order[:, None, :]]  # in re-ranked order
+    picks = (order + (np.cumsum(lengths) - lengths)[:, None])[
+        np.arange(order.shape[1]) < lengths[:, None]]
+    items = list(map(list(zip(tags, scores.tolist())).__getitem__, picks.tolist()))
+    bounds = np.concatenate(([0], np.cumsum(lengths))).tolist()
+    return ([items[a:b] for a, b in zip(bounds, bounds[1:])],
+            _at_k(_ild_prefixes(tables), lengths, k_max),
+            _at_k(_serendipity_prefixes(_padded(outside[picks], lengths, False)), lengths, k_max))
+
+
+def intra_list_diversity_at_k(items: Ranked | list[str], index: SimilarityIndex) -> list[float]:
+    """Element k-1 is the intra-list diversity of items[:k], for every k:
+    1 - the mean cosine of its pairs, added in row-major order (i
+    ascending, then j > i ascending), so each value is bit-identical to
+    scoring that prefix alone. A block of one list (see rerank_block)."""
+    tags = _hashtags(items)
+    return _ild_prefixes(index._tables(tags, np.array([len(tags)])))[0].tolist()
 
 
 def intra_list_diversity(items: Ranked | list[str], index: SimilarityIndex) -> float:
@@ -229,25 +333,19 @@ def serendipity(
     tags = _hashtags(items)
     if not tags:
         return 0.0
-    outside = sum(
-        1 for ht in tags if ht not in individual_history and ht not in social_history
-    )
-    return outside / len(tags)
+    outside = [ht not in individual_history and ht not in social_history for ht in tags]
+    return float(_serendipity_prefixes(np.array([outside]))[0, -1])
 
 
 def normalize_scores(candidates: Ranked) -> Ranked:
-    """`minmax_normalize` over a ranked list's scores, keeping its order."""
-    scores = minmax_normalize(np.array([score for _, score in candidates], dtype=np.float64))
+    """A ranked list's scores min-max rescaled, in its order: a block of one
+    list (see rerank_block)."""
+    scores = _group_minmax(np.zeros(len(candidates), dtype=np.int64),
+                           np.array([score for _, score in candidates], dtype=np.float64))
     return [(ht, score) for (ht, _), score in zip(candidates, scores.tolist())]
 
 
-def rerank_hybrid(
-    candidates: Ranked,
-    params: HybridParams,
-    index: SimilarityIndex,
-    *,
-    table: list[list[float]] | None = None,
-) -> Ranked:
+def rerank_hybrid(candidates: Ranked, params: HybridParams, index: SimilarityIndex) -> Ranked:
     """Greedy marginal-relevance reorder of the candidate list.
 
     Repeatedly selects the candidate maximizing
@@ -256,28 +354,9 @@ def rerank_hybrid(
     pick is the accuracy argmax. Candidate scores must already be
     normalized to [0, 1] (see normalize_scores). Ties resolve to the
     earlier input position, so lambda = 1 reproduces the input order.
-    Every similarity is read from the candidates' one pair table, built
-    here unless the caller passes it as `table`.
+    A block of one list (see rerank_block).
     """
-    lam = params.lambda_param
-    if table is None:
-        table = index.pair_table([ht for ht, _ in candidates])
-    remaining = list(range(len(candidates)))
-    selected: list[int] = []
-    max_sim_to_selected = [0.0] * len(candidates)
-    while remaining:
-        best_pos = None
-        best_score = -math.inf
-        for pos in remaining:
-            score = lam * candidates[pos][1] + (1.0 - lam) * (1.0 - max_sim_to_selected[pos])
-            if score > best_score:
-                best_score = score
-                best_pos = pos
-        remaining.remove(best_pos)
-        selected.append(best_pos)
-        sims = table[best_pos]
-        for pos in remaining:
-            sim = sims[pos]
-            if sim > max_sim_to_selected[pos]:
-                max_sim_to_selected[pos] = sim
-    return [candidates[pos] for pos in selected]
+    lengths = np.array([len(candidates)])
+    scores = np.array([[score for _, score in candidates]], dtype=np.float64)
+    tables = index._tables([ht for ht, _ in candidates], lengths)
+    return [candidates[pos] for pos in _greedy(scores, lengths, tables, params.lambda_param)[0]]

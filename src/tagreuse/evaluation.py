@@ -10,29 +10,33 @@ re-ranking and with diversity/serendipity columns.
 `evaluate` answers all queries from one CorpusIndex in one pass over the
 split: `recommend_many` scores the users in blocks, every algorithm as
 array passes over a whole block, and each list equals the one-query
-`recommend` list whatever block it was scored in. The per-k sums are
-added one user at a time in the split's user-id order, which fixes their
-bits.
+`recommend` list whatever block it was scored in. With re-ranking, the
+lists of a block of users go to `rerank_block` together, which re-ranks
+them and scores the ILD and serendipity of every prefix as array passes
+over the block. The per-k sums are added one user at a time in the
+split's user-id order, which fixes their bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from itertools import islice
 
 import numpy as np
 
 from .corpus import Corpus
-# All stay bound, intra_list_diversity too: bench/tracing.py wraps them by name here.
+# The per-list functions stay bound, though evaluate scores blocks through
+# rerank_block: bench/tracing.py wraps them by name here.
 from .diversity import (
     HybridParams,
     SimilarityIndex,
     intra_list_diversity,
-    intra_list_diversity_at_k,
     normalize_scores,
+    rerank_block,
     rerank_hybrid,
     serendipity,
 )
-from .index import CorpusIndex
+from .index import CorpusIndex, size_cuts, user_pairs
 # recommend stays bound too: bench/tracing.py wraps it by name here.
 from .recommend import BLLParams, CFParams, MixParams, Ranked, recommend, recommend_many
 
@@ -40,6 +44,12 @@ from .recommend import BLLParams, CFParams, MixParams, Ranked, recommend, recomm
 # At most this many k: the per-user hits, the points and the report text
 # all grow with it.
 MAX_K = 1000
+
+# A block of re-ranked users' size at most (one user may exceed it), in
+# array cells: its lists' pair tables, k_max ** 2 cells each, and the
+# history rows of its users and their followees. Its temporaries, its tags'
+# co-occurrence entries among them, grow with it.
+_BLOCK_CELLS = 1 << 14
 
 
 class EmptyTestSet(Exception):
@@ -162,45 +172,52 @@ def evaluate(
     """Run every algorithm over the split and macro-average the metrics.
 
     Users whose recommendation list is empty contribute zeros. Each user's
-    terms are added to the per-k sums as the user's lists come, in the
-    split's user-id order: floating-point sums depend on their order, and
-    this one does not depend on reference times or block boundaries, so
-    results are reproducible to the bit. With re-ranking, each list's pair
-    similarities are built once, as the candidates' pair table: the
-    re-ranker reads it, and the ILD at every k (intra_list_diversity_at_k)
-    reads it permuted to the re-ranked order; for k past the end of a
-    short list the ILD is the whole list's value.
+    terms are added to the per-k sums in the split's user-id order:
+    floating-point sums depend on their order, and this one does not
+    depend on reference times or block boundaries, so results are
+    reproducible to the bit. With re-ranking, each block of users' lists
+    is re-ranked and scored by rerank_block; a list's items are outside
+    its user's history when neither the user nor a followee used the tag
+    before the user's reference time.
     """
     split = make_split(corpus)
     if not split.users:
         raise NoEvaluableUsers("no seed user has >= 2 hashtag-bearing tweets")
     index = CorpusIndex(corpus)
-
-    with_beyond = config.rerank_lambda is not None
-    if with_beyond:
-        sim_index = SimilarityIndex.from_corpus(corpus, exclude_tweets=split.test_tweet_ids)
-        hybrid = HybridParams(lambda_param=config.rerank_lambda)
+    users = [us.user_id for us in split.users]
 
     k_max = config.k_max
     ks = range(1, k_max + 1)
-    # algo -> per-k sums of precision, recall, ILD and serendipity
-    sums = {algo: [[0.0] * k_max for _ in range(4)] for algo in algorithms}
+    # algo -> per-k sums of precision and recall, then of ILD and serendipity
+    sums = {algo: ([0.0] * k_max, [0.0] * k_max, np.zeros(k_max), np.zeros(k_max))
+            for algo in algorithms}
     per_user: dict[str, dict[str, PerUserResult]] = {algo: {} for algo in algorithms}
-    # a name given twice is scored once, as it has one set of sums
-    lists = recommend_many(index, list(sums), [us.user_id for us in split.users],
-                           [us.ref_time for us in split.users], k_max,
+    names = list(sums)  # a name given twice is scored once, as it has one set of sums
+    lists = recommend_many(index, names, users, [us.ref_time for us in split.users], k_max,
                            bll=config.bll, mix=config.mix, cf=config.cf)
-    for us, recs in zip(split.users, lists):
-        n_test = len(us.test_hashtags)
+    cells = np.full(len(users), _BLOCK_CELLS)  # one user a block: none is re-ranked
+    with_beyond = config.rerank_lambda is not None
+    if with_beyond:
+        sim_index = SimilarityIndex.from_corpus(corpus, exclude_tweets=split.test_tweet_ids)
+        ends = np.array([index.end(us.ref_time) for us in split.users], dtype=np.int64)
+        # (query, user id) of each query's user and followees, query ascending
+        query, user = map(np.concatenate, zip(user_pairs(corpus, users, False),
+                                              user_pairs(corpus, users, True)))
+        order = np.argsort(query, kind="stable")
+        query, user = query[order], user[order]
+        cells = np.bincount(query, index.user_row_counts(user, ends[query]), len(users))
+        cells += len(names) * k_max**2
+    for lo, hi in size_cuts(cells, _BLOCK_CELLS, index.max_queries):
+        recs = [rec[algo] for rec in islice(lists, hi - lo) for algo in names]
         if with_beyond:
-            own = index.own_tags_before(us.user_id, us.ref_time)
-            social = index.followee_tags_before(us.user_id, us.ref_time)
-        for algo, (sum_p, sum_r, sum_ild, sum_ser) in sums.items():
-            rec = recs[algo]
-            if with_beyond:
-                candidates = normalize_scores(rec)
-                table = sim_index.pair_table([ht for ht, _ in candidates])
-                rec = rerank_hybrid(candidates, hybrid, sim_index, table=table)
+            a, b = np.searchsorted(query, (lo, hi))
+            history = index.grouped_rows(query[a:b] - lo, user[a:b], ends[query[a:b]], hi - lo)[0]
+            recs, ild, ser = rerank_block(recs, config.rerank_lambda, sim_index,
+                                          _outside(corpus, recs, len(names), history), k_max)
+        for j, rec in enumerate(recs):
+            us, algo = split.users[lo + j // len(names)], names[j % len(names)]
+            sum_p, sum_r, sum_ild, sum_ser = sums[algo]
+            n_test = len(us.test_hashtags)
             hits_at_k = []
             hits = 0
             for k in ks:
@@ -210,30 +227,21 @@ def evaluate(
                 sum_p[k - 1] += hits / k
                 sum_r[k - 1] += hits / n_test
             if with_beyond:
-                # the candidates' table in re-ranked order: an entry depends
-                # only on its two tags, so this equals a fresh table of rec
-                at = {ht: pos for pos, (ht, _) in enumerate(candidates)}
-                order = [at[ht] for ht, _ in rec]
-                ild = intra_list_diversity_at_k(
-                    rec, sim_index, table=[[table[i][j] for j in order] for i in order]
-                )
-                # past the end of a short list, rec[:k] is the whole list
-                ild += [ild[-1] if ild else 0.0] * (k_max - len(ild))
-                for k in ks:
-                    sum_ild[k - 1] += ild[k - 1]
-                    sum_ser[k - 1] += serendipity(rec[:k], own, social)
+                sum_ild += ild[j]
+                sum_ser += ser[j]
             per_user[algo][us.user_id] = PerUserResult(tuple(hits_at_k), n_test)
 
     n_users = len(split.users)
     algo_points: dict[str, tuple[KPoint, ...]] = {}
     for algo, (sum_p, sum_r, sum_ild, sum_ser) in sums.items():
+        ild, ser = (sum_ild / n_users).tolist(), (sum_ser / n_users).tolist()
         algo_points[algo] = tuple(
             KPoint(
                 k=k,
                 precision=sum_p[k - 1] / n_users,
                 recall=sum_r[k - 1] / n_users,
-                ild=(sum_ild[k - 1] / n_users) if with_beyond else None,
-                serendipity=(sum_ser[k - 1] / n_users) if with_beyond else None,
+                ild=ild[k - 1] if with_beyond else None,
+                serendipity=ser[k - 1] if with_beyond else None,
             )
             for k in ks
         )
@@ -243,3 +251,14 @@ def evaluate(
         algorithms=algo_points,
         per_user=per_user,
     )
+
+
+def _outside(corpus: Corpus, recs: list[Ranked], n_algos: int,
+             history: np.ndarray) -> np.ndarray:
+    """Whether each item of the lists, n_algos lists per query and
+    concatenated, is outside its query's history: the sorted keys query * T
+    + tag id of the tags its user and followees used before its end."""
+    keys = np.repeat(np.arange(len(recs)) // n_algos * len(corpus.tags), list(map(len, recs)))
+    keys += np.fromiter((corpus.tag_ids[ht] for rec in recs for ht, _ in rec), np.int64, len(keys))
+    history = np.append(history, np.iinfo(np.int64).max)  # no search runs past the end
+    return history[np.searchsorted(history, keys)] != keys

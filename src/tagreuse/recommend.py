@@ -171,15 +171,10 @@ def _activations_of(times: np.ndarray, bounds: np.ndarray, refs: Sequence[int],
     return scores
 
 
-def minmax_normalize(scores: np.ndarray) -> np.ndarray:
-    """Min-max rescale to [0, 1]. A degenerate score range (single
-    candidate, or all equal) maps every candidate to 1.0."""
-    return _group_minmax(np.zeros(len(scores), dtype=np.int64), scores)
-
-
 def _group_minmax(group: np.ndarray, scores: np.ndarray) -> np.ndarray:
-    """minmax_normalize over each run of equal `group` values:
-    (score - lo) / (hi - lo) per run."""
+    """Min-max rescaling to [0, 1] over each run of equal `group` values:
+    (score - lo) / (hi - lo) per run. A degenerate range (one score, or all
+    equal) maps every score of the run to 1.0."""
     if not len(scores):
         return scores
     bounds = run_bounds(group)

@@ -276,9 +276,23 @@ def brute_force_cosine(index, ht_a: str, ht_b: str) -> float:
     return dot / (norm_a * norm_b)
 
 
+def reference_pair_table(index, tags) -> list[list[float]]:
+    """brute_force_cosine of every ordered pair of the listed tags."""
+    return [[brute_force_cosine(index, a, b) for b in tags] for a in tags]
+
+
+def reference_normalize_scores(candidates):
+    """Min-max rescaling of a list's scores by a per-item loop; every score
+    is 1.0 when they are all equal."""
+    scores = [score for _, score in candidates]
+    lo, hi = min(scores, default=0.0), max(scores, default=0.0)
+    return [(ht, (score - lo) / (hi - lo) if hi != lo else 1.0) for ht, score in candidates]
+
+
 def reference_rerank_hybrid(candidates, lam: float, index):
-    """The greedy marginal-relevance reorder with brute_force_cosine for
-    every (remaining, chosen) pair; ties go to the earlier position."""
+    """The greedy marginal-relevance reorder by a per-list loop over the
+    list's reference_pair_table; ties go to the earlier position."""
+    table = reference_pair_table(index, [ht for ht, _ in candidates])
     remaining = list(range(len(candidates)))
     selected = []
     max_sim = [0.0] * len(candidates)
@@ -291,9 +305,30 @@ def reference_rerank_hybrid(candidates, lam: float, index):
         remaining.remove(best_pos)
         selected.append(best_pos)
         for pos in remaining:
-            sim = brute_force_cosine(index, candidates[pos][0], candidates[best_pos][0])
-            max_sim[pos] = max(max_sim[pos], sim)
+            max_sim[pos] = max(max_sim[pos], table[best_pos][pos])
     return [candidates[pos] for pos in selected]
+
+
+def reference_ild_at_k(items, index) -> list[float]:
+    """The ILD of every prefix of a list by a per-list loop: each prefix
+    adds its pairs' cosines, from the list's reference_pair_table, in
+    row-major order."""
+    tags = [it[0] if isinstance(it, tuple) else it for it in items]
+    table = reference_pair_table(index, tags)
+    out = [0.0] if tags else []
+    for k in range(2, len(tags) + 1):
+        total = 0.0
+        for i in range(k - 1):
+            for sim in table[i][i + 1 : k]:
+                total += sim
+        out.append(1.0 - total / (k * (k - 1) / 2))
+    return out
+
+
+def reference_serendipity(items, history) -> float:
+    """The share of the listed hashtags not in `history`; 0.0 for none."""
+    tags = [it[0] if isinstance(it, tuple) else it for it in items]
+    return sum(ht not in history for ht in tags) / len(tags) if tags else 0.0
 
 
 def reference_normalize_hashtag(raw: str) -> str:

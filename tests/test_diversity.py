@@ -15,6 +15,7 @@ from tagreuse.diversity import (
     intra_list_diversity,
     intra_list_diversity_at_k,
     normalize_scores,
+    rerank_block,
     rerank_hybrid,
     serendipity,
     _pair_keys,
@@ -29,7 +30,10 @@ from conftest import (
     merged_synth_corpus,
     random_corpus,
     reference_cooccurrence_vectors,
+    reference_ild_at_k,
+    reference_normalize_scores,
     reference_rerank_hybrid,
+    reference_serendipity,
 )
 
 
@@ -351,18 +355,19 @@ class TestIntraListDiversity:
             seen.update(at_k)
         assert any(0.0 < v < 1.0 for v in seen)
 
-    def test_one_pair_table_per_call(self, cooc_corpus):
+    def test_one_pair_table_per_call(self, monkeypatch, cooc_corpus):
         index = SimilarityIndex.from_corpus(cooc_corpus)
         tables, pairs = [], []
-        build = index.pair_table
-        index.pair_table = lambda tags: tables.append(list(tags)) or build(tags)
-        index.similarity = lambda a, b: pairs.append((a, b))
+        build = SimilarityIndex._tables
+        monkeypatch.setattr(SimilarityIndex, "_tables", lambda self, tags, lengths: (
+            tables.append((list(tags), lengths.tolist())) or build(self, tags, lengths)))
+        monkeypatch.setattr(SimilarityIndex, "similarity", lambda *args: pairs.append(args))
         items = ["p", "q", "r", "c", "p", "neverseen"]
         intra_list_diversity_at_k(items, index)
-        assert tables == [items]
+        assert tables == [(items, [6])]
         candidates = [(ht, 1.0 - i / 10) for i, ht in enumerate(items)]
         rerank_hybrid(candidates, HybridParams(0.5), index)
-        assert tables == [items, items]
+        assert tables == [(items, [6])] * 2
         assert pairs == []
 
     def test_accepts_scored_items(self, cooc_corpus):
@@ -473,3 +478,51 @@ class TestRerankHybrid:
     def test_invalid_lambda(self):
         with pytest.raises(ValueError):
             HybridParams(lambda_param=1.1)
+
+
+class TestRerankBlock:
+    """rerank_block against the per-list references, list by list."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("lam", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("k_max", [1, 7, 24])
+    def test_matches_the_per_list_references(self, synth_lists, lam, k_max):
+        # lists of 0, 1 and 2 tags, tags with no vector, tags repeated, lists
+        # shorter and longer than k_max, and coarse scores, so normalized
+        # scores tie
+        index, lists = synth_lists
+        rng = random.Random(k_max)
+        ranked = [[(ht, float(rng.randrange(4))) for ht in tags] for tags in lists]
+        history = set(rng.sample(sorted(set(index._tags)), len(index._tags) // 2))
+        outside = np.array([ht not in history for tags in lists for ht in tags], dtype=bool)
+        out, ild, ser = rerank_block(ranked, lam, index, outside, k_max)
+        assert ild.shape == ser.shape == (len(lists), k_max)
+        for i, rec in enumerate(ranked):
+            expected = reference_rerank_hybrid(reference_normalize_scores(rec), lam, index)
+            assert out[i] == expected
+            at_k = reference_ild_at_k(expected, index) or [0.0]
+            for k in range(1, k_max + 1):
+                assert ild[i, k - 1] == at_k[min(k, len(at_k)) - 1]
+                assert ser[i, k - 1] == reference_serendipity(expected[:k], history)
+
+    def test_a_list_does_not_depend_on_its_block(self, synth_lists):
+        index, lists = synth_lists
+        rng = random.Random(3)
+        ranked = [[(ht, rng.random()) for ht in tags] for tags in lists]
+        outside = np.array([rng.random() < 0.5 for tags in lists for _ in tags], dtype=bool)
+        whole = rerank_block(ranked, 0.5, index, outside, 30)
+        at = 0
+        for i, rec in enumerate(ranked):
+            one = rerank_block([rec], 0.5, index, outside[at : at + len(rec)], 30)
+            at += len(rec)
+            assert one[0] == [whole[0][i]]
+            assert one[1].tolist() == [whole[1][i].tolist()]
+            assert one[2].tolist() == [whole[2][i].tolist()]
+
+    @pytest.mark.filterwarnings("error")
+    def test_empty_block_and_empty_lists(self, cooc_corpus):
+        index = SimilarityIndex.from_corpus(cooc_corpus)
+        out, ild, ser = rerank_block([], 0.0, index, np.zeros(0, dtype=bool), 3)
+        assert out == [] and ild.shape == ser.shape == (0, 3)
+        out, ild, ser = rerank_block([[], []], 0.0, index, np.zeros(0, dtype=bool), 3)
+        assert out == [[], []] and not ild.any() and not ser.any()

@@ -10,15 +10,9 @@ from itertools import groupby
 
 import pytest
 
+from tagreuse import evaluation
 from tagreuse.corpus import Corpus
-from tagreuse.diversity import (
-    HybridParams,
-    SimilarityIndex,
-    intra_list_diversity,
-    normalize_scores,
-    rerank_hybrid,
-    serendipity,
-)
+from tagreuse.diversity import SimilarityIndex
 from tagreuse.evaluation import (
     EmptyTestSet,
     EvalConfig,
@@ -32,7 +26,16 @@ from tagreuse.index import CorpusIndex
 from tagreuse.recommend import ALGORITHM_NAMES, recommend
 from tagreuse.synth import GenParams
 
-from conftest import corpus_from_tweets, merged_synth_corpus, random_corpus
+from conftest import (
+    corpus_from_tweets,
+    merged_synth_corpus,
+    random_corpus,
+    reference_ild_at_k,
+    reference_normalize_scores,
+    reference_pair_table,
+    reference_rerank_hybrid,
+    reference_serendipity,
+)
 
 
 class TestMakeSplit:
@@ -281,7 +284,8 @@ def _paired_synth_corpus() -> Corpus:
 
 def _per_user_report(corpus, algorithms, config) -> dict:
     """The report's JSON dict from one recommend call per (algorithm, user),
-    each on a fresh CorpusIndex, summed in sorted user-id order."""
+    each on a fresh CorpusIndex, summed in sorted user-id order; re-ranked,
+    and the ILD and serendipity scored, by the per-list references."""
     split = make_split(corpus)
     n, k_max = len(split.users), config.k_max
     beyond = config.rerank_lambda is not None
@@ -295,17 +299,19 @@ def _per_user_report(corpus, algorithms, config) -> dict:
             rec = recommend(algo, index, us.user_id, us.ref_time, k_max,
                             bll=config.bll, mix=config.mix, cf=config.cf)
             if beyond:
-                rec = rerank_hybrid(normalize_scores(rec), HybridParams(config.rerank_lambda), sims)
-                own = index.own_tags_before(us.user_id, us.ref_time)
-                social = index.followee_tags_before(us.user_id, us.ref_time)
+                rec = reference_rerank_hybrid(reference_normalize_scores(rec),
+                                              config.rerank_lambda, sims)
+                ild = reference_ild_at_k(rec, sims) or [0.0]
+                history = index.own_tags_before(us.user_id, us.ref_time) | \
+                    index.followee_tags_before(us.user_id, us.ref_time)
             hits = 0
             for k in range(1, k_max + 1):
                 hits += k <= len(rec) and rec[k - 1][0] in us.test_hashtags
                 sums["precision"][k - 1] += hits / k
                 sums["recall"][k - 1] += hits / len(us.test_hashtags)
                 if beyond:
-                    sums["ild"][k - 1] += intra_list_diversity(rec[:k], sims)
-                    sums["serendipity"][k - 1] += serendipity(rec[:k], own, social)
+                    sums["ild"][k - 1] += ild[min(k, len(ild)) - 1]
+                    sums["serendipity"][k - 1] += reference_serendipity(rec[:k], history)
         out[algo] = [
             {"k": k, **{c: sums[c][k - 1] / n for c in columns}} for k in range(1, k_max + 1)
         ]
@@ -368,26 +374,67 @@ class TestPassOrder:
         assert [row["ild"] for row in report["algorithms"]["bll_s"]] == [0.0] * 4
         assert report == _per_user_report(corpus, ["bll_s", "mp"], config)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("budget", [1, 3000, 20000])
+    @pytest.mark.parametrize("corpus_of, k_max", [
+        (_paired_synth_corpus, 18),  # lists shorter than k_max
+        (lambda: _single_user_corpus(), 4),  # bll_s gives an empty list
+    ])
+    def test_block_boundaries_do_not_change_the_report(self, monkeypatch, budget, corpus_of,
+                                                       k_max):
+        corpus = corpus_of()
+        algorithms = list(ALGORITHM_NAMES)
+        for rerank_lambda in (None, 0.0, 0.5, 1.0):
+            config = EvalConfig(k_max=k_max, rerank_lambda=rerank_lambda)
+            whole = evaluate(corpus, algorithms, config)
+            with monkeypatch.context() as patch:
+                patch.setattr(evaluation, "_BLOCK_CELLS", budget)
+                report = evaluate(corpus, algorithms, config)
+            assert report == whole
+        assert report.to_json_dict() == _per_user_report(corpus, algorithms, config)
+
     @pytest.mark.parametrize("corpus_of, algorithms", [
         (_paired_synth_corpus, list(ALGORITHM_NAMES)),
         (lambda: _single_user_corpus(), ["bll_s", "mp"]),  # bll_s gives an empty list
     ])
-    def test_one_pair_table_per_list(self, monkeypatch, corpus_of, algorithms):
+    def test_block_pair_tables_equal_the_per_list_tables(self, monkeypatch, corpus_of,
+                                                         algorithms):
         corpus = corpus_of()
         config = EvalConfig(k_max=6, rerank_lambda=0.5)
-        tables = []
-        build = SimilarityIndex.pair_table
-        monkeypatch.setattr(SimilarityIndex, "pair_table",
-                            lambda self, tags: tables.append(list(tags)) or build(self, tags))
-        monkeypatch.setattr(SimilarityIndex, "similarity",
-                            lambda *_: pytest.fail("similarity called"))
-        evaluate(corpus, algorithms, config)
+        blocks = []
+        build = SimilarityIndex._tables
+
+        def spy(index, tags, lengths):
+            tables = build(index, tags, lengths)
+            blocks.append((index, list(tags), lengths.tolist(), tables))
+            return tables
+
+        with monkeypatch.context() as patch:
+            patch.setattr(SimilarityIndex, "_tables", spy)
+            patch.setattr(evaluation, "_BLOCK_CELLS", 1000)  # a few users per block
+            for name in ("pair_table", "similarity"):
+                patch.setattr(SimilarityIndex, name,
+                              lambda *_, name=name: pytest.fail(f"{name} called"))
+            evaluate(corpus, algorithms, config)
+        assert len(blocks) > 1 or len(make_split(corpus).users) == 1
+        listed = []
+        for index, tags, lengths, tables in blocks:
+            at = 0
+            for table, n in zip(tables, lengths):
+                listed.append(tags[at : at + n])
+                at += n
+                hexes = [[float.hex(v) for v in row] for row in table[:n, :n].tolist()]
+                assert hexes == [[float.hex(v) for v in row]
+                                 for row in index.pair_table(listed[-1])]
+                assert hexes == [[float.hex(v) for v in row]
+                                 for row in reference_pair_table(index, listed[-1])]
+                assert not table[n:].any() and not table[:, n:].any()
         expected = []
         for us in make_split(corpus).users:  # split order: one pass, user by user
             for algo in algorithms:
                 rec = recommend(algo, CorpusIndex(corpus), us.user_id, us.ref_time, 6)
                 expected.append([ht for ht, _ in rec])
-        assert tables == expected
+        assert listed == expected
 
 
 class TestPinnedRerank:

@@ -21,10 +21,10 @@ from tagreuse.recommend import (
     MixParams,
     NoPriorUsage,
     bll_activation,
-    minmax_normalize,
     recommend,
     recommend_many,
     _activations_of,
+    _group_minmax,
     _rank_lists,
 )
 
@@ -934,7 +934,9 @@ class TestBlocks:
 
 
 def _minmax(scores: list[float]) -> list[float]:
-    return minmax_normalize(np.array(scores, dtype=np.float64)).tolist()
+    """The rescaling of one group of scores, as normalize_scores applies it."""
+    return _group_minmax(np.zeros(len(scores), dtype=np.int64),
+                         np.array(scores, dtype=np.float64)).tolist()
 
 
 class TestNormalization:
