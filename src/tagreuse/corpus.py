@@ -450,10 +450,9 @@ def _jsonl_fields(line: str) -> tuple | None:
     if not isinstance(obj, dict):
         raise ValueError("expected a JSON object per line")
     user_id, tweet_id, ts, raw_tags = obj["user"], obj["tweet"], obj["ts"], obj["hashtags"]
-    if not isinstance(user_id, str) or not user_id:
-        raise ValueError("bad 'user' field")
-    if not isinstance(tweet_id, str) or not tweet_id:
-        raise ValueError("bad 'tweet' field")
+    for name, value in (("user", user_id), ("tweet", tweet_id)):  # as a TSV field, too
+        if not isinstance(value, str) or not value or any(c in value for c in "\t\r\n"):
+            raise ValueError(f"bad {name!r} field: ids are non-empty strings with no tab, CR or LF")
     if not isinstance(ts, int) or isinstance(ts, bool) or not 0 < ts <= MAX_TIMESTAMP:
         raise ValueError(f"bad 'ts' field: {ts!r}")
     if not isinstance(raw_tags, list):

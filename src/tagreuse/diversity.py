@@ -9,10 +9,10 @@ Ranked lists are scored in blocks: rerank_block builds the pair tables of
 all of a block's lists at once, by sparse accumulation over their tags'
 CSR rows (SimilarityIndex._tables), then runs the re-ranker, the ILD of
 every prefix and the serendipity of every prefix as array passes over
-(lists x positions) arrays, each list padded to the block's longest.
-Every value takes the arithmetic, in the order, of a plain loop over its
-own list, so it does not depend on the block. The per-list functions are
-blocks of one:
+(lists x positions) arrays, each list padded to the block's longest, and
+returns the re-ranked positions. Every value takes the arithmetic, in the
+order, of a plain loop over its own list, so it does not depend on the
+block. The per-list functions are blocks of one:
 
   intra_list_diversity_at_k
                         1 - mean pairwise similarity of every prefix of a
@@ -34,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import Corpus
-from .index import concat_ranges, run_bounds
+from .index import at_k, concat_ranges, padded, run_bounds
 from .recommend import Ranked, _group_minmax
 
 
@@ -101,7 +101,7 @@ class SimilarityIndex:
         if exclude_tweets:
             held = np.fromiter(map(exclude_tweets.__contains__, corpus.tweet_ids), bool,
                                len(corpus.tweet_ids))
-            kept = ~np.isin(tweet[starts], np.flatnonzero(held))
+            kept = ~held[tweet[starts]]
             starts, lengths = starts[kept], lengths[kept]
         keys = _pair_keys(corpus.tag, starts, lengths, n_tags)
         keys.sort()
@@ -168,7 +168,7 @@ class SimilarityIndex:
         dot = dot.astype(np.float64, copy=False)  # int when there is no pair
         dot[slots * width + slots % width] = self._squares[rows]
         dot = dot.reshape(n_lists, width, width)
-        nrm = _padded(self._norms[rows], lengths, 0.0)
+        nrm = padded(self._norms[rows], lengths, 0.0)
         np.divide(dot, nrm[:, :, None] * nrm[:, None, :], out=dot, where=dot != 0.0)
         return dot
 
@@ -207,7 +207,7 @@ def _pair_keys(tag: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
     written into one array: no other pair-sized array is allocated."""
     keys = np.empty(int(np.dot(lengths, lengths - 1)), dtype=np.int64)
     at = 0
-    for size in np.unique(lengths).tolist():
+    for size in np.flatnonzero(np.bincount(lengths)).tolist():
         tags = tag[starts[lengths == size, None] + np.arange(size)].astype(np.int64)
         block = keys[at : at + tags.size * (size - 1)].reshape(len(tags), size, size - 1)
         at += block.size
@@ -221,21 +221,13 @@ def _hashtags(items: Ranked | list[str]) -> list[str]:
     return [it[0] if isinstance(it, tuple) else it for it in items]
 
 
-def _padded(values: np.ndarray, lengths: np.ndarray, fill) -> np.ndarray:
-    """A (lists, longest list) array: row i holds the next lengths[i]
-    values, then `fill`."""
-    out = np.full((len(lengths), int(lengths.max(initial=0))), fill, dtype=values.dtype)
-    out[np.arange(out.shape[1]) < lengths[:, None]] = values
-    return out
-
-
 def _greedy(scores: np.ndarray, lengths: np.ndarray, tables: np.ndarray,
             lam: float) -> np.ndarray:
     """order[i, t]: the position of list i picked at step t, for t below
     lengths[i]. Each step picks, in every list at once, the first position
     of the highest lam * score + (1 - lam) * (1 - max similarity to the
     positions picked), among those not picked yet; scores and tables are
-    padded past each list's end (see _padded and SimilarityIndex._tables)."""
+    padded past each list's end (see index.padded and SimilarityIndex._tables)."""
     n_lists, width = scores.shape
     lists = np.arange(n_lists)
     accuracy = lam * scores
@@ -274,36 +266,28 @@ def _serendipity_prefixes(outside: np.ndarray) -> np.ndarray:
     return np.cumsum(outside, axis=1) / np.arange(1, outside.shape[1] + 1)
 
 
-def _at_k(prefixes: np.ndarray, lengths: np.ndarray, k_max: int) -> np.ndarray:
-    """The prefix values at k = 1..k_max: the whole list's past its end,
-    0.0 (a prefix of no item) for an empty list."""
-    prefixes = np.hstack((np.zeros((len(lengths), 1)), prefixes))
-    return np.take_along_axis(prefixes, np.minimum(np.arange(1, k_max + 1), lengths[:, None]), 1)
-
-
 def rerank_block(lists: Sequence[Ranked], lam: float, index: SimilarityIndex,
-                 outside: np.ndarray, k_max: int) -> tuple[list[Ranked], np.ndarray, np.ndarray]:
-    """Each list re-ranked as rerank_hybrid(normalize_scores(list)) does,
-    and the ILD and the serendipity of each re-ranked list's first k items
-    for k = 1..k_max, as (lists, k_max) arrays: the whole list's past its
-    end, 0.0 for an empty list. outside[j] says whether the j-th item of
-    the lists, concatenated in input order, is outside its user's history.
-    The block's arrays hold len(lists) x (longest list) ** 2 cells."""
+                 outside: np.ndarray, k_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(picks, ild, serendipity): each list re-ranked as
+    rerank_hybrid(normalize_scores(list)) does, and the ILD and the
+    serendipity of each re-ranked list's first k items for k = 1..k_max, as
+    (lists, k_max) arrays: the whole list's past its end, 0.0 for an empty
+    list. The j-th item of the lists, concatenated in input order, is
+    outside its user's history when outside[j]; picks holds the positions
+    of those items in re-ranked order, list by list. The block's arrays
+    hold len(lists) x (longest list) ** 2 cells."""
     lengths = np.fromiter(map(len, lists), np.int64, len(lists))
     tags = [ht for rec in lists for ht, _ in rec]
     scores = _group_minmax(np.repeat(np.arange(len(lists)), lengths),
                            np.fromiter((s for rec in lists for _, s in rec), np.float64, len(tags)))
     tables = index._tables(tags, lengths)
-    order = _greedy(_padded(scores, lengths, 0.0), lengths, tables, lam)
+    order = _greedy(padded(scores, lengths, 0.0), lengths, tables, lam)
     at = np.arange(len(lists))[:, None, None]
     tables = tables[at, order[:, :, None], order[:, None, :]]  # in re-ranked order
     picks = (order + (np.cumsum(lengths) - lengths)[:, None])[
         np.arange(order.shape[1]) < lengths[:, None]]
-    items = list(map(list(zip(tags, scores.tolist())).__getitem__, picks.tolist()))
-    bounds = np.concatenate(([0], np.cumsum(lengths))).tolist()
-    return ([items[a:b] for a, b in zip(bounds, bounds[1:])],
-            _at_k(_ild_prefixes(tables), lengths, k_max),
-            _at_k(_serendipity_prefixes(_padded(outside[picks], lengths, False)), lengths, k_max))
+    return (picks, at_k(_ild_prefixes(tables), lengths, k_max),
+            at_k(_serendipity_prefixes(padded(outside[picks], lengths, False)), lengths, k_max))
 
 
 def intra_list_diversity_at_k(items: Ranked | list[str], index: SimilarityIndex) -> list[float]:

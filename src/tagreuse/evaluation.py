@@ -8,13 +8,13 @@ averaged over users at every k up to k_max, optionally after hybrid
 re-ranking and with diversity/serendipity columns.
 
 `evaluate` answers all queries from one CorpusIndex in one pass over the
-split: `recommend_many` scores the users in blocks, every algorithm as
-array passes over a whole block, and each list equals the one-query
-`recommend` list whatever block it was scored in. With re-ranking, the
-lists of a block of users go to `rerank_block` together, which re-ranks
-them and scores the ILD and serendipity of every prefix as array passes
-over the block. The per-k sums are added one user at a time in the
-split's user-id order, which fixes their bits.
+split: `recommend_many` scores the users in blocks, and each list equals
+the one-query `recommend` list whatever block it was scored in. A block's
+items become keys query * T + tag id (T tags), and its hits at every k,
+and with re-ranking its items outside their users' history, come from
+membership in sorted keys and prefix sums. `rerank_block` re-ranks the
+lists and scores the ILD and serendipity of every prefix. Each list's
+per-k terms are added in the split's user-id order, fixing the sums' bits.
 """
 
 from __future__ import annotations
@@ -36,7 +36,8 @@ from .diversity import (
     rerank_hybrid,
     serendipity,
 )
-from .index import CorpusIndex, size_cuts, user_pairs
+from .index import (CorpusIndex, at_k, first_of_runs, member, padded, run_start,
+                    size_cuts, user_pairs)
 # recommend stays bound too: bench/tracing.py wraps it by name here.
 from .recommend import BLLParams, CFParams, MixParams, Ranked, recommend, recommend_many
 
@@ -45,10 +46,10 @@ from .recommend import BLLParams, CFParams, MixParams, Ranked, recommend, recomm
 # all grow with it.
 MAX_K = 1000
 
-# A block of re-ranked users' size at most (one user may exceed it), in
-# array cells: its lists' pair tables, k_max ** 2 cells each, and the
-# history rows of its users and their followees. Its temporaries, its tags'
-# co-occurrence entries among them, grow with it.
+# A block of users' size at most (one user may exceed it), in array cells:
+# k_max per list, or with re-ranking k_max ** 2 (its pair table) per list
+# and the history rows of its users and followees. Its temporaries, its
+# tags' co-occurrence entries among them, grow with it.
 _BLOCK_CELLS = 1 << 14
 
 
@@ -84,20 +85,18 @@ def make_split(corpus: Corpus) -> EvalSplit:
     timestamp resolve to the larger tweet id (the corpus sort order).
     """
     # The rows are in (timestamp, tweet, hashtag) order, so a tweet's rows
-    # are adjacent and a user's latest tweet is the one of its last row.
+    # are a run and a user's latest tweet is the one of its last row.
     n_rows = np.bincount(corpus.user, minlength=len(corpus.users))
     last = np.zeros(len(corpus.users), dtype=np.int64)
     np.maximum.at(last, corpus.user, np.arange(len(corpus.user), dtype=np.int32))
-    tweet, splits = memoryview(corpus.tweet), []
-    for u in np.flatnonzero(n_rows).tolist():
-        hi = start = int(last[u])
-        while start and tweet[start - 1] == tweet[hi]:
-            start -= 1
-        if corpus.users[u] in corpus.seed_users and n_rows[u] > hi + 1 - start:
-            test_tags = frozenset(map(corpus.tags.__getitem__, corpus.tag[start : hi + 1].tolist()))
-            splits.append(UserSplit(corpus.users[u], corpus.tweet_ids[tweet[hi]], test_tags,
-                                    int(corpus.ts[hi])))
-    splits.sort(key=lambda us: us.user_id)
+    users = sorted(np.flatnonzero(n_rows).tolist(), key=corpus.users.__getitem__)
+    start = run_start(first_of_runs(corpus.tweet))[last[users]]
+    splits = []  # in user-id order
+    for u, hi, lo in zip(users, last[users].tolist(), start.tolist()):
+        if corpus.users[u] in corpus.seed_users and n_rows[u] > hi + 1 - lo:
+            test_tags = frozenset(map(corpus.tags.__getitem__, corpus.tag[lo : hi + 1].tolist()))
+            splits.append(UserSplit(corpus.users[u], corpus.tweet_ids[corpus.tweet[hi]],
+                                    test_tags, int(corpus.ts[hi])))
     return EvalSplit(users=tuple(splits))
 
 
@@ -185,20 +184,23 @@ def evaluate(
         raise NoEvaluableUsers("no seed user has >= 2 hashtag-bearing tweets")
     index = CorpusIndex(corpus)
     users = [us.user_id for us in split.users]
+    n_tags, tag_ids = len(corpus.tags), corpus.tag_ids
 
     k_max = config.k_max
-    ks = range(1, k_max + 1)
-    # algo -> per-k sums of precision and recall, then of ILD and serendipity
-    sums = {algo: ([0.0] * k_max, [0.0] * k_max, np.zeros(k_max), np.zeros(k_max))
-            for algo in algorithms}
+    # algo -> per-k sums of precision, recall, ILD and serendipity
+    sums = {algo: np.zeros((4, k_max)) for algo in algorithms}
     per_user: dict[str, dict[str, PerUserResult]] = {algo: {} for algo in algorithms}
     names = list(sums)  # a name given twice is scored once, as it has one set of sums
+    n_test = [len(us.test_hashtags) for us in split.users]
+    # the sorted keys query * T + tag id of each user's test hashtags
+    targets = np.sort(np.fromiter((q * n_tags + tag_ids[ht] for q, us in enumerate(split.users)
+                                   for ht in us.test_hashtags), np.int64, sum(n_test)))
     lists = recommend_many(index, names, users, [us.ref_time for us in split.users], k_max,
                            bll=config.bll, mix=config.mix, cf=config.cf)
-    cells = np.full(len(users), _BLOCK_CELLS)  # one user a block: none is re-ranked
+    cells = np.full(len(users), len(names) * k_max)
     with_beyond = config.rerank_lambda is not None
     if with_beyond:
-        sim_index = SimilarityIndex.from_corpus(corpus, exclude_tweets=split.test_tweet_ids)
+        sims = SimilarityIndex.from_corpus(corpus, exclude_tweets=split.test_tweet_ids)
         ends = np.array([index.end(us.ref_time) for us in split.users], dtype=np.int64)
         # (query, user id) of each query's user and followees, query ascending
         query, user = map(np.concatenate, zip(user_pairs(corpus, users, False),
@@ -209,41 +211,39 @@ def evaluate(
         cells += len(names) * k_max**2
     for lo, hi in size_cuts(cells, _BLOCK_CELLS, index.max_queries):
         recs = [rec[algo] for rec in islice(lists, hi - lo) for algo in names]
+        lengths = np.fromiter(map(len, recs), np.int64, len(recs))
+        # each item's key query * T + tag id
+        keys = np.repeat((lo + np.arange(len(recs)) // len(names)) * n_tags, lengths)
+        keys += np.fromiter((tag_ids[ht] for rec in recs for ht, _ in rec), np.int64, len(keys))
+        terms = np.zeros((len(recs), 4, k_max))  # each list's per-k terms, as in sums
         if with_beyond:
             a, b = np.searchsorted(query, (lo, hi))
             history = index.grouped_rows(query[a:b] - lo, user[a:b], ends[query[a:b]], hi - lo)[0]
-            recs, ild, ser = rerank_block(recs, config.rerank_lambda, sim_index,
-                                          _outside(corpus, recs, len(names), history), k_max)
-        for j, rec in enumerate(recs):
-            us, algo = split.users[lo + j // len(names)], names[j % len(names)]
-            sum_p, sum_r, sum_ild, sum_ser = sums[algo]
-            n_test = len(us.test_hashtags)
-            hits_at_k = []
-            hits = 0
-            for k in ks:
-                if k <= len(rec) and rec[k - 1][0] in us.test_hashtags:
-                    hits += 1
-                hits_at_k.append(hits)
-                sum_p[k - 1] += hits / k
-                sum_r[k - 1] += hits / n_test
-            if with_beyond:
-                sum_ild += ild[j]
-                sum_ser += ser[j]
-            per_user[algo][us.user_id] = PerUserResult(tuple(hits_at_k), n_test)
+            picks, terms[:, 2], terms[:, 3] = rerank_block(
+                recs, config.rerank_lambda, sims, ~member(history + lo * n_tags, keys), k_max)
+            keys = keys[picks]
+        hit = padded(member(targets, keys), lengths, False)  # whether each item is a target
+        hits = at_k(np.cumsum(hit, axis=1), lengths, k_max)
+        terms[:, 0] = hits / np.arange(1, k_max + 1)
+        terms[:, 1] = hits / np.repeat(n_test[lo:hi], len(names))[:, None]
+        for j, (row, hits_at_k) in enumerate(zip(terms, hits.tolist())):
+            q, algo = lo + j // len(names), names[j % len(names)]
+            sums[algo] += row
+            per_user[algo][users[q]] = PerUserResult(tuple(hits_at_k), n_test[q])
 
     n_users = len(split.users)
     algo_points: dict[str, tuple[KPoint, ...]] = {}
-    for algo, (sum_p, sum_r, sum_ild, sum_ser) in sums.items():
-        ild, ser = (sum_ild / n_users).tolist(), (sum_ser / n_users).tolist()
+    for algo, algo_sums in sums.items():
+        p, r, ild, ser = (algo_sums / n_users).tolist()
         algo_points[algo] = tuple(
             KPoint(
                 k=k,
-                precision=sum_p[k - 1] / n_users,
-                recall=sum_r[k - 1] / n_users,
+                precision=p[k - 1],
+                recall=r[k - 1],
                 ild=ild[k - 1] if with_beyond else None,
                 serendipity=ser[k - 1] if with_beyond else None,
             )
-            for k in ks
+            for k in range(1, k_max + 1)
         )
     return EvalReport(
         n_users_evaluated=n_users,
@@ -251,14 +251,3 @@ def evaluate(
         algorithms=algo_points,
         per_user=per_user,
     )
-
-
-def _outside(corpus: Corpus, recs: list[Ranked], n_algos: int,
-             history: np.ndarray) -> np.ndarray:
-    """Whether each item of the lists, n_algos lists per query and
-    concatenated, is outside its query's history: the sorted keys query * T
-    + tag id of the tags its user and followees used before its end."""
-    keys = np.repeat(np.arange(len(recs)) // n_algos * len(corpus.tags), list(map(len, recs)))
-    keys += np.fromiter((corpus.tag_ids[ht] for rec in recs for ht, _ in rec), np.int64, len(keys))
-    history = np.append(history, np.iinfo(np.int64).max)  # no search runs past the end
-    return history[np.searchsorted(history, keys)] != keys

@@ -11,8 +11,10 @@ many (id, end) pairs at once: a block of queries is answered by array
 passes over just the rows it reads, never by a pass over the row prefix.
 The index holds no state that a read changes, so every answer depends only
 on (arguments, corpus), whatever the order of the reads. The module also
-holds the kernels that classify, recommend and diversity share: run masks,
-starts and bounds, range gathers, size-budgeted cuts and follow pairs.
+holds the kernels that classify, recommend, diversity and evaluation
+share: run masks, starts and bounds, range gathers, sorted-key membership,
+padded per-list rows and their values at each k, size-budgeted cuts and
+follow pairs.
 """
 
 from __future__ import annotations
@@ -71,6 +73,28 @@ def concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     steps[:1] = starts[:1]
     steps[ends[:-1]] = starts[1:] - starts[:-1] - lengths[:-1] + 1
     return np.cumsum(steps, out=steps)
+
+
+def member(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Whether each of keys (all below the int64 maximum) is one of the
+    ascending sorted_keys."""
+    sorted_keys = np.append(sorted_keys, np.iinfo(np.int64).max)  # no search runs past the end
+    return sorted_keys[np.searchsorted(sorted_keys, keys)] == keys
+
+
+def padded(values: np.ndarray, lengths: np.ndarray, fill) -> np.ndarray:
+    """A (lists, longest list) array: row i holds the next lengths[i]
+    values, then `fill`."""
+    out = np.full((len(lengths), int(lengths.max(initial=0))), fill, dtype=values.dtype)
+    out[np.arange(out.shape[1]) < lengths[:, None]] = values
+    return out
+
+
+def at_k(prefixes: np.ndarray, lengths: np.ndarray, k_max: int) -> np.ndarray:
+    """Padded prefix values (list i's first k items' at [i, k - 1]) at k =
+    1..k_max: the whole list's past its end, 0 (no item) for an empty list."""
+    prefixes = np.hstack((np.zeros((len(lengths), 1), dtype=prefixes.dtype), prefixes))
+    return np.take_along_axis(prefixes, np.minimum(np.arange(1, k_max + 1), lengths[:, None]), 1)
 
 
 def size_cuts(sizes: np.ndarray, budget: int, max_n: int) -> Iterator[tuple[int, int]]:

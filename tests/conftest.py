@@ -373,9 +373,11 @@ def reference_parse_assignments(path: Path, fmt: str) -> tuple[list, list[int]]:
                         raise ValueError("not an object")
                     user_id, tweet_id, ts = obj["user"], obj["tweet"], obj["ts"]
                     raw_tags = obj["hashtags"]
-                    if not isinstance(user_id, str) or not user_id:
+                    if not isinstance(user_id, str) or not user_id or \
+                            set(user_id) & {"\t", "\r", "\n"}:
                         raise ValueError("user")
-                    if not isinstance(tweet_id, str) or not tweet_id:
+                    if not isinstance(tweet_id, str) or not tweet_id or \
+                            set(tweet_id) & {"\t", "\r", "\n"}:
                         raise ValueError("tweet")
                     if not isinstance(ts, int) or isinstance(ts, bool) or ts <= 0:
                         raise ValueError("ts")

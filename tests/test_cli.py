@@ -13,11 +13,14 @@ from pathlib import Path
 import pytest
 
 from tagreuse import classify, cli, temporal
-from tagreuse.corpus import Corpus, load_corpus
+from tagreuse.corpus import Corpus, load_corpus, write_corpus
 from tagreuse.diversity import HybridParams, SimilarityIndex, normalize_scores, rerank_hybrid
 from tagreuse.evaluation import MAX_K
 from tagreuse.index import CorpusIndex
 from tagreuse.recommend import ALGORITHM_NAMES, recommend
+from tagreuse.synth import GenParams
+
+from conftest import merged_synth_corpus
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data"
@@ -227,6 +230,26 @@ def test_bench_tracer_installs():
     run = subprocess.run([sys.executable, "-c", code, str(ROOT / "bench"), str(ROOT / "src")],
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
+
+
+def test_rerank_evaluate_does_not_import_numpy_ma(tmp_path):
+    # numpy's set operations import numpy.ma on first use (np.unique; np.isin
+    # when it sorts), which costs a fresh process milliseconds for nothing
+    corpus = merged_synth_corpus(GenParams(
+        n_seed_users=6, n_followees_per_seed=2, n_background_users=4,
+        vocab_size=30, n_tweets_per_user=24, rng_seed=7), 3)
+    apath, npath = tmp_path / "a.jsonl", tmp_path / "n.tsv"
+    write_corpus(corpus, apath, npath, fmt="jsonl")
+    argv = ["evaluate", "--assignments", str(apath), "--network", str(npath), "--format",
+            "jsonl", "--algos", ",".join(ALGORITHM_NAMES), "--kmax", "8", "--rerank", "hybrid",
+            "--lambda", "0.5", "--outdir", str(tmp_path / "eval")]
+    code = ("import sys; sys.path[:0] = sys.argv[1:2]; from tagreuse import cli;"
+            " code = cli.main(sys.argv[2:]); print(code, 'numpy.ma' in sys.modules)")
+    run = subprocess.run([sys.executable, "-c", code, str(ROOT / "src"), *argv],
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split()[-2:] == ["0", "False"]
+    assert (tmp_path / "eval" / "cf.tsv").exists()
 
 
 class TestExitCodes:

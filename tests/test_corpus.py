@@ -221,6 +221,25 @@ class TestLoadCorpus:
         with pytest.raises(ParseError):
             load_corpus(apath, npath, fmt="jsonl")
 
+    @pytest.mark.parametrize("field", ["user", "tweet"])
+    @pytest.mark.parametrize("bad", ["\t", "\r", "\n", "a\tb", "a\r\nb"])
+    def test_jsonl_id_with_tab_or_line_break_is_malformed(self, tmp_path, field, bad):
+        # no TSV output (write_corpus, classify --per-assignment) could hold it
+        good = {"user": "u1", "tweet": "t1", "ts": 100, "hashtags": ["a"]}
+        apath, npath = tmp_path / "a.jsonl", tmp_path / "n.tsv"
+        apath.write_text(json.dumps(good) + "\n" + json.dumps(
+            {**good, "tweet": "t2", "ts": 200, field: bad}) + "\n", encoding="utf-8")
+        npath.write_text("u1\tu2\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="no tab, CR or LF") as err:
+            load_corpus(apath, npath, fmt="jsonl")
+        assert err.value.line_no == 2
+        corpus = load_corpus(apath, npath, fmt="jsonl", on_malformed="count")
+        assert corpus.n_malformed_lines == 1
+        assert corpus == corpus_from_tweets([("u1", "t1", 100, ("a",))], {"u1": {"u2"}})
+        a2, n2 = tmp_path / "a2.tsv", tmp_path / "n2.tsv"
+        write_corpus(corpus, a2, n2, fmt="tsv")
+        assert load_corpus(a2, n2) == corpus
+
 
 NETWORK = "u1\tu2\nu3\n"
 EDGES = {"u1": {"u2"}, "u3": set()}
@@ -241,8 +260,8 @@ _tsv_line = st.one_of(
 )
 _jsonl_line = st.one_of(
     st.fixed_dictionaries({
-        "user": st.sampled_from(_USERS + [7]),
-        "tweet": st.sampled_from(_TWEETS),
+        "user": st.sampled_from(_USERS + [7, "u\t1"]),
+        "tweet": st.sampled_from(_TWEETS + ["t1\n", "t\r2"]),
         "ts": st.sampled_from([5, 7, 9, 0, -3, True, "5", 5.0]),
         "hashtags": st.lists(st.sampled_from(_TAGS), max_size=4) | st.just("a"),
     }).map(json.dumps),

@@ -495,11 +495,16 @@ class TestRerankBlock:
         ranked = [[(ht, float(rng.randrange(4))) for ht in tags] for tags in lists]
         history = set(rng.sample(sorted(set(index._tags)), len(index._tags) // 2))
         outside = np.array([ht not in history for tags in lists for ht in tags], dtype=bool)
-        out, ild, ser = rerank_block(ranked, lam, index, outside, k_max)
+        picks, ild, ser = rerank_block(ranked, lam, index, outside, k_max)
         assert ild.shape == ser.shape == (len(lists), k_max)
+        items = [item for rec in ranked for item in reference_normalize_scores(rec)]
+        at = 0
         for i, rec in enumerate(ranked):
             expected = reference_rerank_hybrid(reference_normalize_scores(rec), lam, index)
-            assert out[i] == expected
+            mine = picks[at : at + len(rec)].tolist()
+            assert sorted(mine) == list(range(at, at + len(rec)))
+            assert [items[pos] for pos in mine] == expected
+            at += len(rec)
             at_k = reference_ild_at_k(expected, index) or [0.0]
             for k in range(1, k_max + 1):
                 assert ild[i, k - 1] == at_k[min(k, len(at_k)) - 1]
@@ -514,15 +519,16 @@ class TestRerankBlock:
         at = 0
         for i, rec in enumerate(ranked):
             one = rerank_block([rec], 0.5, index, outside[at : at + len(rec)], 30)
+            assert (one[0] + at).tolist() == whole[0][at : at + len(rec)].tolist()
             at += len(rec)
-            assert one[0] == [whole[0][i]]
             assert one[1].tolist() == [whole[1][i].tolist()]
             assert one[2].tolist() == [whole[2][i].tolist()]
 
     @pytest.mark.filterwarnings("error")
     def test_empty_block_and_empty_lists(self, cooc_corpus):
         index = SimilarityIndex.from_corpus(cooc_corpus)
-        out, ild, ser = rerank_block([], 0.0, index, np.zeros(0, dtype=bool), 3)
-        assert out == [] and ild.shape == ser.shape == (0, 3)
-        out, ild, ser = rerank_block([[], []], 0.0, index, np.zeros(0, dtype=bool), 3)
-        assert out == [[], []] and not ild.any() and not ser.any()
+        picks, ild, ser = rerank_block([], 0.0, index, np.zeros(0, dtype=bool), 3)
+        assert picks.tolist() == [] and ild.shape == ser.shape == (0, 3)
+        picks, ild, ser = rerank_block([[], []], 0.0, index, np.zeros(0, dtype=bool), 3)
+        assert picks.tolist() == [] and ild.shape == ser.shape == (2, 3)
+        assert not ild.any() and not ser.any()

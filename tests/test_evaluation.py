@@ -17,6 +17,7 @@ from tagreuse.evaluation import (
     EmptyTestSet,
     EvalConfig,
     NoEvaluableUsers,
+    PerUserResult,
     UserSplit,
     evaluate,
     make_split,
@@ -435,6 +436,44 @@ class TestPassOrder:
                 rec = recommend(algo, CorpusIndex(corpus), us.user_id, us.ref_time, 6)
                 expected.append([ht for ht, _ in rec])
         assert listed == expected
+
+
+class TestPerUserHits:
+    @pytest.mark.parametrize("budget", [1, 3000, 1 << 14])
+    @pytest.mark.parametrize("rerank_lambda", [None, 0.5])
+    @pytest.mark.parametrize("corpus_of, k_max", [
+        (_paired_synth_corpus, 18),  # lists shorter than k_max
+        (lambda: _single_user_corpus(), 4),  # bll_s gives an empty list
+    ])
+    def test_hits_are_those_of_the_users_lists(self, monkeypatch, budget, rerank_lambda,
+                                               corpus_of, k_max):
+        """per_user's hits at every k are precision_recall_at_k's on the list
+        recommend returns, re-ranked by the reference when lambda is set."""
+        corpus = corpus_of()
+        algorithms = list(ALGORITHM_NAMES)
+        with monkeypatch.context() as patch:
+            patch.setattr(evaluation, "_BLOCK_CELLS", budget)
+            report = evaluate(corpus, algorithms, EvalConfig(k_max, rerank_lambda=rerank_lambda))
+        split = make_split(corpus)
+        sims = SimilarityIndex.from_corpus(corpus, exclude_tweets=split.test_tweet_ids)
+        lengths = set()
+        for algo in algorithms:
+            assert list(report.per_user[algo]) == [us.user_id for us in split.users]
+            for us in split.users:
+                rec = recommend(algo, CorpusIndex(corpus), us.user_id, us.ref_time, k_max)
+                if rerank_lambda is not None:
+                    rec = reference_rerank_hybrid(reference_normalize_scores(rec),
+                                                  rerank_lambda, sims)
+                lengths.add(len(rec))
+                expected = []
+                for k in range(1, k_max + 1):
+                    precision, recall = precision_recall_at_k(rec, us.test_hashtags, k)
+                    expected.append(round(precision * k))
+                    assert expected[-1] == round(recall * len(us.test_hashtags))
+                detail = report.per_user[algo][us.user_id]
+                assert detail == PerUserResult(tuple(expected), len(us.test_hashtags))
+                assert all(type(hits) is int for hits in detail.hits_at_k)
+        assert min(lengths) < k_max <= max(lengths) or 0 in lengths
 
 
 class TestPinnedRerank:

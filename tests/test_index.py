@@ -12,8 +12,11 @@ import pytest
 from tagreuse.corpus import string_ranks
 from tagreuse.index import (
     CorpusIndex,
+    at_k,
     concat_ranges,
     first_of_runs,
+    member,
+    padded,
     run_bounds,
     run_start,
     size_cuts,
@@ -98,6 +101,69 @@ class TestSizeCuts:
 
     def test_empty(self):
         assert list(size_cuts(np.zeros(0, np.int64), 10, 3)) == []
+
+
+class TestMember:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_matches_plain_loop(self, seed):
+        # keys below, between, on and above the sorted keys, some repeated
+        rng = random.Random(seed)
+        sorted_keys = sorted(rng.sample(range(10, 90, 3), rng.randint(0, 12)) * rng.randint(1, 2))
+        keys = [rng.randint(0, 100) for _ in range(rng.randint(0, 40))]
+        keys += rng.choices(sorted_keys, k=3) if sorted_keys else []
+        got = member(np.array(sorted_keys, dtype=np.int64), np.array(keys, dtype=np.int64))
+        assert got.dtype == bool
+        assert got.tolist() == [key in sorted_keys for key in keys]
+
+    def test_edges(self):
+        none = np.zeros(0, np.int64)
+        assert member(none, none).tolist() == []
+        assert member(none, np.array([0, 5])).tolist() == [False, False]
+        assert member(np.array([5]), none).tolist() == []
+        big = np.iinfo(np.int64).max - 1
+        assert member(np.array([0, big]), np.array([-1, 0, 1, big - 1, big])).tolist() == \
+            [False, True, False, False, True]
+        # int32 keys against int64 sorted keys, as from_corpus's tweet ids
+        assert member(np.array([2, 4]), np.array([1, 2, 4, 5], np.int32)).tolist() == \
+            [False, True, True, False]
+
+
+def _random_lists(rng: random.Random, k_max: int) -> list[list[int]]:
+    """Lists of 0, 1, k_max and more than k_max items, and random lengths."""
+    lengths = [0, 1, k_max, k_max + rng.randint(1, 5)]
+    lengths += [rng.randint(0, 2 * k_max) for _ in range(rng.randint(0, 6))]
+    rng.shuffle(lengths)
+    return [[rng.randint(-9, 9) for _ in range(n)] for n in lengths]
+
+
+class TestPaddedAndAtK:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_plain_loop(self, seed):
+        rng = random.Random(seed)
+        k_max = rng.randint(1, 8)
+        lists = _random_lists(rng, k_max)
+        lengths = np.array([len(v) for v in lists], dtype=np.int64)
+        values = np.array([x for v in lists for x in v], dtype=np.int64)
+        width = max(map(len, lists))
+        rows = padded(values, lengths, -100)
+        assert rows.dtype == values.dtype
+        assert rows.tolist() == [v + [-100] * (width - len(v)) for v in lists]
+        # at_k of the running sums: the sum of the first min(k, len) items
+        got = at_k(np.cumsum(rows, axis=1), lengths, k_max)
+        assert got.dtype == values.dtype
+        assert got.tolist() == [[sum(v[:k]) for k in range(1, k_max + 1)] for v in lists]
+        floats = at_k(rows / 2.0, lengths, k_max)
+        assert floats.tolist() == [[v[min(k, len(v)) - 1] / 2.0 if v else 0.0
+                                    for k in range(1, k_max + 1)] for v in lists]
+
+    def test_empty(self):
+        none = np.zeros(0, np.int64)
+        assert padded(none, none, 0).shape == (0, 0)
+        assert at_k(padded(none, none, 0), none, 3).shape == (0, 3)
+        empty = padded(none, np.zeros(2, np.int64), False)
+        assert empty.shape == (2, 0)
+        assert at_k(empty, np.zeros(2, np.int64), 2).tolist() == [[0, 0], [0, 0]]
+        assert padded(np.array([True]), np.array([0, 1]), False).tolist() == [[False], [True]]
 
 
 class TestStringRanks:
