@@ -148,11 +148,25 @@ class FollowNetwork:
 
     edges: dict[str, frozenset[str]]
 
+    def __post_init__(self):
+        _check_ids("user id", [*self.edges, *chain.from_iterable(self.edges.values())])
+
     def followees(self, user_id: str) -> frozenset[str]:
         try:
             return self.edges[user_id]
         except KeyError:
             raise NotSeedUser(f"no followee set known for user {user_id!r}") from None
+
+
+def _check_ids(kind: str, ids: list[str]) -> None:
+    """Raise CorpusError, in the JSONL reader's wording, on the first of ids
+    that no TSV field can hold: an empty one, or one holding a tab, CR or
+    LF. The scans run in C, the last three over the ids joined."""
+    joined = "".join(ids)
+    if all(ids) and "\t" not in joined and "\r" not in joined and "\n" not in joined:
+        return
+    bad = next(i for i in ids if not i or "\t" in i or "\r" in i or "\n" in i)
+    raise CorpusError(f"bad {kind} {bad!r}: {kind}s are non-empty strings with no tab, CR or LF")
 
 
 def _intern(ids: dict[str, int], values: list[str]) -> np.ndarray:
@@ -221,7 +235,9 @@ class Corpus:
         """The corpus of rows in strict (timestamp, tweet, hashtag) order, as
         int32 tweet and tag ids, and of the tweets' int32 user ids and int64
         timestamps; the seed users are the network's. The tables may list
-        unused ids. User and tag ids become canonical (module docstring)."""
+        unused ids. User and tag ids become canonical (module docstring).
+        CorpusError if a used user id or hashtag, or any tweet id, is one no
+        TSV field can hold (see _check_ids)."""
         if len(tweet) != len(tag) or len(tweet_user) != len(tweet_ts):
             raise ValueError("corpus columns differ in length")
         self = cls.__new__(cls)
@@ -233,6 +249,8 @@ class Corpus:
         self.users, self.tweet_user, self.user = _by_first_use(
             users, np.append(user, np.array(tail, np.int32)) if tail else user, tweet_user, user)
         self.tags, self.tag = _by_first_use(tags, tag, tag)
+        for kind, ids in (("user id", self.users), ("tweet id", tweet_ids), ("hashtag", self.tags)):
+            _check_ids(kind, ids)
         self.ts = tweet_ts[tweet]
         self.tweet, self.tweet_ts, self.tweet_ids = tweet, tweet_ts, tweet_ids
         self.network, self.seed_users = network, frozenset(network.edges)

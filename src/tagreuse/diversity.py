@@ -5,19 +5,19 @@ are similar when they tend to appear in the same tweets. SimilarityIndex
 keeps the counts in CSR form over the corpus's tag ids, counted in one
 array program over the tweets' runs of rows.
 
-Ranked lists are scored in blocks: rerank_block builds the pair tables of
+Ranked lists are scored in blocks of tag ids, the index's rows (for
+from_corpus, the corpus's tag ids): rerank_block builds the pair tables of
 all of a block's lists at once, by sparse accumulation over their tags'
 CSR rows (SimilarityIndex._tables), then runs the re-ranker, the ILD of
 every prefix and the serendipity of every prefix as array passes over
 (lists x positions) arrays, each list padded to the block's longest, and
 returns the re-ranked positions. Every value takes the arithmetic, in the
 order, of a plain loop over its own list, so it does not depend on the
-block. The per-list functions are blocks of one:
+block. The per-list functions take hashtags, map them to rows once
+(SimilarityIndex._rows) and score a block of one:
 
-  intra_list_diversity_at_k
-                        1 - mean pairwise similarity of every prefix of a
-                        ranked list, from the list's pair table
-  intra_list_diversity  the same for the whole list only
+  similarity            cosine of two hashtags' co-occurrence vectors
+  intra_list_diversity  1 - mean pairwise similarity of a ranked list
   serendipity           fraction of recommendations outside the user's
                         own + followee history (their reuse bubble)
   rerank_hybrid         marginal-relevance greedy reorder trading
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -130,18 +129,17 @@ class SimilarityIndex:
         return dict(zip(map(self._tags.__getitem__, self._indices[lo:hi].tolist()),
                         self._counts[lo:hi].tolist()))
 
-    def _tables(self, tags: list[str], lengths: np.ndarray) -> np.ndarray:
+    def _tables(self, rows: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         """The pair tables of a block of lists, list i being the next
-        lengths[i] tags: tables[i, p, q] is the cosine of the co-occurrence
-        vectors of its p-th and q-th tags, 0 where their dot product is 0,
-        which covers tags with no vector and cells past a list's end.
+        lengths[i] rows (tag ids): tables[i, p, q] is the cosine of the
+        co-occurrence vectors of its p-th and q-th rows, 0 where their dot
+        product is 0, which covers empty rows and cells past a list's end.
 
         The lists' CSR entries are grouped by (list, neighbour id). In each
         group of two or more, every ordered pair of entries adds the product
         of their counts to its cell's dot product, an exact integer (see the
         class docstring); a diagonal cell's dot product is its row's squared
         norm. No count matrix is made."""
-        rows = self._rows(tags)
         n_lists, width = len(lengths), int(lengths.max(initial=0))
         slots = np.flatnonzero(np.arange(width) < lengths[:, None])  # list * width + position
         sizes = self._indptr[rows + 1] - self._indptr[rows]
@@ -172,14 +170,9 @@ class SimilarityIndex:
         np.divide(dot, nrm[:, :, None] * nrm[:, None, :], out=dot, where=dot != 0.0)
         return dot
 
-    def pair_table(self, tags: list[str]) -> list[list[float]]:
-        """table[i][j] is the cosine of the co-occurrence vectors of tags[i]
-        and tags[j]: the pair table of a block of one list (see _tables)."""
-        return self._tables(tags, np.array([len(tags)]))[0].tolist()
-
     def similarity(self, ht_a: str, ht_b: str) -> float:
         """Cosine of the two co-occurrence vectors; 0 if either is empty."""
-        return self.pair_table([ht_a, ht_b])[0][1]
+        return float(self._tables(self._rows([ht_a, ht_b]), np.array([2]))[0, 0, 1])
 
 
 def _squared_norms(tags: list[str], indptr: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -266,23 +259,22 @@ def _serendipity_prefixes(outside: np.ndarray) -> np.ndarray:
     return np.cumsum(outside, axis=1) / np.arange(1, outside.shape[1] + 1)
 
 
-def rerank_block(lists: Sequence[Ranked], lam: float, index: SimilarityIndex,
-                 outside: np.ndarray, k_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(picks, ild, serendipity): each list re-ranked as
-    rerank_hybrid(normalize_scores(list)) does, and the ILD and the
-    serendipity of each re-ranked list's first k items for k = 1..k_max, as
-    (lists, k_max) arrays: the whole list's past its end, 0.0 for an empty
-    list. The j-th item of the lists, concatenated in input order, is
-    outside its user's history when outside[j]; picks holds the positions
-    of those items in re-ranked order, list by list. The block's arrays
-    hold len(lists) x (longest list) ** 2 cells."""
-    lengths = np.fromiter(map(len, lists), np.int64, len(lists))
-    tags = [ht for rec in lists for ht, _ in rec]
-    scores = _group_minmax(np.repeat(np.arange(len(lists)), lengths),
-                           np.fromiter((s for rec in lists for _, s in rec), np.float64, len(tags)))
+def rerank_block(tags: np.ndarray, scores: np.ndarray, lengths: np.ndarray, lam: float,
+                 index: SimilarityIndex, outside: np.ndarray,
+                 k_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(picks, ild, serendipity) of a block of lists, list i being the next
+    lengths[i] items: tag ids (the index's rows) in tags, scores in scores,
+    and outside[j] when item j is outside its user's history. Each list is
+    re-ranked as rerank_hybrid(normalize_scores(list)) does; picks holds the
+    items' positions in re-ranked order, list by list. ild and serendipity
+    hold the ILD and serendipity of each re-ranked list's first k items for
+    k = 1..k_max, as (lists, k_max) arrays: the whole list's past its end,
+    0.0 for an empty list. The block's arrays hold len(lengths) x (longest
+    list) ** 2 cells."""
+    scores = _group_minmax(np.repeat(np.arange(len(lengths)), lengths), scores)
     tables = index._tables(tags, lengths)
     order = _greedy(padded(scores, lengths, 0.0), lengths, tables, lam)
-    at = np.arange(len(lists))[:, None, None]
+    at = np.arange(len(lengths))[:, None, None]
     tables = tables[at, order[:, :, None], order[:, None, :]]  # in re-ranked order
     picks = (order + (np.cumsum(lengths) - lengths)[:, None])[
         np.arange(order.shape[1]) < lengths[:, None]]
@@ -290,21 +282,14 @@ def rerank_block(lists: Sequence[Ranked], lam: float, index: SimilarityIndex,
             at_k(_serendipity_prefixes(padded(outside[picks], lengths, False)), lengths, k_max))
 
 
-def intra_list_diversity_at_k(items: Ranked | list[str], index: SimilarityIndex) -> list[float]:
-    """Element k-1 is the intra-list diversity of items[:k], for every k:
-    1 - the mean cosine of its pairs, added in row-major order (i
-    ascending, then j > i ascending), so each value is bit-identical to
-    scoring that prefix alone. A block of one list (see rerank_block)."""
-    tags = _hashtags(items)
-    return _ild_prefixes(index._tables(tags, np.array([len(tags)])))[0].tolist()
-
-
 def intra_list_diversity(items: Ranked | list[str], index: SimilarityIndex) -> float:
-    """1 - mean pairwise similarity over all unordered pairs; 0 for lists
-    with fewer than two items. The last value of the per-prefix table
-    (see intra_list_diversity_at_k)."""
-    at_k = intra_list_diversity_at_k(items, index)
-    return at_k[-1] if at_k else 0.0
+    """1 - mean pairwise similarity over all unordered pairs, added in
+    row-major order (i ascending, then j > i ascending); 0 for lists with
+    fewer than two items. The whole list's ILD of a block of one list (see
+    rerank_block)."""
+    tags = _hashtags(items)
+    ild = _ild_prefixes(index._tables(index._rows(tags), np.array([len(tags)])))[0]
+    return float(ild[-1]) if tags else 0.0
 
 
 def serendipity(
@@ -342,5 +327,5 @@ def rerank_hybrid(candidates: Ranked, params: HybridParams, index: SimilarityInd
     """
     lengths = np.array([len(candidates)])
     scores = np.array([[score for _, score in candidates]], dtype=np.float64)
-    tables = index._tables([ht for ht, _ in candidates], lengths)
+    tables = index._tables(index._rows([ht for ht, _ in candidates]), lengths)
     return [candidates[pos] for pos in _greedy(scores, lengths, tables, params.lambda_param)[0]]

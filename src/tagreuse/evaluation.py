@@ -13,8 +13,9 @@ the one-query `recommend` list whatever block it was scored in. A block's
 items become keys query * T + tag id (T tags), and its hits at every k,
 and with re-ranking its items outside their users' history, come from
 membership in sorted keys and prefix sums. `rerank_block` re-ranks the
-lists and scores the ILD and serendipity of every prefix. Each list's
-per-k terms are added in the split's user-id order, fixing the sums' bits.
+lists on their keys' tag ids and scores the ILD and serendipity of every
+prefix. Each list's per-k terms are added in the split's user-id order,
+fixing the sums' bits.
 """
 
 from __future__ import annotations
@@ -219,8 +220,10 @@ def evaluate(
         if with_beyond:
             a, b = np.searchsorted(query, (lo, hi))
             history = index.grouped_rows(query[a:b] - lo, user[a:b], ends[query[a:b]], hi - lo)[0]
+            scores = np.fromiter((s for rec in recs for _, s in rec), np.float64, len(keys))
             picks, terms[:, 2], terms[:, 3] = rerank_block(
-                recs, config.rerank_lambda, sims, ~member(history + lo * n_tags, keys), k_max)
+                keys % n_tags, scores, lengths, config.rerank_lambda, sims,
+                ~member(history + lo * n_tags, keys), k_max)
             keys = keys[picks]
         hit = padded(member(targets, keys), lengths, False)  # whether each item is a target
         hits = at_k(np.cumsum(hit, axis=1), lengths, k_max)

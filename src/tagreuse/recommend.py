@@ -358,18 +358,13 @@ class _Block:
         by (cosine desc, user id string asc), from their profile entries
         (owner[i], tags[i], counts[i]) with postings[i] rows each; the
         query's own user is left out. The dot products are counted in
-        (query, user) bins, from a few entries' postings at a time."""
+        (query, user) bins from one gather of the entries' postings: the cut
+        holds them to _BLOCK_ROWS, but a lone query may exceed it."""
         index, ends = self.index, self.ends
         n_users = len(index.corpus.users)
-        dots = np.zeros((hi - lo) * n_users)
-        for a, b in size_cuts(postings, _BLOCK_ROWS, len(postings)):
-            lengths = postings[a:b]
-            rows = index.tag_rows(tags[a:b], lengths)
-            pair = np.repeat((owner[a:b] - lo) * n_users, lengths)
-            pair += index.corpus.user[rows]
-            del rows
-            dots += np.bincount(pair, np.repeat(counts[a:b], lengths), minlength=len(dots))
-            del pair
+        pair = np.repeat((owner - lo) * n_users, postings)
+        pair += index.corpus.user[index.tag_rows(tags, postings)]
+        dots = np.bincount(pair, np.repeat(counts, postings), minlength=(hi - lo) * n_users)
         pair = np.flatnonzero(dots)
         query, users = np.divmod(pair, n_users)
         query += lo

@@ -232,24 +232,52 @@ def test_bench_tracer_installs():
     assert run.returncode == 0, run.stderr
 
 
-def test_rerank_evaluate_does_not_import_numpy_ma(tmp_path):
-    # numpy's set operations import numpy.ma on first use (np.unique; np.isin
-    # when it sorts), which costs a fresh process milliseconds for nothing
+@pytest.fixture(scope="module")
+def merged_jsonl(tmp_path_factory) -> tuple[list[str], dict[str, str]]:
+    """The input options of a merged synth JSONL corpus, and its first seed
+    user and a time after its last tweet."""
     corpus = merged_synth_corpus(GenParams(
         n_seed_users=6, n_followees_per_seed=2, n_background_users=4,
         vocab_size=30, n_tweets_per_user=24, rng_seed=7), 3)
-    apath, npath = tmp_path / "a.jsonl", tmp_path / "n.tsv"
+    tmp = tmp_path_factory.mktemp("merged")
+    apath, npath = tmp / "a.jsonl", tmp / "n.tsv"
     write_corpus(corpus, apath, npath, fmt="jsonl")
-    argv = ["evaluate", "--assignments", str(apath), "--network", str(npath), "--format",
-            "jsonl", "--algos", ",".join(ALGORITHM_NAMES), "--kmax", "8", "--rerank", "hybrid",
-            "--lambda", "0.5", "--outdir", str(tmp_path / "eval")]
+    inputs = ["--assignments", str(apath), "--network", str(npath), "--format", "jsonl"]
+    return inputs, {"user": min(corpus.seed_users), "at": str(int(corpus.ts.max()) + 1)}
+
+
+def _main_in_fresh_process(argv: list[str]) -> list[str]:
+    """The exit code of cli.main(argv) in a fresh process, and whether
+    numpy.ma is imported after it, as printed."""
     code = ("import sys; sys.path[:0] = sys.argv[1:2]; from tagreuse import cli;"
             " code = cli.main(sys.argv[2:]); print(code, 'numpy.ma' in sys.modules)")
     run = subprocess.run([sys.executable, "-c", code, str(ROOT / "src"), *argv],
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.split()[-2:] == ["0", "False"]
+    return run.stdout.split()[-2:]
+
+
+def test_rerank_evaluate_does_not_import_numpy_ma(tmp_path, merged_jsonl):
+    # numpy's set operations import numpy.ma on first use (np.unique; np.isin
+    # when it sorts), which costs a fresh process milliseconds for nothing
+    inputs, _ = merged_jsonl
+    argv = ["evaluate", *inputs, "--algos", ",".join(ALGORITHM_NAMES), "--kmax", "8",
+            "--rerank", "hybrid", "--lambda", "0.5", "--outdir", str(tmp_path / "eval")]
+    assert _main_in_fresh_process(argv) == ["0", "False"]
     assert (tmp_path / "eval" / "cf.tsv").exists()
+
+
+@pytest.mark.parametrize("args, output", [
+    (["classify", "--per-assignment", "{out}/labels.tsv"], "labels.tsv"),
+    (["recency", "--outdir", "{out}"], "individual.tsv"),
+    (["recommend", "--algo", "bll_is", "--user", "{user}", "--at", "{at}", "--rerank", "hybrid",
+      "--out", "{out}/rec.json"], "rec.json"),
+], ids=["classify", "recency", "recommend"])
+def test_other_subcommands_do_not_import_numpy_ma(tmp_path, merged_jsonl, args, output):
+    inputs, fields = merged_jsonl
+    argv = [args[0], *inputs, *(a.format(out=tmp_path, **fields) for a in args[1:])]
+    assert _main_in_fresh_process(argv) == ["0", "False"]
+    assert (tmp_path / output).exists()
 
 
 class TestExitCodes:

@@ -14,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from tagreuse import corpus as corpus_module
@@ -23,6 +23,7 @@ from tagreuse.corpus import (
     Corpus,
     CorpusError,
     EmptyAfterNormalization,
+    FollowNetwork,
     InconsistentNetwork,
     ParseError,
     _add_tsv_chunk,
@@ -830,6 +831,94 @@ class TestRoundTripProperties:
         assert loaded == corpus
         assert len(loaded.tweet_index) == len(corpus.tweet_index)  # tagless tweets kept
         assert _rebuilt(loaded) == loaded
+
+
+def _tsv_safe(value: str) -> bool:
+    """Whether a TSV field can hold the id, by a per-character loop."""
+    return value != "" and all(c not in "\t\r\n" for c in value)
+
+
+@st.composite
+def _any_id_corpora(draw):
+    """Tweet records and edges over arbitrary Unicode ids, with positive
+    timestamps and normalized hashtags; a tweet id names one tweet, and no
+    seed follows itself. About half the draws swap one id for an empty one
+    or one holding a tab, CR or LF."""
+    ids = st.one_of(st.sampled_from(["u1", "u2", "ü3"]), st.text(min_size=1, max_size=4))
+    records = [
+        (draw(ids), tweet_id, draw(st.integers(1, 4)),
+         tuple(draw(st.lists(_ROUNDTRIP_TAGS, max_size=3))))
+        for tweet_id in draw(st.lists(ids, max_size=8, unique=True))
+    ]
+    edges = {seed: {f for f in draw(st.lists(ids, max_size=3)) if f != seed}
+             for seed in draw(st.lists(ids, max_size=3, unique=True))}
+    bad = draw(st.sampled_from([None, None, None, "", "\t", "a\rb", "c\n"]))
+    if bad is not None and records:
+        user, tweet_id, ts, tags = records[-1]
+        records[-1] = (bad, tweet_id, ts, tags) if draw(st.booleans()) else (user, bad, ts, tags)
+    elif bad is not None:
+        edges[bad] = set()
+    return records, edges
+
+
+class TestIdRule:
+    """Every route to a corpus rejects an id no TSV field can hold, in the
+    JSONL reader's wording."""
+
+    GOOD = [("u1", "t1", 5, ("a",)), ("u2", "t2", 6, ())]
+
+    @pytest.mark.parametrize("bad", ["", "\t", "\r", "\n", "u\t1", "a\r\nb"])
+    @pytest.mark.parametrize("field, kind", [("user", "user id"), ("tweet", "tweet id"),
+                                             ("tag", "hashtag"), ("seed", "user id"),
+                                             ("followee", "user id")])
+    def test_from_tweets_rejects(self, field, kind, bad):
+        record = {"user": (bad, "t3", 7, ("b",)), "tweet": ("u1", bad, 7, ("b",)),
+                  "tag": ("u1", "t3", 7, ("b", bad))}.get(field, ("u1", "t3", 7, ("b",)))
+        edges = {"seed": {bad: {"u1"}}, "followee": {"u1": {"u2", bad}}}.get(field, {})
+        with pytest.raises(CorpusError, match=f"bad {kind} .*: {kind}s are non-empty strings"
+                                              " with no tab, CR or LF"):
+            Corpus.from_tweets(self.GOOD + [record], edges)
+
+    def test_from_columns_rejects_a_tweet_id_of_a_hashtagless_tweet(self, stats_fixture_corpus):
+        c = stats_fixture_corpus
+        tables = (c.users, c.tweet_ids + ["t\tx"], c.tags, c.network)
+        tweet_user, tweet_ts = np.append(c.tweet_user, 0), np.append(c.tweet_ts, 9)
+        with pytest.raises(CorpusError, match=r"bad tweet id 't\\tx'"):
+            Corpus.from_columns(c.tweet, c.tag, tweet_user, tweet_ts, *tables)
+
+    def test_from_columns_drops_an_unused_bad_user_or_hashtag(self, stats_fixture_corpus):
+        c = stats_fixture_corpus
+        tables = (c.users + ["u\t9"], c.tweet_ids, c.tags + ["h\n9"], c.network)
+        assert Corpus.from_columns(c.tweet, c.tag, c.tweet_user, c.tweet_ts, *tables) == c
+
+    @pytest.mark.parametrize("edges", [{"s\r": frozenset()}, {"s": frozenset({"a", ""})},
+                                       {"": frozenset({"a"})}])
+    def test_follow_network_rejects(self, edges):
+        with pytest.raises(CorpusError, match="bad user id .*: user ids are non-empty"):
+            FollowNetwork(edges)
+
+    @seed(20261021)
+    @settings(max_examples=150, deadline=None)
+    @given(_any_id_corpora())
+    def test_an_accepted_corpus_is_written_back(self, drawn):
+        """load_corpus(write_corpus(c)) == c for every corpus from_tweets
+        accepts, in JSONL and, when every tweet has a hashtag, in TSV; it
+        rejects exactly the corpora with an id no TSV field can hold."""
+        records, edges = drawn
+        ids = [i for user, tweet, _, _ in records for i in (user, tweet)]
+        ids += [i for seed_user, followees in edges.items() for i in (seed_user, *followees)]
+        try:
+            corpus = Corpus.from_tweets(records, edges)
+        except CorpusError:
+            assert not all(map(_tsv_safe, ids))
+            return
+        assert all(map(_tsv_safe, ids))
+        formats = ["jsonl"] + ["tsv"] * all(tags for *_, tags in records)
+        with tempfile.TemporaryDirectory() as tmp:
+            for fmt in formats:
+                apath, npath = Path(tmp) / f"a.{fmt}", Path(tmp) / "n.tsv"
+                write_corpus(corpus, apath, npath, fmt=fmt)
+                assert load_corpus(apath, npath, fmt=fmt) == corpus
 
 
 class TestColumns:

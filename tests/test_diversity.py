@@ -13,7 +13,6 @@ from tagreuse.diversity import (
     HybridParams,
     SimilarityIndex,
     intra_list_diversity,
-    intra_list_diversity_at_k,
     normalize_scores,
     rerank_block,
     rerank_hybrid,
@@ -32,6 +31,7 @@ from conftest import (
     reference_cooccurrence_vectors,
     reference_ild_at_k,
     reference_normalize_scores,
+    reference_pair_table,
     reference_rerank_hybrid,
     reference_serendipity,
 )
@@ -78,6 +78,33 @@ def synth_lists():
     rng = random.Random(12)
     lengths = [0, 1, 2] + [rng.randrange(3, 31) for _ in range(40)] + [30]
     return index, [[rng.choice(pool) for _ in range(n)] for n in lengths]
+
+
+def _pair_table(index, tags):
+    """The pair table of a block of one list, as rerank_hybrid and
+    intra_list_diversity read it."""
+    return index._tables(index._rows(tags), np.array([len(tags)]))[0].tolist()
+
+
+def _block(index, ranked):
+    """(tag ids, scores, lengths) of ranked lists, as rerank_block takes them."""
+    return (index._rows([ht for rec in ranked for ht, _ in rec]),
+            np.array([score for rec in ranked for _, score in rec], dtype=np.float64),
+            np.array([len(rec) for rec in ranked], dtype=np.int64))
+
+
+def _ild_at_k(index, tags):
+    """The ILD of every prefix of one list: rerank_block at lambda 1 with
+    equal scores keeps the input order."""
+    n = len(tags)
+    picks, ild, _ = rerank_block(*_block(index, [[(ht, 0.0) for ht in tags]]), 1.0, index,
+                                 np.zeros(n, dtype=bool), n)
+    assert picks.tolist() == list(range(n))
+    return ild[0].tolist()
+
+
+def _hexes(table):
+    return [[float.hex(v) for v in row] for row in table]
 
 
 def _random_vectors(rng, n_tags, symmetric):
@@ -154,9 +181,10 @@ class TestIndexLayout:
             index = index_from_vectors(vectors)
             pool = [f"t{i}" for i in range(12)] + ["unknown"]
             tags = [rng.choice(pool) for _ in range(rng.randint(0, 14))]
-            table = index.pair_table(tags)
+            table = _pair_table(index, tags)
             for i, a in enumerate(tags):
                 assert table[i] == [brute_force_cosine(index, a, b) for b in tags]
+            assert _hexes(table) == _hexes(reference_pair_table(index, tags))
 
     @pytest.mark.parametrize("cut", [None, "before", "exclude", "both", "at_first",
                                      "exclude_all", "single_tag", "late_tag"])
@@ -187,7 +215,7 @@ class TestIndexLayout:
             for ht in set(corpus.tags) | {"unknown"}:
                 assert index.vector(ht) == expected.get(ht, {})
             if not expected:
-                assert not any(map(any, index.pair_table(corpus.tags)))
+                assert not any(map(any, _pair_table(index, corpus.tags)))
             n_counts += sum(map(len, expected.values()))
         if cut in ("at_first", "exclude_all", "single_tag"):
             assert n_counts == 0
@@ -225,11 +253,12 @@ class TestPairTable:
         index, lists = synth_lists
         seen = set()
         for tags in lists:
-            table = index.pair_table(tags)
+            table = _pair_table(index, tags)
             assert len(table) == len(tags)
             for i, a in enumerate(tags):
                 assert table[i] == [brute_force_cosine(index, a, b) for b in tags]
                 seen.update(table[i])
+            assert _hexes(table) == _hexes(reference_pair_table(index, tags))
         assert any(0.0 < v < 1.0 for v in seen)
 
     def test_similarity_reads_the_pair_table(self, synth_lists):
@@ -247,9 +276,10 @@ class TestPairTable:
             "c": {"y": 11, "z": 1},
         })
         tags = ["a", "b", "c", "b"]
-        table = index.pair_table(tags)
+        table = _pair_table(index, tags)
         for i, a in enumerate(tags):
             assert table[i] == [brute_force_cosine(index, a, b) for b in tags]
+        assert _hexes(table) == _hexes(reference_pair_table(index, tags))
 
     def test_squared_norm_bound(self):
         # 2 * (2**26)**2 == 2**53: the first squared norm a float64 product
@@ -347,11 +377,12 @@ class TestIntraListDiversity:
         seen = set()
         for items in lists:
             n = len(items)
-            at_k = intra_list_diversity_at_k(items, index)
+            at_k = _ild_at_k(index, items)
             assert len(at_k) == n
             for k in range(1, n + 1):
                 assert at_k[k - 1] == intra_list_diversity(items[:k], index)
                 assert at_k[k - 1] == _direct_ild(items[:k], index)
+            assert _hexes([at_k]) == _hexes([reference_ild_at_k(items, index)])
             seen.update(at_k)
         assert any(0.0 < v < 1.0 for v in seen)
 
@@ -359,15 +390,16 @@ class TestIntraListDiversity:
         index = SimilarityIndex.from_corpus(cooc_corpus)
         tables, pairs = [], []
         build = SimilarityIndex._tables
-        monkeypatch.setattr(SimilarityIndex, "_tables", lambda self, tags, lengths: (
-            tables.append((list(tags), lengths.tolist())) or build(self, tags, lengths)))
+        monkeypatch.setattr(SimilarityIndex, "_tables", lambda self, rows, lengths: (
+            tables.append((rows.tolist(), lengths.tolist())) or build(self, rows, lengths)))
         monkeypatch.setattr(SimilarityIndex, "similarity", lambda *args: pairs.append(args))
         items = ["p", "q", "r", "c", "p", "neverseen"]
-        intra_list_diversity_at_k(items, index)
-        assert tables == [(items, [6])]
+        rows = [cooc_corpus.tag_ids.get(ht, len(cooc_corpus.tags)) for ht in items]
+        intra_list_diversity(items, index)
+        assert tables == [(rows, [6])]
         candidates = [(ht, 1.0 - i / 10) for i, ht in enumerate(items)]
         rerank_hybrid(candidates, HybridParams(0.5), index)
-        assert tables == [(items, [6])] * 2
+        assert tables == [(rows, [6])] * 2
         assert pairs == []
 
     def test_accepts_scored_items(self, cooc_corpus):
@@ -495,7 +527,7 @@ class TestRerankBlock:
         ranked = [[(ht, float(rng.randrange(4))) for ht in tags] for tags in lists]
         history = set(rng.sample(sorted(set(index._tags)), len(index._tags) // 2))
         outside = np.array([ht not in history for tags in lists for ht in tags], dtype=bool)
-        picks, ild, ser = rerank_block(ranked, lam, index, outside, k_max)
+        picks, ild, ser = rerank_block(*_block(index, ranked), lam, index, outside, k_max)
         assert ild.shape == ser.shape == (len(lists), k_max)
         items = [item for rec in ranked for item in reference_normalize_scores(rec)]
         at = 0
@@ -515,10 +547,10 @@ class TestRerankBlock:
         rng = random.Random(3)
         ranked = [[(ht, rng.random()) for ht in tags] for tags in lists]
         outside = np.array([rng.random() < 0.5 for tags in lists for _ in tags], dtype=bool)
-        whole = rerank_block(ranked, 0.5, index, outside, 30)
+        whole = rerank_block(*_block(index, ranked), 0.5, index, outside, 30)
         at = 0
         for i, rec in enumerate(ranked):
-            one = rerank_block([rec], 0.5, index, outside[at : at + len(rec)], 30)
+            one = rerank_block(*_block(index, [rec]), 0.5, index, outside[at : at + len(rec)], 30)
             assert (one[0] + at).tolist() == whole[0][at : at + len(rec)].tolist()
             at += len(rec)
             assert one[1].tolist() == [whole[1][i].tolist()]
@@ -527,8 +559,9 @@ class TestRerankBlock:
     @pytest.mark.filterwarnings("error")
     def test_empty_block_and_empty_lists(self, cooc_corpus):
         index = SimilarityIndex.from_corpus(cooc_corpus)
-        picks, ild, ser = rerank_block([], 0.0, index, np.zeros(0, dtype=bool), 3)
+        picks, ild, ser = rerank_block(*_block(index, []), 0.0, index, np.zeros(0, dtype=bool), 3)
         assert picks.tolist() == [] and ild.shape == ser.shape == (0, 3)
-        picks, ild, ser = rerank_block([[], []], 0.0, index, np.zeros(0, dtype=bool), 3)
+        picks, ild, ser = rerank_block(*_block(index, [[], []]), 0.0, index,
+                                       np.zeros(0, dtype=bool), 3)
         assert picks.tolist() == [] and ild.shape == ser.shape == (2, 3)
         assert not ild.any() and not ser.any()

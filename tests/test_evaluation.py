@@ -8,6 +8,7 @@ import random
 from functools import partial
 from itertools import groupby
 
+import numpy as np
 import pytest
 
 from tagreuse import evaluation
@@ -405,28 +406,28 @@ class TestPassOrder:
         blocks = []
         build = SimilarityIndex._tables
 
-        def spy(index, tags, lengths):
-            tables = build(index, tags, lengths)
-            blocks.append((index, list(tags), lengths.tolist(), tables))
+        def spy(index, rows, lengths):
+            tables = build(index, rows, lengths)
+            blocks.append((index, rows, lengths.tolist(), tables))
             return tables
 
         with monkeypatch.context() as patch:
             patch.setattr(SimilarityIndex, "_tables", spy)
             patch.setattr(evaluation, "_BLOCK_CELLS", 1000)  # a few users per block
-            for name in ("pair_table", "similarity"):
+            for name in ("_rows", "similarity"):  # no item is looked up by its string
                 patch.setattr(SimilarityIndex, name,
                               lambda *_, name=name: pytest.fail(f"{name} called"))
             evaluate(corpus, algorithms, config)
         assert len(blocks) > 1 or len(make_split(corpus).users) == 1
         listed = []
-        for index, tags, lengths, tables in blocks:
+        for index, rows, lengths, tables in blocks:
             at = 0
             for table, n in zip(tables, lengths):
-                listed.append(tags[at : at + n])
+                one = index._tables(rows[at : at + n], np.array([n]))[0]  # a block of one list
+                listed.append([index._tags[r] for r in rows[at : at + n].tolist()])
                 at += n
                 hexes = [[float.hex(v) for v in row] for row in table[:n, :n].tolist()]
-                assert hexes == [[float.hex(v) for v in row]
-                                 for row in index.pair_table(listed[-1])]
+                assert hexes == [[float.hex(v) for v in row] for row in one.tolist()]
                 assert hexes == [[float.hex(v) for v in row]
                                  for row in reference_pair_table(index, listed[-1])]
                 assert not table[n:].any() and not table[:, n:].any()

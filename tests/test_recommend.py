@@ -853,6 +853,10 @@ class TestBlocks:
     def test_blocks_equal_one_query_lists(self, monkeypatch):
         rng = random.Random(2151)
         seen = Counter()
+        cuts = []  # (queries, postings) of each of cf's cuts
+        neighbors = recommend_module._Block._neighbors
+        monkeypatch.setattr(recommend_module._Block, "_neighbors", lambda self, lo, hi, *entries: (
+            cuts.append((hi - lo, int(entries[-1].sum()))) or neighbors(self, lo, hi, *entries)))
         for _ in range(30):
             corpus = _with_silent_users(rng, random_corpus(
                 rng, max_users=14, max_assignments=200, max_timestamp=60))
@@ -875,9 +879,15 @@ class TestBlocks:
             k = rng.choice([1, 3, 50])
             expected = [{algo: recommend(algo, index, user, ref, k, bll, mix, cf)
                          for algo in ALGORITHM_NAMES} for user, ref in queries]
-            for budget in (1, 2**62):
+            # at 100, cf's cuts hold several queries, and a query with more
+            # postings than that is cut alone
+            for budget in (1, 100, 2**62):
                 monkeypatch.setattr(recommend_module, "_BLOCK_ROWS", budget)
+                cuts.clear()
                 got = list(recommend_many(index, ALGORITHM_NAMES, users, times, k, bll, mix, cf))
+                if budget == 100:
+                    seen["cf cut of several"] += any(n > 1 for n, _ in cuts)
+                    seen["lone cf query over budget"] += any(n == 1 and p > 100 for n, p in cuts)
                 assert [{algo: [(ht, s.hex()) for ht, s in lists[algo]] for algo in lists}
                         for lists in got] == \
                     [{algo: [(ht, s.hex()) for ht, s in lists[algo]] for algo in lists}
