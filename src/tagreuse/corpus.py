@@ -16,22 +16,29 @@ timestamp)) and `Corpus.assignments` (`HashtagAssignment` objects) are
 views built on first read and cached; the package itself reads only the
 columns. Everything downstream reads this structure and never mutates it.
 
-`load_corpus` reads a file once, in chunks of lines. A TSV chunk is
-checked with bulk string and array operations and interned straight into
-int arrays; only a chunk that fails a check (it holds a malformed line),
-and every JSONL chunk, goes to the line reader, which raises and counts
-exactly as a line-at-a-time parser does. A load and `Corpus.from_tweets`
-feed one accumulator and one assembly step, which sorts and deduplicates
-rows not already in strict order, so every route gives the same corpus.
+`load_corpus` reads a file once, as bytes, in chunks of whole lines. A
+TSV chunk is one numpy program over its bytes: it finds the line ends and
+tabs, checks that each line has four fields and a user and a tweet, reads
+the timestamps by digit arithmetic (int() takes any field that is not 1 to
+18 ASCII digits), and interns users and raw hashtags by sorting their
+byte keys, so only the distinct ones are decoded. Only a chunk that the
+program cannot prove well formed (it holds a malformed line), and every
+JSONL chunk, is decoded to lines for the line reader, which raises and
+counts exactly as a line-at-a-time parser does. A load and
+`Corpus.from_tweets` feed one accumulator and one assembly step, which
+sorts and deduplicates rows not already in strict order, so every route
+gives the same corpus.
 """
 
 from __future__ import annotations
 
+import codecs
 import gc
 import json
 import logging
 import operator
 import os
+import re
 import unicodedata
 import uuid
 from array import array
@@ -40,9 +47,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, count, filterfalse, repeat
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, TextIO
+from typing import BinaryIO, Callable, Iterable, Iterator, TextIO
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 log = logging.getLogger(__name__)
 
@@ -50,10 +58,15 @@ log = logging.getLogger(__name__)
 TweetRecord = tuple[str, str, int, tuple[str, ...]]
 
 MAX_TIMESTAMP = 2**63 - 1  # largest value of the int64 `ts` column
-# Characters per `readlines` call of the assignments reader: enough lines to
-# amortize the per-chunk work, few enough that the chunk's split fields
-# stay small next to the corpus itself.
-_CHUNK_CHARS = 1 << 18
+# Bytes per read of the assignments reader: enough lines to amortize the
+# per-chunk work, few enough that a chunk's arrays stay small next to the
+# corpus itself.
+_CHUNK_BYTES = 1 << 18
+# Up to this many ASCII digits a timestamp is read by digit arithmetic:
+# 10**18 - 1 < MAX_TIMESTAMP.
+_PLAIN_DIGITS = 18
+# Raw hashtags, joined by tabs, that are all their own normal form.
+_CANONICAL_TAGS = re.compile(r"[a-z0-9_]+(?:\t[a-z0-9_]+)*")
 
 
 @contextmanager
@@ -174,6 +187,26 @@ def _intern(ids: dict[str, int], values: list[str]) -> np.ndarray:
     new = list(filterfalse(ids.__contains__, dict.fromkeys(values)))
     ids.update(zip(new, range(len(ids), len(ids) + len(new))))
     return np.fromiter(map(ids.__getitem__, values), np.int32, len(values))
+
+
+def first_of_runs(*keys: np.ndarray) -> np.ndarray:
+    """Mask of the first position of each run of equal values in all keys."""
+    first = np.zeros(len(keys[0]), dtype=bool)
+    first[:1] = True
+    for key in keys:
+        first[1:] |= key[1:] != key[:-1]
+    return first
+
+
+def concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The positions of the ranges starts[i] + [0, lengths[i]), range by
+    range, as the cumulative sum of their steps: one array is allocated."""
+    starts, lengths = starts[lengths > 0], lengths[lengths > 0]
+    ends = np.cumsum(lengths)
+    steps = np.ones(ends[-1] if len(ends) else 0, dtype=np.int64)
+    steps[:1] = starts[:1]
+    steps[ends[:-1]] = starts[1:] - starts[:-1] - lengths[:-1] + 1
+    return np.cumsum(steps, out=steps)
 
 
 def _by_first_use(table: list[str], uses: np.ndarray, *columns: np.ndarray) -> tuple:
@@ -480,48 +513,143 @@ def _jsonl_fields(line: str) -> tuple | None:
     return user_id, tweet_id, ts, raw_tags
 
 
-def _add_tsv_chunk(rows: _Rows, chunk: list[str]) -> bool:
-    """Add a chunk of TSV lines to `rows` with bulk string and array
-    operations if they find every line well formed and in agreement with
-    its tweet's first line; otherwise leave `rows` as it was and return
-    False. Each new raw hashtag is normalized once."""
-    lines = list(filter(None, map(str.rstrip, chunk, repeat("\r\n"))))
-    if not lines:
-        return True
-    if set(map(str.count, lines, repeat("\t"))) != {3}:
-        return False
-    fields = "\t".join(lines).split("\t")
-    users, tweets, raw_tags = fields[0::4], fields[1::4], fields[3::4]
-    if "" in users or "" in tweets:
-        return False
-    try:
-        ts = np.fromiter(map(int, fields[2::4]), np.int64, len(lines))
-        new_tags = {raw: normalize_hashtag(raw)
-                    for raw in filterfalse(rows.normalized.__contains__, dict.fromkeys(raw_tags))}
-    except (ValueError, OverflowError, EmptyAfterNormalization):
-        return False
-    if ts.min() <= 0:
-        return False
+def _strings(buf: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> list[str]:
+    """The fields buf[start:start + len], decoded as UTF-8 by one gather, one
+    decode and one split. No field holds a tab, and a byte of `buf` follows
+    each (its separator)."""
+    text = buf[concat_ranges(starts, lens + 1)]  # each field and the byte after it
+    text[np.cumsum(lens + 1) - 1] = ord("\t")
+    return text.tobytes().decode().split("\t")[:-1]
+
+
+_LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64)  # a word's first k bytes
+# At [k + 1], a word's end mark at byte k, for k = -1..8: none before and after the word.
+_END_MARK = np.array([0] + [0xFF << 8 * k for k in range(8)] + [0], np.uint64)
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)  # odd: multiplying by it mixes a word's bits upward
+
+
+def _distinct(buf: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """The distinct fields buf[start:start + len], decoded, in order of first
+    appearance, and each field's int32 index into them. Fields are grouped
+    by sorting exact byte keys: a field's bytes, an end mark 0xFF and
+    zeros, as little-endian 8-byte words, so "t" and "t\\0" differ. A key
+    table that would outgrow four times the chunk (a few long fields) gives
+    way to a dict over the decoded fields. `buf` ends in at least 8 more
+    zeros than the longest field."""
+    n = len(lens)
+    width = int(lens.max()) // 8 + 1  # words per key, with room for the end mark
+    if 8 * width * n > 4 * len(buf):
+        ids: dict[str, int] = {}
+        inverse = _intern(ids, _strings(buf, starts, lens))
+        return list(ids), inverse
+    keys = sliding_window_view(buf, 8 * width)[starts].view("<u8")
+    for j, word in enumerate(keys.T):
+        left = np.clip(lens - 8 * j, -1, 8)  # field bytes in this word; -1 past the end mark
+        word &= _LOW_BYTES[np.maximum(left, 0)]
+        word |= _END_MARK[left + 1]
+    hashed = keys[:, 0]  # a key's one word, or a hash of its words
+    for word in keys.T[1:]:
+        hashed = (hashed ^ word) * _GOLDEN
+    order = np.argsort(hashed)
+    new = first_of_runs(*keys[order].T)
+    if width > 1 and not np.array_equal(new, first_of_runs(hashed[order])):
+        order = np.lexsort(keys.T)  # two keys' hashes collide: sort their words
+        new = first_of_runs(*keys[order].T)
+    first = np.minimum.reduceat(order, np.flatnonzero(new))  # each key's first field
+    by_appearance = np.argsort(first)
+    group_id = np.empty(len(first), np.int32)
+    group_id[by_appearance] = np.arange(len(first))
+    inverse = np.empty(n, np.int32)
+    inverse[order] = group_id[np.cumsum(new) - 1]
+    first = first[by_appearance]
+    return _strings(buf, starts[first], lens[first]), inverse
+
+
+def _timestamps(buf: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> np.ndarray | None:
+    """The int64 value of each timestamp field, or None if one is not an
+    int() in [1, MAX_TIMESTAMP]. A field of 1 to 18 ASCII digits is read by
+    digit arithmetic (it fits an int64); any other goes through int().
+    `buf` ends in at least 18 zeros."""
+    width = min(max(int(lens.max()), 1), _PLAIN_DIGITS)
+    # One row per digit place; bytes below '0' wrap past 9.
+    digits = np.ascontiguousarray(sliding_window_view(buf, width)[starts].T) - ord("0")
+    inside = np.arange(width)[:, None] < lens
+    plain = (lens > 0) & (lens <= width) & ((digits <= 9) | ~inside).all(axis=0)
+    ts = np.zeros(len(lens), np.int64)
+    for place, into in zip(digits, inside):  # Horner's rule, digit by digit
+        ts = np.where(into, ts * 10 + place, ts)
+    for i in np.flatnonzero(~plain).tolist():
+        try:
+            value = int(buf[starts[i]:starts[i] + lens[i]].tobytes().decode())
+        except ValueError:  # UnicodeDecodeError too: the line reader raises it again
+            return None
+        if not 0 < value <= MAX_TIMESTAMP:
+            return None
+        ts[i] = value
+    return ts if ts.min() > 0 else None
+
+
+def _add_tsv_bytes(rows: _Rows, chunk: bytes) -> int | None:
+    """Add a chunk of TSV lines, each ended, to `rows` by array passes over
+    its bytes, and return its line count, if they find every line well
+    formed and in agreement with its tweet's first line; otherwise leave
+    `rows` as it was and return None. Each distinct user and raw hashtag of
+    the chunk is decoded once, and each new raw hashtag normalized once."""
+    buf = np.frombuffer(chunk, np.uint8)
+    ends = np.flatnonzero((buf == ord("\n")) | (buf == ord("\r")))
+    n_lines = len(ends) - np.count_nonzero(
+        (ends[1:] == ends[:-1] + 1) & (buf[ends[:-1]] == ord("\r")) & (buf[ends[1:]] == ord("\n")))
+    starts = np.append(0, ends[:-1] + 1)
+    full = ends > starts  # blank lines, and the gap inside a CRLF, are empty
+    starts, ends = starts[full], ends[full]
+    n = len(starts)
+    if not n:
+        return n_lines
+    tabs = np.flatnonzero(buf == ord("\t"))
+    if len(tabs) != 3 * n:
+        return None
+    # With 3n tabs in all, each line holds exactly its own three when these hold.
+    t0, t1, t2 = tabs.reshape(n, 3).T
+    if not ((t0 > starts).all() and (t1 > t0 + 1).all() and (t2 < ends).all()):
+        return None
+    # Zeros past the chunk: a window as wide as a field plus a word, or as
+    # a timestamp, stays inside.
+    buf = np.concatenate((buf, np.zeros(int((ends - starts).max()) + _PLAIN_DIGITS, np.uint8)))
+    ts = _timestamps(buf, t1 + 1, t2 - t1 - 1)
+    if ts is None:
+        return None
+    raw_tags, raw_tag = _distinct(buf, t2 + 1, ends - t2 - 1)
+    tag_of = np.fromiter(map(rows.normalized.get, raw_tags, repeat(-1)), np.int32, len(raw_tags))
+    new = np.flatnonzero(tag_of < 0)
+    new_tags = list(map(raw_tags.__getitem__, new.tolist()))
+    if _CANONICAL_TAGS.fullmatch("\t".join(new_tags)):
+        normal = new_tags
+    else:
+        try:
+            normal = list(map(normalize_hashtag, new_tags))
+        except (ValueError, EmptyAfterNormalization):
+            return None
+    users, user = _distinct(buf, starts, t0 - starts)
+    tweets = _strings(buf, t0 + 1, t1 - t0 - 1)
     n_users, n_tweets, n_slots = len(rows.user_ids), len(rows.tweet_slot), len(rows.slot_ts)
-    user = _intern(rows.user_ids, users)
+    user = _intern(rows.user_ids, users)[user]
     # Line i takes slot n_slots + i; it agrees with its tweet if the tweet's first slot matches.
-    slot = np.fromiter(map(rows.tweet_slot.setdefault, tweets, count(n_slots)), np.int32,
-                       len(lines))
+    slot = np.fromiter(map(rows.tweet_slot.setdefault, tweets, count(n_slots)), np.int32, n)
     rows.slot_user.frombytes(user.tobytes())
     rows.slot_ts.frombytes(ts.tobytes())
     if not (np.array_equal(np.frombuffer(rows.slot_user, np.int32)[slot], user)
             and np.array_equal(np.frombuffer(rows.slot_ts, np.int64)[slot], ts)):
-        for d, n in ((rows.user_ids, n_users), (rows.tweet_slot, n_tweets)):
-            for _ in range(len(d) - n):
+        for d, k in ((rows.user_ids, n_users), (rows.tweet_slot, n_tweets)):
+            for _ in range(len(d) - k):
                 d.popitem()
         del rows.slot_user[n_slots:], rows.slot_ts[n_slots:]
-        return False
-    normalized = rows.normalized
-    normalized.update(zip(new_tags, map(rows.tag_id, new_tags.values())))
+        return None
+    new_ids = list(map(rows.tag_id, normal))
+    rows.normalized.update(zip(new_tags, new_ids))
+    tag_of[new] = new_ids
     rows.tweet.frombytes(slot.tobytes())
-    rows.tag.frombytes(np.fromiter(map(normalized.__getitem__, raw_tags), np.int32,
-                                   len(lines)).tobytes())
-    return True
+    rows.tag.frombytes(tag_of[raw_tag].tobytes())
+    return n_lines
 
 
 def _add_lines(rows: _Rows, chunk: list[str], n_before: int,
@@ -555,21 +683,55 @@ def _add_lines(rows: _Rows, chunk: list[str], n_before: int,
     return n_bad
 
 
+def _chunks(fh: BinaryIO) -> Iterator[bytes]:
+    """The bytes of a file after a leading UTF-8 byte-order mark, in chunks
+    of whole lines of about _CHUNK_BYTES. A line ends at LF, CRLF or a lone
+    CR, so a chunk never ends between a CR and its LF; a last line with no
+    ending is given a LF."""
+    rest = bytearray(fh.read(len(codecs.BOM_UTF8)))
+    if rest == codecs.BOM_UTF8:
+        rest.clear()
+    while block := fh.read(_CHUNK_BYTES):
+        cut = max(block.rfind(b"\n"), block.rfind(b"\r", 0, -1)) + 1
+        if not cut:  # a line longer than a block (or one that may end in CRLF)
+            rest += block
+            continue
+        view = memoryview(block)
+        chunk, rest = b"".join((rest, view[:cut])), bytearray(view[cut:])
+        del view, block  # only the chunk is held while it is read
+        yield chunk
+    if rest:
+        yield bytes(rest) if rest.endswith((b"\n", b"\r")) else bytes(rest + b"\n")
+
+
+def _lines(chunk: bytes) -> list[str]:
+    """The chunk's lines, decoded, without their endings: the lines that
+    readlines gives under newline="". str.splitlines would also split at
+    \\x0b, \\x1c, \\x85 and \\u2028."""
+    text = chunk.decode()
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n")[:-1]  # the chunk ends with a line end
+
+
 def _read_assignments(path: Path, fmt: str, on_malformed: str) -> tuple[_Rows, int]:
     """The rows and tweets of an assignments file, and its malformed line
-    count. The file is read once, in chunks of lines: a TSV chunk goes
-    through the bulk checks of `_add_tsv_chunk`, and only a chunk that
-    fails them, or a JSONL chunk, goes through `_add_lines`."""
+    count. The file is read once, as bytes, in chunks of whole lines: a TSV
+    chunk goes through the array program of `_add_tsv_bytes`, and only
+    a chunk that it cannot prove well formed, or a JSONL chunk, is decoded
+    to lines for `_add_lines`. Bytes that are not UTF-8 raise
+    UnicodeDecodeError."""
     fields_of = _tsv_fields if fmt == "tsv" else _jsonl_fields
     rows = _Rows()
     n_read = n_bad = 0
-    # Both formats end a line at '\n', '\r\n' or a lone '\r'; newline=""
-    # keeps the ending on the line for the field readers to strip.
-    with path.open("r", encoding="utf-8-sig", newline="") as fh:
-        while chunk := fh.readlines(_CHUNK_CHARS):
-            if fmt == "jsonl" or not _add_tsv_chunk(rows, chunk):
-                n_bad += _add_lines(rows, chunk, n_read, fields_of, on_malformed, path)
-            n_read += len(chunk)
+    with path.open("rb") as fh:
+        for chunk in _chunks(fh):
+            n_lines = _add_tsv_bytes(rows, chunk) if fmt == "tsv" else None
+            if n_lines is None:
+                lines = _lines(chunk)
+                n_bad += _add_lines(rows, lines, n_read, fields_of, on_malformed, path)
+                n_lines = len(lines)
+            n_read += n_lines
     if n_bad:
         log.warning("%s: %d malformed line(s) skipped", path, n_bad)
     return rows, n_bad
@@ -609,16 +771,19 @@ def load_corpus(
 ) -> Corpus:
     """Parse, normalize, validate and index a dataset.
 
-    Cyclic gc is paused throughout. The file is read once, in chunks; a TSV
-    chunk that fails the bulk checks, and any JSONL chunk, is read line by
-    line. Either way each line is validated once, each distinct raw
-    hashtag normalized once and user ids interned, and the result equals
-    `Corpus.from_tweets` over the file's valid tweet records.
+    Cyclic gc is paused throughout. The file is read once, as bytes, in
+    chunks of whole lines. A TSV chunk is read by one array program over
+    its bytes (see the module docstring); a chunk that it cannot prove well
+    formed, and any JSONL chunk, is decoded and read line by line. Either
+    way each line is validated once, each distinct raw hashtag normalized
+    once and user ids interned, and the result equals `Corpus.from_tweets`
+    over the file's valid tweet records.
 
     Lines may end in LF, CRLF or a lone CR, and a leading UTF-8 byte-order
-    mark is skipped. `on_malformed` is "raise" (default: first bad line raises
-    ParseError) or "count" (bad lines are logged, counted on the returned
-    corpus, and skipped; never silently dropped).
+    mark is skipped; bytes that are not UTF-8 raise UnicodeDecodeError.
+    `on_malformed` is "raise" (default: first bad line raises ParseError)
+    or "count" (bad lines are logged, counted on the returned corpus, and
+    skipped; never silently dropped).
     """
     if on_malformed not in ("raise", "count"):
         raise ValueError(f"on_malformed must be 'raise' or 'count', got {on_malformed!r}")
@@ -639,6 +804,13 @@ def load_corpus(
     return corpus
 
 
+def _keep_leading_feff(fh: TextIO, first_id: str) -> None:
+    """Write a byte-order mark ahead of a first id that starts with U+FEFF:
+    the readers skip one leading mark, and keep the id's own."""
+    if first_id.startswith("\ufeff"):
+        fh.write("\ufeff")
+
+
 def write_corpus(
     corpus: Corpus,
     assignments_path: str | Path,
@@ -648,8 +820,10 @@ def write_corpus(
     """Serialize a corpus back to its file formats, canonically ordered.
 
     TSV cannot represent tweets without hashtags; use jsonl to round-trip
-    corpora that contain them. Each file is written atomically (see
-    atomic_open): a failed write leaves the previous file in place.
+    corpora that contain them. A TSV file whose first id starts with U+FEFF
+    begins with a byte-order mark, so it reads back with that character.
+    Each file is written atomically (see atomic_open): a failed write leaves
+    the previous file in place.
     """
     if fmt not in ("tsv", "jsonl"):
         raise ValueError(f"unknown format {fmt!r} (expected 'tsv' or 'jsonl')")
@@ -657,6 +831,7 @@ def write_corpus(
     tags = list(map(corpus.tags.__getitem__, memoryview(corpus.tag)))
     with atomic_open(assignments_path) as fh:
         if fmt == "tsv":
+            _keep_leading_feff(fh, users[corpus.user[0]] if len(corpus.user) else "")
             rows = zip(map(users.__getitem__, memoryview(corpus.user)),
                        map(tweet_ids.__getitem__, memoryview(corpus.tweet)),
                        memoryview(corpus.ts), tags)
@@ -672,6 +847,7 @@ def write_corpus(
                        "ts": tweet_ts[tweet], "hashtags": sorted(tags_by_tweet[tweet])}
                 fh.write(json.dumps(obj, sort_keys=True) + "\n")
     with atomic_open(network_path) as fh:
+        _keep_leading_feff(fh, min(corpus.network.edges, default=""))
         for seed in sorted(corpus.network.edges):
             followees = sorted(corpus.network.edges[seed])
             if not followees:

@@ -12,9 +12,9 @@ passes over just the rows it reads, never by a pass over the row prefix.
 The index holds no state that a read changes, so every answer depends only
 on (arguments, corpus), whatever the order of the reads. The module also
 holds the kernels that classify, recommend, diversity and evaluation
-share: run masks, starts and bounds, range gathers, sorted-key membership,
-padded per-list rows and their values at each k, size-budgeted cuts and
-follow pairs.
+share: run starts and bounds, sorted-key membership, padded per-list rows
+and their values at each k, size-budgeted cuts and follow pairs. The run
+mask and the range gather live in `corpus`, whose loader uses them too.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, CorpusError
+from .corpus import Corpus, CorpusError, concat_ranges, first_of_runs
 
 # Up to this many rows per user, squared profile norms (at most the squared
 # row count) and so the float64 sums of count products stay exact (< 2**53).
@@ -32,15 +32,6 @@ MAX_USER_ROWS = 94_906_265
 
 _ROW_MASK = (1 << 32) - 1
 _SLICE = 1 << 16  # rows per slice of a filled row-sized array
-
-
-def first_of_runs(*keys: np.ndarray) -> np.ndarray:
-    """Mask of the first position of each run of equal values in all keys."""
-    first = np.zeros(len(keys[0]), dtype=bool)
-    first[:1] = True
-    for key in keys:
-        first[1:] |= key[1:] != key[:-1]
-    return first
 
 
 def run_start(first: np.ndarray) -> np.ndarray:
@@ -62,17 +53,6 @@ def _packed_order(ids: np.ndarray) -> np.ndarray:
     keys |= np.arange(len(ids), dtype=np.int32)
     keys.sort()
     return keys
-
-
-def concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The positions of the ranges starts[i] + [0, lengths[i]), range by
-    range, as the cumulative sum of their steps: one array is allocated."""
-    starts, lengths = starts[lengths > 0], lengths[lengths > 0]
-    ends = np.cumsum(lengths)
-    steps = np.ones(ends[-1] if len(ends) else 0, dtype=np.int64)
-    steps[:1] = starts[:1]
-    steps[ends[:-1]] = starts[1:] - starts[:-1] - lengths[:-1] + 1
-    return np.cumsum(steps, out=steps)
 
 
 def member(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from tagreuse.classify import LABELS, ReuseLabel, classify_all
-from tagreuse.corpus import Corpus, EmptyAfterNormalization, HashtagAssignment
+from tagreuse.corpus import MAX_TIMESTAMP, Corpus, EmptyAfterNormalization, HashtagAssignment
 from tagreuse.diversity import SimilarityIndex
 from tagreuse.synth import (
     ACTIVITY_WINDOW_SECONDS,
@@ -364,7 +364,7 @@ def reference_parse_assignments(path: Path, fmt: str) -> tuple[list, list[int]]:
                     if not user_id or not tweet_id:
                         raise ValueError("empty id")
                     ts = int(ts_raw)
-                    if ts <= 0:
+                    if not 0 < ts <= MAX_TIMESTAMP:
                         raise ValueError("timestamp")
                     tags = (reference_normalize_hashtag(ht_raw),)
                 else:
@@ -379,7 +379,7 @@ def reference_parse_assignments(path: Path, fmt: str) -> tuple[list, list[int]]:
                     if not isinstance(tweet_id, str) or not tweet_id or \
                             set(tweet_id) & {"\t", "\r", "\n"}:
                         raise ValueError("tweet")
-                    if not isinstance(ts, int) or isinstance(ts, bool) or ts <= 0:
+                    if not isinstance(ts, int) or isinstance(ts, bool) or not 0 < ts <= MAX_TIMESTAMP:
                         raise ValueError("ts")
                     if not isinstance(raw_tags, list):
                         raise ValueError("hashtags")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import codecs
 import gc
 import json
 import os
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from tagreuse import cli
 from tagreuse import corpus as corpus_module
 from tagreuse.corpus import (
     MAX_TIMESTAMP,
@@ -26,7 +28,7 @@ from tagreuse.corpus import (
     FollowNetwork,
     InconsistentNetwork,
     ParseError,
-    _add_tsv_chunk,
+    _add_tsv_bytes,
     _gc_paused,
     _read_assignments,
     _Rows,
@@ -342,10 +344,99 @@ class TestLoaderEquivalence:
             for n, (i, raw) in enumerate(rows)
         ]
         data = _assignment_file(lines, "\n", False)
-        with mock.patch.object(corpus_module, "_CHUNK_CHARS", chunk):
+        with mock.patch.object(corpus_module, "_CHUNK_BYTES", chunk):
             line_read = self._check("tsv", data)
         if ordered and not set(flips) & set(range(len(rows))):
             assert line_read == []
+
+    # CRLF, a lone CR and LF endings, blank lines, multibyte ids, ids that
+    # differ only by a trailing NUL, and a last line with no ending.
+    _EDGE_LINES = ("ü1\tté\t5\ta\r\n", "u\tt\t6\tB\r", "\n", "ü1\t日本\t7\tc\n", "\r\n",
+                   "u\x00\tt\x00\t8\ta\x00\r", "u\tt2\t9\tb")
+
+    def test_tsv_at_every_chunk_cut(self):
+        """Chunks of 1 byte up to the whole file cut inside the CRLF pair, at
+        the lone CR and next to each multibyte id; every cut gives the
+        reference corpus through the byte reader, and a malformed line the
+        reference's line number and count."""
+        data = "".join(self._EDGE_LINES).encode()
+        flawed = "".join(self._EDGE_LINES[:4] + ("broken\r",) + self._EDGE_LINES[4:]).encode()
+        for chunk in range(1, len(data) + 2):
+            with mock.patch.object(corpus_module, "_CHUNK_BYTES", chunk):
+                assert self._check("tsv", data) == []
+                assert self._check("tsv", flawed)
+                assert self._check("jsonl", data)
+        with tempfile.TemporaryDirectory() as tmp:
+            apath, npath = Path(tmp) / "a.tsv", Path(tmp) / "n.tsv"
+            apath.write_bytes(data)
+            npath.write_text(NETWORK, encoding="utf-8")
+            corpus = load_corpus(apath, npath)
+        assert corpus.tweet_ids == ["té", "t", "日本", "t\x00", "t2"]
+        assert corpus.users == ["ü1", "u", "u\x00"]
+        assert corpus.tags == ["a", "b", "c", "a\x00"]
+
+    @pytest.mark.parametrize("fmt", ["tsv", "jsonl"])
+    @pytest.mark.parametrize("data", [b"", b"\xef\xbb\xbf", b"\n\r\n\r\n", b"\xef\xbb\xbf\r\n\n"],
+                             ids=["empty", "bom_only", "blank_lines", "bom_and_blank_lines"])
+    def test_file_with_no_rows(self, fmt, data):
+        line_read = self._check(fmt, data)
+        assert fmt == "jsonl" or line_read == []
+
+    @pytest.mark.parametrize("raw, value", [
+        ("+9", 9), (" 5", 5), ("5 ", 5), ("0005", 5), ("1_0", 10), ("\u0663", 3),
+        ("9" * 18, 10**18 - 1), (str(MAX_TIMESTAMP), MAX_TIMESTAMP),
+        (str(MAX_TIMESTAMP + 1), None), ("1" * 25, None), ("0" * 25, None), ("", None),
+        ("-3", None), ("1e3", None), ("5\u00a0x", None),
+    ])
+    def test_timestamp_field_is_accepted_as_int_accepts_it(self, raw, value):
+        """A timestamp field is accepted exactly when int() gives a value in
+        [1, MAX_TIMESTAMP]; only a chunk holding one that is not goes to the
+        line reader."""
+        data = f"u1\tt1\t4\ta\nu2\tt2\t{raw}\tb\nu3\tt3\t7\tc\n".encode()
+        line_read = self._check("tsv", data)
+        if value is None:
+            assert line_read
+        else:
+            assert line_read == []
+            with tempfile.TemporaryDirectory() as tmp:
+                apath, npath = Path(tmp) / "a.tsv", Path(tmp) / "n.tsv"
+                apath.write_bytes(data)
+                npath.write_text(NETWORK, encoding="utf-8")
+                assert load_corpus(apath, npath).tweet_index["t2"] == ("u2", value)
+
+    @pytest.mark.parametrize("field", range(4))
+    @pytest.mark.parametrize("malformed", [False, True])
+    def test_invalid_utf8_raises(self, tmp_path, capsys, field, malformed):
+        """Bytes that are not UTF-8 in any field raise UnicodeDecodeError in
+        both modes, on a well-formed line or a malformed one, and the CLI
+        exits 2."""
+        fields = [b"u2", b"t2", b"6", b"b"]
+        fields[field] = b"x\xff" if field != 2 else b"6\xff"
+        lines = [b"u1\tt1\t5\ta", b"\t".join(fields)] + [b"broken"] * malformed
+        apath, npath = tmp_path / "a.tsv", tmp_path / "n.tsv"
+        apath.write_bytes(b"\n".join(lines) + b"\n")
+        npath.write_text(NETWORK, encoding="utf-8")
+        for mode in ("raise", "count"):
+            with pytest.raises(UnicodeDecodeError):
+                load_corpus(apath, npath, on_malformed=mode)
+        assert cli.main(["stats", "--assignments", str(apath), "--network", str(npath)]) == 2
+        assert "data error" in capsys.readouterr().err
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.from_regex(r"[a-z0-9_]+", fullmatch=True), min_size=1, max_size=12),
+           st.data())
+    def test_canonical_tags_and_an_empty_tag_field(self, tags, data):
+        """Every string over [a-z0-9_] is its own normal form, so a chunk of
+        them skips normalize_hashtag; an empty tag field among them is still
+        malformed, in both modes."""
+        assert [normalize_hashtag(t) for t in tags] == tags
+        assert corpus_module._CANONICAL_TAGS.fullmatch("\t".join(tags))
+        lines = [f"u{i % 3 + 1}\tt{i}\t{i + 1}\t{tag}" for i, tag in enumerate(tags)]
+        assert self._check("tsv", _assignment_file(lines, "\n", False)) == []
+        k = data.draw(st.integers(0, len(lines) - 1))
+        lines[k] = lines[k].rsplit("\t", 1)[0] + "\t"
+        assert not corpus_module._CANONICAL_TAGS.fullmatch("\t".join(tags[:k] + [""] + tags[k + 1:]))
+        assert self._check("tsv", _assignment_file(lines, "\n", False))
 
     def test_bad_tag_is_rejected_on_every_line(self, tmp_path):
         apath, npath = tmp_path / "a.tsv", tmp_path / "n.tsv"
@@ -367,6 +458,40 @@ class TestLoaderEquivalence:
             load_corpus(apath, npath, fmt="jsonl")
         assert err.value.line_no == 2
         assert load_corpus(apath, npath, fmt="jsonl", on_malformed="count").n_malformed_lines == 1
+
+
+# Ids whose key words XOR alike, so their word hashes collide; ids that differ
+# by trailing NULs; multibyte ids; a 300-byte id that makes the key table
+# give way to a dict.
+_FIELD_POOL = ["a1234567a", "b1234567b", "c1234567c", "t", "t\x00", "t\x00\x00", "abcdefgh",
+               "abcdefgh\x00", "ü", "日本語のタグ", "x" * 300, "", "1"]
+
+
+class TestDistinct:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from(_FIELD_POOL)
+                    | st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\t"),
+                              max_size=20), min_size=1, max_size=40))
+    def test_matches_first_appearance_interning(self, fields):
+        """_distinct groups byte fields exactly, as a dict does: the distinct
+        fields in order of first appearance and each field's index."""
+        data = "".join(f + "\t" for f in fields).encode()
+        lens = np.array([len(f.encode()) for f in fields])
+        starts = np.cumsum(lens + 1) - lens - 1
+        buf = np.frombuffer(data + bytes(int(lens.max()) + 8), np.uint8)
+        distinct, index = corpus_module._distinct(buf, starts, lens)
+        expected = list(dict.fromkeys(fields))
+        assert distinct == expected
+        assert [distinct[i] for i in index.tolist()] == fields
+
+    def test_colliding_hashes_are_told_apart(self):
+        fields = ["a1234567a", "b1234567b"] * 3 + ["c1234567c"]
+        data = "".join(f + "\t" for f in fields).encode()
+        lens = np.full(len(fields), 9)
+        distinct, index = corpus_module._distinct(np.frombuffer(data + bytes(17), np.uint8),
+                                                  np.arange(len(fields)) * 10, lens)
+        assert distinct == ["a1234567a", "b1234567b", "c1234567c"]
+        assert index.tolist() == [0, 1, 0, 1, 0, 1, 2]
 
 
 def _ordered_tsv_lines(n_tweets: int) -> list[str]:
@@ -435,7 +560,7 @@ _LATE_FLAWS = {
     "duplicate_row": (_with_duplicate_row, None),
     "repeated_line": (_with_repeated_line, None),
 }
-_SMALL_CHUNK = 200  # characters; about a dozen lines
+_SMALL_CHUNK = 200  # bytes; about a dozen lines
 
 
 class TestChunkedReader:
@@ -452,7 +577,7 @@ class TestChunkedReader:
         return apath, npath
 
     def test_clean_file_takes_the_bulk_reader(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(corpus_module, "_CHUNK_CHARS", _SMALL_CHUNK)
+        monkeypatch.setattr(corpus_module, "_CHUNK_BYTES", _SMALL_CHUNK)
         lines = _ordered_tsv_lines(40)
         assert sum(len(line) + 1 for line in lines) > 4 * _SMALL_CHUNK
         apath, npath = self._paths(tmp_path, lines)
@@ -464,7 +589,7 @@ class TestChunkedReader:
     @pytest.mark.parametrize("chunk", [1, _SMALL_CHUNK])
     @pytest.mark.parametrize("flaw", sorted(_LATE_FLAWS))
     def test_flaw_in_a_later_chunk(self, tmp_path, monkeypatch, flaw, chunk):
-        monkeypatch.setattr(corpus_module, "_CHUNK_CHARS", chunk)
+        monkeypatch.setattr(corpus_module, "_CHUNK_BYTES", chunk)
         edit, reason = _LATE_FLAWS[flaw]
         lines, k = edit(_ordered_tsv_lines(40))
         assert sum(len(line) + 1 for line in lines[:k - 1]) > 2 * _SMALL_CHUNK
@@ -501,7 +626,7 @@ class TestChunkedReader:
 
     @pytest.mark.parametrize("flaw", ["duplicate_last_row", "swapped_halves", "malformed_first"])
     def test_file_level_flaw(self, tmp_path, monkeypatch, flaw):
-        monkeypatch.setattr(corpus_module, "_CHUNK_CHARS", _SMALL_CHUNK)
+        monkeypatch.setattr(corpus_module, "_CHUNK_BYTES", _SMALL_CHUNK)
         lines = _ordered_tsv_lines(40)
         half = len(lines) // 2
         k, reason = 2, "expected 4 tab-separated fields, got 1"
@@ -527,11 +652,10 @@ class TestChunkedReader:
                     [a.tolist() for a in (rows.slot_user, rows.slot_ts, rows.tweet, rows.tag)])
 
         rows = _Rows()
-        assert _add_tsv_chunk(rows, ["u1\tt1\t5\ta\n", "u2\tt2\t6\tB\n"])
+        assert _add_tsv_bytes(rows, b"u1\tt1\t5\ta\nu2\tt2\t6\tB\n") == 2
         before = state(rows)
         # new users, tweets and tags, then a line at odds with tweet t1
-        assert not _add_tsv_chunk(rows, ["u3\tt3\t7\tc\n", "u4\tt4\t8\td\n",
-                                         "u4\tt1\t9\ta\n"])
+        assert _add_tsv_bytes(rows, b"u3\tt3\t7\tc\nu4\tt4\t8\td\nu4\tt1\t9\ta\n") is None
         assert state(rows) == before
 
 
@@ -539,7 +663,7 @@ class TestChunkedReader:
     def test_conflicting_tweet_across_a_chunk_boundary(self, tmp_path, monkeypatch, mode):
         """Tweet t0001 of the first chunk comes back in a later chunk by
         another user: the bulk reader and the line reader alone agree."""
-        monkeypatch.setattr(corpus_module, "_CHUNK_CHARS", _SMALL_CHUNK)
+        monkeypatch.setattr(corpus_module, "_CHUNK_BYTES", _SMALL_CHUNK)
         lines, k = _with_conflicting_tweet(_ordered_tsv_lines(40))
         apath, npath = self._paths(tmp_path, lines)
 
@@ -550,7 +674,7 @@ class TestChunkedReader:
                 return err.line_no, err.reason
 
         bulk = load()
-        with mock.patch.object(corpus_module, "_add_tsv_chunk", return_value=False):
+        with mock.patch.object(corpus_module, "_add_tsv_bytes", return_value=None):
             by_line = load()
         if mode == "raise":
             assert bulk == by_line == (k + 1, _CONFLICT.format(tweet="t0001"))
@@ -808,7 +932,7 @@ class TestRoundTripProperties:
            st.sampled_from([1, 64, 1 << 18]))
     def test_tsv_write_then_load_is_identity(self, corpus, crlf, bom, chunk):
         with tempfile.TemporaryDirectory() as tmp, \
-                mock.patch.object(corpus_module, "_CHUNK_CHARS", chunk):
+                mock.patch.object(corpus_module, "_CHUNK_BYTES", chunk):
             apath, npath = Path(tmp) / "a.tsv", Path(tmp) / "n.tsv"
             write_corpus(corpus, apath, npath)
             _reencode(apath, crlf, bom)
@@ -840,11 +964,12 @@ def _tsv_safe(value: str) -> bool:
 
 @st.composite
 def _any_id_corpora(draw):
-    """Tweet records and edges over arbitrary Unicode ids, with positive
-    timestamps and normalized hashtags; a tweet id names one tweet, and no
-    seed follows itself. About half the draws swap one id for an empty one
-    or one holding a tab, CR or LF."""
-    ids = st.one_of(st.sampled_from(["u1", "u2", "ü3"]), st.text(min_size=1, max_size=4))
+    """Tweet records and edges over arbitrary Unicode ids, some starting
+    with U+FEFF, with positive timestamps and normalized hashtags; a tweet
+    id names one tweet, and no seed follows itself. About half the draws
+    swap one id for an empty one or one holding a tab, CR or LF."""
+    ids = st.one_of(st.sampled_from(["u1", "u2", "ü3", "\ufeffu4"]),
+                    st.text(min_size=1, max_size=4), st.text(max_size=3).map("\ufeff".__add__))
     records = [
         (draw(ids), tweet_id, draw(st.integers(1, 4)),
          tuple(draw(st.lists(_ROUNDTRIP_TAGS, max_size=3))))
@@ -902,8 +1027,9 @@ class TestIdRule:
     @given(_any_id_corpora())
     def test_an_accepted_corpus_is_written_back(self, drawn):
         """load_corpus(write_corpus(c)) == c for every corpus from_tweets
-        accepts, in JSONL and, when every tweet has a hashtag, in TSV; it
-        rejects exactly the corpora with an id no TSV field can hold."""
+        accepts, in JSONL and, when every tweet has a hashtag, in TSV, a
+        first id that starts with U+FEFF included; it rejects exactly the
+        corpora with an id no TSV field can hold."""
         records, edges = drawn
         ids = [i for user, tweet, _, _ in records for i in (user, tweet)]
         ids += [i for seed_user, followees in edges.items() for i in (seed_user, *followees)]
@@ -919,6 +1045,17 @@ class TestIdRule:
                 apath, npath = Path(tmp) / f"a.{fmt}", Path(tmp) / "n.tsv"
                 write_corpus(corpus, apath, npath, fmt=fmt)
                 assert load_corpus(apath, npath, fmt=fmt) == corpus
+
+    @pytest.mark.parametrize("fmt", ["tsv", "jsonl"])
+    def test_first_ids_that_start_with_a_bom_are_written_back(self, tmp_path, fmt):
+        corpus = Corpus.from_tweets([("\ufeffu", "t1", 5, ("a",)), ("v", "\ufefft", 6, ("b",))],
+                                    {"\ufeffs": ["x"]})
+        apath, npath = tmp_path / f"a.{fmt}", tmp_path / "n.tsv"
+        write_corpus(corpus, apath, npath, fmt=fmt)
+        assert npath.read_bytes().startswith(codecs.BOM_UTF8 + "\ufeffs".encode())
+        loaded = load_corpus(apath, npath, fmt=fmt)
+        assert loaded == corpus
+        assert (loaded.users[0], loaded.seed_users) == ("\ufeffu", frozenset({"\ufeffs"}))
 
 
 class TestColumns:
