@@ -34,11 +34,11 @@ from __future__ import annotations
 
 import codecs
 import gc
+import io
 import json
 import logging
 import operator
 import os
-import re
 import unicodedata
 import uuid
 from array import array
@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, count, filterfalse, repeat
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Iterator, TextIO
+from typing import Callable, Iterable, Iterator, TextIO
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -65,8 +65,6 @@ _CHUNK_BYTES = 1 << 18
 # Up to this many ASCII digits a timestamp is read by digit arithmetic:
 # 10**18 - 1 < MAX_TIMESTAMP.
 _PLAIN_DIGITS = 18
-# Raw hashtags, joined by tabs, that are all their own normal form.
-_CANONICAL_TAGS = re.compile(r"[a-z0-9_]+(?:\t[a-z0-9_]+)*")
 
 
 @contextmanager
@@ -525,17 +523,25 @@ def _strings(buf: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> list[str]
 _LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64)  # a word's first k bytes
 # At [k + 1], a word's end mark at byte k, for k = -1..8: none before and after the word.
 _END_MARK = np.array([0] + [0xFF << 8 * k for k in range(8)] + [0], np.uint64)
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)  # odd: multiplying by it mixes a word's bits upward
+
+
+def _runs(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """An order that sorts `key`, and the mask of the first of each run of
+    equal values in that order."""
+    order = np.argsort(key)
+    return order, first_of_runs(key[order])
 
 
 def _distinct(buf: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> tuple[list[str], np.ndarray]:
     """The distinct fields buf[start:start + len], decoded, in order of first
     appearance, and each field's int32 index into them. Fields are grouped
-    by sorting exact byte keys: a field's bytes, an end mark 0xFF and
-    zeros, as little-endian 8-byte words, so "t" and "t\\0" differ. A key
-    table that would outgrow four times the chunk (a few long fields) gives
-    way to a dict over the decoded fields. `buf` ends in at least 8 more
-    zeros than the longest field."""
+    by exact byte keys: a field's bytes, an end mark 0xFF and zeros, as
+    little-endian 8-byte words, so "t" and "t\\0" differ. One sort groups
+    the fields by their first word, and each further word splits the groups
+    by a sort of the word and one of (group, rank of the word). A key table
+    that would outgrow four times the chunk (a few long fields) gives way
+    to a dict over the decoded fields. `buf` ends in at least 8 more zeros
+    than the longest field."""
     n = len(lens)
     width = int(lens.max()) // 8 + 1  # words per key, with room for the end mark
     if 8 * width * n > 4 * len(buf):
@@ -547,14 +553,13 @@ def _distinct(buf: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> tuple[li
         left = np.clip(lens - 8 * j, -1, 8)  # field bytes in this word; -1 past the end mark
         word &= _LOW_BYTES[np.maximum(left, 0)]
         word |= _END_MARK[left + 1]
-    hashed = keys[:, 0]  # a key's one word, or a hash of its words
+    order, new = _runs(keys[:, 0])
     for word in keys.T[1:]:
-        hashed = (hashed ^ word) * _GOLDEN
-    order = np.argsort(hashed)
-    new = first_of_runs(*keys[order].T)
-    if width > 1 and not np.array_equal(new, first_of_runs(hashed[order])):
-        order = np.lexsort(keys.T)  # two keys' hashes collide: sort their words
-        new = first_of_runs(*keys[order].T)
+        group = np.empty(n, np.int64)
+        group[order] = np.cumsum(new) - 1
+        by_word, new_word = _runs(word)
+        group[by_word] = group[by_word] * n + np.cumsum(new_word) - 1  # below n * n < 2**63
+        order, new = _runs(group)
     first = np.minimum.reduceat(order, np.flatnonzero(new))  # each key's first field
     by_appearance = np.argsort(first)
     group_id = np.empty(len(first), np.int32)
@@ -622,13 +627,10 @@ def _add_tsv_bytes(rows: _Rows, chunk: bytes) -> int | None:
     tag_of = np.fromiter(map(rows.normalized.get, raw_tags, repeat(-1)), np.int32, len(raw_tags))
     new = np.flatnonzero(tag_of < 0)
     new_tags = list(map(raw_tags.__getitem__, new.tolist()))
-    if _CANONICAL_TAGS.fullmatch("\t".join(new_tags)):
-        normal = new_tags
-    else:
-        try:
-            normal = list(map(normalize_hashtag, new_tags))
-        except (ValueError, EmptyAfterNormalization):
-            return None
+    try:
+        normal = list(map(normalize_hashtag, new_tags))
+    except (ValueError, EmptyAfterNormalization):
+        return None
     users, user = _distinct(buf, starts, t0 - starts)
     tweets = _strings(buf, t0 + 1, t1 - t0 - 1)
     n_users, n_tweets, n_slots = len(rows.user_ids), len(rows.tweet_slot), len(rows.slot_ts)
@@ -683,17 +685,19 @@ def _add_lines(rows: _Rows, chunk: list[str], n_before: int,
     return n_bad
 
 
-def _chunks(fh: BinaryIO) -> Iterator[bytes]:
+def _chunks(fh: io.BufferedReader) -> Iterator[bytes]:
     """The bytes of a file after a leading UTF-8 byte-order mark, in chunks
     of whole lines of about _CHUNK_BYTES. A line ends at LF, CRLF or a lone
-    CR, so a chunk never ends between a CR and its LF; a last line with no
+    CR, so a chunk never ends between a CR and its LF. The file's last block
+    is not cut, so a file of one block is one chunk; a last line with no
     ending is given a LF."""
     rest = bytearray(fh.read(len(codecs.BOM_UTF8)))
     if rest == codecs.BOM_UTF8:
         rest.clear()
     while block := fh.read(_CHUNK_BYTES):
         cut = max(block.rfind(b"\n"), block.rfind(b"\r", 0, -1)) + 1
-        if not cut:  # a line longer than a block (or one that may end in CRLF)
+        # A line longer than a block (or one that may end in CRLF), or the last block.
+        if not cut or not fh.peek(1):
             rest += block
             continue
         view = memoryview(block)

@@ -405,16 +405,18 @@ class TestLoaderEquivalence:
                 assert load_corpus(apath, npath).tweet_index["t2"] == ("u2", value)
 
     @pytest.mark.parametrize("field", range(4))
-    @pytest.mark.parametrize("malformed", [False, True])
-    def test_invalid_utf8_raises(self, tmp_path, capsys, field, malformed):
-        """Bytes that are not UTF-8 in any field raise UnicodeDecodeError in
-        both modes, on a well-formed line or a malformed one, and the CLI
-        exits 2."""
+    @pytest.mark.parametrize("malformed", [None, b"broken", b"u0\tt0\t4\tx y"])
+    @pytest.mark.parametrize("ended", [True, False])
+    def test_invalid_utf8_raises(self, tmp_path, capsys, field, malformed, ended):
+        """Bytes that are not UTF-8 in any field of the last line raise
+        UnicodeDecodeError in both modes, the CLI exits 2, and a malformed
+        first line does not hide them, also when the last line has no
+        ending: a file of one block is one chunk."""
         fields = [b"u2", b"t2", b"6", b"b"]
         fields[field] = b"x\xff" if field != 2 else b"6\xff"
-        lines = [b"u1\tt1\t5\ta", b"\t".join(fields)] + [b"broken"] * malformed
+        lines = [malformed] * bool(malformed) + [b"u1\tt1\t5\ta", b"\t".join(fields)]
         apath, npath = tmp_path / "a.tsv", tmp_path / "n.tsv"
-        apath.write_bytes(b"\n".join(lines) + b"\n")
+        apath.write_bytes(b"\n".join(lines) + b"\n" * ended)
         npath.write_text(NETWORK, encoding="utf-8")
         for mode in ("raise", "count"):
             with pytest.raises(UnicodeDecodeError):
@@ -425,17 +427,15 @@ class TestLoaderEquivalence:
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.from_regex(r"[a-z0-9_]+", fullmatch=True), min_size=1, max_size=12),
            st.data())
-    def test_canonical_tags_and_an_empty_tag_field(self, tags, data):
-        """Every string over [a-z0-9_] is its own normal form, so a chunk of
-        them skips normalize_hashtag; an empty tag field among them is still
-        malformed, in both modes."""
+    def test_plain_tags_and_an_empty_tag_field(self, tags, data):
+        """Every string over [a-z0-9_] is its own normal form and loads by the
+        byte reader; an empty tag field among them is malformed, in both
+        modes."""
         assert [normalize_hashtag(t) for t in tags] == tags
-        assert corpus_module._CANONICAL_TAGS.fullmatch("\t".join(tags))
         lines = [f"u{i % 3 + 1}\tt{i}\t{i + 1}\t{tag}" for i, tag in enumerate(tags)]
         assert self._check("tsv", _assignment_file(lines, "\n", False)) == []
         k = data.draw(st.integers(0, len(lines) - 1))
         lines[k] = lines[k].rsplit("\t", 1)[0] + "\t"
-        assert not corpus_module._CANONICAL_TAGS.fullmatch("\t".join(tags[:k] + [""] + tags[k + 1:]))
         assert self._check("tsv", _assignment_file(lines, "\n", False))
 
     def test_bad_tag_is_rejected_on_every_line(self, tmp_path):
@@ -460,10 +460,10 @@ class TestLoaderEquivalence:
         assert load_corpus(apath, npath, fmt="jsonl", on_malformed="count").n_malformed_lines == 1
 
 
-# Ids whose key words XOR alike, so their word hashes collide; ids that differ
-# by trailing NULs; multibyte ids; a 300-byte id that makes the key table
-# give way to a dict.
-_FIELD_POOL = ["a1234567a", "b1234567b", "c1234567c", "t", "t\x00", "t\x00\x00", "abcdefgh",
+# Ids that share their first or their second key word; ids that differ by
+# trailing NULs; multibyte ids; a 300-byte id that makes the key table give
+# way to a dict.
+_FIELD_POOL = ["a1234567a", "a1234567b", "b1234567a", "t", "t\x00", "t\x00\x00", "abcdefgh",
                "abcdefgh\x00", "ü", "日本語のタグ", "x" * 300, "", "1"]
 
 
@@ -484,14 +484,15 @@ class TestDistinct:
         assert distinct == expected
         assert [distinct[i] for i in index.tolist()] == fields
 
-    def test_colliding_hashes_are_told_apart(self):
-        fields = ["a1234567a", "b1234567b"] * 3 + ["c1234567c"]
+    def test_keys_that_share_a_word_are_told_apart(self):
+        fields = ["a1234567a", "a1234567b", "b1234567a"] * 3 + ["a1234567a\x00", "a1234567"]
         data = "".join(f + "\t" for f in fields).encode()
-        lens = np.full(len(fields), 9)
-        distinct, index = corpus_module._distinct(np.frombuffer(data + bytes(17), np.uint8),
-                                                  np.arange(len(fields)) * 10, lens)
-        assert distinct == ["a1234567a", "b1234567b", "c1234567c"]
-        assert index.tolist() == [0, 1, 0, 1, 0, 1, 2]
+        lens = np.array([len(f.encode()) for f in fields])
+        starts = np.cumsum(lens + 1) - lens - 1
+        distinct, index = corpus_module._distinct(np.frombuffer(data + bytes(18), np.uint8),
+                                                  starts, lens)
+        assert distinct == ["a1234567a", "a1234567b", "b1234567a", "a1234567a\x00", "a1234567"]
+        assert index.tolist() == [0, 1, 2] * 3 + [3, 4]
 
 
 def _ordered_tsv_lines(n_tweets: int) -> list[str]:
