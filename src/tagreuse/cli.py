@@ -22,12 +22,15 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any
 
+import numpy as np
+
 from . import __version__, classify, temporal
 from .corpus import Corpus, CorpusError, atomic_open, compute_stats, load_corpus, write_corpus
-from .diversity import HybridParams, SimilarityIndex, normalize_scores, rerank_hybrid
+from .diversity import HybridParams, SimilarityIndex, rerank_block
 from .evaluation import EvalConfig, NoEvaluableUsers, evaluate
 from .index import CorpusIndex
-from .recommend import ALGORITHM_NAMES, BLLParams, CFParams, MixParams, NoPriorUsage, recommend
+from .recommend import (ALGORITHM_NAMES, BLLParams, CFParams, MixParams, NoPriorUsage,
+                        _group_minmax, recommend_many)
 from .synth import GenParams, InvalidParams, generate, write_ground_truth
 
 EXIT_OK = 0
@@ -300,14 +303,19 @@ def _cmd_recommend(cfg: dict[str, Any]) -> int:
     if cfg["k"] < 1:
         raise UsageError(f"k must be >= 1, got {cfg['k']}")
     corpus = _load(cfg)
-    index = CorpusIndex(corpus)
-    items = recommend(cfg["algo"], index, cfg["user"], cfg["at"], cfg["k"], bll=bll, mix=mix, cf=cf)
+    block = recommend_many(CorpusIndex(corpus), [cfg["algo"]], [cfg["user"]], [cfg["at"]],
+                           cfg["k"], bll, mix, cf)
+    ids, scores, lengths = next(block)[3][cfg["algo"]]
     if hybrid is not None:
+        # a block of one list; only its order is printed, so no item is outside
         sim_index = SimilarityIndex.from_corpus(corpus, before=cfg["at"])
-        items = rerank_hybrid(normalize_scores(items), hybrid, sim_index)
+        picks = rerank_block(ids, scores, lengths, hybrid.lambda_param, sim_index,
+                             np.zeros(len(ids), dtype=bool), 1)[0]
+        ids, scores = ids[picks], _group_minmax(np.zeros_like(ids), scores)[picks]
     obj = {
         "meta": _meta("recommend", cfg),
-        "items": [{"hashtag": ht, "score": score} for ht, score in items],
+        "items": [{"hashtag": corpus.tags[t], "score": score}
+                  for t, score in zip(ids.tolist(), scores.tolist())],
     }
     _emit(_json_text(obj), cfg["out"])
     return EXIT_OK

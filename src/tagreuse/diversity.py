@@ -274,8 +274,8 @@ def rerank_block(tags: np.ndarray, scores: np.ndarray, lengths: np.ndarray, lam:
     scores = _group_minmax(np.repeat(np.arange(len(lengths)), lengths), scores)
     tables = index._tables(tags, lengths)
     order = _greedy(padded(scores, lengths, 0.0), lengths, tables, lam)
-    at = np.arange(len(lengths))[:, None, None]
-    tables = tables[at, order[:, :, None], order[:, None, :]]  # in re-ranked order
+    at, first = np.arange(len(lengths))[:, None, None], order[:, :k_max]  # no ILD reads past k_max
+    tables = tables[at, first[:, :, None], first[:, None, :]]  # in re-ranked order
     picks = (order + (np.cumsum(lengths) - lengths)[:, None])[
         np.arange(order.shape[1]) < lengths[:, None]]
     return (picks, at_k(_ild_prefixes(tables), lengths, k_max),

@@ -7,21 +7,20 @@ events strictly before that user's query. Precision/recall are macro
 averaged over users at every k up to k_max, optionally after hybrid
 re-ranking and with diversity/serendipity columns.
 
-`evaluate` answers all queries from one CorpusIndex in one pass over the
-split: `recommend_many` scores the users in blocks, and each list equals
-the one-query `recommend` list whatever block it was scored in. A block's
-items become keys query * T + tag id (T tags), and its hits at every k,
-and with re-ranking its items outside their users' history, come from
-membership in sorted keys and prefix sums. `rerank_block` re-ranks the
-lists on their keys' tag ids and scores the ILD and serendipity of every
-prefix. Each list's per-k terms are added in the split's user-id order,
-fixing the sums' bits.
+`evaluate` answers all queries from one CorpusIndex in one loop over the
+blocks of `recommend_many`: each block's lists are arrays of tag ids, and
+each list equals the one-query `recommend` list. A block's items become
+keys query * T + tag id (T tags). Its hits at every k come from membership
+in the targets' sorted keys and prefix sums, and with re-ranking an item is
+outside its user's history unless its key is among those of the block's
+own and followee traces. `rerank_block` re-ranks the lists on their tag
+ids and scores the ILD and serendipity of every prefix. Each list's per-k
+terms are added in the split's user-id order, fixing the sums' bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from itertools import islice
 
 import numpy as np
 
@@ -37,8 +36,7 @@ from .diversity import (
     rerank_hybrid,
     serendipity,
 )
-from .index import (CorpusIndex, at_k, first_of_runs, member, padded, run_start,
-                    size_cuts, user_pairs)
+from .index import CorpusIndex, at_k, first_of_runs, member, padded, run_start
 # recommend stays bound too: bench/tracing.py wraps it by name here.
 from .recommend import BLLParams, CFParams, MixParams, Ranked, recommend, recommend_many
 
@@ -46,12 +44,6 @@ from .recommend import BLLParams, CFParams, MixParams, Ranked, recommend, recomm
 # At most this many k: the per-user hits, the points and the report text
 # all grow with it.
 MAX_K = 1000
-
-# A block of users' size at most (one user may exceed it), in array cells:
-# k_max per list, or with re-ranking k_max ** 2 (its pair table) per list
-# and the history rows of its users and followees. Its temporaries, its
-# tags' co-occurrence entries among them, grow with it.
-_BLOCK_CELLS = 1 << 14
 
 
 class EmptyTestSet(Exception):
@@ -175,10 +167,10 @@ def evaluate(
     terms are added to the per-k sums in the split's user-id order:
     floating-point sums depend on their order, and this one does not
     depend on reference times or block boundaries, so results are
-    reproducible to the bit. With re-ranking, each block of users' lists
-    is re-ranked and scored by rerank_block; a list's items are outside
-    its user's history when neither the user nor a followee used the tag
-    before the user's reference time.
+    reproducible to the bit. With re-ranking, each block's lists are
+    re-ranked and scored by one rerank_block call; a list's items are
+    outside its user's history when neither the user nor a followee used
+    the tag before the user's reference time.
     """
     split = make_split(corpus)
     if not split.users:
@@ -196,43 +188,33 @@ def evaluate(
     # the sorted keys query * T + tag id of each user's test hashtags
     targets = np.sort(np.fromiter((q * n_tags + tag_ids[ht] for q, us in enumerate(split.users)
                                    for ht in us.test_hashtags), np.int64, sum(n_test)))
-    lists = recommend_many(index, names, users, [us.ref_time for us in split.users], k_max,
-                           bll=config.bll, mix=config.mix, cf=config.cf)
-    cells = np.full(len(users), len(names) * k_max)
     with_beyond = config.rerank_lambda is not None
     if with_beyond:
         sims = SimilarityIndex.from_corpus(corpus, exclude_tweets=split.test_tweet_ids)
-        ends = np.array([index.end(us.ref_time) for us in split.users], dtype=np.int64)
-        # (query, user id) of each query's user and followees, query ascending
-        query, user = map(np.concatenate, zip(user_pairs(corpus, users, False),
-                                              user_pairs(corpus, users, True)))
-        order = np.argsort(query, kind="stable")
-        query, user = query[order], user[order]
-        cells = np.bincount(query, index.user_row_counts(user, ends[query]), len(users))
-        cells += len(names) * k_max**2
-    for lo, hi in size_cuts(cells, _BLOCK_CELLS, index.max_queries):
-        recs = [rec[algo] for rec in islice(lists, hi - lo) for algo in names]
-        lengths = np.fromiter(map(len, recs), np.int64, len(recs))
-        # each item's key query * T + tag id
-        keys = np.repeat((lo + np.arange(len(recs)) // len(names)) * n_tags, lengths)
-        keys += np.fromiter((tag_ids[ht] for rec in recs for ht, _ in rec), np.int64, len(keys))
-        terms = np.zeros((len(recs), 4, k_max))  # each list's per-k terms, as in sums
+    for lo, hi, block, lists in recommend_many(
+            index, names, users, [us.ref_time for us in split.users], k_max, config.bll,
+            config.mix, config.cf, rerank=with_beyond):
+        # the block's lists, algorithm by algorithm, and each item's key
+        # query * T + tag id, query counted from lo as in the block's traces
+        ids, scores, lengths = map(np.concatenate, zip(*map(lists.__getitem__, names)))
+        keys = np.repeat(np.tile(np.arange(hi - lo) * n_tags, len(names)), lengths)
+        keys += ids
+        terms = np.zeros((len(lengths), 4, k_max))  # each list's per-k terms, as in sums
         if with_beyond:
-            a, b = np.searchsorted(query, (lo, hi))
-            history = index.grouped_rows(query[a:b] - lo, user[a:b], ends[query[a:b]], hi - lo)[0]
-            scores = np.fromiter((s for rec in recs for _, s in rec), np.float64, len(keys))
+            outside = ~(member(block.own_traces[0], keys) | member(block.social_traces[0], keys))
             picks, terms[:, 2], terms[:, 3] = rerank_block(
-                keys % n_tags, scores, lengths, config.rerank_lambda, sims,
-                ~member(history + lo * n_tags, keys), k_max)
+                ids, scores, lengths, config.rerank_lambda, sims, outside, k_max)
             keys = keys[picks]
+        keys += lo * n_tags
         hit = padded(member(targets, keys), lengths, False)  # whether each item is a target
         hits = at_k(np.cumsum(hit, axis=1), lengths, k_max)
         terms[:, 0] = hits / np.arange(1, k_max + 1)
-        terms[:, 1] = hits / np.repeat(n_test[lo:hi], len(names))[:, None]
+        terms[:, 1] = hits / np.tile(n_test[lo:hi], len(names))[:, None]
         for j, (row, hits_at_k) in enumerate(zip(terms, hits.tolist())):
-            q, algo = lo + j // len(names), names[j % len(names)]
+            algo, q = names[j // (hi - lo)], lo + j % (hi - lo)
             sums[algo] += row
             per_user[algo][users[q]] = PerUserResult(tuple(hits_at_k), n_test[q])
+        del block  # its traces are not held while the next block is scored
 
     n_users = len(split.users)
     algo_points: dict[str, tuple[KPoint, ...]] = {}

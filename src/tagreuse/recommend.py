@@ -7,12 +7,12 @@ global usage frequency before ref_time, then the hashtag string.
 
 Queries (user, ref_time) are scored in blocks: each algorithm is a few
 array passes over the rows that all of a block's queries read, gathered
-from the index's sorted orders (see CorpusIndex), and one ranking names
-the tags of every query at once. `recommend` is a block of one, and
-`recommend_many` cuts a sequence of queries into blocks of at most
-_BLOCK_ROWS gathered rows. Every value of a query is computed from that
-query's own rows alone, so a list does not depend on the block it was
-scored in, nor on the order of the queries.
+from the index's sorted orders (see CorpusIndex), and one ranking orders
+the tag ids of every query at once. `recommend_many` cuts a sequence of
+queries into blocks of at most _BLOCK_CELLS cells; `recommend` is a block
+of one, the one place that names the hashtags. Every value of a query is
+computed from that query's own rows alone, so a list does not depend on
+the block it was scored in, nor on the order of the queries.
 
 Scoring models:
 
@@ -51,13 +51,15 @@ from .corpus import string_ranks
 from .index import CorpusIndex, run_bounds, size_cuts, user_pairs
 
 Ranked = list[tuple[str, float]]
+Lists = tuple[np.ndarray, np.ndarray, np.ndarray]  # (tag ids, scores, lengths) of many lists
 
 ALGORITHM_NAMES = ("bll_i", "bll_s", "bll_is", "cf", "mp")
 
-# Rows a block of queries gathers at most (one query may gather more): the
-# block's temporaries stay within a few MB while numpy's per-call overhead
-# is shared by many queries.
-_BLOCK_ROWS = 1 << 13
+# A block of queries' size at most (one query may exceed it), in array cells:
+# the rows it gathers plus the cells its lists hold downstream. cf's cuts of
+# postings keep to it too. Temporaries stay within a few MB, while numpy's
+# per-call overhead is shared by many queries.
+_BLOCK_CELLS = 1 << 14
 
 # Reference times and timestamps in this range have int64 differences.
 _SAFE_TIME = 2**62
@@ -209,7 +211,7 @@ def _top_per_group(group: np.ndarray, values: np.ndarray, k: int,
 
 
 def _rank_lists(index: CorpusIndex, ends: np.ndarray, query: np.ndarray, tags: np.ndarray,
-                scores: np.ndarray, k: int) -> list[Ranked]:
+                scores: np.ndarray, k: int) -> Lists:
     """Deterministic top-k per query of the candidates (query[i], tags[i],
     scores[i]), query ascending: by score desc, global frequency before the
     query's `end` desc, hashtag asc; one list per entry of `ends`."""
@@ -220,12 +222,10 @@ def _rank_lists(index: CorpusIndex, ends: np.ndarray, query: np.ndarray, tags: n
         return -index.tag_counts(t, ends[query[kept]]), string_ranks(names, t)
 
     top = _top_per_group(query, scores, k, tiebreaks)
-    bounds = np.searchsorted(query[top], np.arange(len(ends) + 1)).tolist()
-    items = list(zip(map(names.__getitem__, tags[top].tolist()), scores[top].tolist()))
-    return [items[a:b] for a, b in zip(bounds, bounds[1:])]
+    return tags[top], scores[top], np.bincount(query[top], minlength=len(ends))
 
 
-def _most_popular(index: CorpusIndex, ends: np.ndarray, k: int) -> list[Ranked]:
+def _most_popular(index: CorpusIndex, ends: np.ndarray, k: int) -> Lists:
     """mp's list at each end. One cursor moves through the rows in order of
     the ends and keeps every tag's count; at each end only the tags at or
     above the k-th largest count go on to the ranking."""
@@ -248,16 +248,17 @@ def _most_popular(index: CorpusIndex, ends: np.ndarray, k: int) -> list[Ranked]:
 
 class _Block:
     """Seed users' queries scored together: query q is at refs[q], below row
-    ends[q]; `own` and `social` are the user_pairs of the block's queries. A
-    part that several algorithms read (the traces, the bll_i and bll_s
+    ends[q]; `pairs` holds the user_pairs of the block's queries, own then
+    social (none if nothing reads them). A part that several algorithms read
+    (the traces of the users and of their followees, the bll_i and bll_s
     scores) is computed once, on first read, from the rows below each
-    query's end."""
+    query's end. Each algorithm method returns the block's lists in order."""
 
     def __init__(self, index: CorpusIndex, refs: Sequence[int], ends: np.ndarray,
-                 own: tuple[np.ndarray, np.ndarray], social: tuple[np.ndarray, np.ndarray],
-                 k: int, bll: BLLParams, mix: MixParams, cf: CFParams):
+                 pairs: Sequence[tuple[np.ndarray, np.ndarray]], k: int, bll: BLLParams,
+                 mix: MixParams, cf: CFParams):
         self.index, self.refs, self.ends, self.k = index, refs, ends, k
-        self._own, self._social = own, social
+        self._own, self._social = pairs or (None, None)
         self.bll_params, self.mix_params, self.cf_params = bll, mix, cf
         self.n_tags = len(index.corpus.tags)
 
@@ -289,20 +290,20 @@ class _Block:
         return self._bll_scores(self.social_traces)
 
     def _ranked(self, keys: np.ndarray, scores: np.ndarray, lo: int = 0,
-                hi: int | None = None) -> list[Ranked]:
+                hi: int | None = None) -> Lists:
         """The lists of queries lo..hi-1 from their candidates (query * T +
         tag id, score), in key order."""
         query = keys // self.n_tags
         return _rank_lists(self.index, self.ends[lo:hi], query - lo, keys - query * self.n_tags,
                            scores, self.k)
 
-    def bll_i(self) -> list[Ranked]:
+    def bll_i(self) -> Lists:
         return self._ranked(*self.own_scores)
 
-    def bll_s(self) -> list[Ranked]:
+    def bll_s(self) -> Lists:
         return self._ranked(*self.social_scores)
 
-    def bll_is(self) -> list[Ranked]:
+    def bll_is(self) -> Lists:
         """Each component min-max normalized per query over its own
         candidates (a candidate missing from one contributes 0 there), then
         beta * individual + (1 - beta) * social."""
@@ -317,7 +318,7 @@ class _Block:
         norm_s[np.searchsorted(keys, keys_s)] = _group_minmax(keys_s // self.n_tags, scores_s)
         return self._ranked(keys, beta * norm_i + (1.0 - beta) * norm_s)
 
-    def cf(self) -> list[Ranked]:
+    def cf(self) -> Lists:
         """Neighbors are the top n_neighbors users (anyone in the dataset
         except the query user) by cosine similarity at the query's end; a
         candidate's score is the similarity-weighted sum of neighbor usage
@@ -335,21 +336,21 @@ class _Block:
         tags, counts = keys - owner * self.n_tags, np.diff(bounds)
         postings = index.tag_counts(tags, ends[owner])
         per_query = np.bincount(owner, postings, minlength=len(ends))
-        max_n = max(_BLOCK_ROWS // max(len(index.corpus.users), 1), 1)
+        max_n = max(_BLOCK_CELLS // max(len(index.corpus.users), 1), 1)
         neighbors = []
-        for lo, hi in size_cuts(per_query, _BLOCK_ROWS, max_n):
+        for lo, hi in size_cuts(per_query, _BLOCK_CELLS, max_n):
             a, b = np.searchsorted(owner, [lo, hi])
             neighbors.append(self._neighbors(lo, hi, owner[a:b], tags[a:b], counts[a:b],
                                              postings[a:b]))
         query, users, sims = map(np.concatenate, zip(*neighbors))
         lengths = index.user_row_counts(users, ends[query])
         lists = []
-        for lo, hi in size_cuts(np.bincount(query, lengths, minlength=len(ends)), _BLOCK_ROWS,
-                            len(ends)):
+        for lo, hi in size_cuts(np.bincount(query, lengths, minlength=len(ends)), _BLOCK_CELLS,
+                                len(ends)):
             a, b = np.searchsorted(query, [lo, hi])
-            lists += self._ranked(*self._neighbor_sums(query[a:b], users[a:b], sims[a:b],
-                                                       lengths[a:b]), lo, hi)
-        return lists
+            lists.append(self._ranked(*self._neighbor_sums(query[a:b], users[a:b], sims[a:b],
+                                                           lengths[a:b]), lo, hi))
+        return tuple(map(np.concatenate, zip(*lists)))
 
     def _neighbors(self, lo: int, hi: int, owner: np.ndarray, tags: np.ndarray,
                    counts: np.ndarray, postings: np.ndarray
@@ -359,7 +360,7 @@ class _Block:
         (owner[i], tags[i], counts[i]) with postings[i] rows each; the
         query's own user is left out. The dot products are counted in
         (query, user) bins from one gather of the entries' postings: the cut
-        holds them to _BLOCK_ROWS, but a lone query may exceed it."""
+        holds them to _BLOCK_CELLS, but a lone query may exceed it."""
         index, ends = self.index, self.ends
         n_users = len(index.corpus.users)
         pair = np.repeat((owner - lo) * n_users, postings)
@@ -413,11 +414,16 @@ def recommend_many(
     bll: BLLParams = BLLParams(),
     mix: MixParams = MixParams(),
     cf: CFParams = CFParams(),
-) -> Iterator[dict[str, Ranked]]:
-    """{algorithm: recommend(algorithm, index, users[i], ref_times[i], k)}
-    for each query i in order, scored in blocks of at most _BLOCK_ROWS rows
-    of the users' and their followees' history; a name given twice is
-    scored once."""
+    rerank: bool = False,
+) -> Iterator[tuple[int, int, _Block, dict[str, Lists]]]:
+    """(lo, hi, block, {algorithm: (tag ids, scores, lengths)}) per block of
+    the queries (users[i], ref_times[i]), in order: list q - lo is
+    recommend(algorithm, index, users[q], ref_times[q], k) as ids. A name
+    given twice is scored once. A block holds at most _BLOCK_CELLS cells,
+    but for a lone query: a query counts its user's and followees' history
+    rows plus k cells per list, or k**2 (a pair table) with `rerank`, which
+    also has the blocks read that history (block.own_traces and
+    social_traces) for mp alone."""
     algorithms = list(dict.fromkeys(algorithms))
     if not algorithms:
         raise ValueError(f"no algorithm given; expected some of {ALGORITHM_NAMES}")
@@ -426,25 +432,24 @@ def recommend_many(
             raise ValueError(f"unknown algorithm {algo!r}; expected one of {ALGORITHM_NAMES}")
     refs, users = list(ref_times), list(users)
     ends = np.array([index.end(ref) for ref in refs], dtype=np.int64)
-    popular = _most_popular(index, ends, k) if "mp" in algorithms else None
-    others = [algo for algo in algorithms if algo != "mp"]
-    if not others:
-        for lists in popular:
-            yield {"mp": lists}
-        return
-    pairs = user_pairs(index.corpus, users, False), user_pairs(index.corpus, users, True)
-    sizes = sum(np.bincount(q, index.user_row_counts(u, ends[q]), minlength=len(users))
-                for q, u in pairs)
-    for lo, hi in size_cuts(sizes, _BLOCK_ROWS, index.max_queries):
+    sizes = np.full(len(users), len(algorithms) * max(k * k if rerank else k, 0))
+    pairs = ()
+    if rerank or algorithms != ["mp"]:
+        pairs = user_pairs(index.corpus, users, False), user_pairs(index.corpus, users, True)
+        for q, u in pairs:
+            sizes = sizes + np.bincount(q, index.user_row_counts(u, ends[q]), len(users))
+    if "mp" in algorithms:
+        ids, scores, lengths = _most_popular(index, ends, k)
+        at = np.concatenate(([0], np.cumsum(lengths)))
+    for lo, hi in size_cuts(sizes, _BLOCK_CELLS, index.max_queries):
         cut = []
         for q, u in pairs:
             a, b = np.searchsorted(q, (lo, hi))
             cut.append((q[a:b] - lo, u[a:b]))
-        block = _Block(index, refs[lo:hi], ends[lo:hi], *cut, k, bll, mix, cf)
-        lists = {algo: getattr(block, algo)() for algo in others}
-        for q in range(hi - lo):
-            yield {algo: popular[lo + q] if algo == "mp" else lists[algo][q]
-                   for algo in algorithms}
+        block = _Block(index, refs[lo:hi], ends[lo:hi], cut, k, bll, mix, cf)
+        yield lo, hi, block, {
+            algo: (ids[at[lo] : at[hi]], scores[at[lo] : at[hi]], lengths[lo:hi])
+            if algo == "mp" else getattr(block, algo)() for algo in algorithms}
 
 
 def recommend(
@@ -459,4 +464,6 @@ def recommend(
 ) -> Ranked:
     """Dispatch by algorithm name (one of ALGORITHM_NAMES): a block of one.
     A user with no followee entry raises NotSeedUser unless algo is mp."""
-    return next(recommend_many(index, [algo], [user_id], [ref_time], k, bll, mix, cf))[algo]
+    ids, scores, _ = next(recommend_many(index, [algo], [user_id], [ref_time], k, bll, mix,
+                                         cf))[3][algo]
+    return list(zip(map(index.corpus.tags.__getitem__, ids.tolist()), scores.tolist()))

@@ -2,15 +2,22 @@
 
 from __future__ import annotations
 
+import codecs
+import contextlib
 import hashlib
+import io
 import json
 import math
 import random
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from tagreuse import classify, cli, temporal
 from tagreuse.corpus import Corpus, load_corpus, write_corpus
@@ -20,7 +27,7 @@ from tagreuse.index import CorpusIndex
 from tagreuse.recommend import ALGORITHM_NAMES, recommend
 from tagreuse.synth import GenParams
 
-from conftest import merged_synth_corpus
+from conftest import brute_force_label, merged_synth_corpus, reference_parse_assignments
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data"
@@ -688,3 +695,153 @@ class TestArgvFuzz:
             if code not in (0, 1, 2) or "Traceback" in err:
                 failures.append((argv, code, err[-300:]))
         assert not failures, failures[:5]
+
+
+def _fixture_jsonl() -> list[str]:
+    """tests/data/assignments.tsv as JSONL lines, one per tweet."""
+    tweets: dict[str, dict] = {}
+    for line in (DATA / "assignments.tsv").read_text(encoding="utf-8").splitlines():
+        user, tweet, ts, tag = line.split("\t")
+        record = tweets.setdefault(tweet, {"user": user, "tweet": tweet, "ts": int(ts),
+                                           "hashtags": []})
+        record["hashtags"].append(tag)
+    return [json.dumps(record) for record in tweets.values()]
+
+
+_TOKENS = ["", "0", "-5", "7", "+9", " 5", "1_0", "٣", "1e3", "9" * 19, str(2**63), "u1", "u2",
+           "u3", "u9", "t01", "t02", "alpha", "#Beta", "#", "x y", "İ", "ñ", "\ufeff", "\x00",
+           "\t", "null", "true", "[]", "{}", '"u1"', "[1]", '["a", 3]']
+_JSON_VALUES = [*_TOKENS, None, True, 0, -5, 7, 2**63, 1.5, [], {}, [1], ["a", 3], ["#Beta", ""]]
+_SNIPPETS = st.text(st.sampled_from(list("\t\r\n\"{}[],:#\\ a1\x00\ufeffé")), max_size=3)
+
+
+@st.composite
+def _mutated_lines(draw, lines: list[str], jsonl: bool) -> list[str]:
+    """The lines after up to five mutations: a line dropped, duplicated or
+    cut short, a snippet spliced in, or a field (a JSON key) replaced by a
+    token or removed."""
+    lines = list(lines)
+    for _ in range(draw(st.integers(0, 5))):
+        op = draw(st.sampled_from(["drop", "dup", "cut", "splice", "field"]))
+        i = draw(st.integers(0, max(len(lines) - 1, 0)))
+        if not lines:
+            lines.append("")
+        line = lines[i]
+        at = draw(st.integers(0, len(line)))
+        if op == "drop":
+            del lines[i]
+        elif op == "dup":
+            lines.insert(draw(st.integers(0, len(lines))), line)
+        elif op == "cut":
+            lines[i] = line[:at]
+        elif op == "splice":
+            lines[i] = line[:at] + draw(_SNIPPETS) + line[at:]
+        elif jsonl:
+            try:
+                record = json.loads(line)
+                key = draw(st.sampled_from(["user", "tweet", "ts", "hashtags", "other"]))
+                if draw(st.booleans()):
+                    record[key] = draw(st.sampled_from(_JSON_VALUES))
+                else:
+                    record.pop(key, None)
+                lines[i] = json.dumps(record, ensure_ascii=draw(st.booleans()))
+            except (ValueError, TypeError, AttributeError):  # no longer an object
+                lines[i] = draw(st.sampled_from(_TOKENS))
+        else:
+            parts = line.split("\t")
+            j = draw(st.integers(0, len(parts)))
+            token = draw(st.sampled_from(_TOKENS))
+            parts[j : j + draw(st.integers(0, 1))] = [token]
+            lines[i] = "\t".join(parts)
+    return lines
+
+
+@st.composite
+def _file_bytes(draw, lines: list[str], jsonl: bool) -> bytes:
+    """Mutated lines joined by LF, CRLF or CR, maybe after a BOM, and
+    rarely with a byte that is not UTF-8."""
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = end.join(draw(_mutated_lines(lines, jsonl))) + end * draw(st.booleans())
+    data = draw(st.sampled_from([b"", codecs.BOM_UTF8])) + text.encode("utf-8")
+    if draw(st.integers(0, 9)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+_ARGVS = st.one_of(
+    st.just(["stats", "--out", "{tmp}/stats.json"]),
+    st.just(["recency", "--outdir", "{tmp}/recency"]),
+    st.tuples(st.sampled_from(ALGORITHM_NAMES), st.sampled_from(["u1", "u2", "u5", "nobody"]),
+              st.sampled_from(["0", "150", "260", str(10**10), str(2**63)]),
+              st.sampled_from(["1", "3"]), st.booleans()).map(
+        lambda a: ["recommend", "--algo", a[0], "--user", a[1], "--at", a[2], "--k", a[3],
+                   *(["--rerank", "hybrid", "--lambda", "0.5"] if a[4] else [])]),
+    st.tuples(st.lists(st.sampled_from(ALGORITHM_NAMES), min_size=1, max_size=3, unique=True),
+              st.sampled_from(["1", "4"]), st.booleans()).map(
+        lambda a: ["evaluate", "--algos", ",".join(a[0]), "--kmax", a[1],
+                   "--outdir", "{tmp}/eval", *(["--rerank", "hybrid"] if a[2] else [])]),
+    st.tuples(*[st.integers(0, 2)] * 4).map(
+        lambda a: ["generate", "--seed-users", str(a[0]), "--followees-per-seed", str(a[1]),
+                   "--background-users", str(a[2]), "--tweets-per-user", str(a[3]),
+                   "--vocab-size", "5", "--outdir", "{tmp}/gen"]),
+)
+
+
+def _reference_edges(path: Path) -> dict[str, set[str]]:
+    """The follow network of a file the loader accepted, line by line."""
+    edges: dict[str, set[str]] = {}
+    text = path.read_bytes().decode("utf-8-sig")
+    for line in re.split(r"\r\n|\r|\n", text):
+        if line:
+            seed_user, *followee = line.split("\t")
+            edges.setdefault(seed_user, set()).update(followee)
+    return edges
+
+
+class TestInputFuzz:
+    """A differential property over mutated tests/data inputs, in both
+    formats and both --on-malformed modes: every subcommand ends in exit 0,
+    1 or 2 with no traceback, and when classify succeeds its per-assignment
+    labels are the brute-force labels of the corpus the reference parser
+    reads from the same file."""
+
+    TSV = (DATA / "assignments.tsv").read_text(encoding="utf-8").splitlines()
+    JSONL = _fixture_jsonl()
+    NETWORK = (DATA / "network.tsv").read_text(encoding="utf-8").splitlines()
+
+    @seed(20261022)
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.sampled_from(["tsv", "jsonl"]), st.sampled_from(["raise", "count"]),
+           _ARGVS)
+    def test_mutated_inputs(self, data, fmt, mode, argv):
+        assignments = data.draw(_file_bytes(self.JSONL if fmt == "jsonl" else self.TSV,
+                                            fmt == "jsonl"))
+        network = data.draw(_file_bytes(self.NETWORK, False)) if data.draw(st.booleans()) \
+            else (DATA / "network.tsv").read_bytes()
+        with tempfile.TemporaryDirectory() as tmp:
+            apath, npath, labels = Path(tmp, f"a.{fmt}"), Path(tmp, "n.tsv"), Path(tmp, "l.tsv")
+            apath.write_bytes(assignments)
+            npath.write_bytes(network)
+            inputs = ["--assignments", str(apath), "--network", str(npath), "--format", fmt,
+                      "--on-malformed", mode]
+            runs = [["classify", *inputs, "--out", f"{tmp}/c.json", "--per-assignment",
+                     str(labels)]]
+            runs.append([a.replace("{tmp}", tmp) for a in argv])
+            if argv[0] != "generate":
+                runs[-1][1:1] = inputs
+            codes = []
+            for run in runs:
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    codes.append(cli.main(run))
+                assert codes[-1] in (0, 1, 2) and "Traceback" not in err.getvalue(), run
+            if codes[0] == 0:
+                records, bad = reference_parse_assignments(apath, fmt)
+                assert not bad or mode == "count"
+                corpus = Corpus.from_tweets(records, _reference_edges(npath))
+                expected = [(a.user_id, a.tweet_id, str(a.timestamp), a.hashtag,
+                             brute_force_label(corpus, a).value)
+                            for a in corpus.assignments if a.user_id in corpus.seed_users]
+                got = labels.read_text(encoding="utf-8").split("\n")[2:-1]
+                assert [tuple(line.split("\t")) for line in got] == expected

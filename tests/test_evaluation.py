@@ -11,7 +11,7 @@ from itertools import groupby
 import numpy as np
 import pytest
 
-from tagreuse import evaluation
+from tagreuse import recommend as recommend_module
 from tagreuse.corpus import Corpus
 from tagreuse.diversity import SimilarityIndex
 from tagreuse.evaluation import (
@@ -390,7 +390,7 @@ class TestPassOrder:
             config = EvalConfig(k_max=k_max, rerank_lambda=rerank_lambda)
             whole = evaluate(corpus, algorithms, config)
             with monkeypatch.context() as patch:
-                patch.setattr(evaluation, "_BLOCK_CELLS", budget)
+                patch.setattr(recommend_module, "_BLOCK_CELLS", budget)
                 report = evaluate(corpus, algorithms, config)
             assert report == whole
         assert report.to_json_dict() == _per_user_report(corpus, algorithms, config)
@@ -402,8 +402,7 @@ class TestPassOrder:
     def test_block_pair_tables_equal_the_per_list_tables(self, monkeypatch, corpus_of,
                                                          algorithms):
         corpus = corpus_of()
-        config = EvalConfig(k_max=6, rerank_lambda=0.5)
-        blocks = []
+        users = make_split(corpus).users
         build = SimilarityIndex._tables
 
         def spy(index, rows, lengths):
@@ -411,32 +410,61 @@ class TestPassOrder:
             blocks.append((index, rows, lengths.tolist(), tables))
             return tables
 
-        with monkeypatch.context() as patch:
-            patch.setattr(SimilarityIndex, "_tables", spy)
-            patch.setattr(evaluation, "_BLOCK_CELLS", 1000)  # a few users per block
-            for name in ("_rows", "similarity"):  # no item is looked up by its string
-                patch.setattr(SimilarityIndex, name,
-                              lambda *_, name=name: pytest.fail(f"{name} called"))
-            evaluate(corpus, algorithms, config)
-        assert len(blocks) > 1 or len(make_split(corpus).users) == 1
-        listed = []
-        for index, rows, lengths, tables in blocks:
-            at = 0
-            for table, n in zip(tables, lengths):
-                one = index._tables(rows[at : at + n], np.array([n]))[0]  # a block of one list
-                listed.append([index._tags[r] for r in rows[at : at + n].tolist()])
-                at += n
-                hexes = [[float.hex(v) for v in row] for row in table[:n, :n].tolist()]
-                assert hexes == [[float.hex(v) for v in row] for row in one.tolist()]
-                assert hexes == [[float.hex(v) for v in row]
-                                 for row in reference_pair_table(index, listed[-1])]
-                assert not table[n:].any() and not table[:, n:].any()
-        expected = []
-        for us in make_split(corpus).users:  # split order: one pass, user by user
-            for algo in algorithms:
-                rec = recommend(algo, CorpusIndex(corpus), us.user_id, us.ref_time, 6)
-                expected.append([ht for ht, _ in rec])
-        assert listed == expected
+        # at 1000, a few users per block; at 1, and at k_max 60 under the
+        # module's budget, one user's lists per block, as a k_max**2 pair
+        # table per list keeps a block to one user at large k
+        for budget, k_max in ((1, 6), (1000, 6), (recommend_module._BLOCK_CELLS, 60)):
+            config = EvalConfig(k_max, rerank_lambda=0.5)
+            blocks = []
+            with monkeypatch.context() as patch:
+                patch.setattr(SimilarityIndex, "_tables", spy)
+                patch.setattr(recommend_module, "_BLOCK_CELLS", budget)
+                for name in ("_rows", "similarity"):  # no item is looked up by its string
+                    patch.setattr(SimilarityIndex, name,
+                                  lambda *_, name=name: pytest.fail(f"{name} called"))
+                evaluate(corpus, algorithms, config)
+            assert len(blocks) > 1 or len(users) == 1
+            if len(algorithms) * k_max**2 > budget:
+                assert [len(lengths) for _, _, lengths, _ in blocks] == \
+                    [len(algorithms)] * len(users)
+            listed, expected = [], []
+            for index, rows, lengths, tables in blocks:
+                at = 0
+                for table, n in zip(tables, lengths):
+                    one = index._tables(rows[at : at + n], np.array([n]))[0]  # a block of one
+                    listed.append([index._tags[r] for r in rows[at : at + n].tolist()])
+                    at += n
+                    hexes = [[float.hex(v) for v in row] for row in table[:n, :n].tolist()]
+                    assert hexes == [[float.hex(v) for v in row] for row in one.tolist()]
+                    assert hexes == [[float.hex(v) for v in row]
+                                     for row in reference_pair_table(index, listed[-1])]
+                    assert not table[n:].any() and not table[:, n:].any()
+                # one pass in split order, block by block; algorithm by
+                # algorithm within a block
+                block = users[len(expected) // len(algorithms):][: len(lengths) // len(algorithms)]
+                for algo in algorithms:
+                    for us in block:
+                        rec = recommend(algo, CorpusIndex(corpus), us.user_id, us.ref_time,
+                                        k_max)
+                        expected.append([ht for ht, _ in rec])
+            assert listed == expected
+            assert len(listed) == len(algorithms) * len(users)
+
+    @pytest.mark.parametrize("corpus_of, k_max", [
+        (_paired_synth_corpus, 18),  # lists shorter than k_max
+        (partial(_tied_corpus, 11), 6),
+    ])
+    def test_mp_alone_reranked(self, monkeypatch, corpus_of, k_max):
+        # the blocks read their users' and followees' traces for the history
+        # alone: no other algorithm reads them
+        corpus = corpus_of()
+        config = EvalConfig(k_max, rerank_lambda=0.5)
+        expected = _per_user_report(corpus, ["mp"], config)
+        assert any(row["serendipity"] not in (0.0, 1.0) for row in expected["algorithms"]["mp"])
+        for budget in (1, 3000, 2**62):
+            with monkeypatch.context() as patch:
+                patch.setattr(recommend_module, "_BLOCK_CELLS", budget)
+                assert evaluate(corpus, ["mp"], config).to_json_dict() == expected, budget
 
 
 class TestPerUserHits:
@@ -453,7 +481,7 @@ class TestPerUserHits:
         corpus = corpus_of()
         algorithms = list(ALGORITHM_NAMES)
         with monkeypatch.context() as patch:
-            patch.setattr(evaluation, "_BLOCK_CELLS", budget)
+            patch.setattr(recommend_module, "_BLOCK_CELLS", budget)
             report = evaluate(corpus, algorithms, EvalConfig(k_max, rerank_lambda=rerank_lambda))
         split = make_split(corpus)
         sims = SimilarityIndex.from_corpus(corpus, exclude_tweets=split.test_tweet_ids)

@@ -769,7 +769,10 @@ class TestCursorReads:
             )
             query = np.zeros(len(ids), dtype=np.int64)
             ends = np.array([index.end(ref)])
-            assert _rank_lists(index, ends, query, ids, values, k) == [expected], k
+            top, top_scores, lengths = _rank_lists(index, ends, query, ids, values, k)
+            assert lengths.tolist() == [len(expected)], k
+            assert list(zip(map(tied_corpus.tags.__getitem__, top.tolist()),
+                            top_scores.tolist())) == expected, k
 
     def test_prefiltered_most_popular_equals_unfiltered(self, tied_corpus):
         ref = 10_000
@@ -845,6 +848,22 @@ def _with_silent_users(rng, corpus):
     return corpus_from_tweets([(*key, tuple(tags)) for key, tags in tweets.items()], edges)
 
 
+def _per_query(index, blocks):
+    """recommend_many's blocks as one {algorithm: [(hashtag, score)]} per
+    query, in order."""
+    got = []
+    for lo, hi, _, lists in blocks:
+        assert lo == len(got) < hi
+        ranked = {}
+        for algo, (ids, scores, lengths) in lists.items():
+            assert len(lengths) == hi - lo
+            cuts = np.cumsum(lengths)[:-1]
+            ranked[algo] = [list(zip(map(index.corpus.tags.__getitem__, i.tolist()), s.tolist()))
+                            for i, s in zip(np.split(ids, cuts), np.split(scores, cuts))]
+        got += [{algo: ranked[algo][q] for algo in lists} for q in range(hi - lo)]
+    return got
+
+
 class TestBlocks:
     """recommend_many scores many queries per block; every list equals the
     one-query recommend() list, scores float.hex for float.hex, wherever the
@@ -882,9 +901,10 @@ class TestBlocks:
             # at 100, cf's cuts hold several queries, and a query with more
             # postings than that is cut alone
             for budget in (1, 100, 2**62):
-                monkeypatch.setattr(recommend_module, "_BLOCK_ROWS", budget)
+                monkeypatch.setattr(recommend_module, "_BLOCK_CELLS", budget)
                 cuts.clear()
-                got = list(recommend_many(index, ALGORITHM_NAMES, users, times, k, bll, mix, cf))
+                got = _per_query(index, recommend_many(index, ALGORITHM_NAMES, users, times, k,
+                                                       bll, mix, cf))
                 if budget == 100:
                     seen["cf cut of several"] += any(n > 1 for n, _ in cuts)
                     seen["lone cf query over budget"] += any(n == 1 and p > 100 for n, p in cuts)
@@ -905,7 +925,8 @@ class TestBlocks:
 
     def test_repeated_and_unknown_names(self, history_corpus):
         index = CorpusIndex(history_corpus)
-        got = list(recommend_many(index, ["mp", "bll_i", "mp"], ["A", "D"], [3600, 2000], 5))
+        got = _per_query(index, recommend_many(index, ["mp", "bll_i", "mp"], ["A", "D"],
+                                               [3600, 2000], 5))
         assert [sorted(lists) for lists in got] == [["bll_i", "mp"]] * 2
         assert got[1]["bll_i"] == recommend("bll_i", index, "D", 2000, 5) == []
         with pytest.raises(ValueError):
@@ -927,7 +948,7 @@ class TestBlocks:
         # mp reads no user, so it serves any
         popular = recommend("mp", index, "A", 3600, 5)
         assert popular and recommend("mp", index, user, 3600, 5) == popular
-        got = list(recommend_many(index, ["mp"], ["A", user, "D"], [3600] * 3, 5))
+        got = _per_query(index, recommend_many(index, ["mp"], ["A", user, "D"], [3600] * 3, 5))
         assert got == [{"mp": popular}] * 3
 
     def test_key_budget_bounds_a_block(self, history_corpus, monkeypatch):
@@ -936,11 +957,13 @@ class TestBlocks:
         with pytest.raises(ValueError, match="63-bit"):
             index.check_key_budget(index.max_queries + 1)
         # blocks are cut at max_queries, so a lower one changes no list
-        expected = list(recommend_many(index, ALGORITHM_NAMES, ["A", "D", "A"],
-                                       [3600, 3600, 1300], 5))
+        expected = _per_query(index, recommend_many(index, ALGORITHM_NAMES, ["A", "D", "A"],
+                                                    [3600, 3600, 1300], 5))
         monkeypatch.setattr(index, "max_queries", 1)
-        assert list(recommend_many(index, ALGORITHM_NAMES, ["A", "D", "A"],
-                                   [3600, 3600, 1300], 5)) == expected
+        blocks = list(recommend_many(index, ALGORITHM_NAMES, ["A", "D", "A"], [3600, 3600, 1300],
+                                     5))
+        assert [hi - lo for lo, hi, *_ in blocks] == [1, 1, 1]
+        assert _per_query(index, blocks) == expected
 
 
 def _minmax(scores: list[float]) -> list[float]:
